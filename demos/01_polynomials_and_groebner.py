@@ -11,7 +11,6 @@ from dgkoszul import (
     LEX,
     PolyRing,
     PrimeField,
-    order_compare,
     parse_poly,
     quotient_ring_from_strings,
 )
@@ -29,29 +28,28 @@ print("x^2*y - y*x^2 ->", parse_poly("x^2*y - y*x^2", R))
 # --- monomial orders ---
 # grevlex compares total degree first; on ties the rightmost difference
 # decides (smaller exponent wins).  y^2 beats x*z:
-print("grevlex(y^2, x*z) =", order_compare((0, 2, 0), (1, 0, 1), GREVLEX))
-print("lex(x, y^100)     =", order_compare((1, 0, 0), (0, 100, 0), LEX))
+print("grevlex(y^2, x*z) =", GREVLEX.compare((0, 2, 0), (1, 0, 1)))
+print("lex(x, y^100)     =", LEX.compare((1, 0, 0), (0, 100, 0)))
 
 # --- a Groebner basis over the lex order ---
 Rlex = PolyRing(("x", "y", "z"), field, LEX)
 gens = [parse_poly(t, Rlex) for t in ("x^2 - y", "x*y - z")]
-vecs = [gb.vec_from_polys((g,)) for g in gens]
+vecs = [gb.column_to_vec((g,)) for g in gens]
 order = gb.TermOverPosition(LEX)
 basis = gb.buchberger(vecs, (0,), order, field, rank=1, allow_inhomogeneous=True)
 print("\nlex basis of (x^2 - y, x*y - z):")
 for v in basis:
-    print("  ", gb.polys_from_vec(v, Rlex, 1)[0])
+    print("  ", gb.vec_to_column(v, Rlex, 1)[0])
 claimed = parse_poly("y^2 - x*z", Rlex)
-rem = gb.normal_form(gb.vec_from_polys((claimed,)), basis, order, field)
+rem = gb.normal_form(gb.column_to_vec((claimed,)), basis, order, field)
 print("y^2 - x*z reduces to zero:", not rem)
 
 # --- syzygies ---
 R2 = PolyRing(("x", "y"), field)
-vx = gb.vec_from_polys((parse_poly("x", R2),))
-vy = gb.vec_from_polys((parse_poly("y", R2),))
-basis2 = gb.buchberger([vx, vy], (0,), gb.TermOverPosition(GREVLEX), field, rank=1)
-syz = gb.schreyer_syzygies(basis2, (1, 1), gb.TermOverPosition(GREVLEX), field)
-print("\nsyzygies of (x, y):", [gb.polys_from_vec(s, R2, 2) for s in syz])
+vx = gb.column_to_vec((parse_poly("x", R2),))
+vy = gb.column_to_vec((parse_poly("y", R2),))
+syz = gb.TaggedBasis([vx, vy], (0,), R2).syzygies()
+print("\nsyzygies of (x, y):", [gb.vec_to_column(s, R2, 2) for s in syz])
 
 # --- Hilbert series and Krull dimension of quotient rings ---
 for variables, ideal in [

@@ -9,7 +9,7 @@ be cross-checked by a Groebner-independent degree-truncation oracle.
 """
 
 from .fields import DEFAULT_PRIME, PrimeField, RationalField, field_from_json
-from .poly import GREVLEX, LEX, MonomialOrder, PolyRing, Polynomial, order_compare
+from .poly import GREVLEX, LEX, MonomialOrder, PolyRing, Polynomial
 from .parse import ParseError, parse_poly
 from .rings import FreeModule, QuotientRing, quotient_ring_from_strings
 from .hilbert import NEG_INF, POS_INF, HilbertSeries, krull_dim_lead
@@ -23,7 +23,6 @@ from .complexes import (
     koszul_complex,
     minimize_complex,
     tensor_complexes,
-    total_complex,
     truncation_oracle,
 )
 from .dgring import (

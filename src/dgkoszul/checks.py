@@ -7,7 +7,7 @@ instantiates, the hypotheses it validated, and both computed sides.
 
 from __future__ import annotations
 
-from .complexes import euler_series, homology_hilbert_functions, tensor_complexes, truncation_oracle
+from .complexes import euler_series, homology_hilbert_functions, truncation_oracle
 from .dgring import (
     DGRingRep,
     RingMap,
@@ -18,7 +18,7 @@ from .dgring import (
     lift_independence_check,
     trivial_extension,
 )
-from .duality import dualizing_of_koszul, gorenstein_dg_check, self_duality_check
+from .duality import gorenstein_dg_check, self_duality_check
 from .hilbert import NEG_INF
 from .invariants import (
     cm_certify,

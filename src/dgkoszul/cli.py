@@ -20,7 +20,7 @@ import sys
 import time
 
 from .checks import CHECK_NAMES
-from .fields import FieldError, PrimeField, RationalField
+from .fields import FieldError
 from .jobs import RunConfig, canonical_json, run_job, run_suite
 
 EXIT_OK = 0

@@ -22,9 +22,9 @@ from typing import Sequence
 from . import groebner as gb
 from .hilbert import NEG_INF, POS_INF, HilbertSeries
 from .linalg import linalg_for
-from .modules import FPModule, ModuleMap, Vec, _vec_is_zero
-from .poly import Polynomial, mono_deg
-from .rings import FreeModule, QuotientRing
+from .modules import FPModule, ModuleMap
+from .poly import Polynomial
+from .rings import QuotientRing
 
 Matrix = tuple  # tuple of rows; row = tuple of Polynomial
 
@@ -106,7 +106,7 @@ class Complex:
                 comp = _mat_mul(self.diffs[i + 1], self.diffs[i], self.ring)
                 tgt = self.terms[i + 2]
                 for col in range(len(comp[0]) if comp else 0):
-                    coords = [comp[r][col] for r in range(len(comp))]
+                    coords = gb.column_to_vec(row[col] for row in comp)
                     vec = tgt.element_from_coords(coords)
                     if not tgt.element_is_zero(vec):
                         raise AssertionError(f"d∘d != 0 between {i} and {i+2}")
@@ -127,14 +127,12 @@ class Complex:
             ker_gens = ker.gens
         else:
             ker_gens = M.gens
-        im_gens: list[Vec] = []
+        im_gens = []
         if (i - 1) in self.diffs:
-            prev = self.terms[i - 1]
             mat = self.diffs[i - 1]
-            for j in range(len(prev.gens)):
-                coords = [mat[r][j] for r in range(len(M.gens))]
-                vec = M.element_from_coords(coords)
-                if not _vec_is_zero(vec):
+            for j in range(len(self.terms[i - 1].gens)):
+                vec = M.element_from_coords(gb.column_to_vec(row[j] for row in mat))
+                if vec:
                     im_gens.append(vec)
         sub = FPModule(
             M.ambient, ker_gens, tuple(M.rels) + tuple(im_gens), check=False
@@ -201,13 +199,6 @@ class Complex:
             diffs[-i - 1] = _scale_matrix(transpose, sign)
         return Complex(self.ring, terms, diffs)
 
-    def scale_diffs(self, c) -> Complex:
-        return Complex(
-            self.ring,
-            dict(self.terms),
-            {i: _scale_matrix(m, c) for i, m in self.diffs.items()},
-        )
-
     def __repr__(self):
         rng = f"[{self.lo}, {self.hi}]" if self.terms else "[]"
         return f"Complex({rng}, ranks={[len(self.term(i).gens) for i in self.support]})"
@@ -224,14 +215,11 @@ def direct_sum(modules: Sequence[FPModule], ring: QuotientRing) -> FPModule:
     for m in modules:
         offsets.append(len(twists))
         twists.extend(m.ambient.twists)
-    rels: list[Vec] = []
-    zero = ring.poly_ring.zero
-    for off, m in zip(offsets, modules):
-        for r in m.rels:
-            col = [zero] * len(twists)
-            for c, p in enumerate(r):
-                col[off + c] = p
-            rels.append(tuple(col))
+    rels = [
+        {(off + comp, e): c for (comp, e), c in r.items()}
+        for off, m in zip(offsets, modules)
+        for r in m.rels
+    ]
     return FPModule.cokernel(ring, tuple(twists), rels)
 
 
@@ -271,9 +259,9 @@ class ChainMap:
                 tgt = self.target.term(i + 1)
                 cols = len(lhs[0]) if lhs else 0
                 for col in range(cols):
-                    coords = [
+                    coords = gb.column_to_vec(
                         lhs[r][col] - rhs[r][col] for r in range(len(lhs))
-                    ]
+                    )
                     vec = tgt.element_from_coords(coords)
                     if not tgt.element_is_zero(vec):
                         raise AssertionError(f"chain map square fails at {i}")
@@ -341,10 +329,10 @@ class Bicomplex:
                 tgt = self.grid[(p + 1, q + 1)]
                 cols = len(a[0]) if a else 0
                 for col in range(cols):
-                    coords = [
+                    coords = gb.column_to_vec(
                         a[r][col] - (b[r][col] if b else self.ring.poly_ring.zero)
                         for r in range(len(a))
-                    ]
+                    )
                     if not tgt.element_is_zero(tgt.element_from_coords(coords)):
                         raise AssertionError(f"square at {(p, q)} does not commute")
 
@@ -423,19 +411,15 @@ def tensor_bicomplex(C: Complex, D: Complex) -> Bicomplex:
                     twists.append(
                         cp.ambient.twists[i] + dq.ambient.twists[j]
                     )
-            rels = []
-            for j in range(kd):
-                for r in cp.rels:
-                    col = [zero] * (kc * kd)
-                    for i in range(kc):
-                        col[i * kd + j] = r[i]
-                    rels.append(tuple(col))
-            for i in range(kc):
-                for r in dq.rels:
-                    col = [zero] * (kc * kd)
-                    for j in range(kd):
-                        col[i * kd + j] = r[j]
-                    rels.append(tuple(col))
+            rels = [
+                {(i * kd + j, e): c for (i, e), c in r.items()}
+                for j in range(kd)
+                for r in cp.rels
+            ] + [
+                {(i * kd + j, e): c for (j, e), c in r.items()}
+                for i in range(kc)
+                for r in dq.rels
+            ]
             grid[(p, q)] = FPModule.cokernel(ring, tuple(twists), rels)
     for p, q in grid:
         dc = C.diffs.get(p)
@@ -472,10 +456,6 @@ def tensor_bicomplex(C: Complex, D: Complex) -> Bicomplex:
 def tensor_complexes(C: Complex, D: Complex) -> Complex:
     """Tot of the tensor bicomplex (C free termwise, or D free termwise)."""
     return tensor_bicomplex(C, D).total()
-
-
-def total_complex(B: Bicomplex) -> Complex:
-    return B.total()
 
 
 # ---------- Koszul complexes ----------
@@ -588,20 +568,14 @@ def truncation_oracle(C: Complex, d_max: int, d_min: int | None = None) -> dict:
             index = {bm: k for k, bm in enumerate(basis)}
             rows = []
             for col in term._relation_columns():
-                col_deg = None
-                for comp, p in enumerate(col):
-                    d = p.homogeneous_degree()
-                    if d is not None:
-                        col_deg = d + term.ambient.twists[comp]
-                        break
+                col_deg = gb.vec_degree(col, term.ambient.twists)
                 if col_deg is None:
                     continue
                 for mono in _monomials_of_degree(ring.nvars, t_deg - col_deg):
                     row = [field.zero] * len(basis)
-                    for comp, p in enumerate(col):
-                        for e, cc in p.terms.items():
-                            pos = index[(comp, tuple(a + b for a, b in zip(mono, e)))]
-                            row[pos] = field.add(row[pos], cc)
+                    for (comp, e), cc in col.items():
+                        pos = index[(comp, tuple(a + b for a, b in zip(mono, e)))]
+                        row[pos] = field.add(row[pos], cc)
                     rows.append(row)
             R, piv = la.rref(rows)
             pivset = set(piv)

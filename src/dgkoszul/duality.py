@@ -18,8 +18,7 @@ from typing import Sequence
 from . import groebner as gb
 from .complexes import Complex, tensor_complexes
 from .dgring import DGRingRep
-from .hilbert import NEG_INF, POS_INF
-from .modules import FPModule, Vec, _vec_degree, _vec_is_zero, min_gens
+from .modules import FPModule, min_gens
 from .poly import Polynomial
 from .rings import FreeModule, QuotientRing
 
@@ -33,12 +32,12 @@ class ResolutionError(RuntimeError):
     pass
 
 
-def free_resolution(X, minimal: bool = True) -> Complex:
-    """Free resolution over S of a module or bounded complex over Q = S/J.
+def free_resolution(X) -> Complex:
+    """Minimal free resolution over S of a module or bounded complex over
+    Q = S/J.
 
     Modules: iterated syzygies with minimal generating sets at every stage
-    (the result is minimal, with no unit entries).  With minimal=False the
-    stages keep the raw syzygy generators.
+    (the result is minimal, with no unit entries).
 
     Complexes: assembled from termwise resolutions; supported for zero
     differentials (direct sums of shifted resolutions) and for two-term
@@ -46,48 +45,37 @@ def free_resolution(X, minimal: bool = True) -> Complex:
     differentials would need homotopy corrections and are rejected.
     """
     if isinstance(X, FPModule):
-        return _resolve_module(X, minimal)
+        return _resolve_module(X)
     if isinstance(X, Complex):
-        return _resolve_complex(X, minimal)
+        return _resolve_complex(X)
     raise TypeError(f"cannot resolve {X!r}")
 
 
-def _resolve_module(X: FPModule, minimal: bool) -> Complex:
+def _resolve_module(X: FPModule) -> Complex:
     S = ambient_ring(X.ring)
     ring = S.poly_ring
     pres = X.presentation()
-    twists = list(pres.gen_degrees())
-    cols = [tuple(v) for v in pres.gen_relations()]
-    terms = {0: FPModule.free(S, tuple(twists))}
+    twists = tuple(pres.gen_degrees())
+    cols = pres.gen_relations()
+    terms = {0: FPModule.free(S, twists)}
     diffs = {}
-    ambient = FreeModule(S, len(twists), tuple(twists))
+    ambient = FreeModule(S, len(twists), twists)
     k = 0
     while True:
-        cols = [c for c in cols if not _vec_is_zero(c)]
-        if minimal:
-            cols = min_gens(cols, ambient)
+        cols = min_gens(cols, ambient)
         if not cols:
             break
         k += 1
         if k > ring.nvars + 1:
             raise ResolutionError("resolution exceeded the syzygy bound")
-        col_degs = tuple(_vec_degree(c, ambient.twists) for c in cols)
+        col_degs = tuple(gb.vec_degree(c, ambient.twists) for c in cols)
         terms[-k] = FPModule.free(S, col_degs)
-        mat = tuple(
-            tuple(cols[c][r] for c in range(len(cols)))
-            for r in range(ambient.rank)
-        )
-        diffs[-k] = mat
-        tagged = gb.TaggedBasis(
-            [gb.vec_from_polys(c) for c in cols], ambient.twists, ring
-        )
-        cols = [
-            gb.polys_from_vec(s, ring, len(cols)) for s in tagged.syzygies()
-        ]
+        entries = [gb.vec_to_column(c, ring, ambient.rank) for c in cols]
+        diffs[-k] = tuple(zip(*entries))
+        cols = gb.TaggedBasis(cols, ambient.twists, ring).syzygies()
         ambient = FreeModule(S, len(col_degs), col_degs)
     resolution = Complex(S, terms, diffs)
-    if minimal:
-        _assert_minimal(resolution)
+    _assert_minimal(resolution)
     return resolution
 
 
@@ -145,17 +133,13 @@ def _lift_chain_map(d_matrix, src_res: Complex, tgt_res: Complex) -> dict:
     while (-k - 1) in src_res.terms:
         k += 1
         if (-k) not in tgt_res.terms:
-            rows = 0
             maps[-k] = tuple()
             break
         phi_prev = maps[-k + 1]
         d_src = src_res.diffs[-k]
         d_tgt = tgt_res.diffs[-k]
         tgt_cols = [
-            gb.vec_from_polys(
-                tuple(d_tgt[r][c] for r in range(len(d_tgt)))
-            )
-            for c in range(len(d_tgt[0]))
+            gb.column_to_vec(row[c] for row in d_tgt) for c in range(len(d_tgt[0]))
         ]
         tagged = gb.TaggedBasis(
             tgt_cols, tgt_res.term(-k + 1).ambient.twists, ring
@@ -165,41 +149,40 @@ def _lift_chain_map(d_matrix, src_res: Complex, tgt_res: Complex) -> dict:
         z = ring.zero
         mat = [[z] * new_cols for _ in range(new_rows)]
         for c in range(new_cols):
-            target_vec = {}
-            for r in range(len(phi_prev)):
+            image = []
+            for row in phi_prev:
                 acc = z
                 for m in range(len(d_src)):
-                    acc = acc + phi_prev[r][m] * d_src[m][c]
-                for e, cc in acc.terms.items():
-                    target_vec[(r, e)] = cc
-            coeffs = tagged.lift(target_vec)
+                    acc = acc + row[m] * d_src[m][c]
+                image.append(acc)
+            coeffs = tagged.lift(gb.column_to_vec(image))
             if coeffs is None:
                 raise ResolutionError("chain lift failed; map not liftable")
             for r, cd in enumerate(coeffs):
-                mat[r][c] = Polynomial(ring, dict(cd))
+                mat[r][c] = Polynomial(ring, cd)
         maps[-k] = tuple(tuple(row) for row in mat)
     return maps
 
 
-def _resolve_complex(X: Complex, minimal: bool) -> Complex:
+def _resolve_complex(X: Complex) -> Complex:
     S = ambient_ring(X.ring)
     if not X.diffs:
         parts = []
         for i in sorted(X.terms):
-            res = _resolve_module(X.terms[i], minimal)
+            res = _resolve_module(X.terms[i])
             parts.append(res.shift(-i))
         return complex_direct_sum(parts, S)
     if len(X.diffs) == 1:
         (a,) = X.diffs
         if set(X.terms) - {a, a + 1}:
             extra = [
-                _resolve_module(X.terms[i], minimal).shift(-i)
+                _resolve_module(X.terms[i]).shift(-i)
                 for i in sorted(set(X.terms) - {a, a + 1})
             ]
         else:
             extra = []
-        src_res = _resolve_module(X.terms[a], minimal)
-        tgt_res = _resolve_module(X.terms[a + 1], minimal)
+        src_res = _resolve_module(X.terms[a])
+        tgt_res = _resolve_module(X.terms[a + 1])
         maps = _lift_chain_map(X.diffs[a], src_res, tgt_res)
         from .complexes import Bicomplex
 
@@ -210,17 +193,15 @@ def _resolve_complex(X: Complex, minimal: bool) -> Complex:
             grid[(a, q)] = src_res.terms[q]
             if q in src_res.diffs:
                 d_v[(a, q)] = src_res.diffs[q]
-            if q in maps and (a + 1, q) and q in tgt_res.terms:
-                if maps[q]:
-                    d_h[(a, q)] = maps[q]
+            if q in maps and q in tgt_res.terms and maps[q]:
+                d_h[(a, q)] = maps[q]
         for q in tgt_res.terms:
             grid[(a + 1, q)] = tgt_res.terms[q]
             if q in tgt_res.diffs:
                 d_v[(a + 1, q)] = tgt_res.diffs[q]
-        two_col = Bicomplex(S, grid, d_h, d_v).total().shift(-a)
-        # Tot of the two-column bicomplex lives at degrees (p+q) with p in
-        # {a, a+1}; shifting back by -a puts the resolved object at [a, a+1].
-        two_col = two_col.shift(a)
+        # Tot of the two-column bicomplex lives at degrees p + q with p in
+        # {a, a + 1}, which is where X's two terms sit.
+        two_col = Bicomplex(S, grid, d_h, d_v).total()
         if extra:
             return complex_direct_sum([two_col] + extra, S)
         return two_col
@@ -254,7 +235,7 @@ def dualizing_complex(Q: QuotientRing) -> Complex:
     if Q.is_trivial():
         raise ValueError("the zero ring has no dualizing complex")
     module = FPModule.free(Q, (0,))
-    res = free_resolution(module, minimal=True)
+    res = free_resolution(module)
     dual = res.hom_dual()
     shifted = dual.shift(Q.poly_ring.nvars)
     lo = shifted.inf()
@@ -308,7 +289,7 @@ def koszul_tensor_dualizing(K: DGRingRep) -> Complex:
 def is_gorenstein_ring(Q: QuotientRing) -> tuple[bool, dict]:
     """Gorenstein = Cohen-Macaulay (resolution length equals codimension)
     of type 1 (last Betti number 1).  The Betti table rides along."""
-    res = free_resolution(FPModule.free(Q, (0,)), minimal=True)
+    res = free_resolution(FPModule.free(Q, (0,)))
     length = -min(res.terms)
     codim = Q.poly_ring.nvars - Q.dim()
     cm = length == codim

@@ -11,6 +11,10 @@ from fractions import Fraction
 
 DEFAULT_PRIME = 32003
 
+# The truncation oracle's mod-p linear algebra works in int64, where a
+# product of two reduced entries must fit: p < 2^31 keeps it below 2^62.
+PRIME_BOUND = 2**31
+
 
 class FieldError(ValueError):
     pass
@@ -36,6 +40,10 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int = DEFAULT_PRIME):
+        if not isinstance(p, int):
+            raise FieldError(f"the characteristic must be an integer, not {p!r}")
+        if p >= PRIME_BOUND:
+            raise FieldError(f"the characteristic {p} is not below 2^31")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p

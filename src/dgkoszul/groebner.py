@@ -2,13 +2,16 @@
 
 All computation happens over the ambient polynomial ring S; quotient-ring
 submodules are handled by the callers adjoining J-multiples of the basis
-vectors.  A module element is a sparse map
+vectors.  A module element (ModVec) is a sparse map
 
     (component, exponent tuple) -> nonzero scalar
 
 over a free module with an integer twist per component (the internal
 degree of that basis vector), so that a term's degree is
-deg(monomial) + twist[component].
+deg(monomial) + twist[component].  It is the only module-element type of
+the package: generators, relations, kernels and syzygies are all ModVecs.
+Polynomial matrices (differentials, module maps) meet it through
+column_to_vec and vec_to_column.
 
 Determinism: S-pairs are processed in (degree, index, index) order, the
 output basis is reduced, monic, inter-reduced and canonically sorted, so
@@ -18,7 +21,7 @@ identical inputs give identical outputs.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 from .poly import (
     Expo,
@@ -114,20 +117,6 @@ class EliminationOrder(ModuleOrder):
         return (0, self.back.key(t))
 
 
-class SchreyerOrder(ModuleOrder):
-    """Order induced by a list of leading terms: compare m*lt(g_i) in the
-    target, ties broken by preferring the smaller index."""
-
-    def __init__(self, target_order: ModuleOrder, leads: Sequence[ModTerm]):
-        self.target = target_order
-        self.leads = list(leads)
-
-    def key(self, t: ModTerm):
-        i, e = t
-        comp, le = self.leads[i]
-        return (self.target.key((comp, mono_mul(e, le))), -i)
-
-
 # ---------- module element helpers ----------
 
 def vec_add(a: ModVec, b: ModVec, field) -> ModVec:
@@ -153,6 +142,20 @@ def vec_mul_term(a: ModVec, e: Expo, c, field) -> ModVec:
     return {(comp, mono_mul(e, e0)): field.mul(c, v) for (comp, e0), v in a.items()}
 
 
+def vec_combination(vectors: Sequence[ModVec], coords: ModVec, field) -> ModVec:
+    """sum of c * x^e * vectors[j] over the terms (j, e) -> c of coords."""
+    out: ModVec = {}
+    for (j, e), c in coords.items():
+        for (comp, e0), v in vectors[j].items():
+            t = (comp, mono_mul(e, e0))
+            s = field.add(out.get(t, field.zero), field.mul(c, v))
+            if s == field.zero:
+                out.pop(t, None)
+            else:
+                out[t] = s
+    return out
+
+
 def vec_degree(a: ModVec, twists) -> int | None:
     """Common homogeneous degree, or None if mixed (zero gives None)."""
     degs = {mono_deg(e) + twists[comp] for (comp, e) in a}
@@ -176,13 +179,10 @@ def normal_form(
     basis: Sequence[ModVec],
     order: ModuleOrder,
     field,
-    track: bool = False,
     select: str = "first",
-):
+) -> ModVec:
     """Fully reduced remainder of f modulo basis (tail reduction included).
 
-    With track=True also returns the quotients: a list of {expo: coeff}
-    per basis element such that f = sum_i q_i * basis_i + remainder.
     select chooses among applicable reductors ("first" or "last" in list
     order); the remainder is independent of this choice when basis is a
     Groebner basis.
@@ -190,7 +190,6 @@ def normal_form(
     leads = [leading_term(g, order) if g else None for g in basis]
     work = dict(f)
     rem: ModVec = {}
-    quots = [dict() for _ in basis] if track else None
     while work:
         t = max(work, key=order.key)
         c = work[t]
@@ -207,19 +206,9 @@ def normal_form(
             del work[t]
             continue
         g = basis[chosen]
-        lt_comp, lt_e = leads[chosen]
-        u = mono_div(e, lt_e)
+        u = mono_div(e, leads[chosen][1])
         factor = field.div(c, g[leads[chosen]])
-        if track:
-            q = quots[chosen]
-            s = field.add(q.get(u, field.zero), factor)
-            if s == field.zero:
-                q.pop(u, None)
-            else:
-                q[u] = s
         work = vec_add(work, vec_mul_term(g, u, field.neg(factor), field), field)
-    if track:
-        return rem, quots
     return rem
 
 
@@ -334,48 +323,6 @@ def interreduce(basis: Sequence[ModVec], order: ModuleOrder, field) -> list[ModV
     return reduced
 
 
-def schreyer_syzygies(
-    gb: Sequence[ModVec],
-    twists: Sequence[int],
-    order: ModuleOrder,
-    field,
-) -> list[ModVec]:
-    """Syzygies of a Groebner basis from its S-pair reductions.
-
-    Returns generators of {v : sum v_i * gb_i = 0} as elements of the free
-    module with one component per basis element (twist = degree of that
-    element).  Every Koszul relation between two basis elements lies in
-    the span.
-    """
-    out: list[ModVec] = []
-    for j in range(len(gb)):
-        for i in range(j):
-            fi, fj = gb[i], gb[j]
-            (ci, ei) = leading_term(fi, order)
-            (cj, ej) = leading_term(fj, order)
-            if ci != cj:
-                continue
-            lcm = mono_lcm(ei, ej)
-            s = _spair(fi, fj, order, field)
-            rem, quots = normal_form(s, gb, order, field, track=True)
-            if rem:
-                raise AssertionError("input to schreyer_syzygies is not a GB")
-            syz: ModVec = {}
-            syz[(i, mono_div(lcm, ei))] = field.inv(fi[(ci, ei)])
-            syz[(j, mono_div(lcm, ej))] = field.neg(field.inv(fj[(cj, ej)]))
-            for l, q in enumerate(quots):
-                for e, c in q.items():
-                    t = (l, e)
-                    val = field.sub(syz.get(t, field.zero), c)
-                    if val == field.zero:
-                        syz.pop(t, None)
-                    else:
-                        syz[t] = val
-            if syz:
-                out.append(syz)
-    return out
-
-
 # ---------- tagged bases: syzygies, membership and lifts in one engine ----------
 
 class TaggedBasis:
@@ -392,52 +339,41 @@ class TaggedBasis:
         columns: Sequence[ModVec],
         twists: Sequence[int],
         ring: PolyRing,
-        degree_cap: int | None = None,
-        allow_inhomogeneous: bool = False,
     ):
         self.ring = ring
         self.field = ring.field
         self.rank = len(twists)
-        self.twists = tuple(twists)
         self.columns = list(columns)
         zero_expo = (0,) * ring.nvars
 
         col_degs = []
-        live = []
+        tagged = []
         self.zero_columns = []
         for j, col in enumerate(self.columns):
             if not col:
                 self.zero_columns.append(j)
                 col_degs.append(0)
                 continue
-            d = vec_degree(col, self.twists)
-            if d is None and not allow_inhomogeneous:
+            d = vec_degree(col, twists)
+            if d is None:
                 raise InhomogeneousError("inhomogeneous column")
-            col_degs.append(d if d is not None else 0)
-            live.append(j)
-        self.col_degs = col_degs
+            col_degs.append(d)
+            v = dict(col)
+            v[(self.rank + j, zero_expo)] = self.field.one
+            tagged.append(v)
 
-        ext_twists = self.twists + tuple(col_degs)
         mono = ring.order
         self.order = EliminationOrder(
             self.rank,
             front=TermOverPosition(mono),
             back=PositionOverTerm(mono),
         )
-        tagged = []
-        for j in live:
-            v = dict(self.columns[j])
-            v[(self.rank + j, zero_expo)] = self.field.one
-            tagged.append(v)
-        self.ext_twists = ext_twists
         self.tagged_gb = buchberger(
             tagged,
-            ext_twists,
+            tuple(twists) + tuple(col_degs),
             self.order,
             self.field,
             rank=self.rank + len(self.columns),
-            degree_cap=degree_cap,
-            allow_inhomogeneous=allow_inhomogeneous,
         )
         self.span_gb: list[ModVec] = []
         self._syz: list[ModVec] = []
@@ -461,9 +397,6 @@ class TaggedBasis:
         """Normal form of v in F modulo the span of the columns."""
         return normal_form(v, self.span_gb, self.order, self.field) if self.span_gb else dict(v)
 
-    def contains(self, v: ModVec) -> bool:
-        return not self.reduce(v)
-
     def lift(self, v: ModVec):
         """Coefficients c with v = sum_j c_j * col_j, or None if v is not
         in the span.  Each c_j is an {expo: coeff} polynomial dict."""
@@ -476,22 +409,18 @@ class TaggedBasis:
         return coeffs
 
 
-# ---------- conversions between Polynomial tuples and ModVec ----------
+# ---------- matrix columns ----------
 
-def vec_from_polys(polys: Sequence[Polynomial]) -> ModVec:
-    out: ModVec = {}
-    for comp, p in enumerate(polys):
-        for e, c in p.terms.items():
-            out[(comp, e)] = c
-    return out
+def column_to_vec(entries: Iterable[Polynomial]) -> ModVec:
+    """A matrix column, given top to bottom as Polynomials, as a ModVec."""
+    return {
+        (comp, e): c for comp, p in enumerate(entries) for e, c in p.terms.items()
+    }
 
 
-def polys_from_vec(v: ModVec, ring: PolyRing, rank: int) -> tuple[Polynomial, ...]:
+def vec_to_column(v: ModVec, ring: PolyRing, rank: int) -> tuple[Polynomial, ...]:
+    """The rank entries of v as a matrix column of Polynomials."""
     buckets: list[dict] = [dict() for _ in range(rank)]
     for (comp, e), c in v.items():
         buckets[comp][e] = c
     return tuple(Polynomial(ring, b) for b in buckets)
-
-
-def coeff_dict_to_poly(d: dict, ring: PolyRing) -> Polynomial:
-    return Polynomial(ring, dict(d))

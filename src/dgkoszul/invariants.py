@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .dgring import DGRingRep, DGModuleRep, ElementOfH0, _as_element, dg_as_module, koszul, koszul_module
+from .groebner import vec_to_column
 from .hilbert import NEG_INF, POS_INF
 from .modules import ModuleMap
 from .poly import Polynomial
@@ -81,7 +82,8 @@ def is_regular(M: DGModuleRep, x) -> tuple[bool, dict]:
         nz = next(
             (g for g in ker.gens if not ker.element_is_zero(g)), ker.gens[0]
         )
-        cert["kernel_witness"] = [str(p) for p in nz]
+        column = vec_to_column(nz, ker.ring.poly_ring, ker.ambient.rank)
+        cert["kernel_witness"] = [str(p) for p in column]
     return ok, cert
 
 

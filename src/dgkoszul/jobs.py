@@ -16,13 +16,7 @@ from . import groebner as gb
 from .checks import CheckInputError, run_check
 from .complexes import homology_hilbert_functions, truncation_oracle
 from .dgring import DGRingRep, ElementOfH0, dg_from_ring, dg_tensor, koszul, trivial_extension
-from .duality import (
-    betti_table,
-    dualizing_complex,
-    dualizing_of_koszul,
-    free_resolution,
-    is_gorenstein_ring,
-)
+from .duality import dualizing_complex, dualizing_of_koszul, is_gorenstein_ring
 from .fields import field_from_json
 from .hilbert import NEG_INF
 from .invariants import compute_invariants, sentinel_json
@@ -54,19 +48,24 @@ def _build_module(spec: dict, ring: QuotientRing) -> FPModule:
     for col in spec.get("rels", []):
         if len(col) != len(twists):
             raise JobError("module relation column length must match twists")
-        rels.append(tuple(parse_poly(t, ring.poly_ring) for t in col))
+        rels.append(gb.column_to_vec(parse_poly(t, ring.poly_ring) for t in col))
     return FPModule.cokernel(ring, twists, rels)
 
 
 def build_dg(spec: dict, ring: QuotientRing) -> DGRingRep:
+    if not isinstance(spec, dict):
+        raise JobError("a dg construction must be a JSON object")
     kind = spec.get("kind", "ring")
     if kind == "ring":
         return dg_from_ring(ring)
     if kind == "koszul":
         base = build_dg(spec.get("base", {"kind": "ring"}), ring)
         degrees = spec.get("degrees")
+        texts = spec.get("elements", [])
+        if not _is_text_list(texts):
+            raise JobError("koszul 'elements' must be a list of polynomials")
         elems = []
-        for idx, text in enumerate(spec.get("elements", [])):
+        for idx, text in enumerate(texts):
             p = parse_poly(text, ring.poly_ring)
             deg = degrees[idx] if degrees is not None else None
             elems.append(ElementOfH0(p, degree=deg if p.is_zero() else None))
@@ -75,9 +74,9 @@ def build_dg(spec: dict, ring: QuotientRing) -> DGRingRep:
         module = _build_module(spec.get("module", {}), ring)
         return trivial_extension(ring, module, spec.get("shift", 1))
     if kind == "tensor":
-        left = build_dg(spec["left"], ring)
-        right = build_dg(spec["right"], ring)
-        return dg_tensor(left, right)
+        if "left" not in spec or "right" not in spec:
+            raise JobError("a tensor construction needs 'left' and 'right'")
+        return dg_tensor(build_dg(spec["left"], ring), build_dg(spec["right"], ring))
     raise JobError(f"unknown dg construction {kind!r}")
 
 
@@ -160,6 +159,10 @@ def _task_duality(dg: DGRingRep, task: dict, config: RunConfig) -> dict:
     return out
 
 
+def _is_text_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(t, str) for t in value)
+
+
 _SEQUENCE_KEYS = ("elements", "ideal", "first", "second", "alternates", "images")
 
 
@@ -171,7 +174,9 @@ def _resolve_sequences(task: dict, sequences: dict) -> dict:
         if isinstance(value, str):
             if value not in sequences:
                 raise JobError(f"unknown sequence name {value!r}")
-            out[key] = sequences[value]
+            value = out[key] = sequences[value]
+        if value is not None and not _is_text_list(value):
+            raise JobError(f"{key!r} must be a list of polynomials or a sequence name")
     if isinstance(out.get("alt_gens"), list):
         out["alt_gens"] = [
             sequences[v] if isinstance(v, str) else v for v in out["alt_gens"]
@@ -194,9 +199,21 @@ def _expect_matches(expected, actual) -> bool:
 
 
 def run_job(job: dict, config: RunConfig | None = None) -> dict:
-    """Execute all tasks in a job; per-task failures are isolated."""
+    """Execute all tasks in a job; per-task failures are isolated.
+
+    The config's degree cap holds for this job only: the previous cap is
+    restored afterwards, so a job never changes how later jobs run.
+    """
     config = config or RunConfig()
+    previous_cap = gb.get_degree_cap()
     config.apply()
+    try:
+        return _run_tasks(job, config)
+    finally:
+        gb.set_degree_cap(previous_cap)
+
+
+def _run_tasks(job: dict, config: RunConfig) -> dict:
     report = {
         "schema": SCHEMA_VERSION,
         "job": job,

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the coefficient field.
 
 Used by the degree-truncation oracle, which must stay independent of the
-Groebner path.  Prime fields go through numpy int64 arrays (p^2 fits
-comfortably below 2^63); the rationals use Fraction rows.
+Groebner path.  Prime fields go through numpy int64 arrays: PrimeField
+keeps p below 2^31, so a product of two reduced entries is below 2^62 and
+every intermediate fits in int64.  The rationals use Fraction rows.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 An FPModule is (generators, relations) inside a common free ambient module
 over Q = S/J; the module is span(gens) + N modulo N, where N is the span
-of the relations together with J times the ambient basis.  Most
-constructions return modules in cokernel form (generators equal to the
-ambient basis); kernels and homology pass through general subquotients and
-are minimized back to cokernel form.
+of the relations together with J times the ambient basis.  Generators,
+relations and every other module element are ModVecs (see groebner.py),
+sparse maps (ambient component, exponent) -> scalar.  Most constructions
+return modules in cokernel form (generators equal to the ambient basis);
+kernels and homology pass through general subquotients and are minimized
+back to cokernel form.
 """
 
 from __future__ import annotations
@@ -13,32 +15,24 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import groebner as gb
-from .hilbert import NEG_INF, HilbertSeries, lead_module_series
-from .poly import Polynomial
+from .groebner import ModVec
+from .hilbert import HilbertSeries, lead_module_series
+from .poly import MonomialOrder, Polynomial
 from .rings import FreeModule, QuotientRing
 
-Vec = tuple  # tuple[Polynomial, ...] indexed by ambient component
 
+def column_key(v: ModVec, order: MonomialOrder):
+    """Canonical sort key of a module element: per ambient component, the
+    (monomial key, coefficient repr) of its terms in descending order.
 
-def _vec_is_zero(v: Vec) -> bool:
-    return all(p.is_zero() for p in v)
-
-
-def _vec_degree(v: Vec, twists) -> int | None:
-    degs = set()
-    for comp, p in enumerate(v):
-        d = p.homogeneous_degree()
-        if d is None and not p.is_zero():
-            return None
-        if d is not None:
-            degs.add(d + twists[comp])
-    if len(degs) > 1:
-        return None
-    return degs.pop() if degs else None
-
-
-def _vec_sort_key(v: Vec):
-    return tuple(p.sort_key() for p in v)
+    Trailing empty components are left out; an empty component is the
+    smallest entry, so vectors of any one ambient rank compare as if padded.
+    """
+    rank = 1 + max((comp for comp, _ in v), default=-1)
+    comps: list[list] = [[] for _ in range(rank)]
+    for (comp, e), c in v.items():
+        comps[comp].append((order.key(e), repr(c)))
+    return tuple(tuple(sorted(terms, reverse=True)) for terms in comps)
 
 
 class FPModule:
@@ -47,19 +41,19 @@ class FPModule:
     def __init__(
         self,
         ambient: FreeModule,
-        gens: Sequence[Vec],
-        rels: Sequence[Vec] = (),
+        gens: Sequence[ModVec],
+        rels: Sequence[ModVec] = (),
         check: bool = True,
     ):
         self.ambient = ambient
         self.ring = ambient.ring
-        self.gens = tuple(tuple(v) for v in gens)
-        self.rels = tuple(tuple(v) for v in rels if not _vec_is_zero(v))
+        self.gens = tuple(gens)
+        self.rels = tuple(v for v in rels if v)
         if check:
-            for v in list(self.gens) + list(self.rels):
-                if len(v) != ambient.rank:
-                    raise ValueError("vector length does not match ambient rank")
-                if not _vec_is_zero(v) and _vec_degree(v, ambient.twists) is None:
+            for v in self.gens + self.rels:
+                if any(comp >= ambient.rank for comp, _ in v):
+                    raise ValueError("vector component outside the ambient rank")
+                if v and gb.vec_degree(v, ambient.twists) is None:
                     raise gb.InhomogeneousError("inhomogeneous column")
         self._gen_degrees = None
         self._rels_tagged = None
@@ -72,7 +66,7 @@ class FPModule:
 
     @classmethod
     def cokernel(
-        cls, ring: QuotientRing, twists: Sequence[int], rels: Sequence[Vec] = ()
+        cls, ring: QuotientRing, twists: Sequence[int], rels: Sequence[ModVec] = ()
     ) -> FPModule:
         F = FreeModule(ring, len(twists), twists)
         return cls(F, [F.basis_vector(i) for i in range(F.rank)], rels)
@@ -87,7 +81,7 @@ class FPModule:
 
     @classmethod
     def quotient_by_ideal(cls, ring: QuotientRing, ideal: Sequence[Polynomial]) -> FPModule:
-        return cls.cokernel(ring, (0,), [(p,) for p in ideal])
+        return cls.cokernel(ring, (0,), [gb.column_to_vec((p,)) for p in ideal])
 
     # -- structure --
 
@@ -104,7 +98,7 @@ class FPModule:
         if self._gen_degrees is None:
             degs = []
             for i, v in enumerate(self.gens):
-                d = _vec_degree(v, self.ambient.twists)
+                d = gb.vec_degree(v, self.ambient.twists)
                 if d is None:
                     # zero generator: keep a placeholder degree
                     d = self.ambient.twists[i] if self.is_cokernel else 0
@@ -112,61 +106,47 @@ class FPModule:
             self._gen_degrees = tuple(degs)
         return self._gen_degrees
 
-    def _relation_columns(self) -> list[Vec]:
+    def _relation_columns(self) -> list[ModVec]:
         return list(self.rels) + self.ambient.j_columns()
 
     def rels_tagged(self) -> gb.TaggedBasis:
         """Tagged basis of N = span(rels) + J * ambient."""
         if self._rels_tagged is None:
-            cols = [gb.vec_from_polys(v) for v in self._relation_columns()]
             self._rels_tagged = gb.TaggedBasis(
-                cols, self.ambient.twists, self.ring.poly_ring
+                self._relation_columns(), self.ambient.twists, self.ring.poly_ring
             )
         return self._rels_tagged
 
-    def reduce_ambient(self, v: Vec) -> Vec:
-        """Normal form of an ambient vector modulo N."""
-        r = self.rels_tagged().reduce(gb.vec_from_polys(v))
-        return gb.polys_from_vec(r, self.ring.poly_ring, self.ambient.rank)
-
-    def element_is_zero(self, v: Vec) -> bool:
-        return _vec_is_zero(self.reduce_ambient(v))
+    def element_is_zero(self, v: ModVec) -> bool:
+        """True if the ambient vector v lies in N."""
+        return not self.rels_tagged().reduce(v)
 
     def is_zero_module(self) -> bool:
         return all(self.element_is_zero(g) for g in self.gens)
 
-    def element_from_coords(self, coords: Sequence[Polynomial]) -> Vec:
-        """Ambient vector of sum coords[j] * gens[j]."""
-        zero = self.ring.poly_ring.zero
-        out = [zero] * self.ambient.rank
-        for c, g in zip(coords, self.gens):
-            if c.is_zero():
-                continue
-            for comp in range(self.ambient.rank):
-                out[comp] = out[comp] + c * g[comp]
-        return tuple(out)
+    def element_from_coords(self, coords: ModVec) -> ModVec:
+        """Ambient vector of sum_j coords_j * gens[j]; coords is a ModVec
+        over the generator indices (a syzygy, or a matrix column)."""
+        return gb.vec_combination(self.gens, coords, self.ring.field)
 
-    def gen_relations(self) -> list[Vec]:
+    def gen_relations(self) -> list[ModVec]:
         """Columns c in S^k with sum c_j gens_j in N: the presentation of
         this module as a cokernel on its generators."""
         if self._gen_relations is not None:
             return self._gen_relations
-        k = len(self.gens)
-        ring = self.ring.poly_ring
         if self.is_cokernel:
-            cols = [tuple(v) for v in self._relation_columns()]
-            self._gen_relations = cols
-            return cols
-        all_cols = [gb.vec_from_polys(v) for v in self.gens] + [
-            gb.vec_from_polys(v) for v in self._relation_columns()
-        ]
-        tagged = gb.TaggedBasis(all_cols, self.ambient.twists, ring)
+            self._gen_relations = self._relation_columns()
+            return self._gen_relations
+        k = len(self.gens)
+        tagged = gb.TaggedBasis(
+            list(self.gens) + self._relation_columns(),
+            self.ambient.twists,
+            self.ring.poly_ring,
+        )
         out = []
         for s in tagged.syzygies():
-            col = gb.polys_from_vec(
-                {t: c for t, c in s.items() if t[0] < k}, ring, k
-            )
-            if not _vec_is_zero(col):
+            col = {t: c for t, c in s.items() if t[0] < k}
+            if col:
                 out.append(col)
         self._gen_relations = out
         return out
@@ -182,15 +162,13 @@ class FPModule:
     def hilbert_series(self) -> HilbertSeries:
         if self._hilbert is not None:
             return self._hilbert
-        ring = self.ring.poly_ring
-        order = gb.TermOverPosition(ring.order)
-        rel_cols = [gb.vec_from_polys(v) for v in self._relation_columns()]
+        order = gb.TermOverPosition(self.ring.poly_ring.order)
+        rel_cols = self._relation_columns()
         series_n = self._series_of_quotient(rel_cols, order)
         if self.is_cokernel:
             self._hilbert = series_n
             return self._hilbert
-        full = rel_cols + [gb.vec_from_polys(v) for v in self.gens]
-        series_gn = self._series_of_quotient(full, order)
+        series_gn = self._series_of_quotient(rel_cols + list(self.gens), order)
         self._hilbert = series_n - series_gn
         return self._hilbert
 
@@ -223,31 +201,24 @@ class FPModule:
         ring = self.ring.poly_ring
         k = len(self.gens)
         if k == 0:
-            one = ring.one
-            self._annihilator = [one]
+            self._annihilator = [ring.one]
             return self._annihilator
         r = self.ambient.rank
         degs = self.gen_degrees()
         big_twists = []
         for j in range(k):
             big_twists.extend(t - degs[j] for t in self.ambient.twists)
-        stacked: gb.ModVec = {}
+        stacked: ModVec = {}
         for j, g in enumerate(self.gens):
-            for comp, p in enumerate(g):
-                for e, c in p.terms.items():
-                    stacked[(j * r + comp, e)] = c
+            for (comp, e), c in g.items():
+                stacked[(j * r + comp, e)] = c
         cols = [stacked]
         for j in range(k):
             for rel in self._relation_columns():
-                col = {}
-                for comp, p in enumerate(rel):
-                    for e, c in p.terms.items():
-                        col[(j * r + comp, e)] = c
-                if col:
-                    cols.append(col)
+                if rel:
+                    cols.append({(j * r + comp, e): c for (comp, e), c in rel.items()})
         tagged = gb.TaggedBasis(cols, tuple(big_twists), ring)
         anns = []
-        zero_expo = (0,) * ring.nvars
         for s in tagged.syzygies():
             poly_terms = {e: c for (idx, e), c in s.items() if idx == 0}
             if poly_terms:
@@ -263,58 +234,50 @@ class FPModule:
         """Minimal cokernel presentation (no unit entries in the relations)."""
         if self._minimal is not None:
             return self._minimal
-        cols = [list(c) for c in self.gen_relations()]
+        cols = list(self.gen_relations())
         degs = list(self.gen_degrees())
         field = self.ring.field
+        zero_expo = (0,) * self.ring.nvars
         changed = True
         while changed:
             changed = False
             for ci, col in enumerate(cols):
-                pivot = None
-                for ri, entry in enumerate(col):
-                    if not entry.is_zero() and entry.total_degree() == 0:
-                        pivot = ri
-                        break
+                pivot = _unit_row(col, zero_expo)
                 if pivot is None:
                     continue
-                lam = col[pivot].constant_coeff()
-                lam_inv = field.inv(lam)
+                lam_inv = field.inv(col[(pivot, zero_expo)])
                 for cj, other in enumerate(cols):
-                    if cj == ci or other[pivot].is_zero():
+                    if cj == ci:
                         continue
-                    factor = other[pivot].scale(lam_inv)
-                    cols[cj] = [
-                        o - factor * c for o, c in zip(other, col)
-                    ]
+                    # other - (other's pivot entry / lam) * col
+                    coords = {
+                        (1, e): field.neg(field.mul(c, lam_inv))
+                        for (row, e), c in other.items()
+                        if row == pivot
+                    }
+                    if coords:
+                        coords[(0, zero_expo)] = field.one
+                        cols[cj] = gb.vec_combination([other, col], coords, field)
                 del cols[ci]
-                for c in cols:
-                    del c[pivot]
+                cols = [_drop_row(c, pivot) for c in cols]
                 del degs[pivot]
                 changed = True
                 break
-        clean = []
-        seen = set()
+        order = self.ring.poly_ring.order
+        clean = {}
         for c in cols:
-            tup = tuple(c)
-            if _vec_is_zero(tup):
-                continue
-            key = _vec_sort_key(tup)
-            if key in seen:
-                continue
-            seen.add(key)
-            clean.append(tup)
-        clean.sort(key=_vec_sort_key)
+            if c:
+                clean.setdefault(column_key(c, order), c)
         # Relations are only defined modulo J, so redundancy is tested
         # against the kept columns together with the J-multiples.
         ambient = FreeModule(self.ring, len(degs), tuple(degs))
-        clean = min_gens(clean, ambient, baseline=ambient.j_columns())
-        result = FPModule.cokernel(self.ring, tuple(degs), clean)
+        kept = min_gens(
+            [clean[key] for key in sorted(clean)], ambient, baseline=ambient.j_columns()
+        )
+        result = FPModule.cokernel(self.ring, tuple(degs), kept)
         result._minimal = result
         self._minimal = result
         return result
-
-    def minimal_rank(self) -> int:
-        return len(self.minimize().gens)
 
     def twist(self, w: int) -> FPModule:
         """Shift all internal degrees up by w (the module M(-w) convention
@@ -331,6 +294,21 @@ class FPModule:
             f"FPModule(rank={self.ambient.rank}, gens={len(self.gens)}, "
             f"rels={len(self.rels)})"
         )
+
+
+def _unit_row(col: ModVec, zero_expo) -> int | None:
+    """The first row whose entry in col is a nonzero constant, or None."""
+    for row in sorted(comp for comp, e in col if e == zero_expo):
+        if sum(1 for comp, _ in col if comp == row) == 1:
+            return row
+    return None
+
+
+def _drop_row(col: ModVec, row: int) -> ModVec:
+    """col without component row; later components move up by one."""
+    return {
+        (comp - (comp > row), e): c for (comp, e), c in col.items() if comp != row
+    }
 
 
 class ModuleMap:
@@ -373,25 +351,20 @@ class ModuleMap:
         matrix = [[c if i == j else z for j in range(k)] for i in range(k)]
         return cls(source, module, matrix)
 
-    def column_vectors(self) -> list[Vec]:
-        """Images of the source generators as ambient vectors of the target."""
-        out = []
-        for j in range(len(self.source.gens)):
-            coords = [self.matrix[i][j] for i in range(len(self.target.gens))]
-            out.append(self.target.element_from_coords(coords))
-        return out
+    def _columns(self) -> list[ModVec]:
+        """The matrix columns as ModVecs over the target generators."""
+        return [
+            gb.column_to_vec(row[j] for row in self.matrix)
+            for j in range(len(self.source.gens))
+        ]
 
     def is_well_defined(self) -> bool:
         """Image of every source relation lies in the target relations."""
-        for col in self.source.gen_relations():
-            coords = []
-            for i in range(len(self.target.gens)):
-                acc = self.source.ring.poly_ring.zero
-                for j, cj in enumerate(col):
-                    acc = acc + self.matrix[i][j] * cj
-                coords.append(acc)
-            image = self.target.element_from_coords(coords)
-            if not self.target.element_is_zero(image):
+        columns = self._columns()
+        field = self.source.ring.field
+        for rel in self.source.gen_relations():
+            coords = gb.vec_combination(columns, rel, field)
+            if not self.target.element_is_zero(self.target.element_from_coords(coords)):
                 return False
         return True
 
@@ -403,68 +376,28 @@ class ModuleMap:
         projected to the source coordinates.
         """
         ring = self.source.ring.poly_ring
-        k_src = len(self.source.gens)
-        k_tgt = len(self.target.gens)
-        tgt_degs = self.target.gen_degrees()
-        cols = []
-        for j in range(k_src):
-            col: gb.ModVec = {}
-            for i in range(k_tgt):
-                for e, c in self.matrix[i][j].terms.items():
-                    col[(i, e)] = c
-            cols.append(col)
+        cols = self._columns()
         n_cols = len(cols)
-        for rel in self.target.gen_relations():
-            cols.append(gb.vec_from_polys(rel))
-        tagged = gb.TaggedBasis(cols, tgt_degs, ring)
-        gens = []
+        cols.extend(self.target.gen_relations())
+        tagged = gb.TaggedBasis(cols, self.target.gen_degrees(), ring)
+        gens = {}
         for s in tagged.syzygies():
-            coeffs = gb.polys_from_vec(
-                {t: c for t, c in s.items() if t[0] < n_cols}, ring, k_src
-            )
-            if _vec_is_zero(coeffs):
+            coeffs = {t: c for t, c in s.items() if t[0] < n_cols}
+            if not coeffs:
                 continue
             vec = self.source.element_from_coords(coeffs)
-            gens.append(vec)
-        dedup = []
-        seen = set()
-        for v in sorted(gens, key=_vec_sort_key):
-            key = _vec_sort_key(v)
-            if key not in seen and not _vec_is_zero(v):
-                seen.add(key)
-                dedup.append(v)
+            if vec:
+                gens.setdefault(column_key(vec, ring.order), vec)
+        dedup = [gens[key] for key in sorted(gens)]
         return FPModule(self.source.ambient, dedup, self.source.rels, check=False)
-
-    def image(self) -> FPModule:
-        gens = [v for v in self.column_vectors() if not _vec_is_zero(v)]
-        return FPModule(self.target.ambient, gens, self.target.rels, check=False)
-
-    def is_injective(self) -> bool:
-        return self.kernel().is_zero_module()
 
     def __repr__(self):
         return f"ModuleMap({len(self.source.gens)} -> {len(self.target.gens)})"
 
 
-def module_dim(m: FPModule):
-    return m.dim()
-
-
-def module_hilbert(m: FPModule) -> HilbertSeries:
-    return m.hilbert_series()
-
-
-def annihilator(m: FPModule) -> list[Polynomial]:
-    return m.annihilator()
-
-
-def minimize(m: FPModule) -> FPModule:
-    return m.minimize()
-
-
 def min_gens(
-    columns: Sequence[Vec], ambient: FreeModule, baseline: Sequence[Vec] = ()
-) -> list[Vec]:
+    columns: Sequence[ModVec], ambient: FreeModule, baseline: Sequence[ModVec] = ()
+) -> list[ModVec]:
     """A minimal generating subset of the given homogeneous columns.
 
     Greedy by ascending degree with membership tests against the kept
@@ -475,27 +408,22 @@ def min_gens(
     ring = ambient.ring.poly_ring
     field = ambient.ring.field
     order = gb.TermOverPosition(ring.order)
-    candidates = [c for c in columns if not _vec_is_zero(c)]
-    candidates.sort(key=lambda v: (_vec_degree(v, ambient.twists), _vec_sort_key(v)))
-    base_vecs = [gb.vec_from_polys(v) for v in baseline if not _vec_is_zero(v)]
-    kept: list[Vec] = []
+    candidates = sorted(
+        (c for c in columns if c),
+        key=lambda v: (gb.vec_degree(v, ambient.twists), column_key(v, ring.order)),
+    )
+    base_vecs = [v for v in baseline if v]
+    kept: list[ModVec] = []
 
     def rebuild():
         return gb.buchberger(
-            [gb.vec_from_polys(v) for v in kept] + base_vecs,
-            ambient.twists,
-            order,
-            field,
-            rank=ambient.rank,
+            kept + base_vecs, ambient.twists, order, field, rank=ambient.rank
         )
 
     basis = rebuild() if base_vecs else []
     for cand in candidates:
-        vec = gb.vec_from_polys(cand)
-        if basis:
-            rem = gb.normal_form(vec, basis, order, field)
-            if not rem:
-                continue
+        if basis and not gb.normal_form(cand, basis, order, field):
+            continue
         kept.append(cand)
         basis = rebuild()
     return kept

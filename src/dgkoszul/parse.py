@@ -6,7 +6,8 @@ Grammar (integer literals only; fractions are not accepted):
     term   := factor ('*' factor)*
     factor := INT | VAR ('^' INT)? | '(' expr ')'
 
-Errors carry the character position that triggered them.
+Exponents above MAX_EXPONENT are rejected.  Errors carry the character
+position that triggered them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*^()")
+
+MAX_EXPONENT = 1000
 
 
 def _tokenize(text: str):
@@ -108,15 +111,18 @@ class _Parser:
         if kind == "name":
             if value not in self.ring.variables:
                 raise ParseError(f"unknown variable {value!r}", pos)
-            base = self.ring.var_named(value)
             kind2, value2, _ = self.peek()
-            if kind2 == "op" and value2 == "^":
-                self.next()
-                kind3, value3, pos3 = self.next()
-                if kind3 != "int":
-                    raise ParseError("expected integer exponent", pos3)
-                return base ** value3
-            return base
+            if not (kind2 == "op" and value2 == "^"):
+                return self.ring.var_named(value)
+            self.next()
+            kind3, value3, pos3 = self.next()
+            if kind3 != "int":
+                raise ParseError("expected integer exponent", pos3)
+            if value3 > MAX_EXPONENT:
+                raise ParseError(f"exponent {value3} exceeds {MAX_EXPONENT}", pos3)
+            expo = [0] * self.ring.nvars
+            expo[self.ring.variables.index(value)] = value3
+            return self.ring.monomial(expo)
         if kind == "op" and value == "(":
             inner = self.parse_expr()
             self.expect_op(")")

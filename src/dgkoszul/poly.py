@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .fields import PrimeField, RationalField
-
 Expo = tuple  # exponent tuple, one non-negative int per variable
 
 
@@ -94,11 +92,6 @@ class Lex(MonomialOrder):
 
 GREVLEX = GrevLex()
 LEX = Lex()
-
-
-def order_compare(a: Expo, b: Expo, order: MonomialOrder) -> int:
-    """Public comparison entry point: -1 (LT), 0 (EQ), 1 (GT)."""
-    return order.compare(a, b)
 
 
 # ---------- rings and polynomials ----------

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from . import groebner as gb
 from .hilbert import HilbertSeries, krull_dim_lead, monomial_quotient_series
-from .poly import GREVLEX, PolyRing, Polynomial, mono_mul
+from .poly import GREVLEX, PolyRing, Polynomial
 
 
 class QuotientRing:
@@ -52,12 +52,12 @@ class QuotientRing:
     def groebner(self) -> tuple[Polynomial, ...]:
         """Reduced Groebner basis of J."""
         if self._gb is None:
-            vecs = [gb.vec_from_polys((g,)) for g in self.j_gens]
+            vecs = [gb.column_to_vec((g,)) for g in self.j_gens]
             basis = gb.buchberger(
                 vecs, (0,), self._mod_order, self.field, rank=1
             )
             self._gb = tuple(
-                gb.polys_from_vec(v, self.poly_ring, 1)[0] for v in basis
+                gb.vec_to_column(v, self.poly_ring, 1)[0] for v in basis
             )
         return self._gb
 
@@ -65,11 +65,11 @@ class QuotientRing:
         """Fully reduced normal form of p modulo J."""
         if p.ring != self.poly_ring:
             raise gb.InhomogeneousError("polynomial from a different ring")
-        basis = [gb.vec_from_polys((g,)) for g in self.groebner()]
+        basis = [gb.column_to_vec((g,)) for g in self.groebner()]
         r = gb.normal_form(
-            gb.vec_from_polys((p,)), basis, self._mod_order, self.field
+            gb.column_to_vec((p,)), basis, self._mod_order, self.field
         )
-        return gb.polys_from_vec(r, self.poly_ring, 1)[0]
+        return gb.vec_to_column(r, self.poly_ring, 1)[0]
 
     def is_zero(self, p: Polynomial) -> bool:
         return self.nf(p).is_zero()
@@ -111,8 +111,8 @@ class QuotientRing:
             )
 
         witness = ext.one - lift(g, tdeg=1)
-        vecs = [gb.vec_from_polys((lift(j),)) for j in self.j_gens]
-        vecs.append(gb.vec_from_polys((witness,)))
+        vecs = [gb.column_to_vec((lift(j),)) for j in self.j_gens]
+        vecs.append(gb.column_to_vec((witness,)))
         basis = gb.buchberger(
             vecs,
             (0,),
@@ -157,21 +157,16 @@ class FreeModule:
         if len(self.twists) != rank:
             raise ValueError("twists length must equal rank")
 
-    def basis_vector(self, i: int) -> tuple[Polynomial, ...]:
-        one = self.ring.poly_ring.one
-        zero = self.ring.poly_ring.zero
-        return tuple(one if j == i else zero for j in range(self.rank))
+    def basis_vector(self, i: int) -> gb.ModVec:
+        return {(i, (0,) * self.ring.nvars): self.ring.field.one}
 
-    def j_columns(self) -> list[tuple[Polynomial, ...]]:
+    def j_columns(self) -> list[gb.ModVec]:
         """The J-multiples of the basis vectors (J acts as zero over Q)."""
-        zero = self.ring.poly_ring.zero
-        cols = []
-        for g in self.ring.j_gens:
-            for i in range(self.rank):
-                cols.append(
-                    tuple(g if j == i else zero for j in range(self.rank))
-                )
-        return cols
+        return [
+            {(i, e): c for e, c in g.terms.items()}
+            for g in self.ring.j_gens
+            for i in range(self.rank)
+        ]
 
     def __eq__(self, other) -> bool:
         return (

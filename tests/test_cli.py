@@ -192,3 +192,12 @@ def test_field_flag_applies_when_job_omits_field(tmp_path):
     assert result.returncode == 0
     report = json.loads(result.stdout)
     assert report["job"]["field"] == {"kind": "rationals"}
+
+
+def test_prime_above_int64_safe_bound_is_an_input_error(tmp_path):
+    job = dict(BASIC_JOB)
+    del job["field"]
+    path = write_job(tmp_path, job)
+    result = run_cli("compute", path, "--field", "prime:4294967291")
+    assert result.returncode == 2
+    assert json.loads(result.stdout)["status"] == "input-error"

@@ -1,0 +1,90 @@
+"""The job boundary: malformed or oversized input gives an input-error or
+an error record (never an exception), and one job never changes how a
+later job in the same process behaves."""
+
+from __future__ import annotations
+
+import json
+import time
+from pathlib import Path
+
+import pytest
+
+from dgkoszul import PolyRing, PrimeField, RunConfig, parse_poly, run_job
+from dgkoszul.fields import FieldError
+from dgkoszul.parse import MAX_EXPONENT, ParseError
+
+SUITE = Path(__file__).resolve().parent.parent / "suite"
+
+
+def _job(**overrides):
+    job = {
+        "field": {"kind": "prime", "p": 32003},
+        "vars": ["x", "y"],
+        "ideal": [],
+        "dg": {"kind": "ring"},
+        "tasks": [{"task": "koszul", "elements": ["x"], "oracle_depth": 0}],
+    }
+    job.update(overrides)
+    return job
+
+
+def test_degree_cap_does_not_leak_into_later_jobs():
+    job = json.loads((SUITE / "a01_regular_collapse.json").read_text(encoding="utf-8"))
+    assert run_job(job)["status"] == "ok"
+    assert run_job(job, RunConfig(degree_cap=2))["status"] == "resource-cap"
+    assert run_job(job)["status"] == "ok"
+
+
+# 2^31 + 11 is the least prime above 2^31; 4294967291 is the largest below 2^32.
+@pytest.mark.parametrize("p", [2**31 + 11, 4294967291, "abc", 7.0, None])
+def test_prime_field_rejects_out_of_range_or_non_integer(p):
+    with pytest.raises(FieldError):
+        PrimeField(p)
+
+
+def test_largest_admissible_prime_keeps_the_oracle_exact():
+    # 2^31 - 1 is prime: the int64 oracle must still agree with Groebner.
+    job = {
+        "field": {"kind": "prime", "p": 2**31 - 1},
+        "vars": ["x", "y", "z", "w"],
+        "ideal": ["x*y - z*w"],
+        "tasks": [{"task": "koszul", "elements": ["x", "y", "z", "w"], "oracle_depth": 5}],
+    }
+    report = run_job(job)
+    assert report["status"] == "ok"
+    assert report["results"][0]["result"]["oracle"]["agrees"] is True
+
+
+def test_exponent_above_the_bound_is_rejected_at_once():
+    R = PolyRing(("x", "y"), PrimeField())
+    assert parse_poly(f"x^{MAX_EXPONENT}", R).total_degree() == MAX_EXPONENT
+    start = time.monotonic()
+    with pytest.raises(ParseError):
+        parse_poly("x^1000000000", R)
+    assert time.monotonic() - start < 1.0
+
+
+MALFORMED = {
+    "prime above 2^31": _job(field={"kind": "prime", "p": 4294967291}),
+    "non-integer prime": _job(field={"kind": "prime", "p": "abc"}),
+    "tensor without factors": _job(dg={"kind": "tensor"}),
+    "dg spec not an object": _job(dg={"kind": "koszul", "base": 5}),
+    "dg elements not a list": _job(dg={"kind": "koszul", "elements": 5}),
+    "huge exponent": _job(ideal=["x^1000000000"]),
+    "task elements not a list": _job(tasks=[{"task": "koszul", "elements": 5}]),
+    "task elements not text": _job(tasks=[{"task": "koszul", "elements": [5]}]),
+    "sequence not a list": _job(
+        sequences={"s": 5}, tasks=[{"task": "koszul", "elements": "s"}]
+    ),
+}
+
+
+@pytest.mark.parametrize("job", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_job_gives_an_error_status_not_an_exception(job):
+    report = run_job(job)
+    assert report["status"] in ("input-error", "task-error")
+    if report["status"] == "input-error":
+        assert report["error"]
+    else:
+        assert all(r["status"] == "error" for r in report["results"])

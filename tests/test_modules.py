@@ -6,7 +6,12 @@ from conftest import poly, ring
 from dgkoszul import FPModule, ModuleMap, min_gens
 from dgkoszul.hilbert import NEG_INF
 from dgkoszul.invariants import kernel_of_multiplication
+from dgkoszul.groebner import column_to_vec
 from dgkoszul.rings import FreeModule
+
+
+def _col(text, Q):
+    return column_to_vec((poly(text, Q),))
 
 
 def test_kernel_of_multiplication_on_hypersurface():
@@ -65,9 +70,7 @@ def test_well_definedness_check():
 def test_minimize_redundant_presentation_of_residue_field():
     # k = Q/(x, y, x+y) over k[x,y]: three generators, minimal Betti 1,2
     Q = ring("x", "y")
-    pres = FPModule.cokernel(
-        Q, (0,), [(poly("x", Q),), (poly("y", Q),), (poly("x + y", Q),)]
-    )
+    pres = FPModule.cokernel(Q, (0,), [_col("x", Q), _col("y", Q), _col("x + y", Q)])
     m = pres.minimize()
     assert len(m.gens) == 1
     assert len(m.rels) == 2
@@ -75,19 +78,14 @@ def test_minimize_redundant_presentation_of_residue_field():
 
 def test_minimize_kills_unit_cokernel():
     Q = ring("x", "y")
-    unit = FPModule.cokernel(Q, (0,), [(Q.poly_ring.one,)])
+    unit = FPModule.cokernel(Q, (0,), [_col("1", Q)])
     assert unit.minimize().is_zero_module()
 
 
 def test_min_gens_drops_redundant_columns():
     Q = ring("x", "y")
     F2 = FreeModule(Q, 1, (0,))
-    cols = [
-        (poly("x", Q),),
-        (poly("y", Q),),
-        (poly("x + y", Q),),
-        (poly("x^2", Q),),
-    ]
+    cols = [_col(t, Q) for t in ("x", "y", "x + y", "x^2")]
     kept = min_gens(cols, F2)
     assert len(kept) == 2
 
