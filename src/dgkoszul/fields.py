@@ -146,6 +146,8 @@ def field_from_json(spec) -> PrimeField | RationalField:
     """Build a field from its wire form, e.g. {"kind": "prime", "p": 32003}."""
     if spec is None:
         return PrimeField()
+    if not isinstance(spec, dict):
+        raise FieldError("a field must be a JSON object")
     kind = spec.get("kind", "prime")
     if kind in ("prime", "prime-field"):
         return PrimeField(spec.get("p", DEFAULT_PRIME))

@@ -119,40 +119,26 @@ class EliminationOrder(ModuleOrder):
 
 # ---------- module element helpers ----------
 
-def vec_add(a: ModVec, b: ModVec, field) -> ModVec:
-    out = dict(a)
-    for t, c in b.items():
-        s = field.add(out.get(t, field.zero), c)
+def vec_scale(a: ModVec, c, field) -> ModVec:
+    return {t: field.mul(c, v) for t, v in a.items()}
+
+
+def vec_add_multiple(out: ModVec, a: ModVec, e: Expo, c, field) -> None:
+    """out += c * x^e * a, in place; terms that cancel are removed."""
+    for (comp, e0), v in a.items():
+        t = (comp, mono_mul(e, e0))
+        s = field.add(out.get(t, field.zero), field.mul(c, v))
         if s == field.zero:
             out.pop(t, None)
         else:
             out[t] = s
-    return out
-
-
-def vec_scale(a: ModVec, c, field) -> ModVec:
-    if c == field.zero:
-        return {}
-    return {t: field.mul(c, v) for t, v in a.items()}
-
-
-def vec_mul_term(a: ModVec, e: Expo, c, field) -> ModVec:
-    if c == field.zero:
-        return {}
-    return {(comp, mono_mul(e, e0)): field.mul(c, v) for (comp, e0), v in a.items()}
 
 
 def vec_combination(vectors: Sequence[ModVec], coords: ModVec, field) -> ModVec:
     """sum of c * x^e * vectors[j] over the terms (j, e) -> c of coords."""
     out: ModVec = {}
     for (j, e), c in coords.items():
-        for (comp, e0), v in vectors[j].items():
-            t = (comp, mono_mul(e, e0))
-            s = field.add(out.get(t, field.zero), field.mul(c, v))
-            if s == field.zero:
-                out.pop(t, None)
-            else:
-                out[t] = s
+        vec_add_multiple(out, vectors[j], e, c, field)
     return out
 
 
@@ -168,8 +154,16 @@ def leading_term(a: ModVec, order: ModuleOrder) -> ModTerm:
     return max(a, key=order.key)
 
 
-def vec_sort_key(a: ModVec, order: ModuleOrder):
-    return tuple(sorted((order.key(t) for t in a), reverse=True))
+class _TermKeys(dict):
+    """The order keys of the terms seen so far, each computed once."""
+
+    def __init__(self, order: ModuleOrder):
+        super().__init__()
+        self.order_key = order.key
+
+    def __missing__(self, t: ModTerm):
+        k = self[t] = self.order_key(t)
+        return k
 
 
 # ---------- division ----------
@@ -180,54 +174,38 @@ def normal_form(
     order: ModuleOrder,
     field,
     select: str = "first",
+    leads: Sequence[ModTerm | None] | None = None,
 ) -> ModVec:
     """Fully reduced remainder of f modulo basis (tail reduction included).
 
     select chooses among applicable reductors ("first" or "last" in list
     order); the remainder is independent of this choice when basis is a
-    Groebner basis.
+    Groebner basis.  leads, if given, are the basis' leading terms (None
+    for a zero element); callers that reduce many vectors modulo one basis
+    pass them so they are computed once.
     """
-    leads = [leading_term(g, order) if g else None for g in basis]
+    if leads is None:
+        leads = [leading_term(g, order) if g else None for g in basis]
+    indices = range(len(basis)) if select == "first" else range(len(basis) - 1, -1, -1)
+    keys = _TermKeys(order)
     work = dict(f)
     rem: ModVec = {}
     while work:
-        t = max(work, key=order.key)
+        t = max(work, key=keys.__getitem__)
         c = work[t]
         comp, e = t
-        chosen = None
-        indices = range(len(basis)) if select == "first" else range(len(basis) - 1, -1, -1)
         for i in indices:
             lt = leads[i]
             if lt is not None and lt[0] == comp and mono_divides(lt[1], e):
-                chosen = i
                 break
-        if chosen is None:
+        else:
             rem[t] = c
             del work[t]
             continue
-        g = basis[chosen]
-        u = mono_div(e, leads[chosen][1])
-        factor = field.div(c, g[leads[chosen]])
-        work = vec_add(work, vec_mul_term(g, u, field.neg(factor), field), field)
+        g = basis[i]
+        factor = field.neg(field.div(c, g[lt]))
+        vec_add_multiple(work, g, mono_div(e, lt[1]), factor, field)
     return rem
-
-
-def _spair(f: ModVec, g: ModVec, order: ModuleOrder, field):
-    """S-vector of f, g with leads in the same component, or None."""
-    (cf, ef) = leading_term(f, order)
-    (cg, eg) = leading_term(g, order)
-    if cf != cg:
-        return None
-    lcm = mono_lcm(ef, eg)
-    a = vec_mul_term(f, mono_div(lcm, ef), field.inv(f[(cf, ef)]), field)
-    b = vec_mul_term(g, mono_div(lcm, eg), field.inv(g[(cg, eg)]), field)
-    return vec_add(a, vec_scale(b, field.neg(field.one), field), field)
-
-
-def _pair_degree(f, g, order, twists):
-    (cf, ef) = leading_term(f, order)
-    (_, eg) = leading_term(g, order)
-    return mono_deg(mono_lcm(ef, eg)) + twists[cf]
 
 
 # ---------- Buchberger ----------
@@ -255,71 +233,67 @@ def buchberger(
             if g and vec_degree(g, twists) is None:
                 raise InhomogeneousError("inhomogeneous generator")
 
+    # The basis is kept monic; leads[k] is the leading term of basis[k].
     basis: list[ModVec] = []
+    leads: list[ModTerm] = []
+    heap: list[tuple[int, int, int]] = []
+
+    def add(v: ModVec) -> None:
+        lt = leading_term(v, order)
+        comp, e = lt
+        new = len(basis)
+        basis.append(vec_scale(v, field.inv(v[lt]), field))
+        leads.append(lt)
+        for k in range(new):
+            ck, ek = leads[k]
+            if ck == comp:
+                heapq.heappush(heap, (mono_deg(mono_lcm(ek, e)) + twists[comp], k, new))
+
     for g in gens:
         if g:
-            lt = leading_term(g, order)
-            basis.append(vec_scale(g, field.inv(g[lt]), field))
+            add(g)
 
-    heap: list[tuple[int, int, int]] = []
-    for j in range(len(basis)):
-        for i in range(j):
-            if leading_term(basis[i], order)[0] == leading_term(basis[j], order)[0]:
-                heapq.heappush(
-                    heap, (_pair_degree(basis[i], basis[j], order, twists), i, j)
-                )
-
+    neg_one = field.neg(field.one)
     while heap:
         deg, i, j = heapq.heappop(heap)
         if deg > degree_cap:
             raise DegreeCapExceeded(degree_cap, deg)
-        f, g = basis[i], basis[j]
-        (cf, ef) = leading_term(f, order)
-        (cg, eg) = leading_term(g, order)
-        if cf != cg:
-            continue
+        (_, ef), (_, eg) = leads[i], leads[j]
         # Product criterion is only valid in the rank-1 (ideal) case.
         if rank == 1 and mono_gcd(ef, eg) == (0,) * len(ef):
             continue
-        s = _spair(f, g, order, field)
-        if s is None:
-            continue
-        r = normal_form(s, basis, order, field)
+        # S-vector of the monic basis[i], basis[j]: their leads cancel.
+        lcm = mono_lcm(ef, eg)
+        s: ModVec = {}
+        vec_add_multiple(s, basis[i], mono_div(lcm, ef), field.one, field)
+        vec_add_multiple(s, basis[j], mono_div(lcm, eg), neg_one, field)
+        r = normal_form(s, basis, order, field, leads=leads)
         if r:
-            lt = leading_term(r, order)
-            r = vec_scale(r, field.inv(r[lt]), field)
-            basis.append(r)
-            new = len(basis) - 1
-            for k in range(new):
-                if leading_term(basis[k], order)[0] == lt[0]:
-                    heapq.heappush(
-                        heap,
-                        (_pair_degree(basis[k], r, order, twists), k, new),
-                    )
+            add(r)
     return interreduce(basis, order, field)
 
 
 def interreduce(basis: Sequence[ModVec], order: ModuleOrder, field) -> list[ModVec]:
     """Minimalize leads, tail-reduce, monicize, sort canonically."""
-    nonzero = [g for g in basis if g]
-    nonzero.sort(key=lambda g: order.key(leading_term(g, order)))
+    nonzero = [(leading_term(g, order), g) for g in basis if g]
+    nonzero.sort(key=lambda pair: order.key(pair[0]))
     kept: list[ModVec] = []
-    for g in nonzero:
-        comp, e = leading_term(g, order)
-        if any(
-            lt[0] == comp and mono_divides(lt[1], e)
-            for lt in (leading_term(h, order) for h in kept)
-        ):
+    kept_leads: list[ModTerm] = []
+    for lt, g in nonzero:
+        comp, e = lt
+        if any(c == comp and mono_divides(l, e) for c, l in kept_leads):
             continue
         kept.append(g)
+        kept_leads.append(lt)
     reduced = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        r = normal_form(g, others, order, field) if others else dict(g)
+        others_leads = kept_leads[:idx] + kept_leads[idx + 1:]
+        r = normal_form(g, others, order, field, leads=others_leads) if others else dict(g)
         if r:
-            lt = leading_term(r, order)
-            reduced.append(vec_scale(r, field.inv(r[lt]), field))
-    reduced.sort(key=lambda g: vec_sort_key(g, order), reverse=True)
+            # No other lead divides g's lead, so r keeps it.
+            reduced.append(vec_scale(r, field.inv(r[kept_leads[idx]]), field))
+    reduced.sort(key=lambda g: sorted(map(order.key, g), reverse=True), reverse=True)
     return reduced
 
 
@@ -375,12 +349,16 @@ class TaggedBasis:
             self.field,
             rank=self.rank + len(self.columns),
         )
+        self.tagged_leads = [leading_term(g, self.order) for g in self.tagged_gb]
         self.span_gb: list[ModVec] = []
+        self.span_leads: list[ModTerm] = []
         self._syz: list[ModVec] = []
-        for g in self.tagged_gb:
+        for g, lt in zip(self.tagged_gb, self.tagged_leads):
             fpart = {t: c for t, c in g.items() if t[0] < self.rank}
             if fpart:
+                # F is eliminated first, so a nonzero F-part holds g's lead.
                 self.span_gb.append(fpart)
+                self.span_leads.append(lt)
             else:
                 self._syz.append(
                     {(t[0] - self.rank, t[1]): c for t, c in g.items()}
@@ -395,12 +373,14 @@ class TaggedBasis:
 
     def reduce(self, v: ModVec) -> ModVec:
         """Normal form of v in F modulo the span of the columns."""
-        return normal_form(v, self.span_gb, self.order, self.field) if self.span_gb else dict(v)
+        if not self.span_gb:
+            return dict(v)
+        return normal_form(v, self.span_gb, self.order, self.field, leads=self.span_leads)
 
     def lift(self, v: ModVec):
         """Coefficients c with v = sum_j c_j * col_j, or None if v is not
         in the span.  Each c_j is an {expo: coeff} polynomial dict."""
-        rem = normal_form(v, self.tagged_gb, self.order, self.field)
+        rem = normal_form(v, self.tagged_gb, self.order, self.field, leads=self.tagged_leads)
         coeffs = [dict() for _ in self.columns]
         for (comp, e), c in rem.items():
             if comp < self.rank:

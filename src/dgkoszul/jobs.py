@@ -26,6 +26,12 @@ from .rings import QuotientRing, quotient_ring_from_strings
 
 SCHEMA_VERSION = 1
 
+# Bounds on user-controlled sizes, checked before any work starts: the Krull
+# dimension takes 2^n steps in n variables, and the oracle's dense matrices
+# grow like depth^(n-1).
+MAX_VARIABLES = 20
+MAX_ORACLE_DEPTH = 16
+
 
 class JobError(ValueError):
     pass
@@ -43,13 +49,20 @@ class RunConfig:
 
 
 def _build_module(spec: dict, ring: QuotientRing) -> FPModule:
-    twists = tuple(spec.get("twists", (0,)))
-    rels = []
-    for col in spec.get("rels", []):
+    if not isinstance(spec, dict):
+        raise JobError("a module must be a JSON object")
+    twists = spec.get("twists", [0])
+    if not _is_int_list(twists):
+        raise JobError("module 'twists' must be a list of integers")
+    rels = spec.get("rels", [])
+    if not (isinstance(rels, list) and all(map(_is_text_list, rels))):
+        raise JobError("module 'rels' must be a list of polynomial columns")
+    cols = []
+    for col in rels:
         if len(col) != len(twists):
             raise JobError("module relation column length must match twists")
-        rels.append(gb.column_to_vec(parse_poly(t, ring.poly_ring) for t in col))
-    return FPModule.cokernel(ring, twists, rels)
+        cols.append(gb.column_to_vec(parse_poly(t, ring.poly_ring) for t in col))
+    return FPModule.cokernel(ring, tuple(twists), cols)
 
 
 def build_dg(spec: dict, ring: QuotientRing) -> DGRingRep:
@@ -64,6 +77,8 @@ def build_dg(spec: dict, ring: QuotientRing) -> DGRingRep:
         texts = spec.get("elements", [])
         if not _is_text_list(texts):
             raise JobError("koszul 'elements' must be a list of polynomials")
+        if degrees is not None and not (_is_int_list(degrees) and len(degrees) == len(texts)):
+            raise JobError("koszul 'degrees' must list one integer per element")
         elems = []
         for idx, text in enumerate(texts):
             p = parse_poly(text, ring.poly_ring)
@@ -72,7 +87,10 @@ def build_dg(spec: dict, ring: QuotientRing) -> DGRingRep:
         return koszul(base, elems)
     if kind == "trivial_extension":
         module = _build_module(spec.get("module", {}), ring)
-        return trivial_extension(ring, module, spec.get("shift", 1))
+        shift = spec.get("shift", 1)
+        if type(shift) is not int:
+            raise JobError("trivial extension 'shift' must be an integer")
+        return trivial_extension(ring, module, shift)
     if kind == "tensor":
         if "left" not in spec or "right" not in spec:
             raise JobError("a tensor construction needs 'left' and 'right'")
@@ -81,12 +99,22 @@ def build_dg(spec: dict, ring: QuotientRing) -> DGRingRep:
 
 
 def _job_context(job: dict):
+    if not isinstance(job, dict):
+        raise JobError("a job must be a JSON object")
     field = field_from_json(job.get("field"))
     variables = job.get("vars")
-    if not variables:
-        raise JobError("job must list variables")
+    if not (variables and _is_text_list(variables) and len(variables) <= MAX_VARIABLES):
+        raise JobError(f"'vars' must list 1 to {MAX_VARIABLES} variable names")
+    ideal = job.get("ideal", [])
+    if not _is_text_list(ideal):
+        raise JobError("'ideal' must be a list of polynomials")
+    tasks = job.get("tasks", [])
+    if not (isinstance(tasks, list) and all(isinstance(t, dict) for t in tasks)):
+        raise JobError("'tasks' must be a list of JSON objects")
+    if not isinstance(job.get("sequences", {}), dict):
+        raise JobError("'sequences' must be a JSON object")
     try:
-        ring = quotient_ring_from_strings(variables, job.get("ideal", []), field)
+        ring = quotient_ring_from_strings(variables, ideal, field)
         dg = build_dg(job.get("dg", {"kind": "ring"}), ring)
     except ParseError as exc:
         raise JobError(f"parse error: {exc}") from exc
@@ -115,7 +143,10 @@ def _oracle_record(K, depth: int) -> dict:
 
 
 def _task_koszul(dg: DGRingRep, task: dict, config: RunConfig) -> dict:
-    K = koszul(dg, task.get("elements", []))
+    depth = task.get("oracle_depth", config.oracle_depth)
+    if type(depth) is not int or not 0 <= depth <= MAX_ORACLE_DEPTH:
+        raise JobError(f"'oracle_depth' must be an integer from 0 to {MAX_ORACLE_DEPTH}")
+    K = koszul(dg, task.get("elements") or [])
     out = {
         "inf": sentinel_json(K.inf()),
         "sup": sentinel_json(K.sup()),
@@ -126,7 +157,6 @@ def _task_koszul(dg: DGRingRep, task: dict, config: RunConfig) -> dict:
             str(i): hs.to_json() for i, hs in sorted(K.homology_table().items())
         },
     }
-    depth = task.get("oracle_depth", config.oracle_depth)
     if depth:
         out["oracle"] = _oracle_record(K, depth)
     return out
@@ -163,6 +193,10 @@ def _is_text_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(t, str) for t in value)
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 _SEQUENCE_KEYS = ("elements", "ideal", "first", "second", "alternates", "images")
 
 
@@ -193,8 +227,6 @@ def _expect_matches(expected, actual) -> bool:
             k in actual and _expect_matches(v, actual[k])
             for k, v in expected.items()
         )
-    if isinstance(expected, list):
-        return expected == actual
     return expected == actual
 
 

@@ -194,14 +194,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return len({mono_deg(e) for e in self.terms}) <= 1
 
-    def leading(self, order: MonomialOrder | None = None):
-        """(expo, coeff) of the leading term; None for zero."""
-        if not self.terms:
-            return None
-        order = order or self.ring.order
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
-
     def constant_coeff(self):
         return self.terms.get(self.ring._zero_expo, self.ring.field.zero)
 
@@ -248,8 +240,10 @@ class Polynomial:
         if n < 0:
             raise ValueError("negative exponent")
         result = self.ring.one
-        for _ in range(n):
-            result = result * self
+        for bit in bin(n)[2:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def scale(self, c) -> Polynomial:
@@ -292,12 +286,6 @@ class Polynomial:
 
 # ---------- printing ----------
 
-def _coeff_text(c) -> str:
-    # Fractions with denominator 1 print as plain integers.
-    s = str(c)
-    return s
-
-
 def poly_to_text(p: Polynomial) -> str:
     """Render in the parser grammar (sorted by the ring's order, descending).
 
@@ -319,7 +307,7 @@ def poly_to_text(p: Polynomial) -> str:
             elif k > 1:
                 factors.append(f"{name}^{k}")
         body = "*".join(factors)
-        cs = _coeff_text(c)
+        cs = str(c)
         if not body:
             term = cs
         elif c == one:

@@ -31,6 +31,8 @@ class QuotientRing:
             gens.append(g)
         self.j_gens = tuple(gens)
         self._gb: tuple[Polynomial, ...] | None = None
+        self._gb_vecs: list[gb.ModVec] = []
+        self._gb_leads: list[gb.ModTerm] = []
         self._dim = None
         self._hilbert: HilbertSeries | None = None
         self._mod_order = gb.TermOverPosition(poly_ring.order)
@@ -53,22 +55,18 @@ class QuotientRing:
         """Reduced Groebner basis of J."""
         if self._gb is None:
             vecs = [gb.column_to_vec((g,)) for g in self.j_gens]
-            basis = gb.buchberger(
-                vecs, (0,), self._mod_order, self.field, rank=1
-            )
-            self._gb = tuple(
-                gb.vec_to_column(v, self.poly_ring, 1)[0] for v in basis
-            )
+            self._gb_vecs = gb.buchberger(vecs, (0,), self._mod_order, self.field, rank=1)
+            self._gb_leads = [gb.leading_term(v, self._mod_order) for v in self._gb_vecs]
+            self._gb = tuple(gb.vec_to_column(v, self.poly_ring, 1)[0] for v in self._gb_vecs)
         return self._gb
 
     def nf(self, p: Polynomial) -> Polynomial:
         """Fully reduced normal form of p modulo J."""
         if p.ring != self.poly_ring:
             raise gb.InhomogeneousError("polynomial from a different ring")
-        basis = [gb.column_to_vec((g,)) for g in self.groebner()]
-        r = gb.normal_form(
-            gb.column_to_vec((p,)), basis, self._mod_order, self.field
-        )
+        self.groebner()
+        v = gb.column_to_vec((p,))
+        r = gb.normal_form(v, self._gb_vecs, self._mod_order, self.field, leads=self._gb_leads)
         return gb.vec_to_column(r, self.poly_ring, 1)[0]
 
     def is_zero(self, p: Polynomial) -> bool:
@@ -83,14 +81,14 @@ class QuotientRing:
 
     def dim(self):
         if self._dim is None:
-            leads = [g.leading(self.poly_ring.order)[0] for g in self.groebner()]
-            self._dim = krull_dim_lead(leads, self.nvars)
+            self.groebner()
+            self._dim = krull_dim_lead([e for _, e in self._gb_leads], self.nvars)
         return self._dim
 
     def hilbert_series(self) -> HilbertSeries:
         if self._hilbert is None:
-            leads = [g.leading(self.poly_ring.order)[0] for g in self.groebner()]
-            self._hilbert = monomial_quotient_series(leads, self.nvars)
+            self.groebner()
+            self._hilbert = monomial_quotient_series([e for _, e in self._gb_leads], self.nvars)
         return self._hilbert
 
     def is_nilpotent(self, g: Polynomial) -> bool:

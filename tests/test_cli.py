@@ -113,10 +113,6 @@ def test_degree_cap_diagnostic_exit_code(tmp_path):
         "tasks": [{"task": "koszul", "elements": ["x"]}],
     }
     path = write_job(tmp_path, job)
-    result = run_cli("check", "euler_characteristic", path, "--degree-cap", "4")
-    # the job context itself fails building the Groebner basis: input error
-    # is acceptable only when the cap is hit outside a task, so route
-    # through compute where the cap hits inside the task
     result = run_cli("compute", path, "--degree-cap", "4")
     assert result.returncode == 3
     report = json.loads(result.stdout)

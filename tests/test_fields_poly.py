@@ -115,6 +115,22 @@ def test_product_of_sum_and_difference():
     assert (x + y) * (x - y) == x * x - y * y
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+def test_power_equals_repeated_product(n):
+    r = PolyRing(("x", "y"), F)
+    p = r.var(0) + r.var(1)
+    product = r.one
+    for _ in range(n):
+        product = product * p
+    assert p**n == product
+
+
+def test_negative_power_rejected():
+    r = PolyRing(("x",), F)
+    with pytest.raises(ValueError):
+        r.var(0) ** -1
+
+
 def test_multiplication_by_zero_absorbs():
     r = PolyRing(("x", "y"), F)
     p = r.var(0) * r.var(1) + r.const(7)

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import poly, ring
-from dgkoszul import LEX, PolyRing, Polynomial, PrimeField, parse_poly
+from dgkoszul import GREVLEX, LEX, PolyRing, Polynomial, PrimeField, parse_poly
 from dgkoszul import groebner as gb
+from dgkoszul.poly import mono_divides
 
 F = PrimeField()
 
@@ -157,3 +161,49 @@ def test_buchberger_deterministic():
     b2, _ = _ideal_gb(list(reversed(texts)), R)
     # same reduced basis regardless of generator order
     assert b1 == b2
+
+
+F101 = PrimeField(101)
+
+
+def _monomials(degree, nvars=3):
+    return [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) == degree]
+
+
+@st.composite
+def _submodules(draw):
+    """Homogeneous generators of a submodule of a free module of rank 1 or 2
+    over F_101[x, y, z], and one homogeneous probe vector."""
+    rank = draw(st.integers(1, 2))
+    twists = tuple(draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank)))
+
+    def vector(degree):
+        v = {}
+        for comp, twist in enumerate(twists):
+            if degree >= twist:
+                monos = st.sampled_from(_monomials(degree - twist))
+                for e in draw(st.lists(monos, max_size=3, unique=True)):
+                    v[(comp, e)] = draw(st.integers(1, 100))
+        return v
+
+    gens = [vector(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))]
+    return rank, twists, gens, vector(draw(st.integers(1, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_submodules())
+def test_buchberger_gives_a_reduced_basis_with_path_independent_remainders(case):
+    rank, twists, gens, probe = case
+    order = gb.TermOverPosition(GREVLEX)
+    basis = gb.buchberger(gens, twists, order, F101, rank=rank)
+    leads = [gb.leading_term(g, order) for g in basis]
+    for i, (g, lt) in enumerate(zip(basis, leads)):
+        assert g[lt] == 1
+        for j, (comp, e) in enumerate(leads):
+            if j != i:
+                assert not any(c == comp and mono_divides(e, t) for c, t in g)
+    for v in gens + [probe]:
+        first = gb.normal_form(v, basis, order, F101, select="first")
+        assert first == gb.normal_form(v, basis, order, F101, select="last")
+        assert first == gb.normal_form(v, basis, order, F101, leads=leads)
+        assert not first or v is probe

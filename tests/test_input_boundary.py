@@ -12,6 +12,7 @@ import pytest
 
 from dgkoszul import PolyRing, PrimeField, RunConfig, parse_poly, run_job
 from dgkoszul.fields import FieldError
+from dgkoszul.jobs import MAX_ORACLE_DEPTH, MAX_VARIABLES
 from dgkoszul.parse import MAX_EXPONENT, ParseError
 
 SUITE = Path(__file__).resolve().parent.parent / "suite"
@@ -77,6 +78,35 @@ MALFORMED = {
     "sequence not a list": _job(
         sequences={"s": 5}, tasks=[{"task": "koszul", "elements": "s"}]
     ),
+    "dg degrees not a list": _job(dg={"kind": "koszul", "elements": ["0"], "degrees": 5}),
+    "dg degrees too short": _job(dg={"kind": "koszul", "elements": ["0", "0"], "degrees": [1]}),
+    "task not an object": _job(tasks=[5]),
+    "tasks not a list": _job(tasks=5),
+    "module twists not a list": _job(dg={"kind": "trivial_extension", "module": {"twists": 5}}),
+    "module not an object": _job(dg={"kind": "trivial_extension", "module": 5}),
+    "module relation not a list": _job(
+        dg={"kind": "trivial_extension", "module": {"twists": [0], "rels": [5]}}
+    ),
+    "module relations not a list": _job(
+        dg={"kind": "trivial_extension", "module": {"twists": [0], "rels": 5}}
+    ),
+    "shift not an integer": _job(dg={"kind": "trivial_extension", "shift": None}),
+    "ideal not a list": _job(ideal=5),
+    "oracle depth not an integer": _job(
+        tasks=[{"task": "koszul", "elements": ["x"], "oracle_depth": "a"}]
+    ),
+    "oracle depth above the bound": _job(
+        tasks=[{"task": "koszul", "elements": ["x"], "oracle_depth": MAX_ORACLE_DEPTH + 1}]
+    ),
+    "negative oracle depth": _job(tasks=[{"task": "koszul", "elements": ["x"], "oracle_depth": -1}]),
+    "too many variables": _job(
+        vars=[f"x{i}" for i in range(MAX_VARIABLES + 1)],
+        tasks=[{"task": "koszul", "elements": ["x0"], "oracle_depth": 0}],
+    ),
+    "variable not a name": _job(vars=["x", 5]),
+    "field not an object": _job(field=5),
+    "sequences not an object": _job(sequences=5, tasks=[{"task": "koszul", "elements": "s"}]),
+    "job not an object": [5],
 }
 
 
@@ -88,3 +118,8 @@ def test_malformed_job_gives_an_error_status_not_an_exception(job):
         assert report["error"]
     else:
         assert all(r["status"] == "error" for r in report["results"])
+
+
+def test_null_task_elements_mean_none():
+    report = run_job(_job(tasks=[{"task": "koszul", "elements": None, "oracle_depth": 0}]))
+    assert report["status"] == "ok"
