@@ -12,7 +12,7 @@ from .fields import DEFAULT_PRIME, PrimeField, RationalField, field_from_json
 from .poly import GREVLEX, LEX, MonomialOrder, PolyRing, Polynomial
 from .parse import ParseError, parse_poly
 from .rings import FreeModule, QuotientRing, quotient_ring_from_strings
-from .hilbert import NEG_INF, POS_INF, HilbertSeries, krull_dim_lead
+from .hilbert import NEG_INF, POS_INF, HilbertSeries
 from .modules import FPModule, ModuleMap, min_gens
 from .complexes import (
     Bicomplex,

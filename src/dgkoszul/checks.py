@@ -32,7 +32,7 @@ from .invariants import (
 )
 from .modules import FPModule
 from .parse import parse_poly
-from .rings import QuotientRing, quotient_ring_from_strings
+from .rings import quotient_ring_from_strings
 
 CHECK_NAMES = (
     "amp_koszul",
@@ -54,6 +54,10 @@ class CheckInputError(ValueError):
     pass
 
 
+def _is_text_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(t, str) for t in value)
+
+
 def _elements(args, key, ring, required=True):
     texts = args.get(key)
     if texts is None:
@@ -61,13 +65,6 @@ def _elements(args, key, ring, required=True):
             raise CheckInputError(f"check argument {key!r} is required")
         return None
     return [_as_element(t, ring) for t in texts]
-
-
-def _quotient_dim(A: DGRingRep, elems):
-    closure = QuotientRing(
-        A.base.poly_ring, A.h0.j_gens + tuple(e.rep for e in elems)
-    )
-    return NEG_INF if closure.is_trivial() else closure.dim()
 
 
 def check_amp_koszul(A: DGRingRep, args, config) -> dict:
@@ -79,7 +76,7 @@ def check_amp_koszul(A: DGRingRep, args, config) -> dict:
     direct = K.amp()
     n = len(elems)
     dim0 = A.h0.dim()
-    dimq = _quotient_dim(A, elems)
+    dimq = K.h0.dim()
     lo = A.inf()
     formula = None
     if dimq != NEG_INF and dim0 != NEG_INF and lo not in (NEG_INF,):
@@ -106,7 +103,7 @@ def check_seq_depth(A: DGRingRep, args, config) -> dict:
     cm = cm_certify(A)
     lhs = seq_depth(A, elems)
     dim0 = A.h0.dim()
-    dimq = _quotient_dim(A, elems)
+    dimq = A.h0_quotient(elems).dim()
     rhs = None if dimq == NEG_INF else dim0 - dimq
     witness = greedy_regular_sequence(A, elems, budget=config.budget)
     record = {
@@ -127,12 +124,6 @@ def check_seq_depth(A: DGRingRep, args, config) -> dict:
     return record
 
 
-def _same_ideal(A: DGRingRep, gens_a, gens_b) -> bool:
-    ca = QuotientRing(A.base.poly_ring, A.h0.j_gens + tuple(e.rep for e in gens_a))
-    cb = QuotientRing(A.base.poly_ring, A.h0.j_gens + tuple(e.rep for e in gens_b))
-    return ca.groebner() == cb.groebner()
-
-
 def check_depth_formula(A: DGRingRep, args, config) -> dict:
     statement = (
         "depth(I, A) == seq.depth(I, A) + inf(A), matched by the greedy "
@@ -149,7 +140,7 @@ def check_depth_formula(A: DGRingRep, args, config) -> dict:
     alt_ok = True
     for alt in args.get("alt_gens", []):
         alt_elems = _elements({"g": alt}, "g", A.base)
-        if not _same_ideal(A, elems, alt_elems):
+        if A.h0_quotient(alt_elems) != A.h0_quotient(elems):
             raise CheckInputError("alternative generators span a different ideal")
         d_alt = depth(A, alt_elems)
         alt_results.append(
@@ -190,8 +181,15 @@ def check_base_change(A: DGRingRep, args, config) -> dict:
     statement = "K(A; a) (x)_A B == K(B; f(a)) on homology"
     elems = _elements(args, "elements", A.base)
     target_spec = args.get("target")
-    if target_spec is None:
-        raise CheckInputError("base_change needs a target ring")
+    if not (
+        isinstance(target_spec, dict)
+        and target_spec.get("vars")
+        and _is_text_list(target_spec["vars"])
+        and _is_text_list(target_spec.get("ideal", []))
+    ):
+        raise CheckInputError(
+            "base_change needs a target ring: an object with 'vars' and 'ideal' lists"
+        )
     target = quotient_ring_from_strings(
         target_spec["vars"], target_spec.get("ideal", []), A.base.field
     )
@@ -285,15 +283,20 @@ def check_gorenstein_transfer(A: DGRingRep, args, config) -> dict:
     return rep
 
 
+def _regular_source(args, check: str):
+    """(source_vars, images) of the map from a regular ring into A."""
+    source_vars = args.get("source_vars")
+    images = args.get("images")
+    if not (source_vars and _is_text_list(source_vars)) or images is None:
+        raise CheckInputError(f"{check} needs source_vars (a list of names) and images")
+    return source_vars, images
+
+
 def check_miracle_flatness(A: DGRingRep, args, config) -> dict:
     statement = (
         "flatdim_A(B) == dim(A) - dim(H0(B)) + dim(H0(B)/m H0(B)) + amp(B)"
     )
-    source_vars = args.get("source_vars")
-    images = args.get("images")
-    if not source_vars or images is None:
-        raise CheckInputError("miracle_flatness needs source_vars and images")
-    rep = flatdim_over_regular(source_vars, images, A)
+    rep = flatdim_over_regular(*_regular_source(args, "miracle_flatness"), A)
     rep["statement"] = statement
     rep["hypotheses"] = {
         "target_cm_certified": rep["cm_certified"],
@@ -311,11 +314,7 @@ def check_dgreg(A: DGRingRep, args, config) -> dict:
         "for a finite extension of a regular ring: flatdim == amp(B) iff "
         "B is Cohen-Macaulay"
     )
-    source_vars = args.get("source_vars")
-    images = args.get("images")
-    if not source_vars or images is None:
-        raise CheckInputError("dgreg needs source_vars and images")
-    rep = flatdim_over_regular(source_vars, images, A)
+    rep = flatdim_over_regular(*_regular_source(args, "dgreg"), A)
     finite = rep["dim_fiber_ring"] == 0
     const = rep["constant_amplitude"]
     cm = rep["cm_certified"]
@@ -403,6 +402,8 @@ def check_euler_characteristic(A: DGRingRep, args, config) -> dict:
     for e in elems:
         rhs = rhs - rhs.shift(e.degree)
     depth_cap = args.get("depth", 10)
+    if type(depth_cap) is not int or depth_cap < 0:
+        raise CheckInputError("euler_characteristic 'depth' must be a non-negative integer")
     exact = lhs == rhs
     coeffs_equal = lhs.coefficients(depth_cap, start=0) == rhs.coefficients(
         depth_cap, start=0
@@ -434,7 +435,7 @@ _CHECKS = {
 
 
 def run_check(name: str, A: DGRingRep, args: dict, config) -> dict:
-    if name not in _CHECKS:
+    if not isinstance(name, str) or name not in _CHECKS:
         raise CheckInputError(f"unknown check {name!r}")
     record = _CHECKS[name](A, args, config)
     record["check"] = name

@@ -320,21 +320,27 @@ class Bicomplex:
         self.d_v = {pq: m for pq, m in d_v.items() if pq in self.grid}
 
     def validate(self) -> None:
+        """Every square commutes; a missing map counts as zero."""
+        z = self.ring.poly_ring.zero
         for (p, q), m in self.grid.items():
-            h = self.d_h.get((p, q))
-            v = self.d_v.get((p, q))
-            if h is not None and (p + 1, q) in self.d_v and (p + 1, q + 1) in self.grid:
-                a = _mat_mul(self.d_v[(p + 1, q)], h, self.ring)
-                b = _mat_mul(self.d_h.get((p, q + 1)), v, self.ring) if v is not None and (p, q + 1) in self.d_h else None
-                tgt = self.grid[(p + 1, q + 1)]
-                cols = len(a[0]) if a else 0
-                for col in range(cols):
-                    coords = gb.column_to_vec(
-                        a[r][col] - (b[r][col] if b else self.ring.poly_ring.zero)
-                        for r in range(len(a))
-                    )
-                    if not tgt.element_is_zero(tgt.element_from_coords(coords)):
-                        raise AssertionError(f"square at {(p, q)} does not commute")
+            tgt = self.grid.get((p + 1, q + 1))
+            if tgt is None:
+                continue
+            a = self._path(self.d_h.get((p, q)), self.d_v.get((p + 1, q)))
+            b = self._path(self.d_v.get((p, q)), self.d_h.get((p, q + 1)))
+            for col in range(len(m.gens)):
+                coords = gb.column_to_vec(
+                    (a[r][col] if a else z) - (b[r][col] if b else z)
+                    for r in range(len(tgt.gens))
+                )
+                if not tgt.element_is_zero(tgt.element_from_coords(coords)):
+                    raise AssertionError(f"square at {(p, q)} does not commute")
+
+    def _path(self, first, second):
+        """second * first, or None (zero) when either map is missing."""
+        if first is None or second is None:
+            return None
+        return _mat_mul(second, first, self.ring)
 
     def total(self) -> Complex:
         """Tot with d = d_h + (-1)^p d_v."""

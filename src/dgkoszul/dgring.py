@@ -101,8 +101,11 @@ class DGRingRep:
     def amp(self):
         return self.underlying.amp()
 
-    def dim_h0(self):
-        return self.h0.dim()
+    def h0_quotient(self, elems: Sequence[ElementOfH0]) -> QuotientRing:
+        """H^0(A)/(elems), presented as a quotient of the base polynomial ring."""
+        return QuotientRing(
+            self.base.poly_ring, self.h0.j_gens + tuple(e.rep for e in elems)
+        )
 
     def irrelevant_ideal(self) -> list[ElementOfH0]:
         """The variable classes generating the irrelevant maximal ideal."""
@@ -212,10 +215,7 @@ def koszul(A: DGRingRep, elems: Sequence) -> DGRingRep:
         A.base, [e.rep for e in elems], degrees=[e.degree for e in elems]
     )
     underlying = tensor_complexes(A.underlying, K)
-    h0 = QuotientRing(
-        A.base.poly_ring, A.h0.j_gens + tuple(e.rep for e in elems)
-    )
-    return DGRingRep(A.base, underlying, h0, ("koszul", A, tuple(elems)))
+    return DGRingRep(A.base, underlying, A.h0_quotient(elems), ("koszul", A, tuple(elems)))
 
 
 def dg_as_module(A: DGRingRep) -> DGModuleRep:

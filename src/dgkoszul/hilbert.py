@@ -239,37 +239,3 @@ def lead_module_series(
         )
     return total
 
-
-# ---------- Krull dimension of monomial quotients ----------
-
-def dim_monomial_quotient(gens: Sequence[Expo], nvars: int):
-    """Krull dimension of S/I by maximal independent variable sets.
-
-    dim = max size of a variable subset V such that no minimal generator is
-    supported inside V.  The unit ideal gives -inf; cross-checked against
-    the Hilbert-series pole order by krull_dim_lead.
-    """
-    mins = _minimalize(frozenset(gens))
-    zero = (0,) * nvars
-    if zero in mins:
-        return NEG_INF
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in mins]
-    best = -1
-    for mask in range(1 << nvars):
-        sub = frozenset(i for i in range(nvars) if mask >> i & 1)
-        if any(s <= sub for s in supports):
-            continue
-        best = max(best, len(sub))
-    return best
-
-
-def krull_dim_lead(gens: Sequence[Expo], nvars: int):
-    """Dimension of S/I for a monomial ideal, by both methods (they must
-    agree): combinatorial independent sets and Hilbert-series pole order."""
-    combinatorial = dim_monomial_quotient(gens, nvars)
-    pole = monomial_quotient_series(gens, nvars).pole_order
-    if combinatorial != pole:
-        raise AssertionError(
-            f"dimension methods disagree: sets={combinatorial} pole={pole}"
-        )
-    return combinatorial

@@ -18,7 +18,6 @@ from .groebner import vec_to_column
 from .hilbert import NEG_INF, POS_INF
 from .modules import ModuleMap
 from .poly import Polynomial
-from .rings import QuotientRing
 
 
 class ImproperIdealError(ValueError):
@@ -88,10 +87,7 @@ def is_regular(M: DGModuleRep, x) -> tuple[bool, dict]:
 
 
 def _check_proper(A: DGRingRep, elems) -> None:
-    closure = QuotientRing(
-        A.base.poly_ring, A.h0.j_gens + tuple(e.rep for e in elems)
-    )
-    if closure.is_trivial():
+    if A.h0_quotient(elems).is_trivial():
         raise ImproperIdealError("ideal is the unit ideal of H^0")
 
 
@@ -227,15 +223,12 @@ def greedy_regular_sequence(
 def is_local_cm(A: DGRingRep) -> bool:
     """Local-Cohen-Macaulay at the irrelevant ideal: seq.depth = dim H^0.
 
-    dim H^0 = 0 short-circuits to True.
+    dim H^0 <= 0 (an Artinian or zero H^0) short-circuits to True.
     """
     if "local_cm" in A._cache:
         return A._cache["local_cm"]
-    if A.h0.is_trivial():
-        result = True
-    else:
-        d0 = A.h0.dim()
-        result = d0 == 0 or seq_depth(A, A.irrelevant_ideal()) == d0
+    d0 = A.h0.dim()
+    result = d0 <= 0 or seq_depth(A, A.irrelevant_ideal()) == d0
     A._cache["local_cm"] = result
     return result
 
@@ -302,13 +295,9 @@ def flatdim_over_regular(source_vars, images, B: DGRingRep) -> dict:
     """
     fiber = homotopy_fiber(source_vars, images, B)
     flat = fiber.amp()
-    elems = [_as_element(e, B.base) for e in images]
-    fiber_ring = QuotientRing(
-        B.base.poly_ring, B.h0.j_gens + tuple(e.rep for e in elems)
-    )
     dim_a = len(source_vars)
     dim_b = B.h0.dim()
-    dim_fiber_ring = NEG_INF if fiber_ring.is_trivial() else fiber_ring.dim()
+    dim_fiber_ring = fiber.h0.dim()
     amp_b = B.amp()
     cm = cm_certify(B)
     const = has_constant_amplitude(B)
@@ -394,7 +383,7 @@ def compute_invariants(
         inf=lo,
         sup=hi,
         amp=a,
-        dim_h0=NEG_INF if A.h0.is_trivial() else A.h0.dim(),
+        dim_h0=A.h0.dim(),
         lcdim=lcdim(A),
         depth_at_irrelevant=d,
         seq_depth_at_irrelevant=sd,

@@ -13,12 +13,11 @@ import json
 from dataclasses import dataclass
 
 from . import groebner as gb
-from .checks import CheckInputError, run_check
+from .checks import CheckInputError, _is_text_list, run_check
 from .complexes import homology_hilbert_functions, truncation_oracle
 from .dgring import DGRingRep, ElementOfH0, dg_from_ring, dg_tensor, koszul, trivial_extension
 from .duality import dualizing_complex, dualizing_of_koszul, is_gorenstein_ring
 from .fields import field_from_json
-from .hilbert import NEG_INF
 from .invariants import compute_invariants, sentinel_json
 from .modules import FPModule
 from .parse import ParseError, parse_poly
@@ -26,9 +25,13 @@ from .rings import QuotientRing, quotient_ring_from_strings
 
 SCHEMA_VERSION = 1
 
-# Bounds on user-controlled sizes, checked before any work starts: the Krull
-# dimension takes 2^n steps in n variables, and the oracle's dense matrices
-# grow like depth^(n-1).
+# Bounds on user-controlled sizes, checked before any work starts.  The
+# variable count is a plain input bound: a Koszul complex on n elements has
+# 2^n basis vectors, and the depth at the irrelevant ideal builds the one on
+# all variables (an invariants task on a polynomial ring took 2.1 s in 8
+# variables on a 2-vCPU Xeon, about x3 per variable), while a Koszul job on
+# x0 in 20 variables takes milliseconds.  The oracle's dense matrices grow
+# like depth^(n-1).
 MAX_VARIABLES = 20
 MAX_ORACLE_DEPTH = 16
 
@@ -123,6 +126,8 @@ def _job_context(job: dict):
 
 def _task_invariants(dg: DGRingRep, task: dict, config: RunConfig) -> dict:
     ideals = task.get("ideals") or {}
+    if not (isinstance(ideals, dict) and all(map(_is_text_list, ideals.values()))):
+        raise JobError("'ideals' must map names to lists of polynomials")
     report = compute_invariants(
         dg,
         ideals=ideals,
@@ -152,7 +157,7 @@ def _task_koszul(dg: DGRingRep, task: dict, config: RunConfig) -> dict:
         "sup": sentinel_json(K.sup()),
         "amp": sentinel_json(K.amp()),
         "h0_hilbert": K.h0.hilbert_series().to_json(),
-        "dim_h0": sentinel_json(NEG_INF if K.h0.is_trivial() else K.h0.dim()),
+        "dim_h0": sentinel_json(K.h0.dim()),
         "homology": {
             str(i): hs.to_json() for i, hs in sorted(K.homology_table().items())
         },
@@ -189,10 +194,6 @@ def _task_duality(dg: DGRingRep, task: dict, config: RunConfig) -> dict:
     return out
 
 
-def _is_text_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(t, str) for t in value)
-
-
 def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(type(v) is int for v in value)
 
@@ -204,18 +205,24 @@ def _resolve_sequences(task: dict, sequences: dict) -> dict:
     """Replace string-valued element lists with named top-level sequences."""
     out = dict(task)
     for key in _SEQUENCE_KEYS:
-        value = out.get(key)
-        if isinstance(value, str):
-            if value not in sequences:
-                raise JobError(f"unknown sequence name {value!r}")
-            value = out[key] = sequences[value]
-        if value is not None and not _is_text_list(value):
-            raise JobError(f"{key!r} must be a list of polynomials or a sequence name")
-    if isinstance(out.get("alt_gens"), list):
-        out["alt_gens"] = [
-            sequences[v] if isinstance(v, str) else v for v in out["alt_gens"]
-        ]
+        if out.get(key) is not None:
+            out[key] = _element_list(key, out[key], sequences)
+    alt_gens = out.get("alt_gens")
+    if alt_gens is not None:
+        if not isinstance(alt_gens, list):
+            raise JobError("'alt_gens' must be a list of element lists or sequence names")
+        out["alt_gens"] = [_element_list("alt_gens", v, sequences) for v in alt_gens]
     return out
+
+
+def _element_list(key: str, value, sequences: dict) -> list:
+    if isinstance(value, str):
+        if value not in sequences:
+            raise JobError(f"unknown sequence name {value!r}")
+        value = sequences[value]
+    if not _is_text_list(value):
+        raise JobError(f"{key!r} must be a list of polynomials or a sequence name")
+    return value
 
 
 def _expect_matches(expected, actual) -> bool:

@@ -68,9 +68,6 @@ class _ModP:
                 v = (v - v[c] * R[i, :]) % p
         return v
 
-    def is_zero_vec(self, v) -> bool:
-        return not np.any(v)
-
 
 class _Rational:
     def rref(self, rows):
@@ -112,9 +109,6 @@ class _Rational:
                 f = v[c]
                 v = [x - f * y for x, y in zip(v, R[i])]
         return v
-
-    def is_zero_vec(self, v) -> bool:
-        return all(x == 0 for x in v)
 
 
 def linalg_for(field):

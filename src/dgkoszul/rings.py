@@ -1,7 +1,8 @@
 """Graded quotient rings Q = S/J and free modules over them.
 
 The ambient polynomial ring S does all Groebner work; Q caches the reduced
-basis of its defining ideal, its Hilbert series and its Krull dimension.
+basis of its defining ideal and its Hilbert series, whose pole order is the
+Krull dimension.
 Quotient rings compare equal when their reduced bases agree, so different
 generator lists for the same ideal give interchangeable contexts.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import groebner as gb
-from .hilbert import HilbertSeries, krull_dim_lead, monomial_quotient_series
+from .hilbert import HilbertSeries, monomial_quotient_series
 from .poly import GREVLEX, PolyRing, Polynomial
 
 
@@ -33,7 +34,6 @@ class QuotientRing:
         self._gb: tuple[Polynomial, ...] | None = None
         self._gb_vecs: list[gb.ModVec] = []
         self._gb_leads: list[gb.ModTerm] = []
-        self._dim = None
         self._hilbert: HilbertSeries | None = None
         self._mod_order = gb.TermOverPosition(poly_ring.order)
 
@@ -80,10 +80,9 @@ class QuotientRing:
     # -- invariants --
 
     def dim(self):
-        if self._dim is None:
-            self.groebner()
-            self._dim = krull_dim_lead([e for _, e in self._gb_leads], self.nvars)
-        return self._dim
+        """Krull dimension: the pole order of the Hilbert series at t=1
+        (-inf for the zero ring)."""
+        return self.hilbert_series().pole_order
 
     def hilbert_series(self) -> HilbertSeries:
         if self._hilbert is None:

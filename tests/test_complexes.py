@@ -4,6 +4,7 @@ import pytest
 
 from conftest import poly, ring
 from dgkoszul import (
+    Bicomplex,
     ChainMap,
     Complex,
     FPModule,
@@ -71,6 +72,24 @@ def test_bicomplex_squares_commute():
     Q = ring("x", "y")
     B = tensor_bicomplex(_koszul(Q, ["x"]), _koszul(Q, ["y"]))
     B.validate()
+
+
+def test_bicomplex_square_with_a_missing_map_must_still_commute():
+    # Over k[x]: one path around the square is 1*x, the other has no map
+    # at all (zero), so the square does not commute and Tot has d*d != 0.
+    Q = ring("x")
+    x, one = poly("x", Q), Q.poly_ring.one
+    grid = {
+        (0, 0): FPModule.free(Q, (1,)),
+        (1, 0): FPModule.free(Q, (1,)),
+        (0, 1): FPModule.free(Q, (0,)),
+        (1, 1): FPModule.free(Q, (0,)),
+    }
+    B = Bicomplex(Q, grid, {(0, 1): ((one,),)}, {(0, 0): ((x,),)})
+    with pytest.raises(AssertionError, match="d∘d"):
+        B.total().validate()
+    with pytest.raises(AssertionError, match="does not commute"):
+        B.validate()
 
 
 def test_hom_dual_of_rank_one_koszul():

@@ -121,7 +121,6 @@ def test_koszul_on_trivial_extension_decomposes():
     A = trivial_extension(B, M, 2)
     K = koszul(A, ["y"])
     KB = koszul(dg_from_ring(B), ["y"])
-    KM = koszul_module(dg_as_module(dg_from_ring(B)), [])  # placeholder
     from dgkoszul.complexes import tensor_complexes, koszul_complex, complex_from_module
 
     KMc = tensor_complexes(

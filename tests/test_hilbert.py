@@ -1,15 +1,12 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ring
-from dgkoszul.hilbert import (
-    NEG_INF,
-    HilbertSeries,
-    dim_monomial_quotient,
-    krull_dim_lead,
-    monomial_quotient_series,
-)
+from dgkoszul.hilbert import NEG_INF, HilbertSeries, monomial_quotient_series
 
 
 def test_free_rank_one_over_two_variables():
@@ -29,23 +26,50 @@ def test_finite_length_series():
     assert pole == 0 and num == {0: 1, 1: 1}
 
 
-def test_monomial_dim_agreement_on_mixed_ideal():
-    # (x*y, x*z) in k[x,y,z]: dimension 2 via both methods
+def _independent_set_dim(gens, nvars):
+    """Reference Krull dimension of S/I for a monomial ideal I: the size of
+    the largest variable subset containing no generator's support (-inf for
+    the unit ideal).  Enumerates subsets, so only for small nvars."""
+    supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
+    if frozenset() in supports:
+        return NEG_INF
+    for size in range(nvars, -1, -1):
+        for sub in map(frozenset, combinations(range(nvars), size)):
+            if not any(s <= sub for s in supports):
+                return size
+
+
+def test_monomial_dim_on_mixed_ideal():
+    # (x*y, x*z) in k[x,y,z]: dimension 2
     gens = [(1, 1, 0), (1, 0, 1)]
-    assert krull_dim_lead(gens, 3) == 2
+    assert monomial_quotient_series(gens, 3).pole_order == 2
 
 
 def test_irrelevant_ideal_is_artinian():
     gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert krull_dim_lead(gens, 3) == 0
+    assert monomial_quotient_series(gens, 3).pole_order == 0
 
 
 def test_zero_ideal_full_dimension():
-    assert krull_dim_lead([], 4) == 4
+    assert monomial_quotient_series([], 4).pole_order == 4
 
 
 def test_unit_ideal_sentinel():
-    assert dim_monomial_quotient([(0, 0)], 2) == NEG_INF
+    assert monomial_quotient_series([(0, 0)], 2).pole_order == NEG_INF
+
+
+@st.composite
+def _monomial_ideals(draw):
+    nvars = draw(st.integers(1, 7))
+    expo = st.tuples(*[st.integers(0, 2)] * nvars)
+    return draw(st.lists(expo, max_size=6)), nvars
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomial_ideals())
+def test_pole_order_is_the_largest_independent_set(ideal):
+    gens, nvars = ideal
+    assert monomial_quotient_series(gens, nvars).pole_order == _independent_set_dim(gens, nvars)
 
 
 def test_series_arithmetic_and_twist():

@@ -107,6 +107,38 @@ MALFORMED = {
     "field not an object": _job(field=5),
     "sequences not an object": _job(sequences=5, tasks=[{"task": "koszul", "elements": "s"}]),
     "job not an object": [5],
+    "check name not text": _job(tasks=[{"task": "check", "name": [5]}]),
+    "alternative generators not text": _job(
+        tasks=[{"task": "check", "name": "depth_formula", "ideal": ["x"], "alt_gens": [[5]]}]
+    ),
+    "alternative generators not a list": _job(
+        tasks=[{"task": "check", "name": "depth_formula", "ideal": ["x"], "alt_gens": 5}]
+    ),
+    "alternative generators name an unknown sequence": _job(
+        tasks=[{"task": "check", "name": "depth_formula", "ideal": ["x"], "alt_gens": ["s"]}]
+    ),
+    "source variables not a list": _job(
+        tasks=[{"task": "check", "name": "miracle_flatness", "source_vars": True, "images": ["x"]}]
+    ),
+    "base change target not an object": _job(
+        tasks=[{"task": "check", "name": "base_change", "elements": ["x"], "target": 5}]
+    ),
+    "base change target ideal not a list": _job(
+        tasks=[
+            {
+                "task": "check",
+                "name": "base_change",
+                "elements": ["x"],
+                "target": {"vars": ["x", "y"], "ideal": 5},
+                "images": ["x", "y"],
+            }
+        ]
+    ),
+    "euler characteristic depth not an integer": _job(
+        tasks=[{"task": "check", "name": "euler_characteristic", "elements": ["x"], "depth": "a"}]
+    ),
+    "invariants ideals not an object": _job(tasks=[{"task": "invariants", "ideals": 5}]),
+    "invariants ideal not a list": _job(tasks=[{"task": "invariants", "ideals": {"m": 5}}]),
 }
 
 
@@ -123,3 +155,13 @@ def test_malformed_job_gives_an_error_status_not_an_exception(job):
 def test_null_task_elements_mean_none():
     report = run_job(_job(tasks=[{"task": "koszul", "elements": None, "oracle_depth": 0}]))
     assert report["status"] == "ok"
+
+
+def test_koszul_job_in_the_most_variables_stays_within_budget():
+    job = _job(
+        vars=[f"x{i}" for i in range(MAX_VARIABLES)],
+        tasks=[{"task": "koszul", "elements": ["x0"], "oracle_depth": 0}],
+    )
+    start = time.monotonic()
+    assert run_job(job)["status"] == "ok"
+    assert time.monotonic() - start < 1.0
