@@ -32,7 +32,7 @@ from .invariants import (
 )
 from .modules import FPModule
 from .parse import parse_poly
-from .rings import quotient_ring_from_strings
+from .rings import MAX_VARIABLES, quotient_ring_from_strings
 
 CHECK_NAMES = (
     "amp_koszul",
@@ -48,6 +48,11 @@ CHECK_NAMES = (
     "counterexample_4_5",
     "euler_characteristic",
 )
+
+
+# The euler_characteristic check compares one coefficient per degree up to
+# its 'depth' (the suite uses 10); the comparison is linear in the depth.
+MAX_EULER_DEPTH = 1000
 
 
 class CheckInputError(ValueError):
@@ -138,7 +143,7 @@ def check_depth_formula(A: DGRingRep, args, config) -> dict:
     witness_ok = witness.exhausted or len(witness) == sd
     alt_results = []
     alt_ok = True
-    for alt in args.get("alt_gens", []):
+    for alt in args.get("alt_gens") or []:
         alt_elems = _elements({"g": alt}, "g", A.base)
         if A.h0_quotient(alt_elems) != A.h0_quotient(elems):
             raise CheckInputError("alternative generators span a different ideal")
@@ -185,17 +190,17 @@ def check_base_change(A: DGRingRep, args, config) -> dict:
         isinstance(target_spec, dict)
         and target_spec.get("vars")
         and _is_text_list(target_spec["vars"])
+        and len(target_spec["vars"]) <= MAX_VARIABLES
         and _is_text_list(target_spec.get("ideal", []))
     ):
         raise CheckInputError(
-            "base_change needs a target ring: an object with 'vars' and 'ideal' lists"
+            "base_change needs a target ring: an object with 'vars' (1 to "
+            f"{MAX_VARIABLES} names) and 'ideal' lists"
         )
     target = quotient_ring_from_strings(
         target_spec["vars"], target_spec.get("ideal", []), A.base.field
     )
-    images = [
-        parse_poly(t, target.poly_ring) for t in args.get("images", [])
-    ]
+    images = [parse_poly(t, target.poly_ring) for t in args.get("images") or []]
     f = RingMap(A.base, target, images)
     K = koszul(A, elems)
     pushed = base_change(K, f)
@@ -396,14 +401,16 @@ def check_euler_characteristic(A: DGRingRep, args, config) -> dict:
     elems = _elements(args, "elements", A.base)
     if A.provenance[0] != "ring":
         raise CheckInputError("euler_characteristic runs over a ring base")
+    depth_cap = args.get("depth", 10)
+    if type(depth_cap) is not int or not 0 <= depth_cap <= MAX_EULER_DEPTH:
+        raise CheckInputError(
+            f"euler_characteristic 'depth' must be an integer from 0 to {MAX_EULER_DEPTH}"
+        )
     K = koszul(A, elems)
     lhs = euler_series(K.underlying)
     rhs = A.base.hilbert_series()
     for e in elems:
         rhs = rhs - rhs.shift(e.degree)
-    depth_cap = args.get("depth", 10)
-    if type(depth_cap) is not int or depth_cap < 0:
-        raise CheckInputError("euler_characteristic 'depth' must be a non-negative integer")
     exact = lhs == rhs
     coeffs_equal = lhs.coefficients(depth_cap, start=0) == rhs.coefficients(
         depth_cap, start=0

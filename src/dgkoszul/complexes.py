@@ -21,9 +21,9 @@ from typing import Sequence
 
 from . import groebner as gb
 from .hilbert import NEG_INF, POS_INF, HilbertSeries
-from .linalg import linalg_for
+from .linalg import Echelon
 from .modules import FPModule, ModuleMap
-from .poly import Polynomial
+from .poly import Polynomial, mono_mul
 from .rings import QuotientRing
 
 Matrix = tuple  # tuple of rows; row = tuple of Polynomial
@@ -545,16 +545,19 @@ def _monomials_of_degree(nvars: int, d: int):
 def truncation_oracle(C: Complex, d_max: int, d_min: int | None = None) -> dict:
     """Graded homology dimensions by exact linear algebra, Groebner-free.
 
-    For each internal degree t up to d_max, each term's graded piece is
-    realized as an explicit quotient vector space (ambient monomial basis
-    modulo the expanded relation rows), the differentials are assembled on
-    those bases, and rank-nullity gives dim H^i_t.
+    For each internal degree t up to d_max, each term's graded piece is the
+    span of its ambient monomial basis modulo the relation rows N (the
+    monomial multiples of the relation columns), so its dimension is
+    |basis| - rank N.  The non-pivot basis vectors of N's echelon span a
+    complement of N, so the rank of the induced differential is what their
+    images add to the echelon of the next term's N.  Rank-nullity gives
+    dim H^i_t.
 
     Returns {i: {t: dim}} over the complex's support.
     """
     ring = C.ring
-    la = linalg_for(ring.field)
     field = ring.field
+    add = field.add
     if d_min is None:
         twist_floor = [0]
         for t in C.terms.values():
@@ -562,65 +565,59 @@ def truncation_oracle(C: Complex, d_max: int, d_min: int | None = None) -> dict:
         d_min = min(twist_floor)
     support = C.support
     result = {i: {} for i in support}
+    monomial_lists = {}
+
+    def monomials(d):
+        if d not in monomial_lists:
+            monomial_lists[d] = _monomials_of_degree(ring.nvars, d)
+        return monomial_lists[d]
+
     for t_deg in range(d_min, d_max + 1):
         bases = {}
-        quotients = {}
+        echelons = {}
         for i in support:
             term = C.terms[i]
-            basis = []
-            for j, w in enumerate(term.ambient.twists):
-                for mono in _monomials_of_degree(ring.nvars, t_deg - w):
-                    basis.append((j, mono))
+            basis = [
+                (j, mono)
+                for j, w in enumerate(term.ambient.twists)
+                for mono in monomials(t_deg - w)
+            ]
             index = {bm: k for k, bm in enumerate(basis)}
-            rows = []
+            relations = Echelon(field)
             for col in term._relation_columns():
                 col_deg = gb.vec_degree(col, term.ambient.twists)
                 if col_deg is None:
                     continue
-                for mono in _monomials_of_degree(ring.nvars, t_deg - col_deg):
-                    row = [field.zero] * len(basis)
+                for mono in monomials(t_deg - col_deg):
+                    row = {}
                     for (comp, e), cc in col.items():
-                        pos = index[(comp, tuple(a + b for a, b in zip(mono, e)))]
-                        row[pos] = field.add(row[pos], cc)
-                    rows.append(row)
-            R, piv = la.rref(rows)
-            pivset = set(piv)
-            free_pos = [k for k in range(len(basis)) if k not in pivset]
+                        pos = index[(comp, mono_mul(mono, e))]
+                        row[pos] = add(row.get(pos, 0), cc)
+                    relations.add(row)
             bases[i] = (basis, index)
-            quotients[i] = (R, piv, free_pos)
+            echelons[i] = relations
+        dims = {i: len(bases[i][0]) - echelons[i].rank for i in support}
         ranks = {}
-        dims = {i: len(quotients[i][2]) for i in support}
         for i in support:
-            if i not in C.diffs or (i + 1) not in quotients:
+            if i not in C.diffs or (i + 1) not in echelons or not dims[i + 1]:
                 continue
             basis_s, _ = bases[i]
             _, index_t = bases[i + 1]
-            R_t, piv_t, free_t = quotients[i + 1]
-            free_index_t = {pos: k for k, pos in enumerate(free_t)}
+            pivots_s = echelons[i].rows
+            image = echelons[i + 1].copy()
             mat = C.diffs[i]
-            cols = []
-            for pos in quotients[i][2]:
-                j, mono = basis_s[pos]
-                img = [field.zero] * len(index_t)
-                for r in range(len(mat)):
-                    p = mat[r][j]
-                    for e, cc in p.terms.items():
-                        key = (r, tuple(a + b for a, b in zip(mono, e)))
-                        k = index_t[key]
-                        img[k] = field.add(img[k], cc)
-                red = la.reduce(img, R_t, piv_t) if len(piv_t) else img
-                cols.append([red[pos2] for pos2 in free_t])
-            if cols and dims[i + 1]:
-                rows_mat = [
-                    [cols[c][r] for c in range(len(cols))]
-                    for r in range(dims[i + 1])
-                ]
-                ranks[i] = la.rank(rows_mat)
-            else:
-                ranks[i] = 0
+            for pos, (j, mono) in enumerate(basis_s):
+                if pos in pivots_s:
+                    continue
+                img = {}
+                for r, mat_row in enumerate(mat):
+                    for e, cc in mat_row[j].terms.items():
+                        k = index_t[(r, mono_mul(mono, e))]
+                        img[k] = add(img.get(k, 0), cc)
+                image.add(img)
+            ranks[i] = image.rank - echelons[i + 1].rank
         for i in support:
-            h = dims[i] - ranks.get(i, 0) - ranks.get(i - 1, 0)
-            result[i][t_deg] = h
+            result[i][t_deg] = dims[i] - ranks.get(i, 0) - ranks.get(i - 1, 0)
     return result
 
 

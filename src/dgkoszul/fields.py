@@ -11,8 +11,9 @@ from fractions import Fraction
 
 DEFAULT_PRIME = 32003
 
-# The truncation oracle's mod-p linear algebra works in int64, where a
-# product of two reduced entries must fit: p < 2^31 keeps it below 2^62.
+# A plain input bound on the characteristic (all arithmetic is in Python
+# ints, which cannot overflow).  It also bounds _is_prime's trial division
+# to odd divisors below sqrt(2^31), about 23,000 steps.
 PRIME_BOUND = 2**31
 
 

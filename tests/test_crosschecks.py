@@ -9,7 +9,7 @@ from conftest import poly, ring
 from dgkoszul import FPModule, PrimeField, RationalField, koszul, dg_from_ring
 from dgkoszul import groebner as gb
 from dgkoszul.complexes import _monomials_of_degree
-from dgkoszul.linalg import linalg_for
+from dgkoszul.linalg import Echelon
 from dgkoszul.parse import parse_poly
 from dgkoszul.poly import PolyRing, mono_mul
 from dgkoszul.rings import FreeModule, quotient_ring_from_strings
@@ -20,22 +20,20 @@ F = PrimeField()
 def _graded_piece_rank(gens, ring_, t):
     """rank of the degree-t piece of the ideal generated by gens, by brute
     expansion over the monomial basis (no Groebner anywhere)."""
-    la = linalg_for(ring_.field)
+    echelon = Echelon(ring_.field)
     basis = _monomials_of_degree(ring_.nvars, t)
     index = {m: i for i, m in enumerate(basis)}
-    rows = []
     for g in gens:
         d = g.homogeneous_degree()
         if d is None or d > t:
             continue
         for m in _monomials_of_degree(ring_.nvars, t - d):
-            row = [ring_.field.zero] * len(basis)
+            row = {}
             for e, c in g.terms.items():
-                row[index[mono_mul(m, e)]] = ring_.field.add(
-                    row[index[mono_mul(m, e)]], c
-                )
-            rows.append(row)
-    return la.rank(rows), len(basis)
+                k = index[mono_mul(m, e)]
+                row[k] = ring_.field.add(row.get(k, ring_.field.zero), c)
+            echelon.add(row)
+    return echelon.rank, len(basis)
 
 
 IDEALS = [

@@ -9,8 +9,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgkoszul import PolyRing, PrimeField, RunConfig, parse_poly, run_job
+from dgkoszul.checks import MAX_EULER_DEPTH
 from dgkoszul.fields import FieldError
 from dgkoszul.jobs import MAX_ORACLE_DEPTH, MAX_VARIABLES
 from dgkoszul.parse import MAX_EXPONENT, ParseError
@@ -45,7 +47,7 @@ def test_prime_field_rejects_out_of_range_or_non_integer(p):
 
 
 def test_largest_admissible_prime_keeps_the_oracle_exact():
-    # 2^31 - 1 is prime: the int64 oracle must still agree with Groebner.
+    # 2^31 - 1, the largest admissible prime: the oracle must still agree with Groebner.
     job = {
         "field": {"kind": "prime", "p": 2**31 - 1},
         "vars": ["x", "y", "z", "w"],
@@ -137,6 +139,38 @@ MALFORMED = {
     "euler characteristic depth not an integer": _job(
         tasks=[{"task": "check", "name": "euler_characteristic", "elements": ["x"], "depth": "a"}]
     ),
+    "euler characteristic depth above the bound": _job(
+        tasks=[
+            {
+                "task": "check",
+                "name": "euler_characteristic",
+                "elements": ["x"],
+                "depth": MAX_EULER_DEPTH + 1,
+            }
+        ]
+    ),
+    "base change target in too many variables": _job(
+        tasks=[
+            {
+                "task": "check",
+                "name": "base_change",
+                "elements": ["x"],
+                "target": {"vars": [f"t{i}" for i in range(MAX_VARIABLES + 1)], "ideal": []},
+                "images": ["t0", "t1"],
+            }
+        ]
+    ),
+    "base change images null": _job(
+        tasks=[
+            {
+                "task": "check",
+                "name": "base_change",
+                "elements": ["x"],
+                "target": {"vars": ["t"], "ideal": []},
+                "images": None,
+            }
+        ]
+    ),
     "invariants ideals not an object": _job(tasks=[{"task": "invariants", "ideals": 5}]),
     "invariants ideal not a list": _job(tasks=[{"task": "invariants", "ideals": {"m": 5}}]),
 }
@@ -157,6 +191,14 @@ def test_null_task_elements_mean_none():
     assert report["status"] == "ok"
 
 
+def test_null_alternative_generators_mean_none():
+    job = json.loads((SUITE / "a06_depth_formula.json").read_text(encoding="utf-8"))
+    job["tasks"][0]["alt_gens"] = None
+    report = run_job(job)
+    assert report["status"] == "ok"
+    assert report["results"][0]["result"]["alternative_generating_sets"] == []
+
+
 def test_koszul_job_in_the_most_variables_stays_within_budget():
     job = _job(
         vars=[f"x{i}" for i in range(MAX_VARIABLES)],
@@ -165,3 +207,66 @@ def test_koszul_job_in_the_most_variables_stays_within_budget():
     start = time.monotonic()
     assert run_job(job)["status"] == "ok"
     assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "field", [{"kind": "prime", "p": 32003}, {"kind": "rationals"}], ids=["F_32003", "Q"]
+)
+def test_deepest_oracle_on_the_quadric_cone_stays_within_budget(field):
+    # Koszul on all variables of k[x,y,z,w]/(xy - zw) at the deepest
+    # admissible oracle depth; both fields take under 2 s on a 2-vCPU Xeon.
+    variables = ["x", "y", "z", "w"]
+    job = {
+        "field": field,
+        "vars": variables,
+        "ideal": ["x*y - z*w"],
+        "tasks": [{"task": "koszul", "elements": variables, "oracle_depth": MAX_ORACLE_DEPTH}],
+    }
+    start = time.monotonic()
+    report = run_job(job)
+    elapsed = time.monotonic() - start
+    assert report["status"] == "ok"
+    assert report["results"][0]["result"]["oracle"]["agrees"] is True
+    assert elapsed < 5.0
+
+
+# Small fixtures that between them reach every task kind, a trivial
+# extension, alternative generators and a base-change target.
+FUZZ_FIXTURES = {
+    name: json.loads((SUITE / name).read_text(encoding="utf-8"))
+    for name in (
+        "a03_base_change.json",
+        "a06_depth_formula.json",
+        "a07_duality_negative_control.json",
+        "a10_miracle_flatness.json",
+        "a11_oracle_trivial_extension.json",
+    )
+}
+FUZZ_VALUES = [5, "a", [], {}, None, [5], -1, True, 2.5]
+
+
+def _field_paths(node, prefix=()):
+    """The key path of every dict entry and list item under node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_mutated_field_gives_a_report_not_an_exception(data):
+    name = data.draw(st.sampled_from(sorted(FUZZ_FIXTURES)))
+    job = json.loads(json.dumps(FUZZ_FIXTURES[name]))
+    path = data.draw(st.sampled_from(list(_field_paths(job))))
+    node = job
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(st.sampled_from(FUZZ_VALUES))
+    report = run_job(job)
+    assert report["status"] in ("ok", "input-error", "task-error", "resource-cap")

@@ -1,0 +1,97 @@
+"""The sparse echelon engine against a dense Gaussian elimination kept here
+as the reference, over F_101, F_(2^31 - 1) and Q."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from dgkoszul import PrimeField, RationalField
+from dgkoszul.linalg import Echelon
+
+FIELDS = [PrimeField(101), PrimeField(2**31 - 1), RationalField()]
+
+
+def _dense_rank(rows, ncols, p=None):
+    """Rank by Gaussian elimination on a dense copy: with Fractions over Q,
+    or with integers mod p."""
+    norm = (lambda x: x % p) if p else Fraction
+    A = [[norm(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        scale = pow(A[rank][c], -1, p) if p else 1 / A[rank][c]
+        A[rank] = [norm(x * scale) for x in A[rank]]
+        for i in range(rank + 1, len(A)):
+            f = A[i][c]
+            if f:
+                A[i] = [norm(x - f * y) for x, y in zip(A[i], A[rank])]
+        rank += 1
+    return rank
+
+
+# (numerator, denominator): small values cancel often, large ones wrap mod p.
+COEFFS = st.tuples(st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40)), st.integers(1, 7))
+
+
+@st.composite
+def sparse_rows(draw):
+    """A field, a column count and rows as {column: coeff} dicts.  Each row
+    sums a list of (column, coeff) entries, so a column may repeat and an
+    entry may cancel to zero; empty and repeated rows are mixed in."""
+    field = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(1, 8))
+    entry = st.tuples(st.integers(0, ncols - 1), COEFFS)
+    rows = []
+    for entries in draw(st.lists(st.lists(entry, max_size=6), max_size=10)):
+        row = {}
+        for c, (num, den) in entries:
+            v = field.div(field.from_int(num), field.from_int(den))
+            row[c] = field.add(row.get(c, field.zero), v)
+        rows.append(row)
+    if rows:
+        repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
+        rows += [dict(rows[k]) for k in repeats]
+    rows += [{}] * draw(st.integers(0, 2))
+    order = draw(st.permutations(range(len(rows))))
+    return field, ncols, [rows[k] for k in order]
+
+
+def _p(field):
+    return field.p if isinstance(field, PrimeField) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows())
+def test_echelon_rank_matches_dense_elimination(case):
+    field, ncols, rows = case
+    echelon = Echelon(field)
+    before = [dict(row) for row in rows]
+    for k, row in enumerate(rows):
+        echelon.add(row)
+        assert echelon.rank == _dense_rank(rows[: k + 1], ncols, _p(field))
+    assert rows == before
+    for pivot, row in echelon.rows.items():
+        assert min(row) == pivot and row[pivot] == field.one
+        assert all(row.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rows(), st.data())
+def test_adding_to_a_copy_leaves_the_original_unchanged(case, data):
+    field, ncols, rows = case
+    split = data.draw(st.integers(0, len(rows)))
+    original = Echelon(field)
+    for row in rows[:split]:
+        original.add(row)
+    snapshot = {pivot: dict(row) for pivot, row in original.rows.items()}
+    extended = original.copy()
+    for row in rows[split:]:
+        extended.add(row)
+    assert original.rows == snapshot
+    assert original.rank == _dense_rank(rows[:split], ncols, _p(field))
+    assert extended.rank == _dense_rank(rows, ncols, _p(field))
