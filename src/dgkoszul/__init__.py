@@ -21,7 +21,6 @@ from .complexes import (
     cone,
     euler_series,
     koszul_complex,
-    minimize_complex,
     tensor_complexes,
     truncation_oracle,
 )

@@ -7,6 +7,7 @@ instantiates, the hypotheses it validated, and both computed sides.
 
 from __future__ import annotations
 
+from . import groebner as gb
 from .complexes import euler_series, homology_hilbert_functions, truncation_oracle
 from .dgring import (
     DGRingRep,
@@ -211,10 +212,13 @@ def check_base_change(A: DGRingRep, args, config) -> dict:
         i: FPModule.free(target, t.ambient.twists)
         for i, t in K.underlying.terms.items()
     }
-    mapped_diffs = {
-        i: tuple(tuple(f.apply(p) for p in row) for row in m)
-        for i, m in K.underlying.diffs.items()
-    }
+    mapped_diffs = {}
+    for i, m in K.underlying.diffs.items():
+        rows = len(K.underlying.terms[i + 1].gens)
+        mapped_diffs[i] = tuple(
+            gb.column_to_vec(map(f.apply, gb.vec_to_column(col, A.base.poly_ring, rows)))
+            for col in m
+        )
     mapped = Complex(target, mapped_terms, mapped_diffs)
     ta = pushed.homology_table()
     tb = mapped.homology_table()

@@ -3,8 +3,9 @@ degree-truncation oracle.
 
 Complexes are cohomologically indexed: d^i maps term i to term i+1 and has
 internal degree 0.  Terms are FPModules in cokernel form (generators equal
-to the ambient basis); differentials are polynomial matrices on the
-generators.
+to the ambient basis); a differential, like every map of complexes, is the
+tuple of its sparse ModVec columns: column j is the image of generator j
+of the source in the generators of the target.
 
 Sign conventions, pinned once:
   * the rank-1 Koszul differential sends the degree -1 basis vector for a
@@ -17,6 +18,7 @@ Sign conventions, pinned once:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 from . import groebner as gb
@@ -26,44 +28,41 @@ from .modules import FPModule, ModuleMap
 from .poly import Polynomial, mono_mul
 from .rings import QuotientRing
 
-Matrix = tuple  # tuple of rows; row = tuple of Polynomial
+
+def _compose(outer, inner, field):
+    """The columns of outer∘inner, or None (zero) if either map is missing."""
+    if outer is None or inner is None:
+        return None
+    return tuple(gb.vec_combination(outer, col, field) for col in inner)
 
 
-def _zero_matrix(ring, rows: int, cols: int) -> Matrix:
-    z = ring.poly_ring.zero
-    return tuple(tuple(z for _ in range(cols)) for _ in range(rows))
-
-
-def _scale_matrix(m: Matrix, c) -> Matrix:
-    return tuple(tuple(p.scale(c) for p in row) for row in m)
-
-
-def _mat_mul(a: Matrix, b: Matrix, ring) -> Matrix:
-    z = ring.poly_ring.zero
-    rows = len(a)
-    mid = len(b)
-    cols = len(b[0]) if b else 0
-    out = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            acc = z
-            for k in range(mid):
-                if not a[r][k].is_zero() and not b[k][c].is_zero():
-                    acc = acc + a[r][k] * b[k][c]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+def _agree(a, b, target: FPModule, n: int) -> bool:
+    """Whether two maps on n source generators (column tuples, None for
+    zero) agree modulo the relations of target."""
+    field = target.ring.field
+    zero_expo = (0,) * target.ring.nvars
+    minus_one = field.neg(field.one)
+    for j in range(n):
+        v = dict(a[j]) if a is not None else {}
+        if b is not None:
+            gb.vec_add_multiple(v, b[j], zero_expo, minus_one, field)
+        if not target.element_is_zero(target.element_from_coords(v)):
+            return False
+    return True
 
 
 class Complex:
-    """Bounded complex of cokernel-form FPModules over a QuotientRing."""
+    """Bounded complex of cokernel-form FPModules over a QuotientRing.
+
+    diffs[i] is the tuple of ModVec columns of d^i, one per generator of
+    term i, over the generators of term i+1.
+    """
 
     def __init__(self, ring: QuotientRing, terms: dict, diffs: dict):
         self.ring = ring
         self.terms = {i: t for i, t in terms.items() if len(t.gens) > 0}
         self.diffs = {
-            i: tuple(tuple(row) for row in m)
+            i: tuple(m)
             for i, m in diffs.items()
             if i in self.terms and (i + 1) in self.terms
         }
@@ -88,28 +87,20 @@ class Complex:
             return self.terms[i]
         return FPModule.zero(self.ring)
 
-    def diff(self, i: int) -> Matrix | None:
-        return self.diffs.get(i)
-
     def is_termwise_free(self) -> bool:
         return all(len(t.rels) == 0 for t in self.terms.values())
 
     def validate(self) -> None:
         """Check d∘d = 0 and well-definedness of every differential."""
         for i, m in self.diffs.items():
-            src, tgt = self.terms[i], self.terms[i + 1]
-            mp = ModuleMap(src, tgt, m)
-            if not mp.is_well_defined():
+            if not ModuleMap(self.terms[i], self.terms[i + 1], m).is_well_defined():
                 raise AssertionError(f"differential at {i} is not well defined")
+        field = self.ring.field
         for i in self.diffs:
             if (i + 1) in self.diffs:
-                comp = _mat_mul(self.diffs[i + 1], self.diffs[i], self.ring)
-                tgt = self.terms[i + 2]
-                for col in range(len(comp[0]) if comp else 0):
-                    coords = gb.column_to_vec(row[col] for row in comp)
-                    vec = tgt.element_from_coords(coords)
-                    if not tgt.element_is_zero(vec):
-                        raise AssertionError(f"d∘d != 0 between {i} and {i+2}")
+                dd = _compose(self.diffs[i + 1], self.diffs[i], field)
+                if not _agree(dd, None, self.terms[i + 2], len(self.terms[i].gens)):
+                    raise AssertionError(f"d∘d != 0 between {i} and {i+2}")
 
     # -- homology --
 
@@ -127,13 +118,8 @@ class Complex:
             ker_gens = ker.gens
         else:
             ker_gens = M.gens
-        im_gens = []
-        if (i - 1) in self.diffs:
-            mat = self.diffs[i - 1]
-            for j in range(len(self.terms[i - 1].gens)):
-                vec = M.element_from_coords(gb.column_to_vec(row[j] for row in mat))
-                if vec:
-                    im_gens.append(vec)
+        images = (M.element_from_coords(col) for col in self.diffs.get(i - 1, ()))
+        im_gens = [v for v in images if v]
         sub = FPModule(
             M.ambient, ker_gens, tuple(M.rels) + tuple(im_gens), check=False
         )
@@ -171,9 +157,13 @@ class Complex:
 
     def shift(self, j: int) -> Complex:
         """shift(C, j)^i = C^{i+j}; H^i(shift) = H^{i+j}(C)."""
-        sign = self.ring.field.from_int(-1 if j % 2 else 1)
+        field = self.ring.field
+        sign = field.from_int(-1 if j % 2 else 1)
         terms = {i - j: t for i, t in self.terms.items()}
-        diffs = {i - j: _scale_matrix(m, sign) for i, m in self.diffs.items()}
+        diffs = {
+            i - j: tuple(gb.vec_scale(col, sign, field) for col in m)
+            for i, m in self.diffs.items()
+        }
         return Complex(self.ring, terms, diffs)
 
     def hom_dual(self) -> Complex:
@@ -181,22 +171,22 @@ class Complex:
         with sign (-1)^{i+1}, cohomological degrees and twists negated."""
         if not self.is_termwise_free():
             raise ValueError("hom_dual requires a termwise-free complex")
-        terms = {}
-        for i, t in self.terms.items():
-            terms[-i] = FPModule.free(
-                self.ring, tuple(-w for w in t.ambient.twists)
-            )
+        field = self.ring.field
+        terms = {
+            -i: FPModule.free(self.ring, tuple(-w for w in t.ambient.twists))
+            for i, t in self.terms.items()
+        }
         diffs = {}
         for i, m in self.diffs.items():
-            # d^i : C^i -> C^{i+1} dualizes to D^{-i-1} -> D^{-i}; the dual
-            # matrix is the transpose (dual rows = C^i gens, cols = C^{i+1}).
-            transpose = tuple(
-                tuple(m[c][r] for c in range(len(self.terms[i + 1].gens)))
-                for r in range(len(self.terms[i].gens))
-            )
-            # dual degree is -i-1, so (-1)^{(dual degree)+1} = (-1)^i
-            sign = self.ring.field.from_int(-1 if i % 2 else 1)
-            diffs[-i - 1] = _scale_matrix(transpose, sign)
+            # d^i : C^i -> C^{i+1} dualizes to D^{-i-1} -> D^{-i}: column c
+            # of the dual (a generator of C^{i+1}) holds row c of d^i.  The
+            # dual degree is -i-1, so (-1)^{(dual degree)+1} = (-1)^i.
+            sign = field.from_int(-1 if i % 2 else 1)
+            dual = [{} for _ in self.terms[i + 1].gens]
+            for r, col in enumerate(m):
+                for (c, e), v in col.items():
+                    dual[c][(r, e)] = field.mul(sign, v)
+            diffs[-i - 1] = tuple(dual)
         return Complex(self.ring, terms, diffs)
 
     def __repr__(self):
@@ -215,103 +205,51 @@ def direct_sum(modules: Sequence[FPModule], ring: QuotientRing) -> FPModule:
     for m in modules:
         offsets.append(len(twists))
         twists.extend(m.ambient.twists)
-    rels = [
-        {(off + comp, e): c for (comp, e), c in r.items()}
-        for off, m in zip(offsets, modules)
-        for r in m.rels
-    ]
+    rels = [gb.vec_offset(r, off) for off, m in zip(offsets, modules) for r in m.rels]
     return FPModule.cokernel(ring, tuple(twists), rels)
 
 
 class ChainMap:
-    """Degree-0 map of complexes, given termwise on generators."""
+    """Degree-0 map of complexes: maps[i] is the tuple of ModVec columns of
+    the map on term i, over the generators of the target's term i.  A
+    missing degree is the zero map."""
 
     def __init__(self, source: Complex, target: Complex, maps: dict):
         self.source = source
         self.target = target
-        self.maps = {i: tuple(tuple(r) for r in m) for i, m in maps.items()}
+        self.maps = {i: tuple(m) for i, m in maps.items()}
 
     def validate(self) -> None:
-        for i, m in self.source.diffs.items():
+        field = self.source.ring.field
+        for i, d in self.source.diffs.items():
+            if (i + 1) not in self.target.terms:
+                continue
             if i in self.maps or (i + 1) in self.maps:
-                f_next = self.maps.get(
-                    i + 1,
-                    _zero_matrix(
-                        self.source.ring,
-                        len(self.target.term(i + 1).gens),
-                        len(self.source.term(i + 1).gens),
-                    ),
-                )
-                f_here = self.maps.get(
-                    i,
-                    _zero_matrix(
-                        self.source.ring,
-                        len(self.target.term(i).gens),
-                        len(self.source.term(i).gens),
-                    ),
-                )
-                lhs = _mat_mul(f_next, m, self.source.ring)
-                tgt_m = self.target.diffs.get(i)
-                if tgt_m is None:
-                    rhs = _zero_matrix(self.source.ring, len(lhs), len(lhs[0]) if lhs else 0)
-                else:
-                    rhs = _mat_mul(tgt_m, f_here, self.source.ring)
-                tgt = self.target.term(i + 1)
-                cols = len(lhs[0]) if lhs else 0
-                for col in range(cols):
-                    coords = gb.column_to_vec(
-                        lhs[r][col] - rhs[r][col] for r in range(len(lhs))
-                    )
-                    vec = tgt.element_from_coords(coords)
-                    if not tgt.element_is_zero(vec):
-                        raise AssertionError(f"chain map square fails at {i}")
+                lhs = _compose(self.maps.get(i + 1), d, field)
+                rhs = _compose(self.target.diffs.get(i), self.maps.get(i), field)
+                tgt = self.target.terms[i + 1]
+                if not _agree(lhs, rhs, tgt, len(self.source.terms[i].gens)):
+                    raise AssertionError(f"chain map square fails at {i}")
 
 
 def cone(f: ChainMap) -> Complex:
-    """Mapping cone: term i = source^{i+1} (+) target^i."""
+    """Mapping cone: term i = source^{i+1} (+) target^i, d = [[-d, 0], [f, d]].
+
+    It is Tot of the two-column bicomplex with the source in column -1,
+    whose sign (-1)^p and block order (source first) are the cone's.
+    """
     src, tgt = f.source, f.target
-    ring = tgt.ring
-    lo = min([i - 1 for i in src.terms] + list(tgt.terms) + [0])
-    hi = max([i - 1 for i in src.terms] + list(tgt.terms) + [0])
-    terms = {}
-    diffs = {}
-    minus_one = ring.field.from_int(-1)
-    for i in range(lo, hi + 1):
-        a = src.term(i + 1)
-        b = tgt.term(i)
-        if len(a.gens) + len(b.gens) == 0:
-            continue
-        terms[i] = direct_sum([a, b], ring)
-    for i in range(lo, hi + 1):
-        if i not in terms or (i + 1) not in terms:
-            continue
-        a_src, b_src = src.term(i + 1), tgt.term(i)
-        a_tgt, b_tgt = src.term(i + 2), tgt.term(i + 1)
-        z = ring.poly_ring.zero
-        rows = len(a_tgt.gens) + len(b_tgt.gens)
-        cols = len(a_src.gens) + len(b_src.gens)
-        mat = [[z] * cols for _ in range(rows)]
-        d_a = src.diffs.get(i + 1)
-        if d_a is not None:
-            for r in range(len(a_tgt.gens)):
-                for c in range(len(a_src.gens)):
-                    mat[r][c] = d_a[r][c].scale(minus_one)
-        fm = f.maps.get(i + 1)
-        if fm is not None:
-            for r in range(len(b_tgt.gens)):
-                for c in range(len(a_src.gens)):
-                    mat[len(a_tgt.gens) + r][c] = fm[r][c]
-        d_b = tgt.diffs.get(i)
-        if d_b is not None:
-            for r in range(len(b_tgt.gens)):
-                for c in range(len(b_src.gens)):
-                    mat[len(a_tgt.gens) + r][len(a_src.gens) + c] = d_b[r][c]
-        diffs[i] = tuple(tuple(row) for row in mat)
-    return Complex(ring, terms, diffs)
+    grid = {(-1, j): m for j, m in src.terms.items()}
+    grid.update({(0, j): m for j, m in tgt.terms.items()})
+    d_v = {(-1, j): m for j, m in src.diffs.items()}
+    d_v.update({(0, j): m for j, m in tgt.diffs.items()})
+    d_h = {(-1, j): m for j, m in f.maps.items()}
+    return Bicomplex(tgt.ring, grid, d_h, d_v).total()
 
 
 class Bicomplex:
-    """Grid of modules with commuting horizontal and vertical differentials."""
+    """Grid of modules with commuting horizontal and vertical differentials,
+    each a tuple of ModVec columns as in Complex."""
 
     def __init__(self, ring: QuotientRing, grid: dict, d_h: dict, d_v: dict):
         self.ring = ring
@@ -321,29 +259,20 @@ class Bicomplex:
 
     def validate(self) -> None:
         """Every square commutes; a missing map counts as zero."""
-        z = self.ring.poly_ring.zero
+        field = self.ring.field
         for (p, q), m in self.grid.items():
             tgt = self.grid.get((p + 1, q + 1))
             if tgt is None:
                 continue
-            a = self._path(self.d_h.get((p, q)), self.d_v.get((p + 1, q)))
-            b = self._path(self.d_v.get((p, q)), self.d_h.get((p, q + 1)))
-            for col in range(len(m.gens)):
-                coords = gb.column_to_vec(
-                    (a[r][col] if a else z) - (b[r][col] if b else z)
-                    for r in range(len(tgt.gens))
-                )
-                if not tgt.element_is_zero(tgt.element_from_coords(coords)):
-                    raise AssertionError(f"square at {(p, q)} does not commute")
-
-    def _path(self, first, second):
-        """second * first, or None (zero) when either map is missing."""
-        if first is None or second is None:
-            return None
-        return _mat_mul(second, first, self.ring)
+            a = _compose(self.d_v.get((p + 1, q)), self.d_h.get((p, q)), field)
+            b = _compose(self.d_h.get((p, q + 1)), self.d_v.get((p, q)), field)
+            if not _agree(a, b, tgt, len(m.gens)):
+                raise AssertionError(f"square at {(p, q)} does not commute")
 
     def total(self) -> Complex:
-        """Tot with d = d_h + (-1)^p d_v."""
+        """Tot with d = d_h + (-1)^p d_v; the blocks of a total degree are
+        ordered by (p, q)."""
+        field = self.ring.field
         degrees = sorted({p + q for (p, q) in self.grid})
         blocks = {
             i: sorted(pq for pq in self.grid if pq[0] + pq[1] == i)
@@ -353,41 +282,30 @@ class Bicomplex:
             i: direct_sum([self.grid[pq] for pq in blocks[i]], self.ring)
             for i in degrees
         }
+        offset = {}
+        for i in degrees:
+            off = 0
+            for pq in blocks[i]:
+                offset[pq] = off
+                off += len(self.grid[pq].gens)
         diffs = {}
-        z = self.ring.poly_ring.zero
         for i in degrees:
             if (i + 1) not in blocks:
                 continue
-            src_blocks = blocks[i]
-            tgt_blocks = blocks[i + 1]
-            src_off = {}
-            off = 0
-            for pq in src_blocks:
-                src_off[pq] = off
-                off += len(self.grid[pq].gens)
-            tgt_off = {}
-            off = 0
-            for pq in tgt_blocks:
-                tgt_off[pq] = off
-                off += len(self.grid[pq].gens)
-            rows = sum(len(self.grid[pq].gens) for pq in tgt_blocks)
-            cols = sum(len(self.grid[pq].gens) for pq in src_blocks)
-            mat = [[z] * cols for _ in range(rows)]
-            for (p, q) in src_blocks:
-                h = self.d_h.get((p, q))
-                if h is not None and (p + 1, q) in tgt_off:
-                    ro, co = tgt_off[(p + 1, q)], src_off[(p, q)]
-                    for r in range(len(h)):
-                        for c in range(len(h[0])):
-                            mat[ro + r][co + c] = h[r][c]
-                v = self.d_v.get((p, q))
-                if v is not None and (p, q + 1) in tgt_off:
-                    sign = self.ring.field.from_int(-1 if p % 2 else 1)
-                    ro, co = tgt_off[(p, q + 1)], src_off[(p, q)]
-                    for r in range(len(v)):
-                        for c in range(len(v[0])):
-                            mat[ro + r][co + c] = v[r][c].scale(sign)
-            diffs[i] = tuple(tuple(row) for row in mat)
+            cols = []
+            for p, q in blocks[i]:
+                h = self.d_h.get((p, q)) if (p + 1, q) in self.grid else None
+                v = self.d_v.get((p, q)) if (p, q + 1) in self.grid else None
+                sign = field.from_int(-1 if p % 2 else 1)
+                for c in range(len(self.grid[(p, q)].gens)):
+                    col = {}
+                    if h is not None:
+                        col.update(gb.vec_offset(h[c], offset[(p + 1, q)]))
+                    if v is not None:
+                        signed = gb.vec_scale(v[c], sign, field)
+                        col.update(gb.vec_offset(signed, offset[(p, q + 1)]))
+                    cols.append(col)
+            diffs[i] = tuple(cols)
         return Complex(self.ring, terms, diffs)
 
 
@@ -395,67 +313,45 @@ def tensor_bicomplex(C: Complex, D: Complex) -> Bicomplex:
     """Bicomplex of C (x) D; at least one side must be termwise free.
 
     Horizontal direction is C.  Block generators are indexed (i, j) with
-    the C index outermost.
+    the C index outermost: generator i * rank(D^q) + j.
     """
     ring = C.ring
     if ring != D.ring:
         raise ValueError("tensor factors live over different rings")
-    c_free = C.is_termwise_free()
-    d_free = D.is_termwise_free()
-    if not (c_free or d_free):
+    if not (C.is_termwise_free() or D.is_termwise_free()):
         raise ValueError("one tensor factor must be termwise free")
-    zero = ring.poly_ring.zero
     grid = {}
     d_h = {}
     d_v = {}
     for p, cp in C.terms.items():
         for q, dq in D.terms.items():
-            kc, kd = len(cp.gens), len(dq.gens)
-            twists = []
-            for i in range(kc):
-                for j in range(kd):
-                    twists.append(
-                        cp.ambient.twists[i] + dq.ambient.twists[j]
-                    )
+            kd = len(dq.gens)
+            twists = tuple(a + b for a in cp.ambient.twists for b in dq.ambient.twists)
             rels = [
                 {(i * kd + j, e): c for (i, e), c in r.items()}
                 for j in range(kd)
                 for r in cp.rels
-            ] + [
-                {(i * kd + j, e): c for (j, e), c in r.items()}
-                for i in range(kc)
-                for r in dq.rels
-            ]
-            grid[(p, q)] = FPModule.cokernel(ring, tuple(twists), rels)
+            ] + [gb.vec_offset(r, i * kd) for i in range(len(cp.gens)) for r in dq.rels]
+            grid[(p, q)] = FPModule.cokernel(ring, twists, rels)
     for p, q in grid:
+        kd = len(D.terms[q].gens)
         dc = C.diffs.get(p)
         if dc is not None and (p + 1, q) in grid:
-            kd = len(D.terms[q].gens)
-            rows = len(C.terms[p + 1].gens) * kd
-            cols = len(C.terms[p].gens) * kd
-            mat = [[zero] * cols for _ in range(rows)]
-            for r in range(len(C.terms[p + 1].gens)):
-                for c in range(len(C.terms[p].gens)):
-                    if dc[r][c].is_zero():
-                        continue
-                    for j in range(kd):
-                        mat[r * kd + j][c * kd + j] = dc[r][c]
-            d_h[(p, q)] = tuple(tuple(row) for row in mat)
+            # d_C (x) 1 sends generator (c, j) to sum_r dc[c]_r (r, j)
+            d_h[(p, q)] = tuple(
+                {(r * kd + j, e): v for (r, e), v in col.items()}
+                for col in dc
+                for j in range(kd)
+            )
         dd = D.diffs.get(q)
         if dd is not None and (p, q + 1) in grid:
-            kc = len(C.terms[p].gens)
-            kd_src = len(D.terms[q].gens)
+            # 1 (x) d_D sends generator (i, c) to sum_r dd[c]_r (i, r)
             kd_tgt = len(D.terms[q + 1].gens)
-            rows = kc * kd_tgt
-            cols = kc * kd_src
-            mat = [[zero] * cols for _ in range(rows)]
-            for r in range(kd_tgt):
-                for c in range(kd_src):
-                    if dd[r][c].is_zero():
-                        continue
-                    for i in range(kc):
-                        mat[i * kd_tgt + r][i * kd_src + c] = dd[r][c]
-            d_v[(p, q)] = tuple(tuple(row) for row in mat)
+            d_v[(p, q)] = tuple(
+                gb.vec_offset(col, i * kd_tgt)
+                for i in range(len(C.terms[p].gens))
+                for col in dd
+            )
     return Bicomplex(ring, grid, d_h, d_v)
 
 
@@ -502,18 +398,16 @@ def koszul_complex(
         twists = [sum(degs[i] for i in T) for T in subsets[k]]
         terms[-k] = FPModule.free(ring, tuple(twists))
     diffs = {}
-    z = ring.poly_ring.zero
     for k in range(1, n + 1):
-        src = subsets[k]
-        tgt = subsets[k - 1]
-        tgt_index = {T: r for r, T in enumerate(tgt)}
-        mat = [[z] * len(src) for _ in range(len(tgt))]
-        for c, T in enumerate(src):
-            for l, t in enumerate(T):
-                rest = tuple(x for x in T if x != t)
-                sign = field.from_int(-1 if l % 2 else 1)
-                mat[tgt_index[rest]][c] = elements[t].scale(sign)
-        diffs[-k] = tuple(tuple(row) for row in mat)
+        tgt_index = {T: r for r, T in enumerate(subsets[k - 1])}
+        diffs[-k] = tuple(
+            {
+                (tgt_index[T[:l] + T[l + 1:]], e): c if l % 2 == 0 else field.neg(c)
+                for l, t in enumerate(T)
+                for e, c in elements[t].terms.items()
+            }
+            for T in subsets[k]
+        )
     return Complex(ring, terms, diffs)
 
 
@@ -542,7 +436,30 @@ def _monomials_of_degree(nvars: int, d: int):
     return out
 
 
-def truncation_oracle(C: Complex, d_max: int, d_min: int | None = None) -> dict:
+def _degree_floor(C: Complex) -> int:
+    """The first internal degree of the oracle tables: the least twist of
+    any term, and at most 0."""
+    return min([0] + [w for t in C.terms.values() for w in t.ambient.twists])
+
+
+def oracle_basis_size(C: Complex, d_max: int) -> int:
+    """The number of monomial basis vectors the truncation oracle builds up
+    to d_max, known before it starts.
+
+    A generator of twist w contributes C(t - w + n - 1, n - 1) monomials in
+    each degree t; summed over t from the degree floor (which is at most w)
+    to d_max, that is C(d_max - w + n, n).
+    """
+    n = C.ring.nvars
+    return sum(
+        math.comb(d_max - w + n, n)
+        for t in C.terms.values()
+        for w in t.ambient.twists
+        if w <= d_max
+    )
+
+
+def truncation_oracle(C: Complex, d_max: int) -> dict:
     """Graded homology dimensions by exact linear algebra, Groebner-free.
 
     For each internal degree t up to d_max, each term's graded piece is the
@@ -558,11 +475,6 @@ def truncation_oracle(C: Complex, d_max: int, d_min: int | None = None) -> dict:
     ring = C.ring
     field = ring.field
     add = field.add
-    if d_min is None:
-        twist_floor = [0]
-        for t in C.terms.values():
-            twist_floor.extend(t.ambient.twists)
-        d_min = min(twist_floor)
     support = C.support
     result = {i: {} for i in support}
     monomial_lists = {}
@@ -572,7 +484,7 @@ def truncation_oracle(C: Complex, d_max: int, d_min: int | None = None) -> dict:
             monomial_lists[d] = _monomials_of_degree(ring.nvars, d)
         return monomial_lists[d]
 
-    for t_deg in range(d_min, d_max + 1):
+    for t_deg in range(_degree_floor(C), d_max + 1):
         bases = {}
         echelons = {}
         for i in support:
@@ -605,15 +517,14 @@ def truncation_oracle(C: Complex, d_max: int, d_min: int | None = None) -> dict:
             _, index_t = bases[i + 1]
             pivots_s = echelons[i].rows
             image = echelons[i + 1].copy()
-            mat = C.diffs[i]
+            columns = C.diffs[i]
             for pos, (j, mono) in enumerate(basis_s):
                 if pos in pivots_s:
                     continue
                 img = {}
-                for r, mat_row in enumerate(mat):
-                    for e, cc in mat_row[j].terms.items():
-                        k = index_t[(r, mono_mul(mono, e))]
-                        img[k] = add(img.get(k, 0), cc)
+                for (r, e), cc in columns[j].items():
+                    k = index_t[(r, mono_mul(mono, e))]
+                    img[k] = add(img.get(k, 0), cc)
                 image.add(img)
             ranks[i] = image.rank - echelons[i + 1].rank
         for i in support:
@@ -621,82 +532,11 @@ def truncation_oracle(C: Complex, d_max: int, d_min: int | None = None) -> dict:
     return result
 
 
-def homology_hilbert_functions(C: Complex, d_max: int, d_min: int | None = None) -> dict:
+def homology_hilbert_functions(C: Complex, d_max: int) -> dict:
     """Groebner-path homology dimensions, shaped like the oracle output."""
-    if d_min is None:
-        twist_floor = [0]
-        for t in C.terms.values():
-            twist_floor.extend(t.ambient.twists)
-        d_min = min(twist_floor)
+    d_min = _degree_floor(C)
     out = {}
     for i in C.support:
         hs = C.homology(i).hilbert_series()
         out[i] = {t: hs.coefficient(t) for t in range(d_min, d_max + 1)}
     return out
-
-
-def minimize_complex(C: Complex) -> Complex:
-    """Cancel unit entries in the differentials of a termwise-free complex.
-
-    Entries are first reduced mod J; a unit is a nonzero constant.  The
-    result is homotopy equivalent to the input (Gaussian cancellation of a
-    contractible summand).
-    """
-    if not C.is_termwise_free():
-        raise ValueError("minimize_complex requires a termwise-free complex")
-    ring = C.ring
-    field = ring.field
-    twists = {i: list(t.ambient.twists) for i, t in C.terms.items()}
-    diffs = {
-        i: [[ring.nf(p) for p in row] for row in m] for i, m in C.diffs.items()
-    }
-    while True:
-        found = None
-        for i in sorted(diffs):
-            m = diffs[i]
-            for r in range(len(m)):
-                for c in range(len(m[0]) if m else 0):
-                    p = m[r][c]
-                    if not p.is_zero() and p.total_degree() == 0:
-                        found = (i, r, c)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i, r, c = found
-        m = diffs[i]
-        lam_inv = field.inv(m[r][c].constant_coeff())
-        rows = len(m)
-        cols = len(m[0])
-        new = [
-            [
-                ring.nf(m[r2][c2] - m[r2][c].scale(lam_inv) * m[r][c2])
-                for c2 in range(cols)
-                if c2 != c
-            ]
-            for r2 in range(rows)
-            if r2 != r
-        ]
-        diffs[i] = new
-        del twists[i][c]
-        del twists[i + 1][r]
-        if (i - 1) in diffs:
-            diffs[i - 1] = [
-                row for r2, row in enumerate(diffs[i - 1]) if r2 != c
-            ]
-        if (i + 1) in diffs:
-            diffs[i + 1] = [
-                [row[c2] for c2 in range(len(row)) if c2 != r]
-                for row in diffs[i + 1]
-            ]
-    terms = {
-        i: FPModule.free(ring, tuple(ws)) for i, ws in twists.items() if ws
-    }
-    clean_diffs = {}
-    for i, m in diffs.items():
-        if i in terms and (i + 1) in terms and m and m[0]:
-            clean_diffs[i] = tuple(tuple(row) for row in m)
-    return Complex(ring, terms, clean_diffs)

@@ -222,10 +222,6 @@ def dg_as_module(A: DGRingRep) -> DGModuleRep:
     return DGModuleRep(A, A.underlying)
 
 
-def module_over_dg(A: DGRingRep, M: FPModule, degree: int = 0) -> DGModuleRep:
-    return DGModuleRep(A, complex_from_module(M, degree))
-
-
 def koszul_module(M: DGModuleRep, elems: Sequence) -> DGModuleRep:
     """K(M; elems) = M (x) K(Q; lifts), a DG-module over K(A; elems)."""
     A = M.over

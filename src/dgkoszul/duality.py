@@ -16,10 +16,9 @@ import itertools
 from typing import Sequence
 
 from . import groebner as gb
-from .complexes import Complex, tensor_complexes
+from .complexes import Bicomplex, Complex, direct_sum, koszul_complex, tensor_complexes
 from .dgring import DGRingRep
 from .modules import FPModule, min_gens
-from .poly import Polynomial
 from .rings import FreeModule, QuotientRing
 
 
@@ -70,8 +69,7 @@ def _resolve_module(X: FPModule) -> Complex:
             raise ResolutionError("resolution exceeded the syzygy bound")
         col_degs = tuple(gb.vec_degree(c, ambient.twists) for c in cols)
         terms[-k] = FPModule.free(S, col_degs)
-        entries = [gb.vec_to_column(c, ring, ambient.rank) for c in cols]
-        diffs[-k] = tuple(zip(*entries))
+        diffs[-k] = tuple(cols)
         cols = gb.TaggedBasis(cols, ambient.twists, ring).syzygies()
         ambient = FreeModule(S, len(col_degs), col_degs)
     resolution = Complex(S, terms, diffs)
@@ -80,87 +78,52 @@ def _resolve_module(X: FPModule) -> Complex:
 
 
 def _assert_minimal(res: Complex) -> None:
+    zero_expo = (0,) * res.ring.nvars
     for m in res.diffs.values():
-        for row in m:
-            for p in row:
-                if not p.is_zero() and p.total_degree() == 0:
-                    raise ResolutionError("unit entry in a minimal resolution")
+        if any(e == zero_expo for col in m for _, e in col):
+            raise ResolutionError("unit entry in a minimal resolution")
 
 
 def complex_direct_sum(parts: Sequence[Complex], ring: QuotientRing) -> Complex:
     """Degreewise direct sum with block-diagonal differentials."""
-    from .complexes import direct_sum
-
     degrees = sorted({i for c in parts for i in c.terms})
-    terms = {}
+    terms = {i: direct_sum([c.term(i) for c in parts], ring) for i in degrees}
     diffs = {}
-    zero = ring.poly_ring.zero
     for i in degrees:
-        terms[i] = direct_sum([c.term(i) for c in parts], ring)
-    for i in degrees:
-        if (i + 1) not in terms:
+        if not any(i in c.diffs for c in parts):
             continue
-        rows = len(terms[i + 1].gens)
-        cols_n = len(terms[i].gens)
-        if rows == 0 or cols_n == 0:
-            continue
-        mat = [[zero] * cols_n for _ in range(rows)]
-        ro = co = 0
-        any_entry = False
+        cols = []
+        off = 0
         for c in parts:
-            src = c.term(i)
-            tgt = c.term(i + 1)
             d = c.diffs.get(i)
-            if d is not None:
-                any_entry = True
-                for r in range(len(tgt.gens)):
-                    for cc in range(len(src.gens)):
-                        mat[ro + r][co + cc] = d[r][cc]
-            ro += len(tgt.gens)
-            co += len(src.gens)
-        if any_entry:
-            diffs[i] = tuple(tuple(row) for row in mat)
+            if d is None:
+                cols.extend({} for _ in c.term(i).gens)
+            else:
+                cols.extend(gb.vec_offset(col, off) for col in d)
+            off += len(c.term(i + 1).gens)
+        diffs[i] = tuple(cols)
     return Complex(ring, terms, diffs)
 
 
-def _lift_chain_map(d_matrix, src_res: Complex, tgt_res: Complex) -> dict:
-    """Lift a module map (matrix on degree-0 generators) to a chain map of
+def _lift_chain_map(d_columns, src_res: Complex, tgt_res: Complex) -> dict:
+    """Lift a module map (columns on degree-0 generators) to a chain map of
     resolutions, degree by degree via explicit membership lifts."""
-    S = src_res.ring
-    ring = S.poly_ring
-    maps = {0: tuple(tuple(row) for row in d_matrix)}
+    field = src_res.ring.field
+    ring = src_res.ring.poly_ring
+    maps = {0: tuple(d_columns)}
     k = 0
-    while (-k - 1) in src_res.terms:
+    while (-k - 1) in src_res.terms and (-k - 1) in tgt_res.terms:
         k += 1
-        if (-k) not in tgt_res.terms:
-            maps[-k] = tuple()
-            break
-        phi_prev = maps[-k + 1]
-        d_src = src_res.diffs[-k]
-        d_tgt = tgt_res.diffs[-k]
-        tgt_cols = [
-            gb.column_to_vec(row[c] for row in d_tgt) for c in range(len(d_tgt[0]))
-        ]
         tagged = gb.TaggedBasis(
-            tgt_cols, tgt_res.term(-k + 1).ambient.twists, ring
+            tgt_res.diffs[-k], tgt_res.term(-k + 1).ambient.twists, ring
         )
-        new_rows = len(tgt_res.term(-k).gens)
-        new_cols = len(src_res.term(-k).gens)
-        z = ring.zero
-        mat = [[z] * new_cols for _ in range(new_rows)]
-        for c in range(new_cols):
-            image = []
-            for row in phi_prev:
-                acc = z
-                for m in range(len(d_src)):
-                    acc = acc + row[m] * d_src[m][c]
-                image.append(acc)
-            coeffs = tagged.lift(gb.column_to_vec(image))
-            if coeffs is None:
+        lifted = []
+        for col in src_res.diffs[-k]:
+            coords = tagged.lift(gb.vec_combination(maps[-k + 1], col, field))
+            if coords is None:
                 raise ResolutionError("chain lift failed; map not liftable")
-            for r, cd in enumerate(coeffs):
-                mat[r][c] = Polynomial(ring, cd)
-        maps[-k] = tuple(tuple(row) for row in mat)
+            lifted.append(coords)
+        maps[-k] = tuple(lifted)
     return maps
 
 
@@ -184,21 +147,11 @@ def _resolve_complex(X: Complex) -> Complex:
         src_res = _resolve_module(X.terms[a])
         tgt_res = _resolve_module(X.terms[a + 1])
         maps = _lift_chain_map(X.diffs[a], src_res, tgt_res)
-        from .complexes import Bicomplex
-
-        grid = {}
-        d_h = {}
-        d_v = {}
-        for q in src_res.terms:
-            grid[(a, q)] = src_res.terms[q]
-            if q in src_res.diffs:
-                d_v[(a, q)] = src_res.diffs[q]
-            if q in maps and q in tgt_res.terms and maps[q]:
-                d_h[(a, q)] = maps[q]
-        for q in tgt_res.terms:
-            grid[(a + 1, q)] = tgt_res.terms[q]
-            if q in tgt_res.diffs:
-                d_v[(a + 1, q)] = tgt_res.diffs[q]
+        grid = {(a, q): m for q, m in src_res.terms.items()}
+        grid.update({(a + 1, q): m for q, m in tgt_res.terms.items()})
+        d_v = {(a, q): m for q, m in src_res.diffs.items()}
+        d_v.update({(a + 1, q): m for q, m in tgt_res.diffs.items()})
+        d_h = {(a, q): m for q, m in maps.items()}
         # Tot of the two-column bicomplex lives at degrees p + q with p in
         # {a, a + 1}, which is where X's two terms sit.
         two_col = Bicomplex(S, grid, d_h, d_v).total()
@@ -249,8 +202,6 @@ def dualizing_complex(Q: QuotientRing) -> Complex:
 
 def koszul_complex_over_ambient(K: DGRingRep) -> Complex:
     """The Koszul complex of K's accumulated lifts, over S."""
-    from .complexes import koszul_complex
-
     root = K.root_ring()
     if root is None or K.provenance[0] != "koszul":
         raise ValueError("expected a Koszul DG-ring over a ring")
@@ -273,15 +224,6 @@ def dualizing_of_koszul(K: DGRingRep) -> Complex:
     R = dualizing_complex(root)
     D0 = tensor_complexes(KS, R)
     return D0.shift(-n)
-
-
-def koszul_tensor_dualizing(K: DGRingRep) -> Complex:
-    """Tot(K_S (x) R) without the shift: the complex whose sup and inf the
-    dimension bookkeeping of the amplitude computation refers to."""
-    root = K.root_ring()
-    KS = koszul_complex_over_ambient(K)
-    R = dualizing_complex(root)
-    return tensor_complexes(KS, R)
 
 
 # ---------- Gorenstein ----------
@@ -338,37 +280,36 @@ def self_duality_check(K: DGRingRep) -> dict:
     dual = under.hom_dual()
     target = under.shift(-n)
     subsets = {k: list(itertools.combinations(range(n), k)) for k in range(n + 1)}
+    zero_expo = (0,) * Q.nvars
     phi = {}
     for i in range(n + 1):
-        src_sets = subsets[i]
-        tgt_sets = subsets[n - i]
-        tgt_index = {T: r for r, T in enumerate(tgt_sets)}
-        z = Q.poly_ring.zero
-        mat = [[z] * len(src_sets) for _ in range(len(tgt_sets))]
-        for c, T in enumerate(src_sets):
+        tgt_index = {T: r for r, T in enumerate(subsets[n - i])}
+        columns = []
+        for T in subsets[i]:
             comp = tuple(j for j in range(n) if j not in T)
             sign = _subset_sign(T, n)
             if ((n + 1) * len(T)) % 2:
                 sign = -sign
-            mat[tgt_index[comp]][c] = Q.poly_ring.const(sign)
-        phi[i] = tuple(tuple(row) for row in mat)
+            columns.append({(tgt_index[comp], zero_expo): field.from_int(sign)})
+        phi[i] = tuple(columns)
     squares = {}
-    all_ok = True
-    from .complexes import _mat_mul
-
+    minus_one = field.neg(field.one)
     for i in range(n):
-        lhs = _mat_mul(phi[i + 1], dual.diffs[i], Q)
-        rhs = _mat_mul(target.diffs[i], phi[i], Q)
         ok = True
-        for r in range(len(lhs)):
-            for c in range(len(lhs[0]) if lhs else 0):
-                if not Q.is_zero(lhs[r][c] - rhs[r][c]):
+        rows = len(subsets[n - i - 1])
+        for d_col, phi_col in zip(dual.diffs[i], phi[i]):
+            # (phi∘d - d∘phi) on one generator, entry by entry in Q
+            v = gb.vec_combination(phi[i + 1], d_col, field)
+            gb.vec_add_multiple(
+                v, gb.vec_combination(target.diffs[i], phi_col, field), zero_expo, minus_one, field
+            )
+            for p in gb.vec_to_column(v, Q.poly_ring, rows):
+                if not Q.is_zero(p):
                     ok = False
         squares[i] = ok
-        all_ok = all_ok and ok
     total_twist = sum(e.degree for e in lifts)
     return {
-        "pass": all_ok,
+        "pass": all(squares.values()),
         "n": n,
         "squares": {str(i): v for i, v in squares.items()},
         "uniform_twist": total_twist,

@@ -9,9 +9,12 @@ vectors.  A module element (ModVec) is a sparse map
 over a free module with an integer twist per component (the internal
 degree of that basis vector), so that a term's degree is
 deg(monomial) + twist[component].  It is the only module-element type of
-the package: generators, relations, kernels and syzygies are all ModVecs.
-Polynomial matrices (differentials, module maps) meet it through
-column_to_vec and vec_to_column.
+the package: generators, relations, kernels and syzygies are all ModVecs,
+and a map of free modules (a differential, a module or chain map) is the
+tuple of its columns, column j the ModVec of the image of source generator
+j in target-generator coordinates.  Composition is vec_combination.
+column_to_vec and vec_to_column convert a column to and from Polynomial
+entries where ring elements enter or leave as Polynomials.
 
 Determinism: S-pairs are processed in (degree, index, index) order, the
 output basis is reduced, monic, inter-reduced and canonically sorted, so
@@ -123,6 +126,12 @@ def vec_scale(a: ModVec, c, field) -> ModVec:
     return {t: field.mul(c, v) for t, v in a.items()}
 
 
+def vec_offset(a: ModVec, offset: int) -> ModVec:
+    """a with every component moved up by offset: its image in a block of
+    a direct sum."""
+    return {(comp + offset, e): c for (comp, e), c in a.items()}
+
+
 def vec_add_multiple(out: ModVec, a: ModVec, e: Expo, c, field) -> None:
     """out += c * x^e * a, in place; terms that cancel are removed."""
     for (comp, e0), v in a.items():
@@ -173,20 +182,18 @@ def normal_form(
     basis: Sequence[ModVec],
     order: ModuleOrder,
     field,
-    select: str = "first",
     leads: Sequence[ModTerm | None] | None = None,
 ) -> ModVec:
     """Fully reduced remainder of f modulo basis (tail reduction included).
 
-    select chooses among applicable reductors ("first" or "last" in list
-    order); the remainder is independent of this choice when basis is a
-    Groebner basis.  leads, if given, are the basis' leading terms (None
-    for a zero element); callers that reduce many vectors modulo one basis
-    pass them so they are computed once.
+    Each step reduces by the first applicable element in list order; the
+    remainder does not depend on that order when basis is a Groebner basis.
+    leads, if given, are the basis' leading terms (None for a zero
+    element); callers that reduce many vectors modulo one basis pass them
+    so they are computed once.
     """
     if leads is None:
         leads = [leading_term(g, order) if g else None for g in basis]
-    indices = range(len(basis)) if select == "first" else range(len(basis) - 1, -1, -1)
     keys = _TermKeys(order)
     work = dict(f)
     rem: ModVec = {}
@@ -194,8 +201,7 @@ def normal_form(
         t = max(work, key=keys.__getitem__)
         c = work[t]
         comp, e = t
-        for i in indices:
-            lt = leads[i]
+        for i, lt in enumerate(leads):
             if lt is not None and lt[0] == comp and mono_divides(lt[1], e):
                 break
         else:
@@ -377,29 +383,27 @@ class TaggedBasis:
             return dict(v)
         return normal_form(v, self.span_gb, self.order, self.field, leads=self.span_leads)
 
-    def lift(self, v: ModVec):
-        """Coefficients c with v = sum_j c_j * col_j, or None if v is not
-        in the span.  Each c_j is an {expo: coeff} polynomial dict."""
+    def lift(self, v: ModVec) -> ModVec | None:
+        """Coordinates c over the column indices with v = sum_j c_j * col_j
+        (v == vec_combination(columns, c)), or None if v is not in the
+        span."""
         rem = normal_form(v, self.tagged_gb, self.order, self.field, leads=self.tagged_leads)
-        coeffs = [dict() for _ in self.columns]
-        for (comp, e), c in rem.items():
-            if comp < self.rank:
-                return None
-            coeffs[comp - self.rank][e] = self.field.neg(c)
-        return coeffs
+        if any(comp < self.rank for comp, _ in rem):
+            return None
+        return {(comp - self.rank, e): self.field.neg(c) for (comp, e), c in rem.items()}
 
 
-# ---------- matrix columns ----------
+# ---------- columns with Polynomial entries ----------
 
 def column_to_vec(entries: Iterable[Polynomial]) -> ModVec:
-    """A matrix column, given top to bottom as Polynomials, as a ModVec."""
+    """A column, given top to bottom as Polynomials, as a ModVec."""
     return {
         (comp, e): c for comp, p in enumerate(entries) for e, c in p.terms.items()
     }
 
 
 def vec_to_column(v: ModVec, ring: PolyRing, rank: int) -> tuple[Polynomial, ...]:
-    """The rank entries of v as a matrix column of Polynomials."""
+    """The rank entries of v as a column of Polynomials."""
     buckets: list[dict] = [dict() for _ in range(rank)]
     for (comp, e), c in v.items():
         buckets[comp][e] = c

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import groebner as gb
 from .checks import CheckInputError, _is_text_list, run_check
-from .complexes import homology_hilbert_functions, truncation_oracle
+from .complexes import homology_hilbert_functions, oracle_basis_size, truncation_oracle
 from .dgring import DGRingRep, ElementOfH0, dg_from_ring, dg_tensor, koszul, trivial_extension
 from .duality import dualizing_complex, dualizing_of_koszul, is_gorenstein_ring
 from .fields import field_from_json
@@ -28,11 +28,14 @@ SCHEMA_VERSION = 1
 # Bounds on user-controlled sizes, checked before any work starts (the
 # variable count, MAX_VARIABLES, lives in rings.py).  The oracle's graded
 # pieces in degree t have about C(t+n-1, n-1) basis vectors per generator,
-# so its work grows like depth^(n-1).  With the sparse echelon, Koszul on
-# all variables of k[x0..x3]/(x0x1-x2x3) to depth 16 took 0.5 s and 21 MB
-# over F_32003 on a 2-vCPU Xeon; the same in 6 variables took 33 s and
-# 220 MB (94 s over Q).
+# so its work grows like depth^(n-1); its total basis size
+# (complexes.oracle_basis_size) is bounded too.  The oracle's time is about
+# linear in that size: on a 2-vCPU Xeon, Koszul on all variables of
+# k[x0..x3]/(x0x1-x2x3) to depth 16 (50,049 vectors) took 0.5 s over
+# F_32003 and 1.6 s over Q, and in 5 variables to depth 13 (124,515) 1.3 s
+# and 5.0 s; in 6 variables to depth 16 (1,884,961) it took 33 s and 94 s.
 MAX_ORACLE_DEPTH = 16
+MAX_ORACLE_BASIS = 100_000
 
 
 class JobError(ValueError):
@@ -151,6 +154,12 @@ def _task_koszul(dg: DGRingRep, task: dict, config: RunConfig) -> dict:
     if type(depth) is not int or not 0 <= depth <= MAX_ORACLE_DEPTH:
         raise JobError(f"'oracle_depth' must be an integer from 0 to {MAX_ORACLE_DEPTH}")
     K = koszul(dg, task.get("elements") or [])
+    size = oracle_basis_size(K.underlying, depth) if depth else 0
+    if size > MAX_ORACLE_BASIS:
+        raise JobError(
+            f"the oracle to depth {depth} would build {size} basis vectors, "
+            f"above the bound {MAX_ORACLE_BASIS}; lower 'oracle_depth'"
+        )
     out = {
         "inf": sentinel_json(K.inf()),
         "sup": sentinel_json(K.sup()),

@@ -4,10 +4,11 @@ An FPModule is (generators, relations) inside a common free ambient module
 over Q = S/J; the module is span(gens) + N modulo N, where N is the span
 of the relations together with J times the ambient basis.  Generators,
 relations and every other module element are ModVecs (see groebner.py),
-sparse maps (ambient component, exponent) -> scalar.  Most constructions
-return modules in cokernel form (generators equal to the ambient basis);
-kernels and homology pass through general subquotients and are minimized
-back to cokernel form.
+sparse maps (ambient component, exponent) -> scalar, and a ModuleMap is
+the tuple of its ModVec columns over the target generators.  Most
+constructions return modules in cokernel form (generators equal to the
+ambient basis); kernels and homology pass through general subquotients and
+are minimized back to cokernel form.
 """
 
 from __future__ import annotations
@@ -210,13 +211,13 @@ class FPModule:
             big_twists.extend(t - degs[j] for t in self.ambient.twists)
         stacked: ModVec = {}
         for j, g in enumerate(self.gens):
-            for (comp, e), c in g.items():
-                stacked[(j * r + comp, e)] = c
-        cols = [stacked]
-        for j in range(k):
-            for rel in self._relation_columns():
-                if rel:
-                    cols.append({(j * r + comp, e): c for (comp, e), c in rel.items()})
+            stacked.update(gb.vec_offset(g, j * r))
+        cols = [stacked] + [
+            gb.vec_offset(rel, j * r)
+            for j in range(k)
+            for rel in self._relation_columns()
+            if rel
+        ]
         tagged = gb.TaggedBasis(cols, tuple(big_twists), ring)
         anns = []
         for s in tagged.syzygies():
@@ -314,28 +315,23 @@ def _drop_row(col: ModVec, row: int) -> ModVec:
 class ModuleMap:
     """Degree-0 graded map between FPModules, given on generators.
 
-    matrix[i][j] is the coefficient of target generator i in the image of
-    source generator j.
+    columns[j] is the image of source generator j as a ModVec over the
+    target generators (component i holds the coefficient of target
+    generator i).
     """
 
-    def __init__(self, source: FPModule, target: FPModule, matrix):
+    def __init__(self, source: FPModule, target: FPModule, columns: Sequence[ModVec]):
         self.source = source
         self.target = target
-        self.matrix = tuple(tuple(row) for row in matrix)
-        if len(self.matrix) != len(target.gens):
-            raise ValueError("matrix row count must equal target generators")
-        for row in self.matrix:
-            if len(row) != len(source.gens):
-                raise ValueError("matrix column count must equal source generators")
+        self.columns = tuple(columns)
+        if len(self.columns) != len(source.gens):
+            raise ValueError("one column per source generator required")
+        if any(comp >= len(target.gens) for col in self.columns for comp, _ in col):
+            raise ValueError("column component outside the target generators")
 
     @classmethod
     def zero(cls, source: FPModule, target: FPModule) -> ModuleMap:
-        z = source.ring.poly_ring.zero
-        return cls(
-            source,
-            target,
-            [[z] * len(source.gens) for _ in range(len(target.gens))],
-        )
+        return cls(source, target, [{} for _ in source.gens])
 
     @classmethod
     def multiplication(cls, module: FPModule, c: Polynomial) -> ModuleMap:
@@ -345,25 +341,14 @@ class ModuleMap:
             if not c.is_zero():
                 raise gb.InhomogeneousError("multiplier must be homogeneous")
             d = 0
-        source = module.twist(d)
-        z = module.ring.poly_ring.zero
-        k = len(module.gens)
-        matrix = [[c if i == j else z for j in range(k)] for i in range(k)]
-        return cls(source, module, matrix)
-
-    def _columns(self) -> list[ModVec]:
-        """The matrix columns as ModVecs over the target generators."""
-        return [
-            gb.column_to_vec(row[j] for row in self.matrix)
-            for j in range(len(self.source.gens))
-        ]
+        columns = [{(j, e): v for e, v in c.terms.items()} for j in range(len(module.gens))]
+        return cls(module.twist(d), module, columns)
 
     def is_well_defined(self) -> bool:
         """Image of every source relation lies in the target relations."""
-        columns = self._columns()
         field = self.source.ring.field
         for rel in self.source.gen_relations():
-            coords = gb.vec_combination(columns, rel, field)
+            coords = gb.vec_combination(self.columns, rel, field)
             if not self.target.element_is_zero(self.target.element_from_coords(coords)):
                 return False
         return True
@@ -371,14 +356,13 @@ class ModuleMap:
     def kernel(self) -> FPModule:
         """Kernel as a subquotient of the source.
 
-        Coefficient vectors c with matrix * c inside the target relations
-        are found by syzygies of [matrix columns | target presentation]
-        projected to the source coordinates.
+        Coefficient vectors c whose combination of the columns lies in the
+        target relations are found by syzygies of [columns | target
+        presentation] projected to the source coordinates.
         """
         ring = self.source.ring.poly_ring
-        cols = self._columns()
-        n_cols = len(cols)
-        cols.extend(self.target.gen_relations())
+        n_cols = len(self.columns)
+        cols = list(self.columns) + list(self.target.gen_relations())
         tagged = gb.TaggedBasis(cols, self.target.gen_degrees(), ring)
         gens = {}
         for s in tagged.syzygies():

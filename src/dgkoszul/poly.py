@@ -194,9 +194,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return len({mono_deg(e) for e in self.terms}) <= 1
 
-    def constant_coeff(self):
-        return self.terms.get(self.ring._zero_expo, self.ring.field.zero)
-
     # -- arithmetic --
 
     def _check(self, other: Polynomial):

@@ -11,16 +11,26 @@ from dgkoszul import (
     cone,
     euler_series,
     koszul_complex,
-    minimize_complex,
     tensor_complexes,
     truncation_oracle,
 )
-from dgkoszul.complexes import homology_hilbert_functions, tensor_bicomplex
+from dgkoszul.complexes import (
+    _monomials_of_degree,
+    homology_hilbert_functions,
+    oracle_basis_size,
+    tensor_bicomplex,
+)
+from dgkoszul.groebner import column_to_vec
 from dgkoszul.hilbert import NEG_INF, POS_INF
 
 
 def _koszul(Q, texts):
     return koszul_complex(Q, [poly(t, Q) for t in texts])
+
+
+def _map(*columns):
+    """A map given by its columns, each a tuple of Polynomial entries."""
+    return tuple(column_to_vec(col) for col in columns)
 
 
 def test_regular_sequence_collapses():
@@ -85,7 +95,7 @@ def test_bicomplex_square_with_a_missing_map_must_still_commute():
         (0, 1): FPModule.free(Q, (0,)),
         (1, 1): FPModule.free(Q, (0,)),
     }
-    B = Bicomplex(Q, grid, {(0, 1): ((one,),)}, {(0, 0): ((x,),)})
+    B = Bicomplex(Q, grid, {(0, 1): _map((one,))}, {(0, 0): _map((x,))})
     with pytest.raises(AssertionError, match="d∘d"):
         B.total().validate()
     with pytest.raises(AssertionError, match="does not commute"):
@@ -98,7 +108,7 @@ def test_hom_dual_of_rank_one_koszul():
     D = K.hom_dual()
     assert sorted(D.terms) == [0, 1]
     # the dual complex is the Koszul complex shifted by -1 up to sign
-    assert D.diffs[0][0][0] in (poly("x", Q), -poly("x", Q))
+    assert D.diffs[0] in (_map((poly("x", Q),)), _map((-poly("x", Q),)))
 
 
 def test_hom_dual_involutive_on_koszul_fixtures():
@@ -137,7 +147,7 @@ def test_cone_of_multiplication_is_koszul():
     Mt = FPModule.free(Q, (1,))
     src = Complex(Q, {0: Mt}, {})
     tgt = Complex(Q, {0: M}, {})
-    f = ChainMap(src, tgt, {0: ((poly("x", Q),),)})
+    f = ChainMap(src, tgt, {0: _map((poly("x", Q),))})
     f.validate()
     C = cone(f)
     C.validate()
@@ -145,36 +155,55 @@ def test_cone_of_multiplication_is_koszul():
     assert C.homology_table() == K.homology_table()
 
 
-def test_minimize_complex_preserves_homology():
-    Q = ring("x", "y", ideal=["x*y"])
-    K = _koszul(Q, ["x", "y"])
-    one = Q.poly_ring.one
-    # pad with a contractible two-term summand
-    padded_terms = dict(K.terms)
-    from dgkoszul.complexes import direct_sum
-
-    padded_terms[-1] = direct_sum([K.terms[-1], FPModule.free(Q, (5,))], Q)
-    padded_terms[0] = direct_sum([K.terms[0], FPModule.free(Q, (5,))], Q)
-    z = Q.poly_ring.zero
-    d1 = K.diffs[-1]
-    padded_d1 = (
-        (d1[0][0], d1[0][1], z),
-        (z, z, one),
-    )
-    d2 = K.diffs[-2]
-    padded_d2 = ((d2[0][0],), (d2[1][0],), (z,))
-    padded = Complex(Q, padded_terms, {-2: padded_d2, -1: padded_d1})
-    padded.validate()
-    slim = minimize_complex(padded)
-    assert [len(slim.term(i).gens) for i in slim.support] == [1, 2, 1]
-    assert slim.homology_table() == K.homology_table()
-
-
-def test_two_term_unit_complex_minimizes_to_zero():
+def test_chain_map_with_a_failing_square_is_rejected():
+    # K(x) -> K(x) over k[x,y], identity in degree 0 and y in degree -1:
+    # f d sends the degree -1 generator to x, d f sends it to x*y.
     Q = ring("x", "y")
-    M = FPModule.free(Q, (0,))
-    C = Complex(Q, {0: M, 1: M}, {0: ((Q.poly_ring.one,),)})
-    assert minimize_complex(C).terms == {}
+    K = _koszul(Q, ["x"])
+    one, y = Q.poly_ring.one, poly("y", Q)
+    ChainMap(K, K, {0: _map((one,)), -1: _map((one,))}).validate()
+    with pytest.raises(AssertionError, match="square fails at -1"):
+        ChainMap(K, K, {0: _map((one,)), -1: _map((y,))}).validate()
+
+
+def test_chain_map_with_a_missing_side_counts_it_as_zero():
+    # With no map in degree -1 the square at -1 reads x = 0, which fails.
+    Q = ring("x", "y")
+    K = _koszul(Q, ["x"])
+    with pytest.raises(AssertionError, match="square fails at -1"):
+        ChainMap(K, K, {0: _map((Q.poly_ring.one,))}).validate()
+
+
+def test_ill_defined_differential_is_rejected():
+    # Q/(x) -> Q sending the generator to 1 ignores the relation x = 0.
+    Q = ring("x", "y")
+    C = Complex(
+        Q,
+        {0: FPModule.cokernel(Q, (0,), _map((poly("x", Q),))), 1: FPModule.free(Q, (0,))},
+        {0: _map((Q.poly_ring.one,))},
+    )
+    with pytest.raises(AssertionError, match="not well defined"):
+        C.validate()
+
+
+def test_oracle_basis_size_counts_the_oracle_basis():
+    fixtures = [
+        _koszul(ring("x", "y", ideal=["x*y"]), ["x", "y^2"]),
+        _koszul(ring("x", "y", "z", "w", ideal=["x*y - z*w"]), ["x", "y", "z", "w"]),
+        _koszul(ring("x", "y", "z"), ["x^2", "y"]).hom_dual(),
+        Complex(ring("x"), {}, {}),
+    ]
+    for C in fixtures:
+        n = C.ring.nvars
+        floor = min([0] + [w for t in C.terms.values() for w in t.ambient.twists])
+        for d in (0, 3, 7):
+            brute = sum(
+                len(_monomials_of_degree(n, t - w))
+                for term in C.terms.values()
+                for w in term.ambient.twists
+                for t in range(floor, d + 1)
+            )
+            assert oracle_basis_size(C, d) == brute
 
 
 def test_truncation_oracle_matches_hand_linear_algebra():
@@ -231,7 +260,7 @@ def test_acyclic_sentinels():
     unit = Complex(
         Q,
         {0: FPModule.free(Q, (0,)), 1: FPModule.free(Q, (0,))},
-        {0: ((Q.poly_ring.one,),)},
+        {0: _map((Q.poly_ring.one,))},
     )
     assert unit.inf() == POS_INF
     assert unit.sup() == NEG_INF

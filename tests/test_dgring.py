@@ -4,6 +4,7 @@ import pytest
 
 from conftest import poly, ring
 from dgkoszul import (
+    DGModuleRep,
     ElementOfH0,
     FPModule,
     RingMap,
@@ -16,7 +17,7 @@ from dgkoszul import (
     lift_independence_check,
     trivial_extension,
 )
-from dgkoszul.complexes import homology_hilbert_functions, truncation_oracle
+from dgkoszul.complexes import complex_from_module, homology_hilbert_functions, truncation_oracle
 
 
 def _tables_equal(a, b):
@@ -143,9 +144,7 @@ def test_koszul_on_trivial_extension_decomposes():
 def test_koszul_module_of_residue_field():
     A = dg_from_ring(ring("x"))
     k_mod = FPModule.quotient_by_ideal(A.base, [poly("x", A.base)])
-    from dgkoszul.dgring import module_over_dg
-
-    M = module_over_dg(A, k_mod)
+    M = DGModuleRep(A, complex_from_module(k_mod))
     KM = koszul_module(M, ["x"])
     # x acts as zero on k: the cone of the zero map has k in degrees 0, -1
     t = {i: KM.homology(i).hilbert_series() for i in KM.underlying.support}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import poly, ring
-from dgkoszul import GREVLEX, LEX, PolyRing, Polynomial, PrimeField, parse_poly
+from dgkoszul import GREVLEX, LEX, PolyRing, PrimeField, parse_poly
 from dgkoszul import groebner as gb
 from dgkoszul.poly import mono_divides
 
@@ -69,8 +69,9 @@ def test_normal_form_is_reduction_path_independent():
     R = PolyRing(("x", "y", "z"), F)
     basis, order = _ideal_gb(["x*y - z^2", "y^2 - x*z", "x^2 - y*z"], R)
     probe = gb.column_to_vec((parse_poly("(x + y + z)*(x + y + z)*(x + y + z)", R),))
-    first = gb.normal_form(probe, basis, order, F, select="first")
-    last = gb.normal_form(probe, basis, order, F, select="last")
+    leads = [gb.leading_term(g, order) for g in basis]
+    first = gb.normal_form(probe, basis, order, F)
+    last = gb.normal_form(probe, basis[::-1], order, F, leads=leads[::-1])
     assert first == last
 
 
@@ -134,10 +135,9 @@ def test_tagged_basis_lift_and_membership():
     v = gb.column_to_vec((parse_poly("x^2 + x*y", R),))
     coeffs = tagged.lift(v)
     assert coeffs is not None
-    recomposed = R.zero
-    for cd, gen in zip(coeffs, ("x", "y")):
-        recomposed = recomposed + Polynomial(R, cd) * parse_poly(gen, R)
-    assert recomposed == parse_poly("x^2 + x*y", R)
+    assert gb.vec_combination(cols, coeffs, F) == v
+    cx, cy = gb.vec_to_column(coeffs, R, 2)
+    assert cx * parse_poly("x", R) + cy * parse_poly("y", R) == parse_poly("x^2 + x*y", R)
     assert tagged.lift(gb.column_to_vec((R.one,))) is None
 
 
@@ -203,7 +203,7 @@ def test_buchberger_gives_a_reduced_basis_with_path_independent_remainders(case)
             if j != i:
                 assert not any(c == comp and mono_divides(e, t) for c, t in g)
     for v in gens + [probe]:
-        first = gb.normal_form(v, basis, order, F101, select="first")
-        assert first == gb.normal_form(v, basis, order, F101, select="last")
+        first = gb.normal_form(v, basis, order, F101)
+        assert first == gb.normal_form(v, basis[::-1], order, F101, leads=leads[::-1])
         assert first == gb.normal_form(v, basis, order, F101, leads=leads)
         assert not first or v is probe

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from dgkoszul import PolyRing, PrimeField, RunConfig, parse_poly, run_job
 from dgkoszul.checks import MAX_EULER_DEPTH
 from dgkoszul.fields import FieldError
-from dgkoszul.jobs import MAX_ORACLE_DEPTH, MAX_VARIABLES
+from dgkoszul.jobs import MAX_ORACLE_BASIS, MAX_ORACLE_DEPTH, MAX_VARIABLES
 from dgkoszul.parse import MAX_EXPONENT, ParseError
 
 SUITE = Path(__file__).resolve().parent.parent / "suite"
@@ -228,6 +228,26 @@ def test_deepest_oracle_on_the_quadric_cone_stays_within_budget(field):
     assert report["status"] == "ok"
     assert report["results"][0]["result"]["oracle"]["agrees"] is True
     assert elapsed < 5.0
+
+
+def test_oracle_above_the_basis_bound_is_a_task_error_before_any_work():
+    # Koszul on all variables of k[x0..x5]/(x0x1 - x2x3) to depth 12 would
+    # build 369,305 oracle basis vectors (6.2 s of oracle work unbounded).
+    variables = [f"x{i}" for i in range(6)]
+    job = {
+        "field": {"kind": "prime", "p": 32003},
+        "vars": variables,
+        "ideal": ["x0*x1 - x2*x3"],
+        "tasks": [{"task": "koszul", "elements": variables, "oracle_depth": 12}],
+    }
+    start = time.monotonic()
+    report = run_job(job)
+    elapsed = time.monotonic() - start
+    record = report["results"][0]
+    assert record["status"] == "error"
+    assert f"369305 basis vectors, above the bound {MAX_ORACLE_BASIS}" in record["error"]
+    assert report["status"] == "task-error"
+    assert elapsed < 1.0
 
 
 # Small fixtures that between them reach every task kind, a trivial

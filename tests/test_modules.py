@@ -60,10 +60,10 @@ def test_well_definedness_check():
     k_mod = FPModule.quotient_by_ideal(Q, [poly("x", Q), poly("y", Q)]).minimize()
     M = FPModule.free(Q, (0,))
     # sending the generator of k to 1 in Q ignores the relation x*gen = 0
-    bad = ModuleMap(k_mod, M, [[poly("1", Q)]])
+    bad = ModuleMap(k_mod, M, [_col("1", Q)])
     assert not bad.is_well_defined()
     # the quotient projection Q -> k is well defined
-    good = ModuleMap(M, k_mod, [[poly("1", Q)]])
+    good = ModuleMap(M, k_mod, [_col("1", Q)])
     assert good.is_well_defined()
 
 
