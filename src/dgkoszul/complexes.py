@@ -2,10 +2,10 @@
 degree-truncation oracle.
 
 Complexes are cohomologically indexed: d^i maps term i to term i+1 and has
-internal degree 0.  Terms are FPModules in cokernel form (generators equal
-to the ambient basis); a differential, like every map of complexes, is the
-tuple of its sparse ModVec columns: column j is the image of generator j
-of the source in the generators of the target.
+internal degree 0.  Terms are FPModules, cokernels of their ambient free
+modules; a differential, like every map of complexes, is the tuple of its
+sparse ModVec columns: column j is the image of generator j of the source
+in the generators of the target.
 
 Sign conventions, pinned once:
   * the rank-1 Koszul differential sends the degree -1 basis vector for a
@@ -24,7 +24,7 @@ from typing import Sequence
 from . import groebner as gb
 from .hilbert import NEG_INF, POS_INF, HilbertSeries
 from .linalg import Echelon
-from .modules import FPModule, ModuleMap
+from .modules import FPModule, ModuleMap, subquotient
 from .poly import Polynomial, mono_mul
 from .rings import QuotientRing
 
@@ -46,13 +46,13 @@ def _agree(a, b, target: FPModule, n: int) -> bool:
         v = dict(a[j]) if a is not None else {}
         if b is not None:
             gb.vec_add_multiple(v, b[j], zero_expo, minus_one, field)
-        if not target.element_is_zero(target.element_from_coords(v)):
+        if not target.element_is_zero(v):
             return False
     return True
 
 
 class Complex:
-    """Bounded complex of cokernel-form FPModules over a QuotientRing.
+    """Bounded complex of FPModules over a QuotientRing.
 
     diffs[i] is the tuple of ModVec columns of d^i, one per generator of
     term i, over the generators of term i+1.
@@ -60,7 +60,7 @@ class Complex:
 
     def __init__(self, ring: QuotientRing, terms: dict, diffs: dict):
         self.ring = ring
-        self.terms = {i: t for i, t in terms.items() if len(t.gens) > 0}
+        self.terms = {i: t for i, t in terms.items() if t.ambient.rank > 0}
         self.diffs = {
             i: tuple(m)
             for i, m in diffs.items()
@@ -99,7 +99,7 @@ class Complex:
         for i in self.diffs:
             if (i + 1) in self.diffs:
                 dd = _compose(self.diffs[i + 1], self.diffs[i], field)
-                if not _agree(dd, None, self.terms[i + 2], len(self.terms[i].gens)):
+                if not _agree(dd, None, self.terms[i + 2], self.terms[i].ambient.rank):
                     raise AssertionError(f"d∘d != 0 between {i} and {i+2}")
 
     # -- homology --
@@ -114,16 +114,10 @@ class Complex:
             return h
         M = self.terms[i]
         if i in self.diffs:
-            ker = ModuleMap(M, self.terms[i + 1], self.diffs[i]).kernel()
-            ker_gens = ker.gens
+            ker_gens = ModuleMap(M, self.terms[i + 1], self.diffs[i]).kernel()
         else:
-            ker_gens = M.gens
-        images = (M.element_from_coords(col) for col in self.diffs.get(i - 1, ()))
-        im_gens = [v for v in images if v]
-        sub = FPModule(
-            M.ambient, ker_gens, tuple(M.rels) + tuple(im_gens), check=False
-        )
-        h = sub.minimize()
+            ker_gens = [M.ambient.basis_vector(j) for j in range(M.ambient.rank)]
+        h = subquotient(M.ambient, ker_gens, M.rels + self.diffs.get(i - 1, ()))
         self._homology[i] = h
         return h
 
@@ -131,19 +125,19 @@ class Complex:
         out = {}
         for i in self.support:
             h = self.homology(i)
-            if len(h.gens) > 0:
+            if h.ambient.rank > 0:
                 out[i] = h.hilbert_series()
         return out
 
     def inf(self):
         for i in self.support:
-            if len(self.homology(i).gens) > 0:
+            if self.homology(i).ambient.rank > 0:
                 return i
         return POS_INF
 
     def sup(self):
         for i in reversed(self.support):
-            if len(self.homology(i).gens) > 0:
+            if self.homology(i).ambient.rank > 0:
                 return i
         return NEG_INF
 
@@ -182,7 +176,7 @@ class Complex:
             # of the dual (a generator of C^{i+1}) holds row c of d^i.  The
             # dual degree is -i-1, so (-1)^{(dual degree)+1} = (-1)^i.
             sign = field.from_int(-1 if i % 2 else 1)
-            dual = [{} for _ in self.terms[i + 1].gens]
+            dual = [{} for _ in range(self.terms[i + 1].ambient.rank)]
             for r, col in enumerate(m):
                 for (c, e), v in col.items():
                     dual[c][(r, e)] = field.mul(sign, v)
@@ -191,15 +185,11 @@ class Complex:
 
     def __repr__(self):
         rng = f"[{self.lo}, {self.hi}]" if self.terms else "[]"
-        return f"Complex({rng}, ranks={[len(self.term(i).gens) for i in self.support]})"
-
-
-def complex_from_module(M: FPModule, degree: int = 0) -> Complex:
-    return Complex(M.ring, {degree: M.presentation()}, {})
+        return f"Complex({rng}, ranks={[self.term(i).ambient.rank for i in self.support]})"
 
 
 def direct_sum(modules: Sequence[FPModule], ring: QuotientRing) -> FPModule:
-    """Direct sum of cokernel-form modules, blocks in the given order."""
+    """Direct sum of modules, blocks in the given order."""
     twists: list[int] = []
     offsets = []
     for m in modules:
@@ -228,7 +218,7 @@ class ChainMap:
                 lhs = _compose(self.maps.get(i + 1), d, field)
                 rhs = _compose(self.target.diffs.get(i), self.maps.get(i), field)
                 tgt = self.target.terms[i + 1]
-                if not _agree(lhs, rhs, tgt, len(self.source.terms[i].gens)):
+                if not _agree(lhs, rhs, tgt, self.source.terms[i].ambient.rank):
                     raise AssertionError(f"chain map square fails at {i}")
 
 
@@ -253,7 +243,7 @@ class Bicomplex:
 
     def __init__(self, ring: QuotientRing, grid: dict, d_h: dict, d_v: dict):
         self.ring = ring
-        self.grid = {pq: m for pq, m in grid.items() if len(m.gens) > 0}
+        self.grid = {pq: m for pq, m in grid.items() if m.ambient.rank > 0}
         self.d_h = {pq: m for pq, m in d_h.items() if pq in self.grid}
         self.d_v = {pq: m for pq, m in d_v.items() if pq in self.grid}
 
@@ -266,7 +256,7 @@ class Bicomplex:
                 continue
             a = _compose(self.d_v.get((p + 1, q)), self.d_h.get((p, q)), field)
             b = _compose(self.d_h.get((p, q + 1)), self.d_v.get((p, q)), field)
-            if not _agree(a, b, tgt, len(m.gens)):
+            if not _agree(a, b, tgt, m.ambient.rank):
                 raise AssertionError(f"square at {(p, q)} does not commute")
 
     def total(self) -> Complex:
@@ -287,7 +277,7 @@ class Bicomplex:
             off = 0
             for pq in blocks[i]:
                 offset[pq] = off
-                off += len(self.grid[pq].gens)
+                off += self.grid[pq].ambient.rank
         diffs = {}
         for i in degrees:
             if (i + 1) not in blocks:
@@ -297,7 +287,7 @@ class Bicomplex:
                 h = self.d_h.get((p, q)) if (p + 1, q) in self.grid else None
                 v = self.d_v.get((p, q)) if (p, q + 1) in self.grid else None
                 sign = field.from_int(-1 if p % 2 else 1)
-                for c in range(len(self.grid[(p, q)].gens)):
+                for c in range(self.grid[(p, q)].ambient.rank):
                     col = {}
                     if h is not None:
                         col.update(gb.vec_offset(h[c], offset[(p + 1, q)]))
@@ -325,16 +315,16 @@ def tensor_bicomplex(C: Complex, D: Complex) -> Bicomplex:
     d_v = {}
     for p, cp in C.terms.items():
         for q, dq in D.terms.items():
-            kd = len(dq.gens)
+            kd = dq.ambient.rank
             twists = tuple(a + b for a in cp.ambient.twists for b in dq.ambient.twists)
             rels = [
                 {(i * kd + j, e): c for (i, e), c in r.items()}
                 for j in range(kd)
                 for r in cp.rels
-            ] + [gb.vec_offset(r, i * kd) for i in range(len(cp.gens)) for r in dq.rels]
+            ] + [gb.vec_offset(r, i * kd) for i in range(cp.ambient.rank) for r in dq.rels]
             grid[(p, q)] = FPModule.cokernel(ring, twists, rels)
     for p, q in grid:
-        kd = len(D.terms[q].gens)
+        kd = D.terms[q].ambient.rank
         dc = C.diffs.get(p)
         if dc is not None and (p + 1, q) in grid:
             # d_C (x) 1 sends generator (c, j) to sum_r dc[c]_r (r, j)
@@ -346,10 +336,10 @@ def tensor_bicomplex(C: Complex, D: Complex) -> Bicomplex:
         dd = D.diffs.get(q)
         if dd is not None and (p, q + 1) in grid:
             # 1 (x) d_D sends generator (i, c) to sum_r dd[c]_r (i, r)
-            kd_tgt = len(D.terms[q + 1].gens)
+            kd_tgt = D.terms[q + 1].ambient.rank
             d_v[(p, q)] = tuple(
                 gb.vec_offset(col, i * kd_tgt)
-                for i in range(len(C.terms[p].gens))
+                for i in range(C.terms[p].ambient.rank)
                 for col in dd
             )
     return Bicomplex(ring, grid, d_h, d_v)
@@ -496,10 +486,8 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
             ]
             index = {bm: k for k, bm in enumerate(basis)}
             relations = Echelon(field)
-            for col in term._relation_columns():
+            for col in term.relation_columns():
                 col_deg = gb.vec_degree(col, term.ambient.twists)
-                if col_deg is None:
-                    continue
                 for mono in monomials(t_deg - col_deg):
                     row = {}
                     for (comp, e), cc in col.items():

@@ -303,15 +303,15 @@ def interreduce(basis: Sequence[ModVec], order: ModuleOrder, field) -> list[ModV
     return reduced
 
 
-# ---------- tagged bases: syzygies, membership and lifts in one engine ----------
+# ---------- tagged bases: syzygies and lifts in one engine ----------
 
 class TaggedBasis:
     """Groebner basis of {(col_j, e_j)} in F + S^s with F eliminated first.
 
-    Gives, for the span of the columns inside the free module F:
-      * a Groebner basis of the span (the F-parts with nonzero F-lead),
-      * generators of the syzygy module (tag parts of the rest),
-      * normal forms and explicit lift coefficients for membership.
+    Gives, for the columns inside the free module F, generators of their
+    syzygy module (the basis elements supported on the tags alone) and
+    explicit lift coefficients of a vector onto their span.  Membership
+    without coefficients is FPModule.element_is_zero.
     """
 
     def __init__(
@@ -356,19 +356,13 @@ class TaggedBasis:
             rank=self.rank + len(self.columns),
         )
         self.tagged_leads = [leading_term(g, self.order) for g in self.tagged_gb]
-        self.span_gb: list[ModVec] = []
-        self.span_leads: list[ModTerm] = []
-        self._syz: list[ModVec] = []
-        for g, lt in zip(self.tagged_gb, self.tagged_leads):
-            fpart = {t: c for t, c in g.items() if t[0] < self.rank}
-            if fpart:
-                # F is eliminated first, so a nonzero F-part holds g's lead.
-                self.span_gb.append(fpart)
-                self.span_leads.append(lt)
-            else:
-                self._syz.append(
-                    {(t[0] - self.rank, t[1]): c for t, c in g.items()}
-                )
+        # F is eliminated first, so an element whose lead is a tag has no
+        # F-part: it is a syzygy.
+        self._syz = [
+            {(t[0] - self.rank, t[1]): c for t, c in g.items()}
+            for g, lt in zip(self.tagged_gb, self.tagged_leads)
+            if lt[0] >= self.rank
+        ]
 
     def syzygies(self) -> list[ModVec]:
         """Generators of the syzygy module of the columns (zero columns
@@ -376,12 +370,6 @@ class TaggedBasis:
         zero_expo = (0,) * self.ring.nvars
         extra = [{(j, zero_expo): self.field.one} for j in self.zero_columns]
         return [dict(s) for s in self._syz] + extra
-
-    def reduce(self, v: ModVec) -> ModVec:
-        """Normal form of v in F modulo the span of the columns."""
-        if not self.span_gb:
-            return dict(v)
-        return normal_form(v, self.span_gb, self.order, self.field, leads=self.span_leads)
 
     def lift(self, v: ModVec) -> ModVec | None:
         """Coordinates c over the column indices with v = sum_j c_j * col_j

@@ -54,15 +54,6 @@ def lcdim(M: DGModuleRep | DGRingRep):
     return best
 
 
-def kernel_of_multiplication(module, c: Polynomial):
-    """Kernel of multiplication by c on an FPModule, in the module's own
-    grading (the degree-0 twist is undone)."""
-    f = ModuleMap.multiplication(module, c)
-    ker = f.kernel()
-    d = c.homogeneous_degree() or 0
-    return ker.twist(-d)
-
-
 def is_regular(M: DGModuleRep, x) -> tuple[bool, dict]:
     """x is M-regular iff multiplication by x on H^{inf(M)}(M) is injective."""
     x = _as_element(x, M.over.base)
@@ -70,18 +61,16 @@ def is_regular(M: DGModuleRep, x) -> tuple[bool, dict]:
     if lo == POS_INF:
         raise AcyclicModuleError("regularity is undefined for acyclic modules")
     h = M.underlying.homology(lo)
-    ker = kernel_of_multiplication(h, x.rep)
-    ok = ker.is_zero_module()
+    ker = ModuleMap.multiplication(h, x.rep).kernel()
+    witness = next((v for v in ker if not h.element_is_zero(v)), None)
+    ok = witness is None
     cert = {
         "element": str(x.rep),
         "bottom_degree": int(lo),
         "kernel_is_zero": ok,
     }
     if not ok:
-        nz = next(
-            (g for g in ker.gens if not ker.element_is_zero(g)), ker.gens[0]
-        )
-        column = vec_to_column(nz, ker.ring.poly_ring, ker.ambient.rank)
+        column = vec_to_column(witness, h.ring.poly_ring, h.ambient.rank)
         cert["kernel_witness"] = [str(p) for p in column]
     return ok, cert
 

@@ -1,14 +1,14 @@
-"""Finitely presented graded modules as subquotients, and maps between them.
+"""Finitely presented graded modules as cokernels, and maps between them.
 
-An FPModule is (generators, relations) inside a common free ambient module
-over Q = S/J; the module is span(gens) + N modulo N, where N is the span
-of the relations together with J times the ambient basis.  Generators,
-relations and every other module element are ModVecs (see groebner.py),
+An FPModule is a cokernel F/N over Q = S/J: F is a free ambient module
+whose basis vectors are the generators, and N is the span of the
+relations together with J times the ambient basis.  One reduced Groebner
+basis of N serves both membership tests and the Hilbert series.
+Relations and every other module element are ModVecs (see groebner.py),
 sparse maps (ambient component, exponent) -> scalar, and a ModuleMap is
-the tuple of its ModVec columns over the target generators.  Most
-constructions return modules in cokernel form (generators equal to the
-ambient basis); kernels and homology pass through general subquotients and
-are minimized back to cokernel form.
+the tuple of its ModVec columns over the target generators.  A
+subquotient (span(gens) + N)/N, such as a homology module, is presented
+by subquotient() as a minimized cokernel.
 """
 
 from __future__ import annotations
@@ -37,28 +37,21 @@ def column_key(v: ModVec, order: MonomialOrder):
 
 
 class FPModule:
-    """Graded subquotient over a QuotientRing."""
+    """Graded cokernel F/N over a QuotientRing, N = span(rels) + J * F.
 
-    def __init__(
-        self,
-        ambient: FreeModule,
-        gens: Sequence[ModVec],
-        rels: Sequence[ModVec] = (),
-        check: bool = True,
-    ):
+    F is the free ambient module; its basis vectors are the generators.
+    """
+
+    def __init__(self, ambient: FreeModule, rels: Sequence[ModVec] = ()):
         self.ambient = ambient
         self.ring = ambient.ring
-        self.gens = tuple(gens)
         self.rels = tuple(v for v in rels if v)
-        if check:
-            for v in self.gens + self.rels:
-                if any(comp >= ambient.rank for comp, _ in v):
-                    raise ValueError("vector component outside the ambient rank")
-                if v and gb.vec_degree(v, ambient.twists) is None:
-                    raise gb.InhomogeneousError("inhomogeneous column")
-        self._gen_degrees = None
-        self._rels_tagged = None
-        self._gen_relations = None
+        for v in self.rels:
+            if any(comp >= ambient.rank for comp, _ in v):
+                raise ValueError("vector component outside the ambient rank")
+            if gb.vec_degree(v, ambient.twists) is None:
+                raise gb.InhomogeneousError("inhomogeneous column")
+        self._basis = None
         self._hilbert = None
         self._minimal = None
         self._annihilator = None
@@ -69,8 +62,7 @@ class FPModule:
     def cokernel(
         cls, ring: QuotientRing, twists: Sequence[int], rels: Sequence[ModVec] = ()
     ) -> FPModule:
-        F = FreeModule(ring, len(twists), twists)
-        return cls(F, [F.basis_vector(i) for i in range(F.rank)], rels)
+        return cls(FreeModule(ring, len(twists), twists), rels)
 
     @classmethod
     def free(cls, ring: QuotientRing, twists: Sequence[int]) -> FPModule:
@@ -86,105 +78,39 @@ class FPModule:
 
     # -- structure --
 
-    @property
-    def is_cokernel(self) -> bool:
-        if len(self.gens) != self.ambient.rank:
-            return False
-        return all(
-            self.gens[i] == self.ambient.basis_vector(i)
-            for i in range(self.ambient.rank)
-        )
-
-    def gen_degrees(self) -> tuple[int, ...]:
-        if self._gen_degrees is None:
-            degs = []
-            for i, v in enumerate(self.gens):
-                d = gb.vec_degree(v, self.ambient.twists)
-                if d is None:
-                    # zero generator: keep a placeholder degree
-                    d = self.ambient.twists[i] if self.is_cokernel else 0
-                degs.append(d)
-            self._gen_degrees = tuple(degs)
-        return self._gen_degrees
-
-    def _relation_columns(self) -> list[ModVec]:
+    def relation_columns(self) -> list[ModVec]:
+        """Generators of N: the relations, then the J-multiples of the basis."""
         return list(self.rels) + self.ambient.j_columns()
 
-    def rels_tagged(self) -> gb.TaggedBasis:
-        """Tagged basis of N = span(rels) + J * ambient."""
-        if self._rels_tagged is None:
-            self._rels_tagged = gb.TaggedBasis(
-                self._relation_columns(), self.ambient.twists, self.ring.poly_ring
+    def _reduced_basis(self):
+        """(order, reduced Groebner basis of N, its leading terms), built once
+        and shared by membership tests and the Hilbert series."""
+        if self._basis is None:
+            order = gb.TermOverPosition(self.ring.poly_ring.order)
+            basis = gb.buchberger(
+                self.relation_columns(),
+                self.ambient.twists,
+                order,
+                self.ring.field,
+                rank=self.ambient.rank,
             )
-        return self._rels_tagged
+            self._basis = (order, basis, [gb.leading_term(v, order) for v in basis])
+        return self._basis
 
     def element_is_zero(self, v: ModVec) -> bool:
         """True if the ambient vector v lies in N."""
-        return not self.rels_tagged().reduce(v)
-
-    def is_zero_module(self) -> bool:
-        return all(self.element_is_zero(g) for g in self.gens)
-
-    def element_from_coords(self, coords: ModVec) -> ModVec:
-        """Ambient vector of sum_j coords_j * gens[j]; coords is a ModVec
-        over the generator indices (a syzygy, or a matrix column)."""
-        return gb.vec_combination(self.gens, coords, self.ring.field)
-
-    def gen_relations(self) -> list[ModVec]:
-        """Columns c in S^k with sum c_j gens_j in N: the presentation of
-        this module as a cokernel on its generators."""
-        if self._gen_relations is not None:
-            return self._gen_relations
-        if self.is_cokernel:
-            self._gen_relations = self._relation_columns()
-            return self._gen_relations
-        k = len(self.gens)
-        tagged = gb.TaggedBasis(
-            list(self.gens) + self._relation_columns(),
-            self.ambient.twists,
-            self.ring.poly_ring,
-        )
-        out = []
-        for s in tagged.syzygies():
-            col = {t: c for t, c in s.items() if t[0] < k}
-            if col:
-                out.append(col)
-        self._gen_relations = out
-        return out
-
-    def presentation(self) -> FPModule:
-        """The same module in cokernel form on its current generators."""
-        if self.is_cokernel:
-            return self
-        return FPModule.cokernel(self.ring, self.gen_degrees(), self.gen_relations())
+        order, basis, leads = self._reduced_basis()
+        return not gb.normal_form(v, basis, order, self.ring.field, leads=leads)
 
     # -- invariants --
 
     def hilbert_series(self) -> HilbertSeries:
-        if self._hilbert is not None:
-            return self._hilbert
-        order = gb.TermOverPosition(self.ring.poly_ring.order)
-        rel_cols = self._relation_columns()
-        series_n = self._series_of_quotient(rel_cols, order)
-        if self.is_cokernel:
-            self._hilbert = series_n
-            return self._hilbert
-        series_gn = self._series_of_quotient(rel_cols + list(self.gens), order)
-        self._hilbert = series_n - series_gn
+        if self._hilbert is None:
+            _, _, leads = self._reduced_basis()
+            self._hilbert = lead_module_series(
+                leads, self.ambient.rank, self.ambient.twists, self.ring.nvars
+            )
         return self._hilbert
-
-    def _series_of_quotient(self, cols, order) -> HilbertSeries:
-        basis = gb.buchberger(
-            cols,
-            self.ambient.twists,
-            order,
-            self.ring.field,
-            rank=self.ambient.rank,
-        )
-        leads = [gb.leading_term(v, order) for v in basis]
-        return lead_module_series(
-            leads, self.ambient.rank, self.ambient.twists, self.ring.nvars
-        )
 
     def dim(self):
         """Krull dimension: pole order of the Hilbert series (-inf if zero)."""
@@ -194,29 +120,25 @@ class FPModule:
         """Generators (in S, containing J) of ann_Q(M).
 
         Computed as the syzygy coefficient on the stacked column
-        (g_1, ..., g_k) inside the direct sum of k twisted copies of the
-        ambient module, against all relations in each copy.
+        (e_1, ..., e_k) of the basis vectors inside the direct sum of k
+        twisted copies of the ambient module, against all relations in
+        each copy.
         """
         if self._annihilator is not None:
             return self._annihilator
         ring = self.ring.poly_ring
-        k = len(self.gens)
+        k = self.ambient.rank
         if k == 0:
             self._annihilator = [ring.one]
             return self._annihilator
-        r = self.ambient.rank
-        degs = self.gen_degrees()
-        big_twists = []
-        for j in range(k):
-            big_twists.extend(t - degs[j] for t in self.ambient.twists)
-        stacked: ModVec = {}
-        for j, g in enumerate(self.gens):
-            stacked.update(gb.vec_offset(g, j * r))
+        twists = self.ambient.twists
+        big_twists = [t - twists[j] for j in range(k) for t in twists]
+        one = self.ring.field.one
+        stacked = {(j * k + j, (0,) * self.ring.nvars): one for j in range(k)}
         cols = [stacked] + [
-            gb.vec_offset(rel, j * r)
+            gb.vec_offset(rel, j * k)
             for j in range(k)
-            for rel in self._relation_columns()
-            if rel
+            for rel in self.relation_columns()
         ]
         tagged = gb.TaggedBasis(cols, tuple(big_twists), ring)
         anns = []
@@ -233,52 +155,11 @@ class FPModule:
 
     def minimize(self) -> FPModule:
         """Minimal cokernel presentation (no unit entries in the relations)."""
-        if self._minimal is not None:
-            return self._minimal
-        cols = list(self.gen_relations())
-        degs = list(self.gen_degrees())
-        field = self.ring.field
-        zero_expo = (0,) * self.ring.nvars
-        changed = True
-        while changed:
-            changed = False
-            for ci, col in enumerate(cols):
-                pivot = _unit_row(col, zero_expo)
-                if pivot is None:
-                    continue
-                lam_inv = field.inv(col[(pivot, zero_expo)])
-                for cj, other in enumerate(cols):
-                    if cj == ci:
-                        continue
-                    # other - (other's pivot entry / lam) * col
-                    coords = {
-                        (1, e): field.neg(field.mul(c, lam_inv))
-                        for (row, e), c in other.items()
-                        if row == pivot
-                    }
-                    if coords:
-                        coords[(0, zero_expo)] = field.one
-                        cols[cj] = gb.vec_combination([other, col], coords, field)
-                del cols[ci]
-                cols = [_drop_row(c, pivot) for c in cols]
-                del degs[pivot]
-                changed = True
-                break
-        order = self.ring.poly_ring.order
-        clean = {}
-        for c in cols:
-            if c:
-                clean.setdefault(column_key(c, order), c)
-        # Relations are only defined modulo J, so redundancy is tested
-        # against the kept columns together with the J-multiples.
-        ambient = FreeModule(self.ring, len(degs), tuple(degs))
-        kept = min_gens(
-            [clean[key] for key in sorted(clean)], ambient, baseline=ambient.j_columns()
-        )
-        result = FPModule.cokernel(self.ring, tuple(degs), kept)
-        result._minimal = result
-        self._minimal = result
-        return result
+        if self._minimal is None:
+            self._minimal = _minimal_cokernel(
+                self.ring, self.ambient.twists, self.relation_columns()
+            )
+        return self._minimal
 
     def twist(self, w: int) -> FPModule:
         """Shift all internal degrees up by w (the module M(-w) convention
@@ -288,13 +169,84 @@ class FPModule:
             self.ambient.rank,
             tuple(t + w for t in self.ambient.twists),
         )
-        return FPModule(F, self.gens, self.rels, check=False)
+        return FPModule(F, self.rels)
 
     def __repr__(self):
-        return (
-            f"FPModule(rank={self.ambient.rank}, gens={len(self.gens)}, "
-            f"rels={len(self.rels)})"
-        )
+        return f"FPModule(rank={self.ambient.rank}, rels={len(self.rels)})"
+
+
+def subquotient(
+    ambient: FreeModule, gens: Sequence[ModVec], rels: Sequence[ModVec] = ()
+) -> FPModule:
+    """The minimized cokernel form of (span(gens) + N)/N, with N the span
+    of rels together with J times the ambient basis.
+
+    The relations on the generators are the syzygies of [gens | N]
+    projected to the gens coordinates (Singular's modulo).
+    """
+    ring = ambient.ring
+    gens = [g for g in gens if g]
+    rel_cols = [v for v in rels if v] + ambient.j_columns()
+    if gens == [ambient.basis_vector(i) for i in range(ambient.rank)]:
+        return _minimal_cokernel(ring, ambient.twists, rel_cols)
+    k = len(gens)
+    tagged = gb.TaggedBasis(gens + rel_cols, ambient.twists, ring.poly_ring)
+    cols = []
+    for s in tagged.syzygies():
+        col = {t: c for t, c in s.items() if t[0] < k}
+        if col:
+            cols.append(col)
+    degs = [gb.vec_degree(g, ambient.twists) for g in gens]
+    return _minimal_cokernel(ring, degs, cols)
+
+
+def _minimal_cokernel(ring: QuotientRing, degs: Sequence[int], cols: Sequence[ModVec]) -> FPModule:
+    """Minimal cokernel presentation of the cokernel of cols on generators
+    of the given degrees: unit entries are cancelled with their generator,
+    duplicates dropped and the rest thinned to a minimal set modulo J."""
+    cols = list(cols)
+    degs = list(degs)
+    field = ring.field
+    zero_expo = (0,) * ring.nvars
+    changed = True
+    while changed:
+        changed = False
+        for ci, col in enumerate(cols):
+            pivot = _unit_row(col, zero_expo)
+            if pivot is None:
+                continue
+            lam_inv = field.inv(col[(pivot, zero_expo)])
+            for cj, other in enumerate(cols):
+                if cj == ci:
+                    continue
+                # other - (other's pivot entry / lam) * col
+                coords = {
+                    (1, e): field.neg(field.mul(c, lam_inv))
+                    for (row, e), c in other.items()
+                    if row == pivot
+                }
+                if coords:
+                    coords[(0, zero_expo)] = field.one
+                    cols[cj] = gb.vec_combination([other, col], coords, field)
+            del cols[ci]
+            cols = [_drop_row(c, pivot) for c in cols]
+            del degs[pivot]
+            changed = True
+            break
+    order = ring.poly_ring.order
+    clean = {}
+    for c in cols:
+        if c:
+            clean.setdefault(column_key(c, order), c)
+    # Relations are only defined modulo J, so redundancy is tested
+    # against the kept columns together with the J-multiples.
+    ambient = FreeModule(ring, len(degs), tuple(degs))
+    kept = min_gens(
+        [clean[key] for key in sorted(clean)], ambient, baseline=ambient.j_columns()
+    )
+    result = FPModule(ambient, kept)
+    result._minimal = result
+    return result
 
 
 def _unit_row(col: ModVec, zero_expo) -> int | None:
@@ -324,14 +276,14 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.columns = tuple(columns)
-        if len(self.columns) != len(source.gens):
+        if len(self.columns) != source.ambient.rank:
             raise ValueError("one column per source generator required")
-        if any(comp >= len(target.gens) for col in self.columns for comp, _ in col):
+        if any(comp >= target.ambient.rank for col in self.columns for comp, _ in col):
             raise ValueError("column component outside the target generators")
 
     @classmethod
     def zero(cls, source: FPModule, target: FPModule) -> ModuleMap:
-        return cls(source, target, [{} for _ in source.gens])
+        return cls(source, target, [{} for _ in range(source.ambient.rank)])
 
     @classmethod
     def multiplication(cls, module: FPModule, c: Polynomial) -> ModuleMap:
@@ -341,42 +293,40 @@ class ModuleMap:
             if not c.is_zero():
                 raise gb.InhomogeneousError("multiplier must be homogeneous")
             d = 0
-        columns = [{(j, e): v for e, v in c.terms.items()} for j in range(len(module.gens))]
+        columns = [
+            {(j, e): v for e, v in c.terms.items()} for j in range(module.ambient.rank)
+        ]
         return cls(module.twist(d), module, columns)
 
     def is_well_defined(self) -> bool:
         """Image of every source relation lies in the target relations."""
         field = self.source.ring.field
-        for rel in self.source.gen_relations():
-            coords = gb.vec_combination(self.columns, rel, field)
-            if not self.target.element_is_zero(self.target.element_from_coords(coords)):
-                return False
-        return True
+        return all(
+            self.target.element_is_zero(gb.vec_combination(self.columns, rel, field))
+            for rel in self.source.relation_columns()
+        )
 
-    def kernel(self) -> FPModule:
-        """Kernel as a subquotient of the source.
+    def kernel(self) -> list[ModVec]:
+        """Generators of the kernel, as vectors of the source's ambient
+        module in canonical order.
 
         Coefficient vectors c whose combination of the columns lies in the
         target relations are found by syzygies of [columns | target
-        presentation] projected to the source coordinates.
+        relations] projected to the source coordinates.
         """
         ring = self.source.ring.poly_ring
         n_cols = len(self.columns)
-        cols = list(self.columns) + list(self.target.gen_relations())
-        tagged = gb.TaggedBasis(cols, self.target.gen_degrees(), ring)
+        cols = list(self.columns) + self.target.relation_columns()
+        tagged = gb.TaggedBasis(cols, self.target.ambient.twists, ring)
         gens = {}
         for s in tagged.syzygies():
-            coeffs = {t: c for t, c in s.items() if t[0] < n_cols}
-            if not coeffs:
-                continue
-            vec = self.source.element_from_coords(coeffs)
+            vec = {t: c for t, c in s.items() if t[0] < n_cols}
             if vec:
                 gens.setdefault(column_key(vec, ring.order), vec)
-        dedup = [gens[key] for key in sorted(gens)]
-        return FPModule(self.source.ambient, dedup, self.source.rels, check=False)
+        return [gens[key] for key in sorted(gens)]
 
     def __repr__(self):
-        return f"ModuleMap({len(self.source.gens)} -> {len(self.target.gens)})"
+        return f"ModuleMap({self.source.ambient.rank} -> {self.target.ambient.rank})"
 
 
 def min_gens(

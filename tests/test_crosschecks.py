@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import poly, ring
-from dgkoszul import FPModule, PrimeField, RationalField, koszul, dg_from_ring
+from dgkoszul import FPModule, PrimeField, RationalField, koszul, dg_from_ring, subquotient
 from dgkoszul import groebner as gb
 from dgkoszul.complexes import _monomials_of_degree
 from dgkoszul.linalg import Echelon
@@ -80,7 +80,7 @@ def test_syzygy_module_graded_dimensions():
     gens = [parse_poly(t, R) for t in ("x", "y", "z")]
     cols = [gb.column_to_vec((g,)) for g in gens]
     syz = gb.TaggedBasis(cols, (0,), R).syzygies()
-    syz_module = FPModule(FreeModule(Q, 3, (1, 1, 1)), syz, ())
+    syz_module = subquotient(FreeModule(Q, 3, (1, 1, 1)), syz)
     hs = syz_module.hilbert_series()
     for t in range(0, 9):
         monos_prev = len(_monomials_of_degree(3, t - 1)) if t >= 1 else 0

@@ -17,7 +17,8 @@ from dgkoszul import (
     lift_independence_check,
     trivial_extension,
 )
-from dgkoszul.complexes import complex_from_module, homology_hilbert_functions, truncation_oracle
+from dgkoszul.complexes import Complex, homology_hilbert_functions, truncation_oracle
+from dgkoszul.dgring import MAX_COMPLEX_RANK, ComplexSizeError
 
 
 def _tables_equal(a, b):
@@ -84,6 +85,21 @@ def test_koszul_bounds_and_h0():
     assert K.h0.dim() == 0
 
 
+def test_complex_rank_bound_admits_exactly_the_bound():
+    # rank(A) * 2^n with rank(A) = 1: nine elements reach the bound, ten pass it.
+    A = dg_from_ring(ring("x", "y"))
+    assert 2**9 == MAX_COMPLEX_RANK
+    K = koszul(A, ["x"] * 9)
+    assert sum(t.ambient.rank for t in K.underlying.terms.values()) == MAX_COMPLEX_RANK
+    with pytest.raises(ComplexSizeError):
+        koszul(A, ["x"] * 10)
+    with pytest.raises(ComplexSizeError):
+        koszul_module(dg_as_module(A), ["x"] * 10)
+    assert dg_tensor(koszul(A, ["x"] * 5), koszul(A, ["y"] * 4)).underlying
+    with pytest.raises(ComplexSizeError):
+        dg_tensor(koszul(A, ["x"] * 5), koszul(A, ["y"] * 5))
+
+
 def test_trivial_extension_shape():
     B = ring("x", "y", ideal=["x*y"])
     M = FPModule.quotient_by_ideal(B, [poly("x", B)])
@@ -122,17 +138,17 @@ def test_koszul_on_trivial_extension_decomposes():
     A = trivial_extension(B, M, 2)
     K = koszul(A, ["y"])
     KB = koszul(dg_from_ring(B), ["y"])
-    from dgkoszul.complexes import tensor_complexes, koszul_complex, complex_from_module
+    from dgkoszul.complexes import tensor_complexes, koszul_complex
 
     KMc = tensor_complexes(
-        complex_from_module(M), koszul_complex(B, [poly("y", B)])
+        Complex(B, {0: M}, {}), koszul_complex(B, [poly("y", B)])
     )
     expected = {}
     for i, hs in KB.homology_table().items():
         expected[i] = hs
     for i in KMc.support:
         h = KMc.homology(i)
-        if len(h.gens) > 0:
+        if h.ambient.rank > 0:
             hs = h.hilbert_series()
             expected[i - 2] = expected.get(i - 2, hs - hs) + hs
     actual = K.homology_table()
@@ -144,7 +160,7 @@ def test_koszul_on_trivial_extension_decomposes():
 def test_koszul_module_of_residue_field():
     A = dg_from_ring(ring("x"))
     k_mod = FPModule.quotient_by_ideal(A.base, [poly("x", A.base)])
-    M = DGModuleRep(A, complex_from_module(k_mod))
+    M = DGModuleRep(A, Complex(A.base, {0: k_mod}, {}))
     KM = koszul_module(M, ["x"])
     # x acts as zero on k: the cone of the zero map has k in degrees 0, -1
     t = {i: KM.homology(i).hilbert_series() for i in KM.underlying.support}

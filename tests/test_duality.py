@@ -57,7 +57,7 @@ def test_resolution_is_exact_and_minimal():
         assert res.homology(0).hilbert_series() == Q.hilbert_series()
         for i in res.support:
             if i != 0:
-                assert res.homology(i).is_zero_module()
+                assert res.homology(i).hilbert_series().is_zero()
         # minimal: no column has a constant term
         constant = (0,) * Q.poly_ring.nvars
         for m in res.diffs.values():
@@ -102,7 +102,7 @@ def test_dualizing_complex_of_gorenstein_hypersurface():
     R = dualizing_complex(Q)
     assert R.amp() == 0 and R.inf() == -1
     top = R.homology(-1).minimize()
-    assert len(top.gens) == 1  # cyclic
+    assert top.ambient.rank == 1  # cyclic
 
 
 def test_dualizing_complex_detects_non_cm():

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgkoszul import PolyRing, PrimeField, RunConfig, parse_poly, run_job
 from dgkoszul.checks import MAX_EULER_DEPTH
+from dgkoszul.dgring import MAX_COMPLEX_RANK
 from dgkoszul.fields import FieldError
 from dgkoszul.jobs import MAX_ORACLE_BASIS, MAX_ORACLE_DEPTH, MAX_VARIABLES
 from dgkoszul.parse import MAX_EXPONENT, ParseError
@@ -247,6 +248,41 @@ def test_oracle_above_the_basis_bound_is_a_task_error_before_any_work():
     assert record["status"] == "error"
     assert f"369305 basis vectors, above the bound {MAX_ORACLE_BASIS}" in record["error"]
     assert report["status"] == "task-error"
+    assert elapsed < 1.0
+
+
+def test_koszul_task_above_the_rank_bound_is_a_task_error_before_any_work():
+    # Koszul on 12 copies of x over k[x,y] has 2^12 = 4096 generators; the
+    # task took 24 s unbounded on a 2-vCPU Xeon.
+    job = _job(tasks=[{"task": "koszul", "elements": ["x"] * 12, "oracle_depth": 0}])
+    start = time.monotonic()
+    report = run_job(job)
+    elapsed = time.monotonic() - start
+    record = report["results"][0]
+    assert record["status"] == "error"
+    assert f"4096 generators, above the bound {MAX_COMPLEX_RANK}" in record["error"]
+    assert report["status"] == "task-error"
+    assert elapsed < 1.0
+
+
+SIX_ELEMENTS = {"kind": "koszul", "elements": ["x", "y"] * 3}  # 2^6 = 64 generators
+
+
+@pytest.mark.parametrize(
+    "dg",
+    [
+        {"kind": "koszul", "base": SIX_ELEMENTS, "elements": ["x", "y"] * 3},
+        {"kind": "tensor", "left": SIX_ELEMENTS, "right": SIX_ELEMENTS},
+    ],
+    ids=["nested-koszul", "tensor"],
+)
+def test_dg_spec_above_the_rank_bound_is_an_input_error_before_any_work(dg):
+    # 64 * 64 = 4096 generators.
+    start = time.monotonic()
+    report = run_job(_job(dg=dg))
+    elapsed = time.monotonic() - start
+    assert report["status"] == "input-error"
+    assert f"4096 generators, above the bound {MAX_COMPLEX_RANK}" in report["error"]
     assert elapsed < 1.0
 
 
