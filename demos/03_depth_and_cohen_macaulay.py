@@ -1,8 +1,7 @@
 """Depth, sequential depth, and Cohen-Macaulay certification.
 
-Depth is computed through the Koszul characterization
-depth(I, M) = inf(M (x) K(A; gens)) + n; sequential depth subtracts
-inf(M).  A greedy search for explicit regular sequences cross-checks the
+Depth is read from the Koszul DG-ring:
+depth(I, A) = inf K(A; gens) + n; sequential depth subtracts inf(A).  A greedy search for explicit regular sequences cross-checks the
 numbers, and the local-CM / constant-amplitude flags combine into a
 three-valued Cohen-Macaulay certificate.
 """

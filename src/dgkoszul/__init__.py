@@ -25,16 +25,13 @@ from .complexes import (
     truncation_oracle,
 )
 from .dgring import (
-    DGModuleRep,
     DGRingRep,
     ElementOfH0,
     RingMap,
     base_change,
-    dg_as_module,
     dg_from_ring,
     dg_tensor,
     koszul,
-    koszul_module,
     lift_independence_check,
     trivial_extension,
 )

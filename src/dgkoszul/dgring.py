@@ -25,9 +25,11 @@ from .rings import QuotientRing, substitute
 # at rank 512, 1024 and 2048, a koszul task on n copies of x over k[x,y]
 # took 0.8, 2.0 and 6.3 s, and one on all variables of k[x0..x(n-1)] 0.8,
 # 2.5 and 8.5 s.  Relations cost more: on two quadrics a koszul task took
-# 7.5 s at rank 512 (nine variables) and 25 s at 1024, and an invariants
-# task (depth at the irrelevant ideal and a regular-sequence witness) 24 s
-# at 512.  The suite and the benchmark build at most rank 64.
+# 7.5 s at rank 512 (nine variables) and 25 s at 1024.  An invariants task
+# (depth at the irrelevant ideal and a regular-sequence witness) at rank 512
+# took 3.2-3.6 s on k[x0..x8], 6.2-8.4 s on k[x0..x8]/(x0x1 - x2x3) and
+# 15.5-15.7 s on k[x0..x8]/(x0x1 - x2x3, x4x5 - x6x7), one process at a
+# time.  The suite and the benchmark build at most rank 64.
 MAX_COMPLEX_RANK = 512
 
 
@@ -120,7 +122,11 @@ class DGRingRep:
         return self.underlying.homology_table()
 
     def inf(self):
-        return self.underlying.inf()
+        """inf of the cohomology, memoized: depth, sequential depth,
+        regularity and the CM flags all read it."""
+        if "inf" not in self._cache:
+            self._cache["inf"] = self.underlying.inf()
+        return self._cache["inf"]
 
     def sup(self):
         return self.underlying.sup()
@@ -183,29 +189,6 @@ class DGRingRep:
         return f"DGRing({self.provenance[0]}, base={self.base!r})"
 
 
-class DGModuleRep:
-    """A DG-module presented by its underlying complex of Q-modules."""
-
-    def __init__(self, over: DGRingRep, underlying: Complex):
-        self.over = over
-        self.underlying = underlying
-
-    def homology(self, i: int) -> FPModule:
-        return self.underlying.homology(i)
-
-    def inf(self):
-        return self.underlying.inf()
-
-    def sup(self):
-        return self.underlying.sup()
-
-    def amp(self):
-        return self.underlying.amp()
-
-    def __repr__(self):
-        return f"DGModule(over={self.over!r})"
-
-
 # ---------- constructors ----------
 
 def dg_from_ring(Q: QuotientRing) -> DGRingRep:
@@ -233,35 +216,23 @@ def koszul(A: DGRingRep, elems: Sequence) -> DGRingRep:
 
     Realized as Tot(underlying(A) (x) K(Q; lifts)); the Koszul factor is
     termwise free over Q, so no further resolution is needed.  An empty
-    element list returns A itself.
+    element list returns A itself.  The result is memoized on A, keyed by
+    the representatives and degrees, so every reader of K(A; elems) shares
+    one complex and its homology.
     """
-    elems = [_as_element(e, A.base) for e in elems]
+    elems = tuple(_as_element(e, A.base) for e in elems)
     if not elems:
         return A
-    _check_rank(_total_rank(A.underlying) * 2 ** len(elems), "the Koszul complex")
-    K = koszul_complex(
-        A.base, [e.rep for e in elems], degrees=[e.degree for e in elems]
-    )
-    underlying = tensor_complexes(A.underlying, K)
-    return DGRingRep(A.base, underlying, A.h0_quotient(elems), ("koszul", A, tuple(elems)))
-
-
-def dg_as_module(A: DGRingRep) -> DGModuleRep:
-    return DGModuleRep(A, A.underlying)
-
-
-def koszul_module(M: DGModuleRep, elems: Sequence) -> DGModuleRep:
-    """K(M; elems) = M (x) K(Q; lifts), a DG-module over K(A; elems)."""
-    A = M.over
-    elems = [_as_element(e, A.base) for e in elems]
-    if not elems:
-        return M
-    _check_rank(_total_rank(M.underlying) * 2 ** len(elems), "the Koszul complex")
-    K = koszul_complex(
-        A.base, [e.rep for e in elems], degrees=[e.degree for e in elems]
-    )
-    underlying = tensor_complexes(M.underlying, K)
-    return DGModuleRep(koszul(A, elems), underlying)
+    if elems not in A._cache:
+        _check_rank(_total_rank(A.underlying) * 2 ** len(elems), "the Koszul complex")
+        K = koszul_complex(
+            A.base, [e.rep for e in elems], degrees=[e.degree for e in elems]
+        )
+        underlying = tensor_complexes(A.underlying, K)
+        A._cache[elems] = DGRingRep(
+            A.base, underlying, A.h0_quotient(elems), ("koszul", A, elems)
+        )
+    return A._cache[elems]
 
 
 def dg_tensor(L: DGRingRep, R: DGRingRep) -> DGRingRep:

@@ -1,8 +1,8 @@
-"""Numerical invariants of DG-rings and DG-modules.
+"""Numerical invariants of DG-rings.
 
-Depth is computed through the Koszul characterization
-depth(I, M) = inf(M (x) K(A; gens)) + n, which only depends on the ideal;
-sequential depth is depth - inf(M).  The greedy regular-sequence search is
+Depth is taken for M = A through the Koszul DG-ring:
+depth(I, A) = inf K(A; gens) + n, which only depends on the ideal;
+sequential depth is depth - inf(A).  The greedy regular-sequence search is
 a cross-check oracle: a negative answer is only certified for the
 enumerated candidate set, and budget exhaustion is flagged, never silently
 treated as "no regular element".
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .dgring import DGRingRep, DGModuleRep, ElementOfH0, _as_element, dg_as_module, koszul, koszul_module
+from .dgring import DGRingRep, ElementOfH0, _as_element, koszul
 from .groebner import vec_to_column
 from .hilbert import NEG_INF, POS_INF
 from .modules import ModuleMap
@@ -36,15 +36,15 @@ def sentinel_json(x):
     return int(x)
 
 
-def amp_profile(M: DGModuleRep | DGRingRep):
+def amp_profile(A: DGRingRep):
     """(inf, sup, amp) of the cohomology, with sentinels for acyclic input."""
-    u = M.underlying
+    u = A.underlying
     return u.inf(), u.sup(), u.amp()
 
 
-def lcdim(M: DGModuleRep | DGRingRep):
-    """sup over n of dim(H^n(M)) + n."""
-    u = M.underlying
+def lcdim(A: DGRingRep):
+    """sup over n of dim(H^n(A)) + n."""
+    u = A.underlying
     best = NEG_INF
     for i in u.support:
         h = u.homology(i)
@@ -54,13 +54,13 @@ def lcdim(M: DGModuleRep | DGRingRep):
     return best
 
 
-def is_regular(M: DGModuleRep, x) -> tuple[bool, dict]:
-    """x is M-regular iff multiplication by x on H^{inf(M)}(M) is injective."""
-    x = _as_element(x, M.over.base)
-    lo = M.underlying.inf()
+def is_regular(A: DGRingRep, x) -> tuple[bool, dict]:
+    """x is A-regular iff multiplication by x on H^{inf(A)}(A) is injective."""
+    x = _as_element(x, A.base)
+    lo = A.inf()
     if lo == POS_INF:
         raise AcyclicModuleError("regularity is undefined for acyclic modules")
-    h = M.underlying.homology(lo)
+    h = A.underlying.homology(lo)
     ker = ModuleMap.multiplication(h, x.rep).kernel()
     witness = next((v for v in ker if not h.element_is_zero(v)), None)
     ok = witness is None
@@ -75,32 +75,31 @@ def is_regular(M: DGModuleRep, x) -> tuple[bool, dict]:
     return ok, cert
 
 
-def _check_proper(A: DGRingRep, elems) -> None:
-    if A.h0_quotient(elems).is_trivial():
+def _proper_koszul(A: DGRingRep, elems) -> DGRingRep:
+    """K(A; elems), once its H^0 = H^0(A)/(elems) is known to be nonzero."""
+    K = koszul(A, elems)
+    if K.h0.is_trivial():
         raise ImproperIdealError("ideal is the unit ideal of H^0")
+    return K
 
 
-def depth(A: DGRingRep, ideal_gens, M: DGModuleRep | None = None):
-    """depth_A(I, M) = inf(M (x) K(A; gens)) + n for any generating set."""
+def depth(A: DGRingRep, ideal_gens):
+    """depth(I, A) = inf K(A; gens) + n for any generating set of I.
+
+    Depth is taken for M = A only, through the Koszul DG-ring K(A; gens)
+    that `koszul` memoizes on A.
+    """
     elems = [_as_element(e, A.base) for e in ideal_gens]
-    _check_proper(A, elems)
-    if M is None:
-        M = dg_as_module(A)
-    if not elems:
-        return M.underlying.inf()
-    km = koszul_module(M, elems)
-    lo = km.underlying.inf()
+    lo = _proper_koszul(A, elems).inf()
     if lo == POS_INF:
         return POS_INF
     return lo + len(elems)
 
 
-def seq_depth(A: DGRingRep, ideal_gens, M: DGModuleRep | None = None):
-    """Sequential depth: depth - inf(M)."""
-    if M is None:
-        M = dg_as_module(A)
-    d = depth(A, ideal_gens, M)
-    lo = M.underlying.inf()
+def seq_depth(A: DGRingRep, ideal_gens):
+    """Sequential depth: depth - inf(A)."""
+    d = depth(A, ideal_gens)
+    lo = A.inf()
     if d == POS_INF or lo == POS_INF:
         return POS_INF
     return d - lo
@@ -179,12 +178,12 @@ def greedy_regular_sequence(
     was fully examined.
     """
     elems = [_as_element(e, A.base) for e in ideal_gens]
-    _check_proper(A, elems)
+    _proper_koszul(A, elems)
     witness = RegularSequenceWitness()
     stage = A
     remaining = budget
     while True:
-        if stage.underlying.inf() == POS_INF:
+        if stage.inf() == POS_INF:
             break
         pool = _candidate_pool(stage, elems, degree_cap)
         advanced = False
@@ -194,7 +193,7 @@ def greedy_regular_sequence(
                 return witness
             remaining -= 1
             witness.tested += 1
-            ok, cert = is_regular(dg_as_module(stage), cand)
+            ok, cert = is_regular(stage, cand)
             if ok:
                 el = ElementOfH0(cand)
                 witness.elements.append(el)
@@ -214,12 +213,8 @@ def is_local_cm(A: DGRingRep) -> bool:
 
     dim H^0 <= 0 (an Artinian or zero H^0) short-circuits to True.
     """
-    if "local_cm" in A._cache:
-        return A._cache["local_cm"]
     d0 = A.h0.dim()
-    result = d0 <= 0 or seq_depth(A, A.irrelevant_ideal()) == d0
-    A._cache["local_cm"] = result
-    return result
+    return d0 <= 0 or seq_depth(A, A.irrelevant_ideal()) == d0
 
 
 def has_constant_amplitude(A: DGRingRep) -> bool:
@@ -227,7 +222,7 @@ def has_constant_amplitude(A: DGRingRep) -> bool:
     cohomology is nilpotent in H^0."""
     if "constant_amplitude" in A._cache:
         return A._cache["constant_amplitude"]
-    lo = A.underlying.inf()
+    lo = A.inf()
     result = True
     if lo != POS_INF:
         h = A.underlying.homology(lo)
@@ -266,13 +261,7 @@ def homotopy_fiber(source_vars, images, B: DGRingRep) -> DGRingRep:
         red = B.h0.nf(e.rep)
         if not red.is_zero() and red.total_degree() == 0:
             raise NonLocalMapError(f"image {e.rep} is a unit in H^0")
-    fiber = koszul(B, elems)
-    return DGRingRep(
-        fiber.base,
-        fiber.underlying,
-        fiber.h0,
-        ("koszul", B, tuple(elems), "homotopy-fiber"),
-    )
+    return koszul(B, elems)
 
 
 def flatdim_over_regular(source_vars, images, B: DGRingRep) -> dict:

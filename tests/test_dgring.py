@@ -4,20 +4,23 @@ import pytest
 
 from conftest import poly, ring
 from dgkoszul import (
-    DGModuleRep,
     ElementOfH0,
     FPModule,
     RingMap,
     base_change,
-    dg_as_module,
     dg_from_ring,
     dg_tensor,
     koszul,
-    koszul_module,
     lift_independence_check,
     trivial_extension,
 )
-from dgkoszul.complexes import Complex, homology_hilbert_functions, truncation_oracle
+from dgkoszul.complexes import (
+    Complex,
+    homology_hilbert_functions,
+    koszul_complex,
+    tensor_complexes,
+    truncation_oracle,
+)
 from dgkoszul.dgring import MAX_COMPLEX_RANK, ComplexSizeError
 
 
@@ -53,8 +56,30 @@ def test_koszul_over_hypersurface_tables():
 def test_empty_element_list_returns_self():
     A = dg_from_ring(ring("x"))
     assert koszul(A, []) is A
-    M = dg_as_module(A)
-    assert koszul_module(M, []) is M
+
+
+def test_koszul_is_memoized_on_its_ring():
+    A = dg_from_ring(ring("x", "y"))
+    assert koszul(A, ["x"]) is koszul(A, ["x"])
+    assert koszul(A, ["x", "y"]) is koszul(A, [poly("x", A.base), poly("y", A.base)])
+    assert koszul(A, ["y", "x"]) is not koszul(A, ["x", "y"])
+
+
+def test_two_lifts_of_one_class_give_two_koszul_dg_rings():
+    # x^2 and x*y are one class of H^0 = k[x,y]/(x^2 - x*y), and zero
+    # representatives of two declared degrees are one class too
+    A = dg_from_ring(ring("x", "y", ideal=["x^2 - x*y"]))
+    K1 = koszul(A, ["x^2"])
+    assert koszul(A, ["x^2"]) is K1
+    K2 = koszul(A, ["x*y"])
+    assert K2 is not K1
+    assert K1.koszul_lifts() != K2.koszul_lifts()
+    zero = A.base.poly_ring.zero
+    Z1 = koszul(A, [ElementOfH0(zero, degree=1)])
+    Z2 = koszul(A, [ElementOfH0(zero, degree=2)])
+    assert Z1 is koszul(A, [ElementOfH0(zero, degree=1)])
+    assert Z2 is not Z1
+    assert Z1.homology_table() != Z2.homology_table()
 
 
 def test_h0_presentation_matches():
@@ -93,8 +118,6 @@ def test_complex_rank_bound_admits_exactly_the_bound():
     assert sum(t.ambient.rank for t in K.underlying.terms.values()) == MAX_COMPLEX_RANK
     with pytest.raises(ComplexSizeError):
         koszul(A, ["x"] * 10)
-    with pytest.raises(ComplexSizeError):
-        koszul_module(dg_as_module(A), ["x"] * 10)
     assert dg_tensor(koszul(A, ["x"] * 5), koszul(A, ["y"] * 4)).underlying
     with pytest.raises(ComplexSizeError):
         dg_tensor(koszul(A, ["x"] * 5), koszul(A, ["y"] * 5))
@@ -138,7 +161,6 @@ def test_koszul_on_trivial_extension_decomposes():
     A = trivial_extension(B, M, 2)
     K = koszul(A, ["y"])
     KB = koszul(dg_from_ring(B), ["y"])
-    from dgkoszul.complexes import tensor_complexes, koszul_complex
 
     KMc = tensor_complexes(
         Complex(B, {0: M}, {}), koszul_complex(B, [poly("y", B)])
@@ -160,10 +182,11 @@ def test_koszul_on_trivial_extension_decomposes():
 def test_koszul_module_of_residue_field():
     A = dg_from_ring(ring("x"))
     k_mod = FPModule.quotient_by_ideal(A.base, [poly("x", A.base)])
-    M = DGModuleRep(A, Complex(A.base, {0: k_mod}, {}))
-    KM = koszul_module(M, ["x"])
+    KM = tensor_complexes(
+        Complex(A.base, {0: k_mod}, {}), koszul_complex(A.base, [poly("x", A.base)])
+    )
     # x acts as zero on k: the cone of the zero map has k in degrees 0, -1
-    t = {i: KM.homology(i).hilbert_series() for i in KM.underlying.support}
+    t = {i: KM.homology(i).hilbert_series() for i in KM.support}
     assert t[0].reduced() == ({0: 1}, 0)
     assert t[-1].reduced() == ({1: 1}, 0)
 
@@ -234,7 +257,7 @@ def test_regularity_preserves_constant_amplitude():
     ]
     for A, el in fixtures:
         assert has_constant_amplitude(A)
-        ok, _ = is_regular(dg_as_module(A), el)
+        ok, _ = is_regular(A, el)
         assert ok
         K = koszul(A, [el])
         assert has_constant_amplitude(K)

@@ -8,7 +8,6 @@ from dgkoszul import (
     FPModule,
     betti_numbers,
     depth,
-    dg_as_module,
     dg_from_ring,
     dualizing_complex,
     dualizing_of_koszul,

@@ -9,7 +9,6 @@ from dgkoszul import (
     cm_certify,
     compute_invariants,
     depth,
-    dg_as_module,
     dg_from_ring,
     flatdim_over_regular,
     greedy_regular_sequence,
@@ -55,13 +54,13 @@ def test_lcdim_values():
 
 def test_is_regular():
     A = dg_from_ring(ring("x", "y"))
-    assert is_regular(dg_as_module(A), "x")[0]
+    assert is_regular(A, "x")[0]
     B = dg_from_ring(ring("x", "y", ideal=["x*y"]))
-    ok, cert = is_regular(dg_as_module(B), "x")
+    ok, cert = is_regular(B, "x")
     assert not ok and "kernel_witness" in cert
     ext = _example_extension()
-    assert is_regular(dg_as_module(ext), "y")[0]
-    assert not is_regular(dg_as_module(ext), "x")[0]
+    assert is_regular(ext, "y")[0]
+    assert not is_regular(ext, "x")[0]
 
 
 def test_depth_examples():
@@ -222,3 +221,20 @@ def test_invariant_report_shape():
     assert rep["depth_at_irrelevant"] == -1
     assert rep["per_ideal"][0]["seq_depth"] == 1
     assert rep["witness"]["elements"]
+
+
+def test_invariants_build_the_koszul_complex_at_the_irrelevant_ideal_once(monkeypatch):
+    import dgkoszul.dgring
+
+    built = []
+    real = dgkoszul.dgring.koszul_complex
+
+    def counting(*args, **kwargs):
+        built.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dgkoszul.dgring, "koszul_complex", counting)
+    cubic = dg_from_ring(ring("a", "b", "c", "d", ideal=["a*c - b^2", "b*d - c^2", "a*d - b*c"]))
+    rep = compute_invariants(cubic, with_witness=False).to_json()
+    assert len(built) == 1
+    assert rep["depth_at_irrelevant"] == 2 and rep["local_cm"] is True

@@ -15,7 +15,6 @@ from conftest import poly, ring
 from dgkoszul import (
     FPModule,
     cm_certify,
-    dg_as_module,
     dg_from_ring,
     greedy_regular_sequence,
     has_constant_amplitude,
