@@ -13,7 +13,7 @@ from .poly import GREVLEX, LEX, MonomialOrder, PolyRing, Polynomial
 from .parse import ParseError, parse_poly
 from .rings import FreeModule, QuotientRing, quotient_ring_from_strings
 from .hilbert import NEG_INF, POS_INF, HilbertSeries
-from .modules import FPModule, ModuleMap, min_gens, subquotient
+from .modules import FPModule, kernel, min_gens, subquotient
 from .complexes import (
     Bicomplex,
     Complex,

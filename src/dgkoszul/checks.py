@@ -94,7 +94,7 @@ def check_seq_depth(A: DGRingRep, args, config) -> dict:
     cm = cm_certify(A)
     lhs = seq_depth(A, elems)
     dim0 = A.h0.dim()
-    dimq = A.h0_quotient(elems).dim()
+    dimq = koszul(A, elems).h0.dim()
     rhs = None if dimq == NEG_INF else dim0 - dimq
     witness = greedy_regular_sequence(A, elems, budget=config.budget)
     record = {
@@ -131,7 +131,7 @@ def check_depth_formula(A: DGRingRep, args, config) -> dict:
     alt_ok = True
     for alt in args.get("alt_gens") or []:
         alt_elems = _elements({"g": alt}, "g", A.base)
-        if A.h0_quotient(alt_elems) != A.h0_quotient(elems):
+        if koszul(A, alt_elems).h0 != koszul(A, elems).h0:
             raise CheckInputError("alternative generators span a different ideal")
         d_alt = depth(A, alt_elems)
         alt_results.append(

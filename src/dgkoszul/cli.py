@@ -32,10 +32,11 @@ EXIT_RESOURCE_CAP = 3
 def _parse_field_flag(text: str):
     if text == "rationals":
         return {"kind": "rationals"}
-    if text.startswith("prime:"):
-        return {"kind": "prime", "p": int(text.split(":", 1)[1])}
-    if text.isdigit():
-        return {"kind": "prime", "p": int(text)}
+    if text.startswith("prime:") or text.isdigit():
+        try:
+            return {"kind": "prime", "p": int(text.removeprefix("prime:"))}
+        except ValueError:
+            pass
     raise FieldError(f"cannot parse field flag {text!r}")
 
 

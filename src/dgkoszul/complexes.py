@@ -3,9 +3,9 @@ degree-truncation oracle.
 
 Complexes are cohomologically indexed: d^i maps term i to term i+1 and has
 internal degree 0.  Terms are FPModules, cokernels of their ambient free
-modules; a differential, like every map of complexes, is the tuple of its
-sparse ModVec columns: column j is the image of generator j of the source
-in the generators of the target.
+modules; a map is the tuple of its columns: column j of a differential,
+or of any map of complexes, is the sparse ModVec image of generator j of
+the source over the generators of the target.
 
 Sign conventions, pinned once:
   * the rank-1 Koszul differential sends the degree -1 basis vector for a
@@ -24,7 +24,7 @@ from typing import Sequence
 from . import groebner as gb
 from .hilbert import NEG_INF, POS_INF, HilbertSeries
 from .linalg import Echelon
-from .modules import FPModule, ModuleMap, subquotient
+from .modules import FPModule, kernel, subquotient
 from .poly import Polynomial, mono_mul
 from .rings import QuotientRing
 
@@ -92,10 +92,11 @@ class Complex:
 
     def validate(self) -> None:
         """Check d∘d = 0 and well-definedness of every differential."""
-        for i, m in self.diffs.items():
-            if not ModuleMap(self.terms[i], self.terms[i + 1], m).is_well_defined():
-                raise AssertionError(f"differential at {i} is not well defined")
         field = self.ring.field
+        for i, m in self.diffs.items():
+            rels = self.terms[i].relation_columns()
+            if not _agree(_compose(m, rels, field), None, self.terms[i + 1], len(rels)):
+                raise AssertionError(f"differential at {i} is not well defined")
         for i in self.diffs:
             if (i + 1) in self.diffs:
                 dd = _compose(self.diffs[i + 1], self.diffs[i], field)
@@ -114,7 +115,7 @@ class Complex:
             return h
         M = self.terms[i]
         if i in self.diffs:
-            ker_gens = ModuleMap(M, self.terms[i + 1], self.diffs[i]).kernel()
+            ker_gens = kernel(self.diffs[i], self.terms[i + 1])
         else:
             ker_gens = [M.ambient.basis_vector(j) for j in range(M.ambient.rank)]
         h = subquotient(M.ambient, ker_gens, M.rels + self.diffs.get(i - 1, ()))

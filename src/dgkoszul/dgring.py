@@ -134,12 +134,6 @@ class DGRingRep:
     def amp(self):
         return self.underlying.amp()
 
-    def h0_quotient(self, elems: Sequence[ElementOfH0]) -> QuotientRing:
-        """H^0(A)/(elems), presented as a quotient of the base polynomial ring."""
-        return QuotientRing(
-            self.base.poly_ring, self.h0.j_gens + tuple(e.rep for e in elems)
-        )
-
     def irrelevant_ideal(self) -> list[ElementOfH0]:
         """The variable classes generating the irrelevant maximal ideal."""
         ring = self.base.poly_ring
@@ -176,13 +170,13 @@ class DGRingRep:
         if self.underlying.hi > 0:
             raise AssertionError("underlying complex must be non-positive")
         h = self.underlying.homology(0)
-        if h.hilbert_series() != self.h0.hilbert_series().shift(0):
+        if h.hilbert_series() != self.h0.hilbert_series():
             raise AssertionError("H^0 Hilbert series disagrees with h0")
         closure = QuotientRing(
             self.base.poly_ring,
             tuple(h.annihilator()) + self.base.j_gens,
         )
-        if closure.groebner() != self.h0.groebner():
+        if closure != self.h0:
             raise AssertionError("H^0 annihilator disagrees with h0")
 
     def __repr__(self):
@@ -229,9 +223,8 @@ def koszul(A: DGRingRep, elems: Sequence) -> DGRingRep:
             A.base, [e.rep for e in elems], degrees=[e.degree for e in elems]
         )
         underlying = tensor_complexes(A.underlying, K)
-        A._cache[elems] = DGRingRep(
-            A.base, underlying, A.h0_quotient(elems), ("koszul", A, elems)
-        )
+        h0 = QuotientRing(A.base.poly_ring, A.h0.j_gens + tuple(e.rep for e in elems))
+        A._cache[elems] = DGRingRep(A.base, underlying, h0, ("koszul", A, elems))
     return A._cache[elems]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .dgring import DGRingRep, ElementOfH0, _as_element, koszul
 from .groebner import vec_to_column
 from .hilbert import NEG_INF, POS_INF
-from .modules import ModuleMap
+from .modules import kernel
 from .poly import Polynomial
 
 
@@ -61,7 +61,10 @@ def is_regular(A: DGRingRep, x) -> tuple[bool, dict]:
     if lo == POS_INF:
         raise AcyclicModuleError("regularity is undefined for acyclic modules")
     h = A.underlying.homology(lo)
-    ker = ModuleMap.multiplication(h, x.rep).kernel()
+    times_x = [
+        {(j, e): c for e, c in x.rep.terms.items()} for j in range(h.ambient.rank)
+    ]
+    ker = kernel(times_x, h)
     witness = next((v for v in ker if not h.element_is_zero(v)), None)
     ok = witness is None
     cert = {

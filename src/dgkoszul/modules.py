@@ -5,10 +5,14 @@ whose basis vectors are the generators, and N is the span of the
 relations together with J times the ambient basis.  One reduced Groebner
 basis of N serves both membership tests and the Hilbert series.
 Relations and every other module element are ModVecs (see groebner.py),
-sparse maps (ambient component, exponent) -> scalar, and a ModuleMap is
-the tuple of its ModVec columns over the target generators.  A
-subquotient (span(gens) + N)/N, such as a homology module, is presented
-by subquotient() as a minimized cokernel.
+sparse maps (ambient component, exponent) -> scalar, and a map is the
+tuple of its columns: column j is the ModVec image of source generator j
+over the target generators.
+
+Kernels, subquotient presentations and annihilators are one syzygy step,
+modulo(): the syzygies of [gens | rels] projected to the gens
+coordinates.  A subquotient (span(gens) + N)/N, such as a homology
+module, is presented by subquotient() as a minimized cokernel.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence
 from . import groebner as gb
 from .groebner import ModVec
 from .hilbert import HilbertSeries, lead_module_series
-from .poly import MonomialOrder, Polynomial
+from .poly import MonomialOrder, Polynomial, PolyRing
 from .rings import FreeModule, QuotientRing
 
 
@@ -117,7 +121,8 @@ class FPModule:
         return self.hilbert_series().pole_order
 
     def annihilator(self) -> list[Polynomial]:
-        """Generators (in S, containing J) of ann_Q(M).
+        """Generators (in S) of ann_Q(M), as their nonzero normal forms
+        modulo J; callers that want the ideal of S add J's generators.
 
         Computed as the syzygy coefficient on the stacked column
         (e_1, ..., e_k) of the basis vectors inside the direct sum of k
@@ -135,18 +140,15 @@ class FPModule:
         big_twists = [t - twists[j] for j in range(k) for t in twists]
         one = self.ring.field.one
         stacked = {(j * k + j, (0,) * self.ring.nvars): one for j in range(k)}
-        cols = [stacked] + [
+        rels = [
             gb.vec_offset(rel, j * k)
             for j in range(k)
             for rel in self.relation_columns()
         ]
-        tagged = gb.TaggedBasis(cols, tuple(big_twists), ring)
-        anns = []
-        for s in tagged.syzygies():
-            poly_terms = {e: c for (idx, e), c in s.items() if idx == 0}
-            if poly_terms:
-                anns.append(Polynomial(ring, poly_terms))
-        anns = [self.ring.nf(p) for p in anns]
+        anns = [
+            self.ring.nf(Polynomial(ring, {e: c for (_, e), c in v.items()}))
+            for v in modulo([stacked], rels, big_twists, ring)
+        ]
         anns = sorted({p for p in anns if not p.is_zero()}, key=lambda p: p.sort_key())
         self._annihilator = anns
         return self._annihilator
@@ -161,18 +163,35 @@ class FPModule:
             )
         return self._minimal
 
-    def twist(self, w: int) -> FPModule:
-        """Shift all internal degrees up by w (the module M(-w) convention
-        is left to callers; this just adds w to every twist)."""
-        F = FreeModule(
-            self.ambient.ring,
-            self.ambient.rank,
-            tuple(t + w for t in self.ambient.twists),
-        )
-        return FPModule(F, self.rels)
-
     def __repr__(self):
         return f"FPModule(rank={self.ambient.rank}, rels={len(self.rels)})"
+
+
+def modulo(
+    gens: Sequence[ModVec], rels: Sequence[ModVec], twists: Sequence[int], ring: PolyRing
+) -> list[ModVec]:
+    """Generators of {c : sum_j c_j gens[j] lies in span(rels)} over S.
+
+    They are the syzygies of [gens | rels] in the free module with the
+    given twists, projected to the first len(gens) coordinates
+    (Singular's modulo), in the syzygy engine's order with zero vectors
+    dropped.
+    """
+    k = len(gens)
+    tagged = gb.TaggedBasis(list(gens) + list(rels), twists, ring)
+    projected = ({t: c for t, c in s.items() if t[0] < k} for s in tagged.syzygies())
+    return [v for v in projected if v]
+
+
+def kernel(columns: Sequence[ModVec], target: FPModule) -> list[ModVec]:
+    """Generators of the kernel of the map with the given columns into
+    target, as coefficient vectors over the source generators, with
+    duplicates dropped and in canonical order."""
+    ring = target.ring.poly_ring
+    gens = {}
+    for v in modulo(columns, target.relation_columns(), target.ambient.twists, ring):
+        gens.setdefault(column_key(v, ring.order), v)
+    return [gens[key] for key in sorted(gens)]
 
 
 def subquotient(
@@ -181,21 +200,14 @@ def subquotient(
     """The minimized cokernel form of (span(gens) + N)/N, with N the span
     of rels together with J times the ambient basis.
 
-    The relations on the generators are the syzygies of [gens | N]
-    projected to the gens coordinates (Singular's modulo).
+    The relations on the generators are modulo(gens, N).
     """
     ring = ambient.ring
     gens = [g for g in gens if g]
     rel_cols = [v for v in rels if v] + ambient.j_columns()
     if gens == [ambient.basis_vector(i) for i in range(ambient.rank)]:
         return _minimal_cokernel(ring, ambient.twists, rel_cols)
-    k = len(gens)
-    tagged = gb.TaggedBasis(gens + rel_cols, ambient.twists, ring.poly_ring)
-    cols = []
-    for s in tagged.syzygies():
-        col = {t: c for t, c in s.items() if t[0] < k}
-        if col:
-            cols.append(col)
+    cols = modulo(gens, rel_cols, ambient.twists, ring.poly_ring)
     degs = [gb.vec_degree(g, ambient.twists) for g in gens]
     return _minimal_cokernel(ring, degs, cols)
 
@@ -262,71 +274,6 @@ def _drop_row(col: ModVec, row: int) -> ModVec:
     return {
         (comp - (comp > row), e): c for (comp, e), c in col.items() if comp != row
     }
-
-
-class ModuleMap:
-    """Degree-0 graded map between FPModules, given on generators.
-
-    columns[j] is the image of source generator j as a ModVec over the
-    target generators (component i holds the coefficient of target
-    generator i).
-    """
-
-    def __init__(self, source: FPModule, target: FPModule, columns: Sequence[ModVec]):
-        self.source = source
-        self.target = target
-        self.columns = tuple(columns)
-        if len(self.columns) != source.ambient.rank:
-            raise ValueError("one column per source generator required")
-        if any(comp >= target.ambient.rank for col in self.columns for comp, _ in col):
-            raise ValueError("column component outside the target generators")
-
-    @classmethod
-    def zero(cls, source: FPModule, target: FPModule) -> ModuleMap:
-        return cls(source, target, [{} for _ in range(source.ambient.rank)])
-
-    @classmethod
-    def multiplication(cls, module: FPModule, c: Polynomial) -> ModuleMap:
-        """Multiplication by c as a degree-0 map M(twisted) -> M."""
-        d = c.homogeneous_degree()
-        if d is None:
-            if not c.is_zero():
-                raise gb.InhomogeneousError("multiplier must be homogeneous")
-            d = 0
-        columns = [
-            {(j, e): v for e, v in c.terms.items()} for j in range(module.ambient.rank)
-        ]
-        return cls(module.twist(d), module, columns)
-
-    def is_well_defined(self) -> bool:
-        """Image of every source relation lies in the target relations."""
-        field = self.source.ring.field
-        return all(
-            self.target.element_is_zero(gb.vec_combination(self.columns, rel, field))
-            for rel in self.source.relation_columns()
-        )
-
-    def kernel(self) -> list[ModVec]:
-        """Generators of the kernel, as vectors of the source's ambient
-        module in canonical order.
-
-        Coefficient vectors c whose combination of the columns lies in the
-        target relations are found by syzygies of [columns | target
-        relations] projected to the source coordinates.
-        """
-        ring = self.source.ring.poly_ring
-        n_cols = len(self.columns)
-        cols = list(self.columns) + self.target.relation_columns()
-        tagged = gb.TaggedBasis(cols, self.target.ambient.twists, ring)
-        gens = {}
-        for s in tagged.syzygies():
-            vec = {t: c for t, c in s.items() if t[0] < n_cols}
-            if vec:
-                gens.setdefault(column_key(vec, ring.order), vec)
-        return [gens[key] for key in sorted(gens)]
-
-    def __repr__(self):
-        return f"ModuleMap({self.source.ambient.rank} -> {self.target.ambient.rank})"
 
 
 def min_gens(

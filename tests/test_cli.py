@@ -197,3 +197,13 @@ def test_prime_above_int64_safe_bound_is_an_input_error(tmp_path):
     result = run_cli("compute", path, "--field", "prime:4294967291")
     assert result.returncode == 2
     assert json.loads(result.stdout)["status"] == "input-error"
+
+
+@pytest.mark.parametrize("flag", ["prime:abc", "prime:"])
+def test_malformed_field_flag_is_a_one_line_input_error(tmp_path, flag):
+    job = {k: v for k, v in BASIC_JOB.items() if k != "field"}
+    path = write_job(tmp_path, job)
+    result = run_cli("compute", path, "--field", flag)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"input error: cannot parse field flag {flag!r}"]

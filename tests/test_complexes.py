@@ -175,15 +175,17 @@ def test_chain_map_with_a_missing_side_counts_it_as_zero():
 
 
 def test_ill_defined_differential_is_rejected():
-    # Q/(x) -> Q sending the generator to 1 ignores the relation x = 0.
+    # Q/(x) -> Q and k -> Q sending the generator to 1 ignore the relation x = 0.
     Q = ring("x", "y")
-    C = Complex(
-        Q,
-        {0: FPModule.cokernel(Q, (0,), _map((poly("x", Q),))), 1: FPModule.free(Q, (0,))},
-        {0: _map((Q.poly_ring.one,))},
-    )
-    with pytest.raises(AssertionError, match="not well defined"):
-        C.validate()
+    free = FPModule.free(Q, (0,))
+    k_mod = FPModule.cokernel(Q, (0,), _map((poly("x", Q),), (poly("y", Q),)))
+    one = _map((Q.poly_ring.one,))
+    for source in (FPModule.cokernel(Q, (0,), _map((poly("x", Q),))), k_mod):
+        C = Complex(Q, {0: source, 1: free}, {0: one})
+        with pytest.raises(AssertionError, match="not well defined"):
+            C.validate()
+    # the quotient projection Q -> k is well defined
+    Complex(Q, {0: free, 1: k_mod}, {0: one}).validate()
 
 
 def test_oracle_basis_size_counts_the_oracle_basis():

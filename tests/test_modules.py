@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import poly, ring
-from dgkoszul import FPModule, ModuleMap, PrimeField, min_gens, subquotient
+from dgkoszul import FPModule, PrimeField, kernel, min_gens, subquotient
 from dgkoszul import groebner as gb
 from dgkoszul.hilbert import NEG_INF
 from dgkoszul.groebner import column_to_vec
@@ -19,7 +19,8 @@ def _col(text, Q):
 
 def _kernel_of_multiplication(M, c):
     """ker(c : M -> M) as a module in M's own grading."""
-    return subquotient(M.ambient, ModuleMap.multiplication(M, c).kernel(), M.rels)
+    times_c = [{(j, e): v for e, v in c.terms.items()} for j in range(M.ambient.rank)]
+    return subquotient(M.ambient, kernel(times_c, M), M.rels)
 
 
 def test_kernel_of_multiplication_on_hypersurface():
@@ -34,8 +35,9 @@ def test_kernel_of_multiplication_on_hypersurface():
 def test_kernel_of_zero_map_is_everything():
     Q = ring("x", "y", ideal=["x*y"])
     M = FPModule.free(Q, (0,))
-    z = ModuleMap.zero(M, M)
-    assert subquotient(M.ambient, z.kernel(), M.rels).hilbert_series() == M.hilbert_series()
+    zero_map = [{} for _ in range(M.ambient.rank)]
+    everything = subquotient(M.ambient, kernel(zero_map, M), M.rels)
+    assert everything.hilbert_series() == M.hilbert_series()
 
 
 def test_kernel_on_domain_is_zero():
@@ -63,18 +65,6 @@ def test_annihilators():
     assert M.annihilator() == []  # J reduces to zero in Q
 
 
-def test_well_definedness_check():
-    Q = ring("x", "y")
-    k_mod = FPModule.quotient_by_ideal(Q, [poly("x", Q), poly("y", Q)]).minimize()
-    M = FPModule.free(Q, (0,))
-    # sending the generator of k to 1 in Q ignores the relation x*gen = 0
-    bad = ModuleMap(k_mod, M, [_col("1", Q)])
-    assert not bad.is_well_defined()
-    # the quotient projection Q -> k is well defined
-    good = ModuleMap(M, k_mod, [_col("1", Q)])
-    assert good.is_well_defined()
-
-
 def test_minimize_redundant_presentation_of_residue_field():
     # k = Q/(x, y, x+y) over k[x,y]: three generators, minimal Betti 1,2
     Q = ring("x", "y")
@@ -96,12 +86,6 @@ def test_min_gens_drops_redundant_columns():
     cols = [_col(t, Q) for t in ("x", "y", "x + y", "x^2")]
     kept = min_gens(cols, F2)
     assert len(kept) == 2
-
-
-def test_twist_shifts_series():
-    Q = ring("x")
-    M = FPModule.free(Q, (0,))
-    assert M.twist(3).hilbert_series() == M.hilbert_series().shift(3)
 
 
 Q101 = ring("x", "y", "z", ideal=["x*y - z^2"], field=PrimeField(101))
@@ -151,3 +135,38 @@ def test_subquotient_matches_the_two_series_formula_and_membership_matches_lifts
     for v in gens + [probe, shifted]:
         assert N.element_is_zero(v) == (tagged.lift(v) is not None)
     assert N.element_is_zero(probe) == N.element_is_zero(shifted)
+
+
+@st.composite
+def _maps_into_rank2(draw):
+    """A random map F_src -> F_RANK2/N: the source twists, the columns (one
+    homogeneous vector of each source twist, possibly zero) and the
+    relations of N."""
+
+    def vector(degree):
+        v = {}
+        for comp, twist in enumerate(F_RANK2.twists):
+            if degree >= twist:
+                monos = st.sampled_from(_monomials(degree - twist))
+                for e in draw(st.lists(monos, max_size=3, unique=True)):
+                    v[(comp, e)] = draw(st.integers(1, 100))
+        return v
+
+    degs = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(1, 3)))]
+    rels = [vector(draw(st.integers(1, 3))) for _ in range(draw(st.integers(0, 2)))]
+    return tuple(degs), [vector(d) for d in degs], rels
+
+
+@settings(max_examples=40, deadline=None)
+@given(_maps_into_rank2())
+def test_kernel_maps_into_the_relations_and_has_the_image_series(case):
+    degs, cols, rels = case
+    M = FPModule(F_RANK2, rels)
+    ker = kernel(cols, M)
+    field = Q101.field
+    for v in ker:
+        assert M.element_is_zero(gb.vec_combination(cols, v, field))
+    # F_src/ker is the image, so HS(F_src/ker) = HS(M) - HS(M/im)
+    source = FreeModule(Q101, len(degs), degs)
+    image = FPModule(source, ker).hilbert_series()
+    assert image == M.hilbert_series() - FPModule(F_RANK2, rels + cols).hilbert_series()
