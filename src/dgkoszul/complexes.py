@@ -67,6 +67,8 @@ class Complex:
             if i in self.terms and (i + 1) in self.terms
         }
         self._homology: dict = {}
+        self._images: dict = {}
+        self._series: dict = {}
 
     # -- structure --
 
@@ -106,7 +108,8 @@ class Complex:
     # -- homology --
 
     def homology(self, i: int) -> FPModule:
-        """H^i = ker(d^i)/im(d^{i-1}), minimized."""
+        """H^i = ker(d^i)/im(d^{i-1}) as a minimized module (homology_series
+        gives its Hilbert series, and whether it is zero, far cheaper)."""
         if i in self._homology:
             return self._homology[i]
         if i not in self.terms:
@@ -122,31 +125,39 @@ class Complex:
         self._homology[i] = h
         return h
 
+    def _image_series(self, i: int) -> HilbertSeries:
+        """HS(im d^i) = HS(C^{i+1}) - HS(F^{i+1}/(N^{i+1} + d^i F^i))."""
+        if i not in self._images:
+            tgt = self.terms[i + 1]
+            coker = FPModule(tgt.ambient, tgt.rels + self.diffs[i])
+            self._images[i] = tgt.hilbert_series() - coker.hilbert_series()
+        return self._images[i]
+
+    def homology_series(self, i: int) -> HilbertSeries:
+        """HS(H^i) = HS(C^i) - HS(im d^i) - HS(im d^{i-1}), memoized: one Groebner
+        basis per differential, no syzygies.  H^i = 0 iff its series is 0."""
+        if i not in self._series:
+            hs = self.term(i).hilbert_series()
+            for j in (i, i - 1):
+                if j in self.diffs:
+                    hs = hs - self._image_series(j)
+            self._series[i] = hs
+        return self._series[i]
+
     def homology_table(self) -> dict[int, HilbertSeries]:
-        out = {}
-        for i in self.support:
-            h = self.homology(i)
-            if h.ambient.rank > 0:
-                out[i] = h.hilbert_series()
-        return out
+        return {i: hs for i in self.support if not (hs := self.homology_series(i)).is_zero()}
 
     def inf(self):
-        for i in self.support:
-            if self.homology(i).ambient.rank > 0:
-                return i
-        return POS_INF
+        nonzero = (i for i in self.support if not self.homology_series(i).is_zero())
+        return next(nonzero, POS_INF)
 
     def sup(self):
-        for i in reversed(self.support):
-            if self.homology(i).ambient.rank > 0:
-                return i
-        return NEG_INF
+        nonzero = (i for i in reversed(self.support) if not self.homology_series(i).is_zero())
+        return next(nonzero, NEG_INF)
 
     def amp(self):
-        lo, hi = self.inf(), self.sup()
-        if lo == POS_INF:
-            return NEG_INF
-        return hi - lo
+        lo = self.inf()
+        return NEG_INF if lo == POS_INF else self.sup() - lo
 
     # -- operations --
 
@@ -403,11 +414,11 @@ def koszul_complex(
 
 
 def euler_series(K: Complex) -> HilbertSeries:
-    """Alternating sum over i of HS(H^i(K))."""
+    """Alternating sum over i of HS(H^i(K)) of the homology modules; read
+    from homology_series it telescopes to Σ(-1)^i HS(K^i) and tests nothing."""
     total = HilbertSeries({}, 0)
     for i in K.support:
-        h = K.homology(i)
-        hs = h.hilbert_series()
+        hs = K.homology(i).hilbert_series()
         total = total + (hs if i % 2 == 0 else hs.scale(-1))
     return total
 
@@ -523,9 +534,5 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
 
 def homology_hilbert_functions(C: Complex, d_max: int) -> dict:
     """Groebner-path homology dimensions, shaped like the oracle output."""
-    d_min = _degree_floor(C)
-    out = {}
-    for i in C.support:
-        hs = C.homology(i).hilbert_series()
-        out[i] = {t: hs.coefficient(t) for t in range(d_min, d_max + 1)}
-    return out
+    degrees = range(_degree_floor(C), d_max + 1)
+    return {i: {t: C.homology_series(i).coefficient(t) for t in degrees} for i in C.support}

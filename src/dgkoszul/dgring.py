@@ -21,15 +21,17 @@ from .rings import QuotientRing, substitute
 # Bound on the total rank (the number of generators over all terms) of a
 # Koszul or tensor complex, checked before any of its terms is built: K(A;
 # a_1..a_n) has rank(A) * 2^n generators and L (x) R has rank(L) * rank(R).
-# Homology time grows about x3 per doubling of the rank.  On a 2-vCPU Xeon
-# at rank 512, 1024 and 2048, a koszul task on n copies of x over k[x,y]
-# took 0.8, 2.0 and 6.3 s, and one on all variables of k[x0..x(n-1)] 0.8,
-# 2.5 and 8.5 s.  Relations cost more: on two quadrics a koszul task took
-# 7.5 s at rank 512 (nine variables) and 25 s at 1024.  An invariants task
-# (depth at the irrelevant ideal and a regular-sequence witness) at rank 512
-# took 3.2-3.6 s on k[x0..x8], 6.2-8.4 s on k[x0..x8]/(x0x1 - x2x3) and
-# 15.5-15.7 s on k[x0..x8]/(x0x1 - x2x3, x4x5 - x6x7), one process at a
-# time.  The suite and the benchmark build at most rank 64.
+# Homology is read from Hilbert series, one Groebner basis per differential.
+# Measured one process at a time on a 2-vCPU Xeon, at rank 512, 1024 and
+# 2048: a koszul task on n copies of x over k[x,y] took 0.1, 0.4-0.5 and
+# 0.9-1.3 s, and one on all variables of k[x0..x(n-1)] 0.15, 0.3-0.4 and
+# 1.1 s.  Relations cost more: on all variables of k[x0..x(n-1)]/(x0x1 -
+# x2x3, x4x5 - x6x7) a koszul task took 0.8-0.9 s at rank 512 (n = 9) and
+# 2.3-2.8 s at 1024.  An invariants task (depth at the irrelevant ideal and
+# a regular-sequence witness, which still builds homology modules) at rank
+# 512 took 0.5 s on k[x0..x8], 1.1-1.2 s with the first quadric and
+# 1.8-2.0 s with both; on both quadrics in ten variables (rank 1024) it
+# took 4.3-4.7 s.  The suite and the benchmark build at most rank 64.
 MAX_COMPLEX_RANK = 512
 
 

@@ -230,6 +230,8 @@ def dualizing_of_koszul(K: DGRingRep) -> Complex:
 def is_gorenstein_ring(Q: QuotientRing) -> tuple[bool, dict]:
     """Gorenstein = Cohen-Macaulay (resolution length equals codimension)
     of type 1 (last Betti number 1).  The Betti table rides along."""
+    if Q.is_trivial():
+        raise ValueError("the zero ring has no Gorenstein verdict")
     res = free_resolution(FPModule.free(Q, (0,)))
     length = -min(res.terms)
     codim = Q.poly_ring.nvars - Q.dim()

@@ -43,15 +43,8 @@ def amp_profile(A: DGRingRep):
 
 
 def lcdim(A: DGRingRep):
-    """sup over n of dim(H^n(A)) + n."""
-    u = A.underlying
-    best = NEG_INF
-    for i in u.support:
-        h = u.homology(i)
-        d = h.dim()
-        if d != NEG_INF:
-            best = max(best, d + i)
-    return best
+    """sup over n of dim(H^n(A)) + n, read from the homology series."""
+    return max((hs.pole_order + i for i, hs in A.homology_table().items()), default=NEG_INF)
 
 
 def is_regular(A: DGRingRep, x) -> tuple[bool, dict]:

@@ -130,12 +130,10 @@ def _task_invariants(dg: DGRingRep, task: dict, config: RunConfig) -> dict:
     ideals = task.get("ideals") or {}
     if not (isinstance(ideals, dict) and all(map(_is_text_list, ideals.values()))):
         raise JobError("'ideals' must map names to lists of polynomials")
-    report = compute_invariants(
-        dg,
-        ideals=ideals,
-        with_witness=task.get("witness", True),
-        budget=config.budget,
-    )
+    witness = task.get("witness", True)
+    if not isinstance(witness, bool):
+        raise JobError("'witness' must be true or false")
+    report = compute_invariants(dg, ideals=ideals, with_witness=witness, budget=config.budget)
     return report.to_json()
 
 

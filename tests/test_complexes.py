@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import poly, ring
 from dgkoszul import (
@@ -8,9 +11,14 @@ from dgkoszul import (
     ChainMap,
     Complex,
     FPModule,
+    PolyRing,
+    Polynomial,
+    PrimeField,
+    QuotientRing,
     cone,
     euler_series,
     koszul_complex,
+    run_job,
     tensor_complexes,
     truncation_oracle,
 )
@@ -252,6 +260,60 @@ def test_euler_characteristic_identity():
             rhs = rhs - rhs.shift(d)
         assert lhs == rhs
         assert lhs.coefficients(10, start=0) == rhs.coefficients(10, start=0)
+
+
+def test_euler_check_reads_the_homology_modules(monkeypatch):
+    # On the Hilbert-series path the alternating sum telescopes to the
+    # terms' series, so a wrong homology module must make the check fail.
+    job = {
+        "field": {"kind": "prime", "p": 32003},
+        "vars": ["x", "y"],
+        "ideal": ["x*y"],
+        "tasks": [{"task": "check", "name": "euler_characteristic", "elements": ["x", "y"]}],
+    }
+    assert run_job(job)["results"][0]["result"]["verdict"] == "PASS"
+    honest = Complex.homology
+
+    def wrong_in_degree_minus_one(self, i):
+        return FPModule.free(self.ring, (0,)) if i == -1 else honest(self, i)
+
+    monkeypatch.setattr(Complex, "homology", wrong_in_degree_minus_one)
+    result = run_job(job)["results"][0]["result"]
+    assert result["exact_equality"] is False
+    assert result["verdict"] == "FAIL"
+
+
+S101 = PolyRing(("x", "y", "z"), PrimeField(101))
+
+
+def _forms(degree):
+    """Homogeneous forms of the given degree in F_101[x, y, z], zero included."""
+    monos = [e for e in itertools.product(range(degree + 1), repeat=3) if sum(e) == degree]
+    coeffs = st.lists(st.integers(0, 100), min_size=len(monos), max_size=len(monos))
+    field = S101.field
+    return coeffs.map(
+        lambda cs: Polynomial(S101, {e: field.from_int(c) for e, c in zip(monos, cs) if c})
+    )
+
+
+@st.composite
+def _koszul_over_a_quadric(draw):
+    """K(Q; a_1..a_n) for 1 <= n <= 3 forms of degree 1 or 2 over
+    Q = F_101[x, y, z]/(q), q a nonzero quadric: every term is F/JF."""
+    Q = QuotientRing(S101, [draw(_forms(2).filter(lambda q: not q.is_zero()))])
+    elements = [draw(_forms(draw(st.integers(1, 2)))) for _ in range(draw(st.integers(1, 3)))]
+    return koszul_complex(Q, elements)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_koszul_over_a_quadric())
+def test_homology_series_is_the_series_of_the_homology_module(K):
+    for i in K.support:
+        assert K.homology_series(i) == K.homology(i).hilbert_series()
+    nonzero = [i for i in K.support if K.homology(i).ambient.rank > 0]
+    assert sorted(K.homology_table()) == nonzero
+    assert K.inf() == (nonzero[0] if nonzero else POS_INF)
+    assert K.sup() == (nonzero[-1] if nonzero else NEG_INF)
 
 
 def test_acyclic_sentinels():

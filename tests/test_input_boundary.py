@@ -174,6 +174,14 @@ MALFORMED = {
     ),
     "invariants ideals not an object": _job(tasks=[{"task": "invariants", "ideals": 5}]),
     "invariants ideal not a list": _job(tasks=[{"task": "invariants", "ideals": {"m": 5}}]),
+    "invariants witness not a boolean": _job(tasks=[{"task": "invariants", "witness": "no"}]),
+    "invariants witness a number": _job(tasks=[{"task": "invariants", "witness": 1}]),
+    "invariants witness null": _job(tasks=[{"task": "invariants", "witness": None}]),
+    # Both reach the minimal resolution of the zero ring through is_gorenstein_ring.
+    "duality on the zero ring": _job(ideal=["1"], tasks=[{"task": "duality"}]),
+    "gorenstein transfer on the zero ring": _job(
+        ideal=["1"], tasks=[{"task": "check", "name": "gorenstein_transfer", "elements": ["x"]}]
+    ),
 }
 
 
