@@ -2,19 +2,18 @@
 
 Everything downstream is built on sparse multivariate polynomials over a
 prime field (F_32003 by default) or the rationals.  This script walks
-through parsing, monomial orders, Groebner bases, normal forms, syzygies
-and Hilbert series.
+through parsing, the monomial order (grevlex, the only one), Groebner
+bases, normal forms, syzygies and Hilbert series.
 """
 
 from dgkoszul import (
-    GREVLEX,
-    LEX,
     PolyRing,
     PrimeField,
     parse_poly,
     quotient_ring_from_strings,
 )
 from dgkoszul import groebner as gb
+from dgkoszul.poly import grevlex_key
 
 field = PrimeField()
 R = PolyRing(("x", "y", "z"), field)
@@ -25,23 +24,23 @@ print("parsed:", p)
 print("x + x  ->", parse_poly("x + x", R))
 print("x^2*y - y*x^2 ->", parse_poly("x^2*y - y*x^2", R))
 
-# --- monomial orders ---
+# --- the monomial order ---
 # grevlex compares total degree first; on ties the rightmost difference
-# decides (smaller exponent wins).  y^2 beats x*z:
-print("grevlex(y^2, x*z) =", GREVLEX.compare((0, 2, 0), (1, 0, 1)))
-print("lex(x, y^100)     =", LEX.compare((1, 0, 0), (0, 100, 0)))
+# decides (smaller exponent wins).  y^2 beats x*z, and any cubic beats x^2:
+print("grevlex: y^2 > x*z   ", grevlex_key((0, 2, 0)) > grevlex_key((1, 0, 1)))
+print("grevlex: z^3 > x^2   ", grevlex_key((0, 0, 3)) > grevlex_key((2, 0, 0)))
 
-# --- a Groebner basis over the lex order ---
-Rlex = PolyRing(("x", "y", "z"), field, LEX)
-gens = [parse_poly(t, Rlex) for t in ("x^2 - y", "x*y - z")]
+# --- a Groebner basis in grevlex ---
+# The generators are inhomogeneous, which the engine allows on request.
+gens = [parse_poly(t, R) for t in ("x^2 - y", "x*y - z")]
 vecs = [gb.column_to_vec((g,)) for g in gens]
-order = gb.TermOverPosition(LEX)
-basis = gb.buchberger(vecs, (0,), order, field, rank=1, allow_inhomogeneous=True)
-print("\nlex basis of (x^2 - y, x*y - z):")
+basis = gb.buchberger(vecs, (0,), field, allow_inhomogeneous=True)
+print("\ngrevlex basis of (x^2 - y, x*y - z):")
 for v in basis:
-    print("  ", gb.vec_to_column(v, Rlex, 1)[0])
-claimed = parse_poly("y^2 - x*z", Rlex)
-rem = gb.normal_form(gb.column_to_vec((claimed,)), basis, order, field)
+    print("  ", gb.vec_to_column(v, R, 1)[0])
+# y^2 - x*z = x*(x*y - z) - y*(x^2 - y) lies in the ideal:
+claimed = parse_poly("y^2 - x*z", R)
+rem = gb.normal_form(gb.column_to_vec((claimed,)), basis, field)
 print("y^2 - x*z reduces to zero:", not rem)
 
 # --- syzygies ---

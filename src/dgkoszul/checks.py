@@ -8,7 +8,7 @@ instantiates, the hypotheses it validated, and both computed sides.
 from __future__ import annotations
 
 from . import groebner as gb
-from .complexes import euler_series, homology_hilbert_functions, truncation_oracle
+from .complexes import Complex, euler_series, homology_hilbert_functions, truncation_oracle
 from .dgring import (
     DGRingRep,
     RingMap,
@@ -187,8 +187,6 @@ def check_base_change(A: DGRingRep, args, config) -> dict:
     K = koszul(A, elems)
     pushed = base_change(K, f)
     # Independent side: map the Koszul complex entrywise and take homology.
-    from .complexes import Complex
-
     mapped_terms = {
         i: FPModule.free(target, t.ambient.twists)
         for i, t in K.underlying.terms.items()

@@ -21,6 +21,7 @@ import time
 
 from .checks import CHECK_NAMES
 from .fields import FieldError
+from .groebner import DEFAULT_DEGREE_CAP
 from .jobs import RunConfig, canonical_json, run_job, run_suite
 
 EXIT_OK = 0
@@ -38,6 +39,12 @@ def _parse_field_flag(text: str):
         except ValueError:
             pass
     raise FieldError(f"cannot parse field flag {text!r}")
+
+
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _load_job(path: str, args) -> dict:
@@ -149,10 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", help="default field: a prime p or 'rationals'")
     common.add_argument(
-        "--degree-cap", type=int, default=None, help="S-pair degree cap (default 40)"
+        "--degree-cap",
+        type=_non_negative_int,
+        help=f"S-pair degree cap (default {DEFAULT_DEGREE_CAP})",
     )
     common.add_argument(
-        "--budget", type=int, default=400, help="regular-sequence search budget"
+        "--budget", type=_non_negative_int, default=400, help="regular-sequence search budget"
     )
     common.add_argument(
         "--oracle-depth",

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .complexes import Complex, koszul_complex, tensor_complexes
 from .modules import FPModule
+from .parse import parse_poly
 from .poly import Polynomial
 from .rings import QuotientRing, substitute
 
@@ -93,8 +94,6 @@ def _as_element(x, ring: QuotientRing) -> ElementOfH0:
     if isinstance(x, Polynomial):
         return ElementOfH0(x)
     if isinstance(x, str):
-        from .parse import parse_poly
-
         return ElementOfH0(parse_poly(x, ring.poly_ring))
     raise TypeError(f"cannot interpret {x!r} as an element of H^0")
 

@@ -18,7 +18,7 @@ from typing import Sequence
 from . import groebner as gb
 from .complexes import Bicomplex, Complex, _agree, _compose, direct_sum, koszul_complex, tensor_complexes
 from .dgring import DGRingRep
-from .modules import FPModule, min_gens
+from .modules import FPModule, min_gens, modulo
 from .rings import FreeModule, QuotientRing
 
 
@@ -69,7 +69,7 @@ def _resolve_module(X: FPModule) -> Complex:
         col_degs = tuple(gb.vec_degree(c, ambient.twists) for c in cols)
         terms[-k] = FPModule.free(S, col_degs)
         diffs[-k] = tuple(cols)
-        cols = gb.TaggedBasis(cols, ambient.twists, ring).syzygies()
+        cols = modulo(cols, (), ambient.twists, ring)
         ambient = FreeModule(S, len(col_degs), col_degs)
     resolution = Complex(S, terms, diffs)
     _assert_minimal(resolution)

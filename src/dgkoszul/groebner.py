@@ -28,9 +28,9 @@ from typing import Iterable, Sequence
 
 from .poly import (
     Expo,
-    MonomialOrder,
     PolyRing,
     Polynomial,
+    grevlex_key,
     mono_deg,
     mono_div,
     mono_divides,
@@ -71,53 +71,46 @@ class DegreeCapExceeded(RuntimeError):
         self.degree = degree
 
 
-# ---------- module monomial orders ----------
+# ---------- module term orders ----------
 
-class ModuleOrder:
-    def key(self, t: ModTerm):
-        raise NotImplementedError
-
-
-class TermOverPosition(ModuleOrder):
-    """Compare monomials by the ring order first, lower component wins ties."""
-
-    def __init__(self, mono_order: MonomialOrder):
-        self.mono = mono_order
-
-    def key(self, t: ModTerm):
-        comp, e = t
-        return (self.mono.key(e), -comp)
+def term_key(t: ModTerm):
+    """Sort key of the term-over-position order: grevlex on the monomial
+    first, the lower component wins ties.  A larger key is a larger term."""
+    comp, e = t
+    return (grevlex_key(e), -comp)
 
 
-class PositionOverTerm(ModuleOrder):
-    """Lower component dominates; ring order breaks ties within a component."""
-
-    def __init__(self, mono_order: MonomialOrder):
-        self.mono = mono_order
-
-    def key(self, t: ModTerm):
-        comp, e = t
-        return (-comp, self.mono.key(e))
-
-
-class EliminationOrder(ModuleOrder):
-    """Every term in components < split beats every term in components >= split.
+def _elimination_key(split: int):
+    """Sort key in which every term in components < split beats every term
+    in components >= split: term over position below split, position over
+    term from split on.
 
     Used by the tagged-basis machinery: the ambient block is eliminated
     ahead of the tag block, so basis elements supported purely on tags are
     exactly the syzygies.
     """
 
-    def __init__(self, split: int, front: ModuleOrder, back: ModuleOrder):
-        self.split = split
-        self.front = front
-        self.back = back
+    def key(t: ModTerm):
+        comp, e = t
+        if comp < split:
+            return (1, term_key(t))
+        return (0, (-comp, grevlex_key(e)))
 
-    def key(self, t: ModTerm):
-        comp, _ = t
-        if comp < self.split:
-            return (1, self.front.key(t))
-        return (0, self.back.key(t))
+    return key
+
+
+def column_key(v: ModVec):
+    """Canonical sort key of a module element: per ambient component, the
+    (monomial key, coefficient repr) of its terms in descending order.
+
+    Trailing empty components are left out; an empty component is the
+    smallest entry, so vectors of any one ambient rank compare as if padded.
+    """
+    rank = 1 + max((comp for comp, _ in v), default=-1)
+    comps: list[list] = [[] for _ in range(rank)]
+    for (comp, e), c in v.items():
+        comps[comp].append((grevlex_key(e), repr(c)))
+    return tuple(tuple(sorted(terms, reverse=True)) for terms in comps)
 
 
 # ---------- module element helpers ----------
@@ -159,16 +152,16 @@ def vec_degree(a: ModVec, twists) -> int | None:
     return None
 
 
-def leading_term(a: ModVec, order: ModuleOrder) -> ModTerm:
-    return max(a, key=order.key)
+def leading_term(a: ModVec, key=term_key) -> ModTerm:
+    return max(a, key=key)
 
 
 class _TermKeys(dict):
     """The order keys of the terms seen so far, each computed once."""
 
-    def __init__(self, order: ModuleOrder):
+    def __init__(self, key):
         super().__init__()
-        self.order_key = order.key
+        self.order_key = key
 
     def __missing__(self, t: ModTerm):
         k = self[t] = self.order_key(t)
@@ -180,9 +173,9 @@ class _TermKeys(dict):
 def normal_form(
     f: ModVec,
     basis: Sequence[ModVec],
-    order: ModuleOrder,
     field,
     leads: Sequence[ModTerm | None] | None = None,
+    key=term_key,
 ) -> ModVec:
     """Fully reduced remainder of f modulo basis (tail reduction included).
 
@@ -190,11 +183,11 @@ def normal_form(
     remainder does not depend on that order when basis is a Groebner basis.
     leads, if given, are the basis' leading terms (None for a zero
     element); callers that reduce many vectors modulo one basis pass them
-    so they are computed once.
+    so they are computed once.  key is the term order's sort key.
     """
     if leads is None:
-        leads = [leading_term(g, order) if g else None for g in basis]
-    keys = _TermKeys(order)
+        leads = [leading_term(g, key) if g else None for g in basis]
+    keys = _TermKeys(key)
     work = dict(f)
     rem: ModVec = {}
     while work:
@@ -219,13 +212,13 @@ def normal_form(
 def buchberger(
     gens: Sequence[ModVec],
     twists: Sequence[int],
-    order: ModuleOrder,
     field,
-    rank: int,
     degree_cap: int | None = None,
     allow_inhomogeneous: bool = False,
+    key=term_key,
 ) -> list[ModVec]:
-    """Reduced Groebner basis of the submodule generated by gens.
+    """Reduced Groebner basis of the submodule generated by gens, in the
+    free module with one twist per component, for the term order key.
 
     Raises InhomogeneousError unless every generator is homogeneous with
     respect to the twists (or allow_inhomogeneous is set, as needed by the
@@ -245,7 +238,7 @@ def buchberger(
     heap: list[tuple[int, int, int]] = []
 
     def add(v: ModVec) -> None:
-        lt = leading_term(v, order)
+        lt = leading_term(v, key)
         comp, e = lt
         new = len(basis)
         basis.append(vec_scale(v, field.inv(v[lt]), field))
@@ -266,23 +259,23 @@ def buchberger(
             raise DegreeCapExceeded(degree_cap, deg)
         (_, ef), (_, eg) = leads[i], leads[j]
         # Product criterion is only valid in the rank-1 (ideal) case.
-        if rank == 1 and mono_gcd(ef, eg) == (0,) * len(ef):
+        if len(twists) == 1 and mono_gcd(ef, eg) == (0,) * len(ef):
             continue
         # S-vector of the monic basis[i], basis[j]: their leads cancel.
         lcm = mono_lcm(ef, eg)
         s: ModVec = {}
         vec_add_multiple(s, basis[i], mono_div(lcm, ef), field.one, field)
         vec_add_multiple(s, basis[j], mono_div(lcm, eg), neg_one, field)
-        r = normal_form(s, basis, order, field, leads=leads)
+        r = normal_form(s, basis, field, leads=leads, key=key)
         if r:
             add(r)
-    return interreduce(basis, order, field)
+    return interreduce(basis, field, key)
 
 
-def interreduce(basis: Sequence[ModVec], order: ModuleOrder, field) -> list[ModVec]:
+def interreduce(basis: Sequence[ModVec], field, key=term_key) -> list[ModVec]:
     """Minimalize leads, tail-reduce, monicize, sort canonically."""
-    nonzero = [(leading_term(g, order), g) for g in basis if g]
-    nonzero.sort(key=lambda pair: order.key(pair[0]))
+    nonzero = [(leading_term(g, key), g) for g in basis if g]
+    nonzero.sort(key=lambda pair: key(pair[0]))
     kept: list[ModVec] = []
     kept_leads: list[ModTerm] = []
     for lt, g in nonzero:
@@ -295,11 +288,11 @@ def interreduce(basis: Sequence[ModVec], order: ModuleOrder, field) -> list[ModV
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
         others_leads = kept_leads[:idx] + kept_leads[idx + 1:]
-        r = normal_form(g, others, order, field, leads=others_leads) if others else dict(g)
+        r = normal_form(g, others, field, leads=others_leads, key=key) if others else dict(g)
         if r:
             # No other lead divides g's lead, so r keeps it.
             reduced.append(vec_scale(r, field.inv(r[kept_leads[idx]]), field))
-    reduced.sort(key=lambda g: sorted(map(order.key, g), reverse=True), reverse=True)
+    reduced.sort(key=lambda g: sorted(map(key, g), reverse=True), reverse=True)
     return reduced
 
 
@@ -342,20 +335,11 @@ class TaggedBasis:
             v[(self.rank + j, zero_expo)] = self.field.one
             tagged.append(v)
 
-        mono = ring.order
-        self.order = EliminationOrder(
-            self.rank,
-            front=TermOverPosition(mono),
-            back=PositionOverTerm(mono),
-        )
+        self.key = _elimination_key(self.rank)
         self.tagged_gb = buchberger(
-            tagged,
-            tuple(twists) + tuple(col_degs),
-            self.order,
-            self.field,
-            rank=self.rank + len(self.columns),
+            tagged, tuple(twists) + tuple(col_degs), self.field, key=self.key
         )
-        self.tagged_leads = [leading_term(g, self.order) for g in self.tagged_gb]
+        self.tagged_leads = [leading_term(g, self.key) for g in self.tagged_gb]
         # F is eliminated first, so an element whose lead is a tag has no
         # F-part: it is a syzygy.
         self._syz = [
@@ -375,7 +359,7 @@ class TaggedBasis:
         """Coordinates c over the column indices with v = sum_j c_j * col_j
         (v == vec_combination(columns, c)), or None if v is not in the
         span."""
-        rem = normal_form(v, self.tagged_gb, self.order, self.field, leads=self.tagged_leads)
+        rem = normal_form(v, self.tagged_gb, self.field, leads=self.tagged_leads, key=self.key)
         if any(comp < self.rank for comp, _ in rem):
             return None
         return {(comp - self.rank, e): self.field.neg(c) for (comp, e), c in rem.items()}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .complexes import _monomials_of_degree
 from .dgring import DGRingRep, ElementOfH0, _as_element, koszul
 from .groebner import vec_to_column
 from .hilbert import NEG_INF, POS_INF
@@ -124,8 +125,6 @@ def _candidate_pool(B: DGRingRep, gens: list[ElementOfH0], degree_cap: int):
     """Deterministic homogeneous candidates inside the ideal: monomial
     multiples of the generators up to the degree cap, then pairwise sums
     within each degree.  Candidates are H^0-reduced and deduplicated."""
-    from .complexes import _monomials_of_degree
-
     ring = B.base.poly_ring
     h0 = B.h0
     by_degree: dict[int, list[Polynomial]] = {}

@@ -22,22 +22,8 @@ from typing import Sequence
 from . import groebner as gb
 from .groebner import ModVec
 from .hilbert import HilbertSeries, lead_module_series
-from .poly import MonomialOrder, Polynomial, PolyRing
+from .poly import Polynomial, PolyRing
 from .rings import FreeModule, QuotientRing
-
-
-def column_key(v: ModVec, order: MonomialOrder):
-    """Canonical sort key of a module element: per ambient component, the
-    (monomial key, coefficient repr) of its terms in descending order.
-
-    Trailing empty components are left out; an empty component is the
-    smallest entry, so vectors of any one ambient rank compare as if padded.
-    """
-    rank = 1 + max((comp for comp, _ in v), default=-1)
-    comps: list[list] = [[] for _ in range(rank)]
-    for (comp, e), c in v.items():
-        comps[comp].append((order.key(e), repr(c)))
-    return tuple(tuple(sorted(terms, reverse=True)) for terms in comps)
 
 
 class FPModule:
@@ -87,30 +73,23 @@ class FPModule:
         return list(self.rels) + self.ambient.j_columns()
 
     def _reduced_basis(self):
-        """(order, reduced Groebner basis of N, its leading terms), built once
-        and shared by membership tests and the Hilbert series."""
+        """(reduced Groebner basis of N, its leading terms), built once and
+        shared by membership tests and the Hilbert series."""
         if self._basis is None:
-            order = gb.TermOverPosition(self.ring.poly_ring.order)
-            basis = gb.buchberger(
-                self.relation_columns(),
-                self.ambient.twists,
-                order,
-                self.ring.field,
-                rank=self.ambient.rank,
-            )
-            self._basis = (order, basis, [gb.leading_term(v, order) for v in basis])
+            basis = gb.buchberger(self.relation_columns(), self.ambient.twists, self.ring.field)
+            self._basis = (basis, [gb.leading_term(v) for v in basis])
         return self._basis
 
     def element_is_zero(self, v: ModVec) -> bool:
         """True if the ambient vector v lies in N."""
-        order, basis, leads = self._reduced_basis()
-        return not gb.normal_form(v, basis, order, self.ring.field, leads=leads)
+        basis, leads = self._reduced_basis()
+        return not gb.normal_form(v, basis, self.ring.field, leads=leads)
 
     # -- invariants --
 
     def hilbert_series(self) -> HilbertSeries:
         if self._hilbert is None:
-            _, _, leads = self._reduced_basis()
+            _, leads = self._reduced_basis()
             self._hilbert = lead_module_series(
                 leads, self.ambient.rank, self.ambient.twists, self.ring.nvars
             )
@@ -190,7 +169,7 @@ def kernel(columns: Sequence[ModVec], target: FPModule) -> list[ModVec]:
     ring = target.ring.poly_ring
     gens = {}
     for v in modulo(columns, target.relation_columns(), target.ambient.twists, ring):
-        gens.setdefault(column_key(v, ring.order), v)
+        gens.setdefault(gb.column_key(v), v)
     return [gens[key] for key in sorted(gens)]
 
 
@@ -245,11 +224,10 @@ def _minimal_cokernel(ring: QuotientRing, degs: Sequence[int], cols: Sequence[Mo
             del degs[pivot]
             changed = True
             break
-    order = ring.poly_ring.order
     clean = {}
     for c in cols:
         if c:
-            clean.setdefault(column_key(c, order), c)
+            clean.setdefault(gb.column_key(c), c)
     # Relations are only defined modulo J, so redundancy is tested
     # against the kept columns together with the J-multiples.
     ambient = FreeModule(ring, len(degs), tuple(degs))
@@ -286,24 +264,20 @@ def min_gens(
     Baseline columns (e.g. the J-multiples of the basis, when generation
     is only needed modulo J) always span but are never kept.
     """
-    ring = ambient.ring.poly_ring
     field = ambient.ring.field
-    order = gb.TermOverPosition(ring.order)
     candidates = sorted(
         (c for c in columns if c),
-        key=lambda v: (gb.vec_degree(v, ambient.twists), column_key(v, ring.order)),
+        key=lambda v: (gb.vec_degree(v, ambient.twists), gb.column_key(v)),
     )
     base_vecs = [v for v in baseline if v]
     kept: list[ModVec] = []
 
     def rebuild():
-        return gb.buchberger(
-            kept + base_vecs, ambient.twists, order, field, rank=ambient.rank
-        )
+        return gb.buchberger(kept + base_vecs, ambient.twists, field)
 
     basis = rebuild() if base_vecs else []
     for cand in candidates:
-        if basis and not gb.normal_form(cand, basis, order, field):
+        if basis and not gb.normal_form(cand, basis, field):
             continue
         kept.append(cand)
         basis = rebuild()

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomials with monomial orders.
+"""Exact multivariate polynomials, ordered by grevlex.
 
 A monomial is an exponent tuple (one entry per variable, standard grading:
 every variable has degree 1).  A polynomial is a sparse map
@@ -50,68 +50,31 @@ def mono_gcd(a: Expo, b: Expo) -> Expo:
     return tuple(min(x, y) for x, y in zip(a, b))
 
 
-# ---------- monomial orders ----------
+# ---------- the monomial order ----------
 
-class MonomialOrder:
-    """Total order on monomials, multiplicative and a well-order.
-
-    Subclasses provide key(e); larger key means larger monomial.
-    """
-
-    kind = "abstract"
-
-    def key(self, e: Expo):
-        raise NotImplementedError
-
-    def compare(self, a: Expo, b: Expo) -> int:
-        """-1, 0 or 1 as a <, =, > b."""
-        if len(a) != len(b):
-            raise ValueError("exponent length mismatch")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
-    def __repr__(self):
-        return self.kind
-
-
-class GrevLex(MonomialOrder):
-    """Graded reverse lexicographic order (the default)."""
-
-    kind = "grevlex"
-
-    def key(self, e: Expo):
-        return (sum(e), tuple(-x for x in reversed(e)))
-
-
-class Lex(MonomialOrder):
-    kind = "lex"
-
-    def key(self, e: Expo):
-        return e
-
-
-GREVLEX = GrevLex()
-LEX = Lex()
+def grevlex_key(e: Expo):
+    """Sort key of the graded reverse lexicographic order, the only
+    monomial order: a larger key is a larger monomial."""
+    return (sum(e), tuple(-x for x in reversed(e)))
 
 
 # ---------- rings and polynomials ----------
 
 class PolyRing:
-    """A polynomial ring k[x_1..x_m] with a default monomial order.
+    """A polynomial ring k[x_1..x_m].
 
     Acts as the ring-context id: operations between polynomials of
     different PolyRings raise RingMismatchError.
     """
 
-    __slots__ = ("variables", "field", "order", "_zero_expo")
+    __slots__ = ("variables", "field", "_zero_expo")
 
-    def __init__(self, variables: Iterable[str], field, order: MonomialOrder = GREVLEX):
+    def __init__(self, variables: Iterable[str], field):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         self.variables = variables
         self.field = field
-        self.order = order
         self._zero_expo = (0,) * len(variables)
 
     @property
@@ -262,8 +225,8 @@ class Polynomial:
 
     def sort_key(self):
         """A canonical sortable key (degree-major, deterministic)."""
-        order = self.ring.order
-        return tuple(sorted(((order.key(e), repr(c)) for e, c in self.terms.items()), reverse=True))
+        keys = ((grevlex_key(e), repr(c)) for e, c in self.terms.items())
+        return tuple(sorted(keys, reverse=True))
 
     def __eq__(self, other) -> bool:
         return (
@@ -284,18 +247,17 @@ class Polynomial:
 # ---------- printing ----------
 
 def poly_to_text(p: Polynomial) -> str:
-    """Render in the parser grammar (sorted by the ring's order, descending).
+    """Render in the parser grammar (terms in descending grevlex order).
 
     Integer coefficients round-trip through parse_poly; rational
     coefficients with denominator > 1 are display-only.
     """
     if not p.terms:
         return "0"
-    order = p.ring.order
     names = p.ring.variables
     one = p.ring.field.one
     pieces = []
-    for e in sorted(p.terms, key=order.key, reverse=True):
+    for e in sorted(p.terms, key=grevlex_key, reverse=True):
         c = p.terms[e]
         factors = []
         for name, k in zip(names, e):

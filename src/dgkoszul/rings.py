@@ -13,7 +13,8 @@ from typing import Sequence
 
 from . import groebner as gb
 from .hilbert import HilbertSeries, monomial_quotient_series
-from .poly import GREVLEX, PolyRing, Polynomial
+from .parse import parse_poly
+from .poly import PolyRing, Polynomial
 
 # A bound on the variable count of a ring read from a job (its own ring and
 # a base-change target), checked before any work starts.  It is a plain
@@ -44,7 +45,6 @@ class QuotientRing:
         self._gb_vecs: list[gb.ModVec] = []
         self._gb_leads: list[gb.ModTerm] = []
         self._hilbert: HilbertSeries | None = None
-        self._mod_order = gb.TermOverPosition(poly_ring.order)
 
     # -- basic structure --
 
@@ -64,8 +64,8 @@ class QuotientRing:
         """Reduced Groebner basis of J."""
         if self._gb is None:
             vecs = [gb.column_to_vec((g,)) for g in self.j_gens]
-            self._gb_vecs = gb.buchberger(vecs, (0,), self._mod_order, self.field, rank=1)
-            self._gb_leads = [gb.leading_term(v, self._mod_order) for v in self._gb_vecs]
+            self._gb_vecs = gb.buchberger(vecs, (0,), self.field)
+            self._gb_leads = [gb.leading_term(v) for v in self._gb_vecs]
             self._gb = tuple(gb.vec_to_column(v, self.poly_ring, 1)[0] for v in self._gb_vecs)
         return self._gb
 
@@ -75,7 +75,7 @@ class QuotientRing:
             raise gb.InhomogeneousError("polynomial from a different ring")
         self.groebner()
         v = gb.column_to_vec((p,))
-        r = gb.normal_form(v, self._gb_vecs, self._mod_order, self.field, leads=self._gb_leads)
+        r = gb.normal_form(v, self._gb_vecs, self.field, leads=self._gb_leads)
         return gb.vec_to_column(r, self.poly_ring, 1)[0]
 
     def is_zero(self, p: Polynomial) -> bool:
@@ -107,9 +107,7 @@ class QuotientRing:
         """
         if self.is_zero(g):
             return True
-        ext = PolyRing(
-            self.variables + ("_t",), self.field, self.poly_ring.order
-        )
+        ext = PolyRing(self.variables + ("_t",), self.field)
 
         def lift(p: Polynomial, tdeg: int = 0) -> Polynomial:
             return Polynomial(
@@ -119,14 +117,7 @@ class QuotientRing:
         witness = ext.one - lift(g, tdeg=1)
         vecs = [gb.column_to_vec((lift(j),)) for j in self.j_gens]
         vecs.append(gb.column_to_vec((witness,)))
-        basis = gb.buchberger(
-            vecs,
-            (0,),
-            gb.TermOverPosition(ext.order),
-            self.field,
-            rank=1,
-            allow_inhomogeneous=True,
-        )
+        basis = gb.buchberger(vecs, (0,), self.field, allow_inhomogeneous=True)
         return any(
             len(v) == 1 and next(iter(v))[1] == (0,) * ext.nvars for v in basis
         )
@@ -204,10 +195,8 @@ def substitute(p: Polynomial, target: PolyRing, images: Sequence[Polynomial]) ->
 
 
 def quotient_ring_from_strings(
-    variables: Sequence[str], ideal_texts: Sequence[str], field, order=GREVLEX
+    variables: Sequence[str], ideal_texts: Sequence[str], field
 ) -> QuotientRing:
-    from .parse import parse_poly
-
-    ring = PolyRing(variables, field, order)
+    ring = PolyRing(variables, field)
     gens = [parse_poly(t, ring) for t in ideal_texts]
     return QuotientRing(ring, gens)

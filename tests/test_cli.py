@@ -207,3 +207,25 @@ def test_malformed_field_flag_is_a_one_line_input_error(tmp_path, flag):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [f"input error: cannot parse field flag {flag!r}"]
+
+
+@pytest.mark.parametrize("flag, value", [("--degree-cap", "-1"), ("--budget", "-3")])
+def test_negative_size_flag_is_an_input_error(tmp_path, flag, value):
+    path = write_job(tmp_path, BASIC_JOB)
+    result = run_cli("compute", path, flag, value)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1].endswith(
+        f"argument {flag}: expected an integer >= 0, got {value!r}"
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, code, status", [("--degree-cap", 3, "resource-cap"), ("--budget", 0, "ok")]
+)
+def test_zero_size_flag_is_accepted(tmp_path, flag, code, status):
+    path = write_job(tmp_path, BASIC_JOB)
+    result = run_cli("compute", path, flag, "0")
+    assert result.returncode == code, result.stderr
+    assert json.loads(result.stdout)["status"] == status

@@ -5,41 +5,32 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import poly, ring
-from dgkoszul import GREVLEX, LEX, PolyRing, PrimeField, parse_poly
+from conftest import grevlex_textbook, poly, ring
+from dgkoszul import PolyRing, PrimeField, parse_poly
 from dgkoszul import groebner as gb
-from dgkoszul.poly import mono_divides
+from dgkoszul.poly import mono_divides, mono_mul
 
 F = PrimeField()
 
 
-def _ideal_gb(texts, R, order=None, inhomogeneous=False):
-    mono = order or R.order
+def _ideal_gb(texts, R, inhomogeneous=False):
     vecs = [gb.column_to_vec((parse_poly(t, R),)) for t in texts]
-    basis = gb.buchberger(
-        vecs,
-        (0,),
-        gb.TermOverPosition(mono),
-        F,
-        rank=1,
-        allow_inhomogeneous=inhomogeneous,
-    )
-    return basis, gb.TermOverPosition(mono)
+    return gb.buchberger(vecs, (0,), F, allow_inhomogeneous=inhomogeneous)
 
 
 def test_already_reduced_basis_unchanged():
     R = PolyRing(("x", "y"), F)
-    basis, order = _ideal_gb(["x", "y"], R)
+    basis = _ideal_gb(["x", "y"], R)
     polys = {gb.vec_to_column(v, R, 1)[0] for v in basis}
     assert polys == {parse_poly("x", R), parse_poly("y", R)}
 
 
-def test_lex_basis_contains_new_element():
-    # {x^2 - y, x*y - z} under lex x>y>z: y^2 - x*z joins the ideal basis.
-    R = PolyRing(("x", "y", "z"), F, LEX)
-    basis, order = _ideal_gb(["x^2 - y", "x*y - z"], R, LEX, inhomogeneous=True)
+def test_inhomogeneous_basis_contains_new_element():
+    # y^2 - x*z = x*(x*y - z) - y*(x^2 - y) lies in (x^2 - y, x*y - z).
+    R = PolyRing(("x", "y", "z"), F)
+    basis = _ideal_gb(["x^2 - y", "x*y - z"], R, inhomogeneous=True)
     claimed = parse_poly("y^2 - x*z", R)
-    rem = gb.normal_form(gb.column_to_vec((claimed,)), basis, order, F)
+    rem = gb.normal_form(gb.column_to_vec((claimed,)), basis, F)
     assert not rem
     # and every basis element lies in the original ideal: cross-check by
     # the degree-truncation comparison in test_modules (Hilbert series).
@@ -48,31 +39,60 @@ def test_lex_basis_contains_new_element():
 def test_single_generator_module():
     R = PolyRing(("x",), F)
     v = gb.column_to_vec((parse_poly("x", R),))
-    basis = gb.buchberger([v], (0,), gb.TermOverPosition(R.order), F, rank=1)
+    basis = gb.buchberger([v], (0,), F)
     assert basis == [v]
 
 
 def test_normal_form_examples():
     R = PolyRing(("x", "y"), F)
-    basis, order = _ideal_gb(["x"], R)
+    basis = _ideal_gb(["x"], R)
     xy = gb.column_to_vec((parse_poly("x*y", R),))
-    assert gb.normal_form(xy, basis, order, F) == {}
+    assert gb.normal_form(xy, basis, F) == {}
     y2 = gb.column_to_vec((parse_poly("y^2", R),))
-    assert gb.normal_form(y2, basis, order, F) == y2
-    basis2, _ = _ideal_gb(["x^2 - y"], R, inhomogeneous=True)
+    assert gb.normal_form(y2, basis, F) == y2
+    basis2 = _ideal_gb(["x^2 - y"], R, inhomogeneous=True)
     x2 = gb.column_to_vec((parse_poly("x^2", R),))
-    rem = gb.normal_form(x2, basis2, order, F)
+    rem = gb.normal_form(x2, basis2, F)
     assert gb.vec_to_column(rem, R, 1)[0] == parse_poly("y", R)
 
 
 def test_normal_form_is_reduction_path_independent():
     R = PolyRing(("x", "y", "z"), F)
-    basis, order = _ideal_gb(["x*y - z^2", "y^2 - x*z", "x^2 - y*z"], R)
+    basis = _ideal_gb(["x*y - z^2", "y^2 - x*z", "x^2 - y*z"], R)
     probe = gb.column_to_vec((parse_poly("(x + y + z)*(x + y + z)*(x + y + z)", R),))
-    leads = [gb.leading_term(g, order) for g in basis]
-    first = gb.normal_form(probe, basis, order, F)
-    last = gb.normal_form(probe, basis[::-1], order, F, leads=leads[::-1])
+    leads = [gb.leading_term(g) for g in basis]
+    first = gb.normal_form(probe, basis, F)
+    last = gb.normal_form(probe, basis[::-1], F, leads=leads[::-1])
     assert first == last
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+_exponents = st.tuples(*[st.integers(0, 4)] * 3)
+_module_terms = st.tuples(st.integers(0, 3), _exponents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_module_terms, _module_terms, _exponents, st.integers(0, 4))
+def test_module_term_keys_match_their_textbook_orders(s, t, m, split):
+    (cs, es), (ct, et) = s, t
+    # Term over position: grevlex on the monomials, the lower component
+    # wins ties.
+    top = grevlex_textbook(es, et) or _cmp(ct, cs)
+    assert _cmp(gb.term_key(s), gb.term_key(t)) == top
+    shifted = gb.term_key((cs, mono_mul(m, es))), gb.term_key((cs, mono_mul(m, et)))
+    assert _cmp(*shifted) == _cmp(gb.term_key((cs, es)), gb.term_key((cs, et)))
+    # Elimination: below split term over position, from split on position
+    # over term, and every term below split beats every term from it on.
+    key = gb._elimination_key(split)
+    if cs < split and ct < split:
+        assert _cmp(key(s), key(t)) == top
+    elif cs >= split and ct >= split:
+        assert _cmp(key(s), key(t)) == (_cmp(ct, cs) or grevlex_textbook(es, et))
+    else:
+        assert _cmp(key(s), key(t)) == (1 if cs < split else -1)
 
 
 def _syzygies(texts, R):
@@ -110,7 +130,7 @@ def test_inhomogeneous_input_rejected():
     R = PolyRing(("x", "y"), F)
     v = gb.column_to_vec((parse_poly("x + x^2", R),))
     with pytest.raises(gb.InhomogeneousError):
-        gb.buchberger([v], (0,), gb.TermOverPosition(R.order), F, rank=1)
+        gb.buchberger([v], (0,), F)
 
 
 def test_degree_cap_reports_diagnostic():
@@ -120,9 +140,7 @@ def test_degree_cap_reports_diagnostic():
         for t in ("x^5 - y^4*z", "x^2*y^3 - z^5")
     ]
     with pytest.raises(gb.DegreeCapExceeded):
-        gb.buchberger(
-            vecs, (0,), gb.TermOverPosition(R.order), F, rank=1, degree_cap=5
-        )
+        gb.buchberger(vecs, (0,), F, degree_cap=5)
 
 
 def test_tagged_basis_lift_and_membership():
@@ -157,8 +175,8 @@ def test_nilpotency_by_radical_membership():
 def test_buchberger_deterministic():
     R = PolyRing(("x", "y", "z"), F)
     texts = ["x*y - z^2", "y^2 - x*z", "x^2 - y*z"]
-    b1, _ = _ideal_gb(texts, R)
-    b2, _ = _ideal_gb(list(reversed(texts)), R)
+    b1 = _ideal_gb(texts, R)
+    b2 = _ideal_gb(list(reversed(texts)), R)
     # same reduced basis regardless of generator order
     assert b1 == b2
 
@@ -194,16 +212,15 @@ def _submodules(draw):
 @given(_submodules())
 def test_buchberger_gives_a_reduced_basis_with_path_independent_remainders(case):
     rank, twists, gens, probe = case
-    order = gb.TermOverPosition(GREVLEX)
-    basis = gb.buchberger(gens, twists, order, F101, rank=rank)
-    leads = [gb.leading_term(g, order) for g in basis]
+    basis = gb.buchberger(gens, twists, F101)
+    leads = [gb.leading_term(g) for g in basis]
     for i, (g, lt) in enumerate(zip(basis, leads)):
         assert g[lt] == 1
         for j, (comp, e) in enumerate(leads):
             if j != i:
                 assert not any(c == comp and mono_divides(e, t) for c, t in g)
     for v in gens + [probe]:
-        first = gb.normal_form(v, basis, order, F101)
-        assert first == gb.normal_form(v, basis[::-1], order, F101, leads=leads[::-1])
-        assert first == gb.normal_form(v, basis, order, F101, leads=leads)
+        first = gb.normal_form(v, basis, F101)
+        assert first == gb.normal_form(v, basis[::-1], F101, leads=leads[::-1])
+        assert first == gb.normal_form(v, basis, F101, leads=leads)
         assert not first or v is probe
