@@ -47,7 +47,7 @@ print("y^2 - x*z reduces to zero:", not rem)
 R2 = PolyRing(("x", "y"), field)
 vx = gb.column_to_vec((parse_poly("x", R2),))
 vy = gb.column_to_vec((parse_poly("y", R2),))
-syz = gb.TaggedBasis([vx, vy], (0,), R2).syzygies()
+syz = gb.syzygies([vx, vy], (0,), R2)
 print("\nsyzygies of (x, y):", [gb.vec_to_column(s, R2, 2) for s in syz])
 
 # --- Hilbert series and Krull dimension of quotient rings ---

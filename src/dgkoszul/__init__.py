@@ -17,8 +17,6 @@ from .modules import FPModule, kernel, min_gens, subquotient
 from .complexes import (
     Bicomplex,
     Complex,
-    ChainMap,
-    cone,
     euler_series,
     koszul_complex,
     tensor_complexes,

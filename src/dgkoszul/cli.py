@@ -22,7 +22,7 @@ import time
 from .checks import CHECK_NAMES
 from .fields import FieldError
 from .groebner import DEFAULT_DEGREE_CAP
-from .jobs import RunConfig, canonical_json, run_job, run_suite
+from .jobs import JobError, RunConfig, canonical_json, run_job, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -50,6 +50,8 @@ def _non_negative_int(text: str) -> int:
 def _load_job(path: str, args) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         job = json.load(fh)
+    if not isinstance(job, dict):
+        raise JobError("a job must be a JSON object")
     if args.field and "field" not in job:
         job["field"] = _parse_field_flag(args.field)
     return job
@@ -91,7 +93,7 @@ def _report_exit(report: dict) -> int:
 def cmd_compute(args) -> int:
     try:
         job = _load_job(args.job, args)
-    except (OSError, json.JSONDecodeError, FieldError) as exc:
+    except (OSError, json.JSONDecodeError, FieldError, JobError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     started = time.monotonic()
@@ -105,11 +107,14 @@ def cmd_compute(args) -> int:
 def cmd_check(args) -> int:
     try:
         job = _load_job(args.job, args)
-    except (OSError, json.JSONDecodeError, FieldError) as exc:
+        check_args = job.pop("check_args", {})
+        if not isinstance(check_args, dict):
+            raise JobError("'check_args' must be a JSON object")
+    except (OSError, json.JSONDecodeError, FieldError, JobError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     task = {"task": "check", "name": args.name}
-    task.update(job.pop("check_args", {}))
+    task.update(check_args)
     if args.expect:
         task["expect"] = args.expect
     job["tasks"] = [task]
@@ -165,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--oracle-depth",
-        type=int,
+        type=_non_negative_int,
         default=8,
         help="truncation-oracle cross-check depth (0 disables)",
     )

@@ -4,7 +4,7 @@ degree-truncation oracle.
 Complexes are cohomologically indexed: d^i maps term i to term i+1 and has
 internal degree 0.  Terms are FPModules, cokernels of their ambient free
 modules; a map is the tuple of its columns: column j of a differential,
-or of any map of complexes, is the sparse ModVec image of generator j of
+or of any other map, is the sparse ModVec image of generator j of
 the source over the generators of the target.
 
 Sign conventions, pinned once:
@@ -209,44 +209,6 @@ def direct_sum(modules: Sequence[FPModule], ring: QuotientRing) -> FPModule:
         twists.extend(m.ambient.twists)
     rels = [gb.vec_offset(r, off) for off, m in zip(offsets, modules) for r in m.rels]
     return FPModule.cokernel(ring, tuple(twists), rels)
-
-
-class ChainMap:
-    """Degree-0 map of complexes: maps[i] is the tuple of ModVec columns of
-    the map on term i, over the generators of the target's term i.  A
-    missing degree is the zero map."""
-
-    def __init__(self, source: Complex, target: Complex, maps: dict):
-        self.source = source
-        self.target = target
-        self.maps = {i: tuple(m) for i, m in maps.items()}
-
-    def validate(self) -> None:
-        field = self.source.ring.field
-        for i, d in self.source.diffs.items():
-            if (i + 1) not in self.target.terms:
-                continue
-            if i in self.maps or (i + 1) in self.maps:
-                lhs = _compose(self.maps.get(i + 1), d, field)
-                rhs = _compose(self.target.diffs.get(i), self.maps.get(i), field)
-                tgt = self.target.terms[i + 1]
-                if not _agree(lhs, rhs, tgt, self.source.terms[i].ambient.rank):
-                    raise AssertionError(f"chain map square fails at {i}")
-
-
-def cone(f: ChainMap) -> Complex:
-    """Mapping cone: term i = source^{i+1} (+) target^i, d = [[-d, 0], [f, d]].
-
-    It is Tot of the two-column bicomplex with the source in column -1,
-    whose sign (-1)^p and block order (source first) are the cone's.
-    """
-    src, tgt = f.source, f.target
-    grid = {(-1, j): m for j, m in src.terms.items()}
-    grid.update({(0, j): m for j, m in tgt.terms.items()})
-    d_v = {(-1, j): m for j, m in src.diffs.items()}
-    d_v.update({(0, j): m for j, m in tgt.diffs.items()})
-    d_h = {(-1, j): m for j, m in f.maps.items()}
-    return Bicomplex(tgt.ring, grid, d_h, d_v).total()
 
 
 class Bicomplex:

@@ -13,10 +13,9 @@ provides one.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
 from . import groebner as gb
-from .complexes import Bicomplex, Complex, _agree, _compose, direct_sum, koszul_complex, tensor_complexes
+from .complexes import Complex, _agree, _compose, koszul_complex, tensor_complexes
 from .dgring import DGRingRep
 from .modules import FPModule, min_gens, modulo
 from .rings import FreeModule, QuotientRing
@@ -31,30 +30,14 @@ class ResolutionError(RuntimeError):
     pass
 
 
-def free_resolution(X) -> Complex:
-    """Minimal free resolution over S of a module or bounded complex over
-    Q = S/J.
-
-    Modules: iterated syzygies with minimal generating sets at every stage
-    (the result is minimal, with no unit entries).
-
-    Complexes: assembled from termwise resolutions; supported for zero
-    differentials (direct sums of shifted resolutions) and for two-term
-    complexes (one lifted chain map).  Longer complexes with nonzero
-    differentials would need homotopy corrections and are rejected.
-    """
-    if isinstance(X, FPModule):
-        return _resolve_module(X)
-    if isinstance(X, Complex):
-        return _resolve_complex(X)
-    raise TypeError(f"cannot resolve {X!r}")
-
-
-def _resolve_module(X: FPModule) -> Complex:
-    S = ambient_ring(X.ring)
+def free_resolution(M: FPModule) -> Complex:
+    """Minimal free resolution over S of a module over Q = S/J: iterated
+    syzygies with minimal generating sets at every stage (the result is
+    minimal, with no unit entries)."""
+    S = ambient_ring(M.ring)
     ring = S.poly_ring
-    twists = X.ambient.twists
-    cols = X.relation_columns()
+    twists = M.ambient.twists
+    cols = M.relation_columns()
     terms = {0: FPModule.free(S, twists)}
     diffs = {}
     ambient = FreeModule(S, len(twists), twists)
@@ -81,86 +64,6 @@ def _assert_minimal(res: Complex) -> None:
     for m in res.diffs.values():
         if any(e == zero_expo for col in m for _, e in col):
             raise ResolutionError("unit entry in a minimal resolution")
-
-
-def complex_direct_sum(parts: Sequence[Complex], ring: QuotientRing) -> Complex:
-    """Degreewise direct sum with block-diagonal differentials."""
-    degrees = sorted({i for c in parts for i in c.terms})
-    terms = {i: direct_sum([c.term(i) for c in parts], ring) for i in degrees}
-    diffs = {}
-    for i in degrees:
-        if not any(i in c.diffs for c in parts):
-            continue
-        cols = []
-        off = 0
-        for c in parts:
-            d = c.diffs.get(i)
-            if d is None:
-                cols.extend({} for _ in range(c.term(i).ambient.rank))
-            else:
-                cols.extend(gb.vec_offset(col, off) for col in d)
-            off += c.term(i + 1).ambient.rank
-        diffs[i] = tuple(cols)
-    return Complex(ring, terms, diffs)
-
-
-def _lift_chain_map(d_columns, src_res: Complex, tgt_res: Complex) -> dict:
-    """Lift a module map (columns on degree-0 generators) to a chain map of
-    resolutions, degree by degree via explicit membership lifts."""
-    field = src_res.ring.field
-    ring = src_res.ring.poly_ring
-    maps = {0: tuple(d_columns)}
-    k = 0
-    while (-k - 1) in src_res.terms and (-k - 1) in tgt_res.terms:
-        k += 1
-        tagged = gb.TaggedBasis(
-            tgt_res.diffs[-k], tgt_res.term(-k + 1).ambient.twists, ring
-        )
-        lifted = []
-        for col in src_res.diffs[-k]:
-            coords = tagged.lift(gb.vec_combination(maps[-k + 1], col, field))
-            if coords is None:
-                raise ResolutionError("chain lift failed; map not liftable")
-            lifted.append(coords)
-        maps[-k] = tuple(lifted)
-    return maps
-
-
-def _resolve_complex(X: Complex) -> Complex:
-    S = ambient_ring(X.ring)
-    if not X.diffs:
-        parts = []
-        for i in sorted(X.terms):
-            res = _resolve_module(X.terms[i])
-            parts.append(res.shift(-i))
-        return complex_direct_sum(parts, S)
-    if len(X.diffs) == 1:
-        (a,) = X.diffs
-        if set(X.terms) - {a, a + 1}:
-            extra = [
-                _resolve_module(X.terms[i]).shift(-i)
-                for i in sorted(set(X.terms) - {a, a + 1})
-            ]
-        else:
-            extra = []
-        src_res = _resolve_module(X.terms[a])
-        tgt_res = _resolve_module(X.terms[a + 1])
-        maps = _lift_chain_map(X.diffs[a], src_res, tgt_res)
-        grid = {(a, q): m for q, m in src_res.terms.items()}
-        grid.update({(a + 1, q): m for q, m in tgt_res.terms.items()})
-        d_v = {(a, q): m for q, m in src_res.diffs.items()}
-        d_v.update({(a + 1, q): m for q, m in tgt_res.diffs.items()})
-        d_h = {(a, q): m for q, m in maps.items()}
-        # Tot of the two-column bicomplex lives at degrees p + q with p in
-        # {a, a + 1}, which is where X's two terms sit.
-        two_col = Bicomplex(S, grid, d_h, d_v).total()
-        if extra:
-            return complex_direct_sum([two_col] + extra, S)
-        return two_col
-    raise ResolutionError(
-        "free resolutions of complexes with more than one nonzero "
-        "differential are outside the supported class"
-    )
 
 
 def betti_table(res: Complex) -> dict:

@@ -10,7 +10,7 @@ over a free module with an integer twist per component (the internal
 degree of that basis vector), so that a term's degree is
 deg(monomial) + twist[component].  It is the only module-element type of
 the package: generators, relations, kernels and syzygies are all ModVecs,
-and a map of free modules (a differential, a module or chain map) is the
+and a map of free modules (a differential or a module map) is the
 tuple of its columns, column j the ModVec of the image of source generator
 j in target-generator coordinates.  Composition is vec_combination.
 column_to_vec and vec_to_column convert a column to and from Polynomial
@@ -85,9 +85,9 @@ def _elimination_key(split: int):
     in components >= split: term over position below split, position over
     term from split on.
 
-    Used by the tagged-basis machinery: the ambient block is eliminated
-    ahead of the tag block, so basis elements supported purely on tags are
-    exactly the syzygies.
+    Used by syzygies(): the ambient block is eliminated ahead of the tag
+    block, so basis elements supported purely on tags are exactly the
+    syzygies.
     """
 
     def key(t: ModTerm):
@@ -296,73 +296,37 @@ def interreduce(basis: Sequence[ModVec], field, key=term_key) -> list[ModVec]:
     return reduced
 
 
-# ---------- tagged bases: syzygies and lifts in one engine ----------
+# ---------- syzygies ----------
 
-class TaggedBasis:
-    """Groebner basis of {(col_j, e_j)} in F + S^s with F eliminated first.
+def syzygies(columns: Sequence[ModVec], twists: Sequence[int], ring: PolyRing) -> list[ModVec]:
+    """Generators of the syzygy module of the columns, which lie in the
+    free module F with the given twists.
 
-    Gives, for the columns inside the free module F, generators of their
-    syzygy module (the basis elements supported on the tags alone) and
-    explicit lift coefficients of a vector onto their span.  Membership
-    without coefficients is FPModule.element_is_zero.
+    They are read off one Groebner basis of {(col_j, e_j)} in F + S^s with
+    F eliminated first: an element led by a tag has no F-part, so it is a
+    syzygy.  Those come in buchberger's output order, then the unit
+    vector of each zero column.
     """
-
-    def __init__(
-        self,
-        columns: Sequence[ModVec],
-        twists: Sequence[int],
-        ring: PolyRing,
-    ):
-        self.ring = ring
-        self.field = ring.field
-        self.rank = len(twists)
-        self.columns = list(columns)
-        zero_expo = (0,) * ring.nvars
-
-        col_degs = []
-        tagged = []
-        self.zero_columns = []
-        for j, col in enumerate(self.columns):
-            if not col:
-                self.zero_columns.append(j)
-                col_degs.append(0)
-                continue
-            d = vec_degree(col, twists)
-            if d is None:
-                raise InhomogeneousError("inhomogeneous column")
-            col_degs.append(d)
-            v = dict(col)
-            v[(self.rank + j, zero_expo)] = self.field.one
-            tagged.append(v)
-
-        self.key = _elimination_key(self.rank)
-        self.tagged_gb = buchberger(
-            tagged, tuple(twists) + tuple(col_degs), self.field, key=self.key
-        )
-        self.tagged_leads = [leading_term(g, self.key) for g in self.tagged_gb]
-        # F is eliminated first, so an element whose lead is a tag has no
-        # F-part: it is a syzygy.
-        self._syz = [
-            {(t[0] - self.rank, t[1]): c for t, c in g.items()}
-            for g, lt in zip(self.tagged_gb, self.tagged_leads)
-            if lt[0] >= self.rank
-        ]
-
-    def syzygies(self) -> list[ModVec]:
-        """Generators of the syzygy module of the columns (zero columns
-        contribute their basis vector)."""
-        zero_expo = (0,) * self.ring.nvars
-        extra = [{(j, zero_expo): self.field.one} for j in self.zero_columns]
-        return [dict(s) for s in self._syz] + extra
-
-    def lift(self, v: ModVec) -> ModVec | None:
-        """Coordinates c over the column indices with v = sum_j c_j * col_j
-        (v == vec_combination(columns, c)), or None if v is not in the
-        span."""
-        rem = normal_form(v, self.tagged_gb, self.field, leads=self.tagged_leads, key=self.key)
-        if any(comp < self.rank for comp, _ in rem):
-            return None
-        return {(comp - self.rank, e): self.field.neg(c) for (comp, e), c in rem.items()}
+    field = ring.field
+    rank = len(twists)
+    zero_expo = (0,) * ring.nvars
+    col_degs = []
+    tagged = []
+    for j, col in enumerate(columns):
+        d = vec_degree(col, twists) if col else 0
+        if d is None:
+            raise InhomogeneousError("inhomogeneous column")
+        col_degs.append(d)
+        if col:
+            tagged.append({**col, (rank + j, zero_expo): field.one})
+    key = _elimination_key(rank)
+    basis = buchberger(tagged, tuple(twists) + tuple(col_degs), field, key=key)
+    syz = [
+        {(comp - rank, e): c for (comp, e), c in g.items()}
+        for g in basis
+        if leading_term(g, key)[0] >= rank
+    ]
+    return syz + [{(j, zero_expo): field.one} for j, col in enumerate(columns) if not col]
 
 
 # ---------- columns with Polynomial entries ----------

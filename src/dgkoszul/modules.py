@@ -157,8 +157,8 @@ def modulo(
     dropped.
     """
     k = len(gens)
-    tagged = gb.TaggedBasis(list(gens) + list(rels), twists, ring)
-    projected = ({t: c for t, c in s.items() if t[0] < k} for s in tagged.syzygies())
+    syz = gb.syzygies(list(gens) + list(rels), twists, ring)
+    projected = ({t: c for t, c in s.items() if t[0] < k} for s in syz)
     return [v for v in projected if v]
 
 

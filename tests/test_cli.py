@@ -209,7 +209,9 @@ def test_malformed_field_flag_is_a_one_line_input_error(tmp_path, flag):
     assert result.stderr.splitlines() == [f"input error: cannot parse field flag {flag!r}"]
 
 
-@pytest.mark.parametrize("flag, value", [("--degree-cap", "-1"), ("--budget", "-3")])
+@pytest.mark.parametrize(
+    "flag, value", [("--degree-cap", "-1"), ("--budget", "-3"), ("--oracle-depth", "-1")]
+)
 def test_negative_size_flag_is_an_input_error(tmp_path, flag, value):
     path = write_job(tmp_path, BASIC_JOB)
     result = run_cli("compute", path, flag, value)
@@ -222,10 +224,31 @@ def test_negative_size_flag_is_an_input_error(tmp_path, flag, value):
 
 
 @pytest.mark.parametrize(
-    "flag, code, status", [("--degree-cap", 3, "resource-cap"), ("--budget", 0, "ok")]
+    "flag, code, status",
+    [("--degree-cap", 3, "resource-cap"), ("--budget", 0, "ok"), ("--oracle-depth", 0, "ok")],
 )
 def test_zero_size_flag_is_accepted(tmp_path, flag, code, status):
     path = write_job(tmp_path, BASIC_JOB)
     result = run_cli("compute", path, flag, "0")
     assert result.returncode == code, result.stderr
     assert json.loads(result.stdout)["status"] == status
+
+
+@pytest.mark.parametrize(
+    "job, argv, message",
+    [
+        ([1, 2], ("compute", "JOB", "--field", "7"), "a job must be a JSON object"),
+        ([1], ("check", "amp_koszul", "JOB"), "a job must be a JSON object"),
+        (
+            dict(BASIC_JOB, check_args=[5]),
+            ("check", "amp_koszul", "JOB"),
+            "'check_args' must be a JSON object",
+        ),
+    ],
+)
+def test_malformed_job_file_is_a_one_line_input_error(tmp_path, job, argv, message):
+    path = write_job(tmp_path, job)
+    result = run_cli(*(path if arg == "JOB" else arg for arg in argv))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"input error: {message}"]

@@ -8,14 +8,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import poly, ring
 from dgkoszul import (
     Bicomplex,
-    ChainMap,
     Complex,
     FPModule,
     PolyRing,
     Polynomial,
     PrimeField,
     QuotientRing,
-    cone,
     euler_series,
     koszul_complex,
     run_job,
@@ -147,39 +145,6 @@ def test_shift_moves_homology():
                 S.homology(i - j).hilbert_series()
                 == K.homology(i).hilbert_series()
             )
-
-
-def test_cone_of_multiplication_is_koszul():
-    Q = ring("x", "y")
-    M = FPModule.free(Q, (0,))
-    Mt = FPModule.free(Q, (1,))
-    src = Complex(Q, {0: Mt}, {})
-    tgt = Complex(Q, {0: M}, {})
-    f = ChainMap(src, tgt, {0: _map((poly("x", Q),))})
-    f.validate()
-    C = cone(f)
-    C.validate()
-    K = _koszul(Q, ["x"])
-    assert C.homology_table() == K.homology_table()
-
-
-def test_chain_map_with_a_failing_square_is_rejected():
-    # K(x) -> K(x) over k[x,y], identity in degree 0 and y in degree -1:
-    # f d sends the degree -1 generator to x, d f sends it to x*y.
-    Q = ring("x", "y")
-    K = _koszul(Q, ["x"])
-    one, y = Q.poly_ring.one, poly("y", Q)
-    ChainMap(K, K, {0: _map((one,)), -1: _map((one,))}).validate()
-    with pytest.raises(AssertionError, match="square fails at -1"):
-        ChainMap(K, K, {0: _map((one,)), -1: _map((y,))}).validate()
-
-
-def test_chain_map_with_a_missing_side_counts_it_as_zero():
-    # With no map in degree -1 the square at -1 reads x = 0, which fails.
-    Q = ring("x", "y")
-    K = _koszul(Q, ["x"])
-    with pytest.raises(AssertionError, match="square fails at -1"):
-        ChainMap(K, K, {0: _map((Q.poly_ring.one,))}).validate()
 
 
 def test_ill_defined_differential_is_rejected():

@@ -4,15 +4,17 @@ linear-algebra counting, plus field-level cross-validation."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import poly, ring
 from dgkoszul import FPModule, PrimeField, RationalField, koszul, dg_from_ring, subquotient
 from dgkoszul import groebner as gb
 from dgkoszul.complexes import _monomials_of_degree
+from dgkoszul.duality import betti_table, free_resolution
 from dgkoszul.linalg import Echelon
 from dgkoszul.parse import parse_poly
-from dgkoszul.poly import PolyRing, mono_mul
-from dgkoszul.rings import FreeModule, quotient_ring_from_strings
+from dgkoszul.poly import PolyRing, Polynomial, mono_mul
+from dgkoszul.rings import FreeModule, QuotientRing, quotient_ring_from_strings
 
 F = PrimeField()
 
@@ -79,7 +81,7 @@ def test_syzygy_module_graded_dimensions():
     R = Q.poly_ring
     gens = [parse_poly(t, R) for t in ("x", "y", "z")]
     cols = [gb.column_to_vec((g,)) for g in gens]
-    syz = gb.TaggedBasis(cols, (0,), R).syzygies()
+    syz = gb.syzygies(cols, (0,), R)
     syz_module = subquotient(FreeModule(Q, 3, (1, 1, 1)), syz)
     hs = syz_module.hilbert_series()
     for t in range(0, 9):
@@ -113,3 +115,27 @@ def test_prime_field_and_rationals_agree_on_homology():
         if field.kind == "prime-field":
             reference = table
     assert table == reference
+
+
+_QUADRIC_MONOMIALS = _monomials_of_degree(3, 2)
+_quadrics = st.dictionaries(
+    st.sampled_from(_QUADRIC_MONOMIALS), st.integers(1, 100), min_size=1
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_quadrics, min_size=2, max_size=3))
+def test_tor_from_the_resolution_matches_koszul_homology(forms):
+    # Tor^S_i(Q, k)_j two ways: the Betti table of the minimal free
+    # resolution of Q over S, and dim H^{-i}(K(x, y, z; Q))_j.  Koszul
+    # homology is killed by (x, y, z), so each series is a polynomial.
+    R = PolyRing(("x", "y", "z"), PrimeField(101))
+    Q = QuotientRing(R, [Polynomial(R, terms) for terms in forms])
+    resolved = betti_table(free_resolution(FPModule.free(Q, (0,))))
+    K = koszul(dg_from_ring(Q), ["x", "y", "z"])
+    from_koszul = {}
+    for i, hs in K.homology_table().items():
+        num, pole = hs.reduced()
+        assert pole == 0
+        from_koszul[-i] = {j: c for j, c in num.items() if c}
+    assert resolved == from_koszul

@@ -19,7 +19,7 @@ from dgkoszul import (
     trivial_extension,
 )
 from dgkoszul.complexes import truncation_oracle, homology_hilbert_functions
-from dgkoszul.duality import betti_table, ResolutionError
+from dgkoszul.duality import betti_table
 
 
 def test_betti_numbers_of_residue_field():
@@ -61,33 +61,6 @@ def test_resolution_is_exact_and_minimal():
         constant = (0,) * Q.poly_ring.nvars
         for m in res.diffs.values():
             assert all(e != constant for col in m for _, e in col)
-
-
-def test_resolution_of_zero_differential_complex():
-    B = ring("x", "y", ideal=["x*y"])
-    M = FPModule.quotient_by_ideal(B, [poly("x", B)])
-    ext = trivial_extension(B, M, 2)
-    res = free_resolution(ext.underlying)
-    res.validate()
-    for i, hs in ext.underlying.homology_table().items():
-        assert res.homology(i).hilbert_series() == hs
-
-
-def test_resolution_of_two_term_complex():
-    # the Koszul complex of x over k[x,y]/(xy), resolved over S
-    Q = ring("x", "y", ideal=["x*y"])
-    K = koszul(dg_from_ring(Q), ["x"])
-    res = free_resolution(K.underlying)
-    res.validate()
-    for i, hs in K.underlying.homology_table().items():
-        assert res.homology(i).hilbert_series() == hs
-
-
-def test_resolution_rejects_long_nonzero_complexes():
-    Q = ring("x", "y", ideal=["x*y"])
-    K = koszul(dg_from_ring(Q), ["x", "y"])
-    with pytest.raises(ResolutionError):
-        free_resolution(K.underlying)
 
 
 def test_dualizing_complex_of_regular_ring():
