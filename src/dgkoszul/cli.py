@@ -110,6 +110,9 @@ def cmd_check(args) -> int:
         check_args = job.pop("check_args", {})
         if not isinstance(check_args, dict):
             raise JobError("'check_args' must be a JSON object")
+        for key in ("task", "name"):
+            if key in check_args:
+                raise JobError(f"'check_args' must not set {key!r}: the verb names the check")
     except (OSError, json.JSONDecodeError, FieldError, JobError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -16,6 +16,36 @@ j in target-generator coordinates.  Composition is vec_combination.
 column_to_vec and vec_to_column convert a column to and from Polynomial
 entries where ring elements enter or leave as Polynomials.
 
+Packed terms.  buchberger, normal_form, leading_terms and syzygies take
+and return ModVecs, but inside one call every term is one int whose
+integer order is the module term order, built by a _Packer sized for that
+call.  With n variables and fields w bits wide (2^w exceeds the largest
+monomial degree the call can reach), from the top bit down:
+
+    block bit              set for the components before `split`
+    upper component slot   C - comp for the components from `split` on
+    n weight fields        deg, e_1 + ... + e_(n-1), ..., e_1 (w bits each)
+    lower component slot   C - comp for the components before `split`
+    n exponent fields      e_n, ..., e_1 (w bits and a guard bit each)
+
+where C is the last component.  The weight fields compare
+lexicographically exactly as grevlex.  Below `split` (all components by
+default) the order is term over position: the monomial first, the lower
+component wins ties.  From `split` on (the tag block of syzygies) it is
+position over term, and every term below `split` is larger.  A monomial
+has no component bits and sits at the same bits in every layout, so
+multiplying a term by it is `+`, and the quotient of two terms of one
+component is `-`.  A lead l divides a term t of its own component exactly
+when (t - l) & mask == 0, mask being the guard and component bits.
+
+No field carries into the next, since every field holds at most the
+monomial degree.  normal_form sizes its fields from its input terms: a
+reduction step only makes terms smaller than the one it removes, so never
+of higher monomial degree.  buchberger also admits the degree cap minus
+the smallest twist, since the cap bounds the twisted degree of every
+S-pair it processes.  Packing a term that does not fit raises
+OverflowError.
+
 Determinism: S-pairs are processed in (degree, index, index) order, the
 output basis is reduced, monic, inter-reduced and canonically sorted, so
 identical inputs give identical outputs.
@@ -24,20 +54,10 @@ identical inputs give identical outputs.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
-from .poly import (
-    Expo,
-    PolyRing,
-    Polynomial,
-    grevlex_key,
-    mono_deg,
-    mono_div,
-    mono_divides,
-    mono_gcd,
-    mono_lcm,
-    mono_mul,
-)
+from .poly import Expo, PolyRing, Polynomial, grevlex_key, mono_deg, mono_mul
 
 ModTerm = tuple  # (component, exponent tuple)
 ModVec = dict  # ModTerm -> scalar
@@ -71,32 +91,74 @@ class DegreeCapExceeded(RuntimeError):
         self.degree = degree
 
 
-# ---------- module term orders ----------
+# ---------- packed terms ----------
 
-def term_key(t: ModTerm):
-    """Sort key of the term-over-position order: grevlex on the monomial
-    first, the lower component wins ties.  A larger key is a larger term."""
-    comp, e = t
-    return (grevlex_key(e), -comp)
+class _Packer:
+    """Packs the terms of one engine call into ints (layout in the module
+    docstring): nvars variables, components 0..ncomps-1, monomial degrees
+    up to maxdeg, and position over term from component split on."""
+
+    __slots__ = ("mask", "_mults", "_limit", "_comp_bits", "_comp_of", "_comp_mask",
+                 "_shifts", "_expo_mask")
+
+    def __init__(self, nvars: int, ncomps: int, maxdeg: int, split: int | None = None):
+        w = maxdeg.bit_length() or 1  # w > 0 keeps 2^w - 1 a divisor below
+        slot = (ncomps - 1).bit_length()
+        low = nvars * (w + 1)
+        weights = low + slot
+        up = weights + nvars * w
+        block = up + slot
+        ones = self._expo_mask = (1 << w) - 1
+        self._shifts = range(0, low, w + 1)
+        # x^e packs to sum(e_i * mults[i]): e_i in its exponent field and in
+        # the weight fields from e_1 + ... + e_i up to deg.
+        self._mults = [
+            (((1 << up) - (1 << (weights + i * w))) // ones) + (1 << s)
+            for i, s in enumerate(self._shifts)
+        ]
+        # The deg field ends at bit up, so x^e fits exactly when it packs
+        # below 2^up.
+        self._limit = 1 << up
+        split = ncomps if split is None else split
+        last = ncomps - 1
+        self._comp_bits = [
+            (1 << block) + ((last - c) << low) if c < split else (last - c) << up
+            for c in range(ncomps)
+        ]
+        self._comp_of = {bits: c for c, bits in enumerate(self._comp_bits)}
+        slots = (1 << slot) - 1
+        self._comp_mask = (slots << low) | (slots << up) | (1 << block)
+        guards = ((1 << low) - 1) // ((1 << (w + 1)) - 1) << w
+        self.mask = self._comp_mask | guards
+
+    def mono(self, e: Iterable[int]) -> int:
+        """The packed monomial x^e, with no component bits."""
+        m = sum(map(mul, e, self._mults))
+        if m >= self._limit:
+            raise OverflowError("a monomial is too large for the packed fields")
+        return m
+
+    def pack(self, v: ModVec) -> dict:
+        mono, bits = self.mono, self._comp_bits
+        return {mono(e) + bits[comp]: c for (comp, e), c in v.items()}
+
+    def unpack_term(self, t: int) -> ModTerm:
+        ones = self._expo_mask
+        return self._comp_of[t & self._comp_mask], tuple([(t >> s) & ones for s in self._shifts])
+
+    def unpack(self, v: dict) -> ModVec:
+        unpack_term = self.unpack_term
+        return {unpack_term(t): c for t, c in v.items()}
 
 
-def _elimination_key(split: int):
-    """Sort key in which every term in components < split beats every term
-    in components >= split: term over position below split, position over
-    term from split on.
-
-    Used by syzygies(): the ambient block is eliminated ahead of the tag
-    block, so basis elements supported purely on tags are exactly the
-    syzygies.
-    """
-
-    def key(t: ModTerm):
-        comp, e = t
-        if comp < split:
-            return (1, term_key(t))
-        return (0, (-comp, grevlex_key(e)))
-
-    return key
+def _fitting_packer(vecs: Sequence[ModVec]) -> _Packer:
+    """A term-over-position packer for the terms of vecs (not all zero)."""
+    terms = [t for v in vecs for t in v]
+    return _Packer(
+        len(terms[0][1]),
+        1 + max(map(itemgetter(0), terms)),
+        max(map(sum, map(itemgetter(1), terms))),
+    )
 
 
 def column_key(v: ModVec):
@@ -152,59 +214,60 @@ def vec_degree(a: ModVec, twists) -> int | None:
     return None
 
 
-def leading_term(a: ModVec, key=term_key) -> ModTerm:
-    return max(a, key=key)
-
-
-class _TermKeys(dict):
-    """The order keys of the terms seen so far, each computed once."""
-
-    def __init__(self, key):
-        super().__init__()
-        self.order_key = key
-
-    def __missing__(self, t: ModTerm):
-        k = self[t] = self.order_key(t)
-        return k
+def leading_terms(vecs: Sequence[ModVec]) -> list[ModTerm]:
+    """The largest term of each nonzero vector, term over position."""
+    if not vecs:
+        return []
+    packer = _fitting_packer(vecs)
+    return [packer.unpack_term(max(packer.pack(v))) for v in vecs]
 
 
 # ---------- division ----------
 
-def normal_form(
-    f: ModVec,
-    basis: Sequence[ModVec],
-    field,
-    leads: Sequence[ModTerm | None] | None = None,
-    key=term_key,
-) -> ModVec:
-    """Fully reduced remainder of f modulo basis (tail reduction included).
+def _add_multiple(out: dict, a: dict, m: int, c, field) -> None:
+    """out += c * x^m * a on packed vectors, in place; terms that cancel
+    are removed."""
+    add, mul_, zero = field.add, field.mul, field.zero
+    for t, v in a.items():
+        t += m
+        s = add(out.get(t, zero), mul_(c, v))
+        if s == zero:
+            out.pop(t, None)
+        else:
+            out[t] = s
+
+
+def _reduce(work: dict, basis: Sequence[dict], leads: Sequence[int], field, mask: int) -> dict:
+    """Fully reduced remainder of the packed vector work (consumed) modulo
+    the packed basis with the given leads; each step reduces by the first
+    applicable element in list order."""
+    rem = {}
+    while work:
+        t = max(work)
+        for g, lead in zip(basis, leads):
+            if not (t - lead) & mask:
+                break
+        else:
+            rem[t] = work.pop(t)
+            continue
+        _add_multiple(work, g, t - lead, field.neg(field.div(work[t], g[lead])), field)
+    return rem
+
+
+def normal_form(f: ModVec, basis: Sequence[ModVec], field) -> ModVec:
+    """Fully reduced remainder of f modulo basis (tail reduction included),
+    term over position.
 
     Each step reduces by the first applicable element in list order; the
     remainder does not depend on that order when basis is a Groebner basis.
-    leads, if given, are the basis' leading terms (None for a zero
-    element); callers that reduce many vectors modulo one basis pass them
-    so they are computed once.  key is the term order's sort key.
     """
-    if leads is None:
-        leads = [leading_term(g, key) if g else None for g in basis]
-    keys = _TermKeys(key)
-    work = dict(f)
-    rem: ModVec = {}
-    while work:
-        t = max(work, key=keys.__getitem__)
-        c = work[t]
-        comp, e = t
-        for i, lt in enumerate(leads):
-            if lt is not None and lt[0] == comp and mono_divides(lt[1], e):
-                break
-        else:
-            rem[t] = c
-            del work[t]
-            continue
-        g = basis[i]
-        factor = field.neg(field.div(c, g[lt]))
-        vec_add_multiple(work, g, mono_div(e, lt[1]), factor, field)
-    return rem
+    if not f:
+        return {}
+    basis = [g for g in basis if g]
+    packer = _fitting_packer([f, *basis])
+    packed = [packer.pack(g) for g in basis]
+    rem = _reduce(packer.pack(f), packed, [max(g) for g in packed], field, packer.mask)
+    return packer.unpack(rem)
 
 
 # ---------- Buchberger ----------
@@ -215,10 +278,13 @@ def buchberger(
     field,
     degree_cap: int | None = None,
     allow_inhomogeneous: bool = False,
-    key=term_key,
+    split: int | None = None,
 ) -> list[ModVec]:
     """Reduced Groebner basis of the submodule generated by gens, in the
-    free module with one twist per component, for the term order key.
+    free module with one twist per component.
+
+    The order is term over position, except that the components from split
+    on, if given, come position over term below all the others.
 
     Raises InhomogeneousError unless every generator is homogeneous with
     respect to the twists (or allow_inhomogeneous is set, as needed by the
@@ -231,68 +297,80 @@ def buchberger(
         for g in gens:
             if g and vec_degree(g, twists) is None:
                 raise InhomogeneousError("inhomogeneous generator")
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    # Every processed S-pair has twisted degree at most the cap, so its
+    # terms have monomial degree at most the cap minus the smallest twist.
+    nvars = len(next(iter(gens[0]))[1])
+    maxdeg = max(degree_cap - min(twists), *(sum(e) for g in gens for _, e in g))
+    packer = _Packer(nvars, len(twists), maxdeg, split)
+    mask = packer.mask
 
-    # The basis is kept monic; leads[k] is the leading term of basis[k].
-    basis: list[ModVec] = []
-    leads: list[ModTerm] = []
+    # The basis is kept monic; leads[k] is the packed leading term of
+    # basis[k], and comps[k], expos[k] its component and exponent.
+    basis: list[dict] = []
+    leads: list[int] = []
+    comps: list[int] = []
+    expos: list[Expo] = []
     heap: list[tuple[int, int, int]] = []
 
-    def add(v: ModVec) -> None:
-        lt = leading_term(v, key)
-        comp, e = lt
+    def add(v: dict) -> None:
+        lead = max(v)
+        comp, e = packer.unpack_term(lead)
         new = len(basis)
-        basis.append(vec_scale(v, field.inv(v[lt]), field))
-        leads.append(lt)
+        basis.append(vec_scale(v, field.inv(v[lead]), field))
+        leads.append(lead)
+        comps.append(comp)
+        expos.append(e)
         for k in range(new):
-            ck, ek = leads[k]
-            if ck == comp:
-                heapq.heappush(heap, (mono_deg(mono_lcm(ek, e)) + twists[comp], k, new))
+            if comps[k] == comp:
+                heapq.heappush(heap, (sum(map(max, expos[k], e)) + twists[comp], k, new))
 
     for g in gens:
-        if g:
-            add(g)
+        add(packer.pack(g))
 
     neg_one = field.neg(field.one)
     while heap:
         deg, i, j = heapq.heappop(heap)
         if deg > degree_cap:
             raise DegreeCapExceeded(degree_cap, deg)
-        (_, ef), (_, eg) = leads[i], leads[j]
-        # Product criterion is only valid in the rank-1 (ideal) case.
-        if len(twists) == 1 and mono_gcd(ef, eg) == (0,) * len(ef):
+        ei, ej = expos[i], expos[j]
+        # Product criterion is only valid in the rank-1 (ideal) case: the
+        # leads are coprime when their lcm is their product.
+        if len(twists) == 1 and deg - twists[0] == sum(ei) + sum(ej):
             continue
         # S-vector of the monic basis[i], basis[j]: their leads cancel.
-        lcm = mono_lcm(ef, eg)
-        s: ModVec = {}
-        vec_add_multiple(s, basis[i], mono_div(lcm, ef), field.one, field)
-        vec_add_multiple(s, basis[j], mono_div(lcm, eg), neg_one, field)
-        r = normal_form(s, basis, field, leads=leads, key=key)
+        lcm = packer.mono(map(max, ei, ej))
+        s: dict = {}
+        _add_multiple(s, basis[i], lcm - packer.mono(ei), field.one, field)
+        _add_multiple(s, basis[j], lcm - packer.mono(ej), neg_one, field)
+        r = _reduce(s, basis, leads, field, mask)
         if r:
             add(r)
-    return interreduce(basis, field, key)
+    return [packer.unpack(g) for g in interreduce(basis, field, mask)]
 
 
-def interreduce(basis: Sequence[ModVec], field, key=term_key) -> list[ModVec]:
-    """Minimalize leads, tail-reduce, monicize, sort canonically."""
-    nonzero = [(leading_term(g, key), g) for g in basis if g]
-    nonzero.sort(key=lambda pair: key(pair[0]))
-    kept: list[ModVec] = []
-    kept_leads: list[ModTerm] = []
-    for lt, g in nonzero:
-        comp, e = lt
-        if any(c == comp and mono_divides(l, e) for c, l in kept_leads):
+def interreduce(basis: Sequence[dict], field, mask: int) -> list[dict]:
+    """Minimalize leads, tail-reduce, monicize, sort canonically; on packed
+    vectors with the packer's divisibility mask."""
+    nonzero = sorted(((max(g), g) for g in basis if g), key=itemgetter(0))
+    kept: list[dict] = []
+    kept_leads: list[int] = []
+    for lead, g in nonzero:
+        if any(not (lead - other) & mask for other in kept_leads):
             continue
         kept.append(g)
-        kept_leads.append(lt)
+        kept_leads.append(lead)
     reduced = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
         others_leads = kept_leads[:idx] + kept_leads[idx + 1:]
-        r = normal_form(g, others, field, leads=others_leads, key=key) if others else dict(g)
+        r = _reduce(dict(g), others, others_leads, field, mask) if others else dict(g)
         if r:
             # No other lead divides g's lead, so r keeps it.
             reduced.append(vec_scale(r, field.inv(r[kept_leads[idx]]), field))
-    reduced.sort(key=lambda g: sorted(map(key, g), reverse=True), reverse=True)
+    reduced.sort(key=lambda g: sorted(g, reverse=True), reverse=True)
     return reduced
 
 
@@ -303,9 +381,8 @@ def syzygies(columns: Sequence[ModVec], twists: Sequence[int], ring: PolyRing) -
     free module F with the given twists.
 
     They are read off one Groebner basis of {(col_j, e_j)} in F + S^s with
-    F eliminated first: an element led by a tag has no F-part, so it is a
-    syzygy.  Those come in buchberger's output order, then the unit
-    vector of each zero column.
+    F eliminated first: an element with no F-part is a syzygy.  Those come
+    in buchberger's output order, then the unit vector of each zero column.
     """
     field = ring.field
     rank = len(twists)
@@ -319,12 +396,11 @@ def syzygies(columns: Sequence[ModVec], twists: Sequence[int], ring: PolyRing) -
         col_degs.append(d)
         if col:
             tagged.append({**col, (rank + j, zero_expo): field.one})
-    key = _elimination_key(rank)
-    basis = buchberger(tagged, tuple(twists) + tuple(col_degs), field, key=key)
+    basis = buchberger(tagged, tuple(twists) + tuple(col_degs), field, split=rank)
     syz = [
         {(comp - rank, e): c for (comp, e), c in g.items()}
         for g in basis
-        if leading_term(g, key)[0] >= rank
+        if min(map(itemgetter(0), g)) >= rank
     ]
     return syz + [{(j, zero_expo): field.one} for j, col in enumerate(columns) if not col]
 

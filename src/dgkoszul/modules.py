@@ -77,13 +77,13 @@ class FPModule:
         shared by membership tests and the Hilbert series."""
         if self._basis is None:
             basis = gb.buchberger(self.relation_columns(), self.ambient.twists, self.ring.field)
-            self._basis = (basis, [gb.leading_term(v) for v in basis])
+            self._basis = (basis, gb.leading_terms(basis))
         return self._basis
 
     def element_is_zero(self, v: ModVec) -> bool:
         """True if the ambient vector v lies in N."""
-        basis, leads = self._reduced_basis()
-        return not gb.normal_form(v, basis, self.ring.field, leads=leads)
+        basis, _ = self._reduced_basis()
+        return not gb.normal_form(v, basis, self.ring.field)
 
     # -- invariants --
 

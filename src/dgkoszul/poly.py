@@ -37,19 +37,6 @@ def mono_divides(a: Expo, b: Expo) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a: Expo, b: Expo) -> Expo:
-    """Exponent of x^a / x^b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Expo, b: Expo) -> Expo:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_gcd(a: Expo, b: Expo) -> Expo:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 # ---------- the monomial order ----------
 
 def grevlex_key(e: Expo):

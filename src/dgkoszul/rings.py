@@ -65,7 +65,7 @@ class QuotientRing:
         if self._gb is None:
             vecs = [gb.column_to_vec((g,)) for g in self.j_gens]
             self._gb_vecs = gb.buchberger(vecs, (0,), self.field)
-            self._gb_leads = [gb.leading_term(v) for v in self._gb_vecs]
+            self._gb_leads = gb.leading_terms(self._gb_vecs)
             self._gb = tuple(gb.vec_to_column(v, self.poly_ring, 1)[0] for v in self._gb_vecs)
         return self._gb
 
@@ -75,7 +75,7 @@ class QuotientRing:
             raise gb.InhomogeneousError("polynomial from a different ring")
         self.groebner()
         v = gb.column_to_vec((p,))
-        r = gb.normal_form(v, self._gb_vecs, self.field, leads=self._gb_leads)
+        r = gb.normal_form(v, self._gb_vecs, self.field)
         return gb.vec_to_column(r, self.poly_ring, 1)[0]
 
     def is_zero(self, p: Polynomial) -> bool:

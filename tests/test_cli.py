@@ -244,6 +244,17 @@ def test_zero_size_flag_is_accepted(tmp_path, flag, code, status):
             ("check", "amp_koszul", "JOB"),
             "'check_args' must be a JSON object",
         ),
+        # check_args may not replace the check that the verb names.
+        (
+            dict(BASIC_JOB, check_args={"name": "lift_independence"}),
+            ("check", "amp_koszul", "JOB"),
+            "'check_args' must not set 'name': the verb names the check",
+        ),
+        (
+            dict(BASIC_JOB, check_args={"task": "invariants"}),
+            ("check", "amp_koszul", "JOB"),
+            "'check_args' must not set 'task': the verb names the check",
+        ),
     ],
 )
 def test_malformed_job_file_is_a_one_line_input_error(tmp_path, job, argv, message):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import grevlex_textbook, poly, ring
-from dgkoszul import PolyRing, PrimeField, parse_poly
+from dgkoszul import PolyRing, PrimeField, RationalField, parse_poly
 from dgkoszul import groebner as gb
 from dgkoszul.modules import modulo
 from dgkoszul.poly import mono_divides, mono_mul
@@ -61,9 +62,8 @@ def test_normal_form_is_reduction_path_independent():
     R = PolyRing(("x", "y", "z"), F)
     basis = _ideal_gb(["x*y - z^2", "y^2 - x*z", "x^2 - y*z"], R)
     probe = gb.column_to_vec((parse_poly("(x + y + z)*(x + y + z)*(x + y + z)", R),))
-    leads = [gb.leading_term(g) for g in basis]
     first = gb.normal_form(probe, basis, F)
-    last = gb.normal_form(probe, basis[::-1], F, leads=leads[::-1])
+    last = gb.normal_form(probe, basis[::-1], F)
     assert first == last
 
 
@@ -75,25 +75,84 @@ _exponents = st.tuples(*[st.integers(0, 4)] * 3)
 _module_terms = st.tuples(st.integers(0, 3), _exponents)
 
 
+def _packed(packer, term):
+    (p,) = packer.pack({term: 1})
+    return p
+
+
 @settings(max_examples=300, deadline=None)
 @given(_module_terms, _module_terms, _exponents, st.integers(0, 4))
-def test_module_term_keys_match_their_textbook_orders(s, t, m, split):
+def test_packed_terms_match_their_textbook_orders(s, t, m, split):
     (cs, es), (ct, et) = s, t
     # Term over position: grevlex on the monomials, the lower component
     # wins ties.
     top = grevlex_textbook(es, et) or _cmp(ct, cs)
-    assert _cmp(gb.term_key(s), gb.term_key(t)) == top
-    shifted = gb.term_key((cs, mono_mul(m, es))), gb.term_key((cs, mono_mul(m, et)))
-    assert _cmp(*shifted) == _cmp(gb.term_key((cs, es)), gb.term_key((cs, et)))
     # Elimination: below split term over position, from split on position
     # over term, and every term below split beats every term from it on.
-    key = gb._elimination_key(split)
     if cs < split and ct < split:
-        assert _cmp(key(s), key(t)) == top
+        eliminated = top
     elif cs >= split and ct >= split:
-        assert _cmp(key(s), key(t)) == (_cmp(ct, cs) or grevlex_textbook(es, et))
+        eliminated = _cmp(ct, cs) or grevlex_textbook(es, et)
     else:
-        assert _cmp(key(s), key(t)) == (1 if cs < split else -1)
+        eliminated = 1 if cs < split else -1
+    # Terms of degree up to 12 times monomials of degree up to 12.
+    layouts = ((gb._Packer(3, 4, 24), top), (gb._Packer(3, 4, 24, split), eliminated))
+    for packer, order in layouts:
+        ps, pt = _packed(packer, s), _packed(packer, t)
+        assert _cmp(ps, pt) == order
+        assert packer.unpack({ps: 1}) == {s: 1}
+        # A product is +, and the packed divisibility test is componentwise <=
+        # within one component.
+        shifted = _packed(packer, (cs, mono_mul(es, m)))
+        assert ps + packer.mono(m) == shifted
+        assert not (shifted - ps) & packer.mask
+        divides = cs == ct and mono_divides(es, et)
+        assert (not (pt - ps) & packer.mask) == divides
+
+
+def test_a_term_too_large_for_its_fields_raises():
+    packer = gb._Packer(2, 1, 3)  # 2-bit fields: degree 3 fits, degree 4 does not
+    assert packer.unpack(packer.pack({(0, (3, 0)): 1})) == {(0, (3, 0)): 1}
+    for e in ((4, 0), (2, 2), (0, 7)):
+        with pytest.raises(OverflowError):
+            packer.pack({(0, e): 1})
+        with pytest.raises(OverflowError):
+            packer.mono(e)
+
+
+def test_generator_at_the_exponent_bound():
+    R = PolyRing(("x", "y"), F)
+    gens = [gb.column_to_vec((parse_poly(t, R),)) for t in ("x^1000 - y^1000", "x*y")]
+    assert gb.buchberger(gens[:1], (0,), F) == gens[:1]
+    with pytest.raises(gb.DegreeCapExceeded):
+        gb.buchberger(gens, (0,), F)
+    # y * (x^1000 - y^1000) - x^999 * (x*y) = -y^1001, in degree 1001; the
+    # pairs with y^1001 have degrees 1002 and 2001, so the cap must admit them.
+    basis = gb.buchberger(gens, (0,), F, degree_cap=2001)
+    assert [gb.vec_to_column(v, R, 1)[0] for v in basis] == [
+        parse_poly(t, R) for t in ("y^1000*y", "x^1000 - y^1000", "x*y")
+    ]
+    for text, remainder in [
+        ("x^1000", "y^1000"),
+        ("x^1000*x", "0"),
+        ("x^1000*x^1000", "0"),
+        ("y^1000 + x^999", "y^1000 + x^999"),
+    ]:
+        v = gb.column_to_vec((parse_poly(text, R),))
+        rem = gb.vec_to_column(gb.normal_form(v, basis, F), R, 1)[0]
+        assert rem == parse_poly(remainder, R)
+
+
+def test_a_negative_twist_reaches_the_cap():
+    # In S(3) + S(1): the S-pair of x^4 e0 + z^2 e1 and y^5 e0 has monomial
+    # degree 9 and twisted degree 6; it leaves y^5 z^2 e1.
+    R = PolyRing(("x", "y", "z"), F)
+    gens = [{(0, (4, 0, 0)): 1, (1, (0, 0, 2)): 1}, {(0, (0, 5, 0)): 1}]
+    expected = [{(1, (0, 5, 2)): 1}, {(0, (0, 5, 0)): 1}, gens[0]]
+    assert gb.buchberger(gens, (-3, -1), F, degree_cap=6) == expected
+    assert gb.buchberger(gens, (0, 2), F, degree_cap=9) == expected
+    with pytest.raises(gb.DegreeCapExceeded):
+        gb.buchberger(gens, (-3, -1), F, degree_cap=5)
 
 
 def _syzygies(texts, R):
@@ -216,7 +275,7 @@ def _submodules(draw):
 def test_buchberger_gives_a_reduced_basis_with_path_independent_remainders(case):
     rank, twists, gens, probe = case
     basis = gb.buchberger(gens, twists, F101)
-    leads = [gb.leading_term(g) for g in basis]
+    leads = gb.leading_terms(basis)
     for i, (g, lt) in enumerate(zip(basis, leads)):
         assert g[lt] == 1
         for j, (comp, e) in enumerate(leads):
@@ -224,6 +283,52 @@ def test_buchberger_gives_a_reduced_basis_with_path_independent_remainders(case)
                 assert not any(c == comp and mono_divides(e, t) for c, t in g)
     for v in gens + [probe]:
         first = gb.normal_form(v, basis, F101)
-        assert first == gb.normal_form(v, basis[::-1], F101, leads=leads[::-1])
-        assert first == gb.normal_form(v, basis, F101, leads=leads)
+        assert first == gb.normal_form(v, basis[::-1], F101)
         assert not first or v is probe
+
+
+def _reference_normal_form(f, basis, field):
+    """Plain division on (component, exponent tuple) terms, term over
+    position by the textbook grevlex comparator: each step reduces the
+    largest term left by the first basis element whose lead divides it."""
+    order = functools.cmp_to_key(lambda s, t: grevlex_textbook(s[1], t[1]) or _cmp(t[0], s[0]))
+    leads = [max(g, key=order) for g in basis]
+    work, rem = dict(f), {}
+    while work:
+        comp, e = t = max(work, key=order)
+        for g, (lead_comp, lead_e) in zip(basis, leads):
+            if lead_comp == comp and all(a <= b for a, b in zip(lead_e, e)):
+                break
+        else:
+            rem[t] = work.pop(t)
+            continue
+        factor = field.div(work[t], g[(lead_comp, lead_e)])
+        shift = tuple(b - a for a, b in zip(lead_e, e))
+        for (c, e0), v in g.items():
+            u = (c, tuple(a + b for a, b in zip(e0, shift)))
+            x = field.sub(work.get(u, field.zero), field.mul(factor, v))
+            if x == field.zero:
+                work.pop(u, None)
+            else:
+                work[u] = x
+    return rem
+
+
+@pytest.mark.parametrize("field", [F101, RationalField()], ids=["F101", "QQ"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_normal_form_matches_a_plain_tuple_division(field, data):
+    # Random vectors, neither homogeneous nor a Groebner basis, in a free
+    # module of rank 1 to 3 over k[x, y, z].
+    rank = data.draw(st.integers(1, 3))
+    terms = st.tuples(st.integers(0, rank - 1), st.tuples(*[st.integers(0, 3)] * 3))
+    if isinstance(field, PrimeField):
+        coeffs = st.integers(1, 100)
+    else:
+        coeffs = st.fractions(-9, 9, max_denominator=9).filter(bool)
+    vectors = st.dictionaries(terms, coeffs, min_size=1, max_size=5)
+    basis = data.draw(st.lists(vectors, min_size=1, max_size=4))
+    f = data.draw(vectors)
+    expected = _reference_normal_form(f, basis, field)
+    # Same remainder, with its terms in the same (descending) order.
+    assert list(gb.normal_form(f, basis, field).items()) == list(expected.items())
