@@ -46,6 +46,25 @@ the smallest twist, since the cap bounds the twisted degree of every
 S-pair it processes.  Packing a term that does not fit raises
 OverflowError.
 
+Pairs.  buchberger forms S-pairs within one component only, and prunes
+them as each element is added with the criteria of Gebauer and Moller
+(J. Symb. Comp. 6, 1988):
+    M  a new pair goes when another new pair's lcm strictly divides its lcm;
+    F  of the new pairs with one lcm, one stays, and none if a pair among
+       them has coprime leads (the product criterion, valid in rank 1);
+    B  a queued pair (i, j) goes when the new lead divides its lcm and that
+       lcm is neither lcm(i, new) nor lcm(j, new);
+and an element whose lead the new lead divides gets no further pairs.
+The criteria work on bare terms: packed terms without their weight fields,
+so that the lcm of two leads fits whatever its degree.  Divisibility is
+the mask test; the lcm, its degree and coprimality take a few int
+operations each.  A removed pair is never processed, so it never trips the
+degree cap.  buchberger(known=B) extends a Groebner basis B and forms no
+pair within it: a module's basis starts from J's reduced basis times each
+ambient basis vector, and min_gens extends its basis by each kept column.
+Division looks up reducers by the component bits of the term: only a lead
+of the term's own component can divide it.
+
 Determinism: S-pairs are processed in (degree, index, index) order, the
 output basis is reduced, monic, inter-reduced and canonically sorted, so
 identical inputs give identical outputs.
@@ -54,6 +73,7 @@ identical inputs give identical outputs.
 from __future__ import annotations
 
 import heapq
+from itertools import groupby
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
@@ -81,7 +101,10 @@ class InhomogeneousError(ValueError):
 
 
 class DegreeCapExceeded(RuntimeError):
-    """Raised when Buchberger would process an S-pair above the degree cap."""
+    """Raised when Buchberger would process an S-pair above the degree cap.
+
+    A pair that the pair criteria remove is never processed, so it never
+    trips the cap."""
 
     def __init__(self, cap: int, degree: int):
         super().__init__(
@@ -98,8 +121,9 @@ class _Packer:
     docstring): nvars variables, components 0..ncomps-1, monomial degrees
     up to maxdeg, and position over term from component split on."""
 
-    __slots__ = ("mask", "_mults", "_limit", "_comp_bits", "_comp_of", "_comp_mask",
-                 "_shifts", "_expo_mask")
+    __slots__ = ("mask", "comp_mask", "_mults", "_limit", "_comp_bits", "_comp_of",
+                 "_shifts", "_w", "_expo_mask", "_expo_bits", "_guards", "_units", "_bare",
+                 "_deg_shift")
 
     def __init__(self, nvars: int, ncomps: int, maxdeg: int, split: int | None = None):
         w = maxdeg.bit_length() or 1  # w > 0 keeps 2^w - 1 a divisor below
@@ -108,6 +132,7 @@ class _Packer:
         weights = low + slot
         up = weights + nvars * w
         block = up + slot
+        self._w = w
         ones = self._expo_mask = (1 << w) - 1
         self._shifts = range(0, low, w + 1)
         # x^e packs to sum(e_i * mults[i]): e_i in its exponent field and in
@@ -127,9 +152,14 @@ class _Packer:
         ]
         self._comp_of = {bits: c for c, bits in enumerate(self._comp_bits)}
         slots = (1 << slot) - 1
-        self._comp_mask = (slots << low) | (slots << up) | (1 << block)
-        guards = ((1 << low) - 1) // ((1 << (w + 1)) - 1) << w
-        self.mask = self._comp_mask | guards
+        self.comp_mask = (slots << low) | (slots << up) | (1 << block)
+        units = self._units = ((1 << low) - 1) // ((1 << (w + 1)) - 1)
+        self._guards = units << w
+        self._expo_bits = units * ones
+        self.mask = self.comp_mask | self._guards
+        self._bare = self.comp_mask | self._expo_bits
+        # In a * units, the top exponent field sums all those of a.
+        self._deg_shift = low - w - 1
 
     def mono(self, e: Iterable[int]) -> int:
         """The packed monomial x^e, with no component bits."""
@@ -142,9 +172,36 @@ class _Packer:
         mono, bits = self.mono, self._comp_bits
         return {mono(e) + bits[comp]: c for (comp, e), c in v.items()}
 
+    def component(self, t: int) -> int:
+        return self._comp_of[t & self.comp_mask]
+
     def unpack_term(self, t: int) -> ModTerm:
         ones = self._expo_mask
-        return self._comp_of[t & self._comp_mask], tuple([(t >> s) & ones for s in self._shifts])
+        return self.component(t), tuple([(t >> s) & ones for s in self._shifts])
+
+    def bare(self, t: int) -> int:
+        """t without its weight fields.  Bare terms divide, compare equal and
+        share variables exactly as the terms do, and cannot overflow."""
+        return t & self._bare
+
+    def lcm(self, a: int, b: int) -> int:
+        """The bare lcm of the bare terms a and b of one component: in each
+        field the larger exponent, as told by the guard bits of a - b."""
+        guards = self._guards
+        ge = ((a | guards) - b) & guards  # the guard of each field where a >= b
+        return b ^ ((a ^ b) & (ge - (ge >> self._w)))
+
+    def degree(self, a: int) -> int:
+        """The monomial degree of the bare term a, if below 2^(w+1): it holds
+        the lcm of any two packed terms."""
+        return (a * self._units >> self._deg_shift) & ((self._expo_mask << 1) | 1)
+
+    def coprime(self, a: int, b: int) -> bool:
+        """True when the monomials of the (bare) terms a and b share no
+        variable.  Adding 2^w - 1 to a w-bit exponent field sets its guard
+        bit exactly when the exponent is nonzero."""
+        ones = self._expo_bits
+        return not ((a & ones) + ones) & ((b & ones) + ones) & self._guards
 
     def unpack(self, v: dict) -> ModVec:
         unpack_term = self.unpack_term
@@ -237,14 +294,17 @@ def _add_multiple(out: dict, a: dict, m: int, c, field) -> None:
             out[t] = s
 
 
-def _reduce(work: dict, basis: Sequence[dict], leads: Sequence[int], field, mask: int) -> dict:
+def _reduce(work: dict, reducers: dict, field, packer: _Packer) -> dict:
     """Fully reduced remainder of the packed vector work (consumed) modulo
-    the packed basis with the given leads; each step reduces by the first
-    applicable element in list order."""
+    reducers, which maps the component bits of a lead to the (vector, lead)
+    pairs of that component in basis order; each step reduces by the first
+    applicable element in basis order.  Only a lead of a term's own
+    component can divide it."""
+    mask, comp_mask = packer.mask, packer.comp_mask
     rem = {}
     while work:
         t = max(work)
-        for g, lead in zip(basis, leads):
+        for g, lead in reducers.get(t & comp_mask, ()):
             if not (t - lead) & mask:
                 break
         else:
@@ -265,9 +325,11 @@ def normal_form(f: ModVec, basis: Sequence[ModVec], field) -> ModVec:
         return {}
     basis = [g for g in basis if g]
     packer = _fitting_packer([f, *basis])
-    packed = [packer.pack(g) for g in basis]
-    rem = _reduce(packer.pack(f), packed, [max(g) for g in packed], field, packer.mask)
-    return packer.unpack(rem)
+    reducers: dict = {}
+    for g in map(packer.pack, basis):
+        lead = max(g)
+        reducers.setdefault(lead & packer.comp_mask, []).append((g, lead))
+    return packer.unpack(_reduce(packer.pack(f), reducers, field, packer))
 
 
 # ---------- Buchberger ----------
@@ -279,9 +341,14 @@ def buchberger(
     degree_cap: int | None = None,
     allow_inhomogeneous: bool = False,
     split: int | None = None,
+    known: Sequence[ModVec] = (),
 ) -> list[ModVec]:
-    """Reduced Groebner basis of the submodule generated by gens, in the
-    free module with one twist per component.
+    """Reduced Groebner basis of the submodule generated by known and gens,
+    in the free module with one twist per component.
+
+    known must be a Groebner basis (a previous output, say): the S-pairs
+    among its elements are never formed, and only pairs with an element
+    of gens or a remainder are queued.
 
     The order is term over position, except that the components from split
     on, if given, come position over term below all the others.
@@ -298,78 +365,125 @@ def buchberger(
             if g and vec_degree(g, twists) is None:
                 raise InhomogeneousError("inhomogeneous generator")
     gens = [g for g in gens if g]
-    if not gens:
+    known = [g for g in known if g]
+    if not gens and not known:
         return []
     # Every processed S-pair has twisted degree at most the cap, so its
     # terms have monomial degree at most the cap minus the smallest twist.
-    nvars = len(next(iter(gens[0]))[1])
-    maxdeg = max(degree_cap - min(twists), *(sum(e) for g in gens for _, e in g))
+    vecs = gens + known
+    nvars = len(next(iter(vecs[0]))[1])
+    maxdeg = max(degree_cap - min(twists), *(sum(e) for g in vecs for _, e in g))
     packer = _Packer(nvars, len(twists), maxdeg, split)
-    mask = packer.mask
+    mask, comp_mask, coprime = packer.mask, packer.comp_mask, packer.coprime
+    rank_one = len(twists) == 1
 
     # The basis is kept monic; leads[k] is the packed leading term of
-    # basis[k], and comps[k], expos[k] its component and exponent.
+    # basis[k] and bares[k] its bare form.  Per component bits: reducers
+    # holds the (vector, lead) pairs in basis order, active the elements
+    # that still get new pairs, and queued the bare lcm of each pair in the
+    # heap that no criterion has removed.
     basis: list[dict] = []
     leads: list[int] = []
-    comps: list[int] = []
-    expos: list[Expo] = []
+    bares: list[int] = []
+    reducers: dict[int, list] = {}
+    active: dict[int, list[int]] = {}
+    queued: dict[int, dict] = {}
     heap: list[tuple[int, int, int]] = []
 
-    def add(v: dict) -> None:
+    def add(v: dict, pairs: bool = True) -> None:
+        """Append v to the basis and, if pairs, queue the pairs (k, new)
+        with the active k of its component that survive the Gebauer-Moller
+        criteria."""
         lead = max(v)
-        comp, e = packer.unpack_term(lead)
+        bits = lead & comp_mask
+        x = packer.bare(lead)
         new = len(basis)
-        basis.append(vec_scale(v, field.inv(v[lead]), field))
+        g = vec_scale(v, field.inv(v[lead]), field)
+        basis.append(g)
         leads.append(lead)
-        comps.append(comp)
-        expos.append(e)
-        for k in range(new):
-            if comps[k] == comp:
-                heapq.heappush(heap, (sum(map(max, expos[k], e)) + twists[comp], k, new))
+        bares.append(x)
+        reducers.setdefault(bits, []).append((g, lead))
+        old = active.setdefault(bits, [])
+        if pairs:
+            queue = queued.setdefault(bits, {})
+            # B: drop a queued (i, j) when the new lead divides its lcm L
+            # and L is neither lcm(i, new) nor lcm(j, new).  As both divide
+            # L, L = lcm(i, new) exactly when L / lead_i and L / lead are
+            # coprime.
+            for (i, j), lcm in list(queue.items()):
+                if (
+                    not (lcm - x) & mask
+                    and not coprime(lcm - bares[i], lcm - x)
+                    and not coprime(lcm - bares[j], lcm - x)
+                ):
+                    del queue[i, j]
+            twist = twists[packer.component(lead)]
+            candidates = []
+            for k in old:
+                lcm = packer.lcm(bares[k], x)
+                candidates.append((packer.degree(lcm) + twist, lcm, k))
+            # A strict divisor of an lcm has a smaller degree, so in this
+            # order each minimal lcm comes before every lcm it divides.
+            candidates.sort()
+            minimal: list[int] = []
+            for (deg, lcm), group in groupby(candidates, key=itemgetter(0, 1)):
+                # M: the lcm of another new pair strictly divides this one.
+                if any(not (lcm - m) & mask for m in minimal):
+                    continue
+                minimal.append(lcm)
+                # F: one pair per lcm, and none if a pair in the group has
+                # coprime leads (the product criterion, valid in rank 1).
+                ks = [k for _, _, k in group]
+                if rank_one and any(coprime(bares[k], x) for k in ks):
+                    continue
+                queue[ks[0], new] = lcm
+                heapq.heappush(heap, (deg, ks[0], new))
+        # An element whose lead the new lead divides gets no further pairs.
+        old[:] = [k for k in old if (bares[k] - x) & mask]
+        old.append(new)
 
+    for g in known:
+        add(packer.pack(g), pairs=False)
     for g in gens:
         add(packer.pack(g))
 
     neg_one = field.neg(field.one)
     while heap:
         deg, i, j = heapq.heappop(heap)
+        lcm = queued[leads[i] & comp_mask].pop((i, j), None)
+        if lcm is None:
+            continue  # removed by criterion B
         if deg > degree_cap:
             raise DegreeCapExceeded(degree_cap, deg)
-        ei, ej = expos[i], expos[j]
-        # Product criterion is only valid in the rank-1 (ideal) case: the
-        # leads are coprime when their lcm is their product.
-        if len(twists) == 1 and deg - twists[0] == sum(ei) + sum(ej):
-            continue
+        # Within the cap, the lcm fits the packed fields.
+        lcm = packer.mono(packer.unpack_term(lcm)[1]) + (lcm & comp_mask)
         # S-vector of the monic basis[i], basis[j]: their leads cancel.
-        lcm = packer.mono(map(max, ei, ej))
         s: dict = {}
-        _add_multiple(s, basis[i], lcm - packer.mono(ei), field.one, field)
-        _add_multiple(s, basis[j], lcm - packer.mono(ej), neg_one, field)
-        r = _reduce(s, basis, leads, field, mask)
+        _add_multiple(s, basis[i], lcm - leads[i], field.one, field)
+        _add_multiple(s, basis[j], lcm - leads[j], neg_one, field)
+        r = _reduce(s, reducers, field, packer)
         if r:
             add(r)
-    return [packer.unpack(g) for g in interreduce(basis, field, mask)]
+    return [packer.unpack(g) for g in interreduce(basis, field, packer)]
 
 
-def interreduce(basis: Sequence[dict], field, mask: int) -> list[dict]:
+def interreduce(basis: Sequence[dict], field, packer: _Packer) -> list[dict]:
     """Minimalize leads, tail-reduce, monicize, sort canonically; on packed
-    vectors with the packer's divisibility mask."""
-    nonzero = sorted(((max(g), g) for g in basis if g), key=itemgetter(0))
-    kept: list[dict] = []
-    kept_leads: list[int] = []
-    for lead, g in nonzero:
-        if any(not (lead - other) & mask for other in kept_leads):
+    vectors of a Groebner basis.
+
+    In ascending lead order, each element is reduced by the elements
+    already reduced: a lead divides only terms at or above it, so no later
+    element applies.  Each output keeps its terms in descending order."""
+    mask, comp_mask = packer.mask, packer.comp_mask
+    reducers: dict[int, list] = {}
+    for lead, g in sorted(((max(g), g) for g in basis if g), key=itemgetter(0)):
+        same = reducers.setdefault(lead & comp_mask, [])
+        if any(not (lead - other) & mask for _, other in same):
             continue
-        kept.append(g)
-        kept_leads.append(lead)
-    reduced = []
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        others_leads = kept_leads[:idx] + kept_leads[idx + 1:]
-        r = _reduce(dict(g), others, others_leads, field, mask) if others else dict(g)
-        if r:
-            # No other lead divides g's lead, so r keeps it.
-            reduced.append(vec_scale(r, field.inv(r[kept_leads[idx]]), field))
+        # No other lead divides g's lead, so the remainder keeps it.
+        r = _reduce(dict(g), reducers, field, packer)
+        same.append((vec_scale(r, field.inv(r[lead]), field), lead))
+    reduced = [g for same in reducers.values() for g, _ in same]
     reduced.sort(key=lambda g: sorted(g, reverse=True), reverse=True)
     return reduced
 

@@ -76,7 +76,9 @@ class FPModule:
         """(reduced Groebner basis of N, its leading terms), built once and
         shared by membership tests and the Hilbert series."""
         if self._basis is None:
-            basis = gb.buchberger(self.relation_columns(), self.ambient.twists, self.ring.field)
+            basis = gb.buchberger(
+                self.rels, self.ambient.twists, self.ring.field, known=_j_basis(self.ambient)
+            )
             self._basis = (basis, gb.leading_terms(basis))
         return self._basis
 
@@ -231,12 +233,20 @@ def _minimal_cokernel(ring: QuotientRing, degs: Sequence[int], cols: Sequence[Mo
     # Relations are only defined modulo J, so redundancy is tested
     # against the kept columns together with the J-multiples.
     ambient = FreeModule(ring, len(degs), tuple(degs))
-    kept = min_gens(
-        [clean[key] for key in sorted(clean)], ambient, baseline=ambient.j_columns()
-    )
+    kept = min_gens([clean[key] for key in sorted(clean)], ambient, baseline=_j_basis(ambient))
     result = FPModule(ambient, kept)
     result._minimal = result
     return result
+
+
+def _j_basis(ambient: FreeModule) -> list[ModVec]:
+    """J's reduced Groebner basis times each basis vector: a Groebner basis
+    of J * ambient."""
+    return [
+        {(i, e): c for e, c in g.terms.items()}
+        for g in ambient.ring.groebner()
+        for i in range(ambient.rank)
+    ]
 
 
 def _unit_row(col: ModVec, zero_expo) -> int | None:
@@ -261,24 +271,20 @@ def min_gens(
 
     Greedy by ascending degree with membership tests against the kept
     part; for graded modules this realizes the Nakayama minimal count.
-    Baseline columns (e.g. the J-multiples of the basis, when generation
-    is only needed modulo J) always span but are never kept.
+    The baseline, a Groebner basis (e.g. of J times the ambient module,
+    when generation is only needed modulo J), always spans but is never
+    kept.  Each kept column extends the Groebner basis of the span so far.
     """
     field = ambient.ring.field
     candidates = sorted(
         (c for c in columns if c),
         key=lambda v: (gb.vec_degree(v, ambient.twists), gb.column_key(v)),
     )
-    base_vecs = [v for v in baseline if v]
+    basis = [v for v in baseline if v]
     kept: list[ModVec] = []
-
-    def rebuild():
-        return gb.buchberger(kept + base_vecs, ambient.twists, field)
-
-    basis = rebuild() if base_vecs else []
     for cand in candidates:
         if basis and not gb.normal_form(cand, basis, field):
             continue
         kept.append(cand)
-        basis = rebuild()
+        basis = gb.buchberger([cand], ambient.twists, field, known=basis)
     return kept

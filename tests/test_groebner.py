@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 
 import pytest
@@ -71,6 +72,24 @@ def _cmp(a, b):
     return (a > b) - (a < b)
 
 
+def _term_cmp(split=None):
+    """Textbook comparator of (component, exponent) terms, -1, 0 or 1.
+    Term over position: grevlex on the monomials, the lower component wins
+    ties.  With split: below split term over position, from split on
+    position over term, and every term below split beats every term from
+    it on."""
+
+    def cmp(s, t):
+        (cs, es), (ct, et) = s, t
+        if split is None or (cs < split and ct < split):
+            return grevlex_textbook(es, et) or _cmp(ct, cs)
+        if cs >= split and ct >= split:
+            return _cmp(ct, cs) or grevlex_textbook(es, et)
+        return 1 if cs < split else -1
+
+    return cmp
+
+
 _exponents = st.tuples(*[st.integers(0, 4)] * 3)
 _module_terms = st.tuples(st.integers(0, 3), _exponents)
 
@@ -84,22 +103,11 @@ def _packed(packer, term):
 @given(_module_terms, _module_terms, _exponents, st.integers(0, 4))
 def test_packed_terms_match_their_textbook_orders(s, t, m, split):
     (cs, es), (ct, et) = s, t
-    # Term over position: grevlex on the monomials, the lower component
-    # wins ties.
-    top = grevlex_textbook(es, et) or _cmp(ct, cs)
-    # Elimination: below split term over position, from split on position
-    # over term, and every term below split beats every term from it on.
-    if cs < split and ct < split:
-        eliminated = top
-    elif cs >= split and ct >= split:
-        eliminated = _cmp(ct, cs) or grevlex_textbook(es, et)
-    else:
-        eliminated = 1 if cs < split else -1
     # Terms of degree up to 12 times monomials of degree up to 12.
-    layouts = ((gb._Packer(3, 4, 24), top), (gb._Packer(3, 4, 24, split), eliminated))
-    for packer, order in layouts:
+    layouts = ((gb._Packer(3, 4, 24), None), (gb._Packer(3, 4, 24, split), split))
+    for packer, order_split in layouts:
         ps, pt = _packed(packer, s), _packed(packer, t)
-        assert _cmp(ps, pt) == order
+        assert _cmp(ps, pt) == _term_cmp(order_split)(s, t)
         assert packer.unpack({ps: 1}) == {s: 1}
         # A product is +, and the packed divisibility test is componentwise <=
         # within one component.
@@ -108,6 +116,13 @@ def test_packed_terms_match_their_textbook_orders(s, t, m, split):
         assert not (shifted - ps) & packer.mask
         divides = cs == ct and mono_divides(es, et)
         assert (not (pt - ps) & packer.mask) == divides
+        # Bare terms: the lcm and its degree within one component, and
+        # whether two monomials share a variable.
+        lcm = tuple(map(max, es, et))
+        bare_lcm = packer.lcm(packer.bare(ps), packer.bare(_packed(packer, (cs, et))))
+        assert bare_lcm == packer.bare(_packed(packer, (cs, lcm)))
+        assert packer.degree(bare_lcm) == sum(lcm)
+        assert packer.coprime(ps, pt) == (not any(map(min, es, et)))
 
 
 def test_a_term_too_large_for_its_fields_raises():
@@ -118,6 +133,11 @@ def test_a_term_too_large_for_its_fields_raises():
             packer.pack({(0, e): 1})
         with pytest.raises(OverflowError):
             packer.mono(e)
+    # A bare lcm has no weight fields, so it holds a degree up to twice the
+    # bound: here x^3 y^3.
+    x3, y3 = (packer.bare(_packed(packer, (0, e))) for e in ((3, 0), (0, 3)))
+    assert packer.degree(packer.lcm(x3, y3)) == 6
+    assert packer.coprime(x3, y3)
 
 
 def test_generator_at_the_exponent_bound():
@@ -251,9 +271,9 @@ def _monomials(degree, nvars=3):
 
 
 @st.composite
-def _submodules(draw):
+def _submodules(draw, coeffs=st.integers(1, 100)):
     """Homogeneous generators of a submodule of a free module of rank 1 or 2
-    over F_101[x, y, z], and one homogeneous probe vector."""
+    over k[x, y, z], F_101 by default, and one homogeneous probe vector."""
     rank = draw(st.integers(1, 2))
     twists = tuple(draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank)))
 
@@ -263,7 +283,7 @@ def _submodules(draw):
             if degree >= twist:
                 monos = st.sampled_from(_monomials(degree - twist))
                 for e in draw(st.lists(monos, max_size=3, unique=True)):
-                    v[(comp, e)] = draw(st.integers(1, 100))
+                    v[(comp, e)] = draw(coeffs)
         return v
 
     gens = [vector(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))]
@@ -287,11 +307,22 @@ def test_buchberger_gives_a_reduced_basis_with_path_independent_remainders(case)
         assert not first or v is probe
 
 
-def _reference_normal_form(f, basis, field):
-    """Plain division on (component, exponent tuple) terms, term over
-    position by the textbook grevlex comparator: each step reduces the
-    largest term left by the first basis element whose lead divides it."""
-    order = functools.cmp_to_key(lambda s, t: grevlex_textbook(s[1], t[1]) or _cmp(t[0], s[0]))
+def _add_shifted(out, g, shift, factor, field):
+    """out += factor * x^shift * g on tuple terms, in place."""
+    for (c, e0), v in g.items():
+        u = (c, tuple(a + b for a, b in zip(e0, shift)))
+        x = field.add(out.get(u, field.zero), field.mul(factor, v))
+        if x == field.zero:
+            out.pop(u, None)
+        else:
+            out[u] = x
+
+
+def _reference_normal_form(f, basis, field, split=None):
+    """Plain division on (component, exponent tuple) terms, in the order of
+    the textbook comparator _term_cmp(split): each step reduces the largest
+    term left by the first basis element whose lead divides it."""
+    order = functools.cmp_to_key(_term_cmp(split))
     leads = [max(g, key=order) for g in basis]
     work, rem = dict(f), {}
     while work:
@@ -302,16 +333,66 @@ def _reference_normal_form(f, basis, field):
         else:
             rem[t] = work.pop(t)
             continue
-        factor = field.div(work[t], g[(lead_comp, lead_e)])
-        shift = tuple(b - a for a, b in zip(lead_e, e))
-        for (c, e0), v in g.items():
-            u = (c, tuple(a + b for a, b in zip(e0, shift)))
-            x = field.sub(work.get(u, field.zero), field.mul(factor, v))
-            if x == field.zero:
-                work.pop(u, None)
-            else:
-                work[u] = x
+        factor = field.neg(field.div(work[t], g[(lead_comp, lead_e)]))
+        _add_shifted(work, g, tuple(b - a for a, b in zip(lead_e, e)), factor, field)
     return rem
+
+
+def _s_vector(f, g, field, order):
+    """The S-vector of f and g on tuple terms, or None when their leads
+    lie in different components."""
+    (cf, ef), (cg, eg) = max(f, key=order), max(g, key=order)
+    if cf != cg:
+        return None
+    lcm = tuple(map(max, ef, eg))
+    s = {}
+    for v, e, sign in ((f, ef, field.one), (g, eg, field.neg(field.one))):
+        shift = tuple(a - b for a, b in zip(lcm, e))
+        _add_shifted(s, v, shift, field.div(sign, v[(cf, e)]), field)
+    return s
+
+
+def _reference_buchberger(gens, twists, field, split=None):
+    """The reduced Groebner basis by all-pairs Buchberger, with no pair
+    criterion, on tuple terms and _reference_normal_form; in buchberger's
+    output order, each vector's terms descending and the vectors
+    descending by their terms.  Pairs go by ascending degree, which keeps
+    the basis small."""
+    order = functools.cmp_to_key(_term_cmp(split))
+    basis, heap = [], []
+
+    def add(v):
+        comp, e = max(v, key=order)
+        for k, g in enumerate(basis):
+            lcm = map(max, e, max(g, key=order)[1])
+            heapq.heappush(heap, (sum(lcm) + twists[comp], k, len(basis)))
+        basis.append(v)
+
+    for g in gens:
+        if g:
+            add(g)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        s = _s_vector(basis[i], basis[j], field, order)
+        r = _reference_normal_form(s, basis, field, split) if s else {}
+        if r:
+            add(r)
+    leads = [max(g, key=order) for g in basis]
+
+    def divides(s, t):
+        return s[0] == t[0] and all(a <= b for a, b in zip(s[1], t[1]))
+
+    minimal = [
+        g
+        for k, (g, lead) in enumerate(zip(basis, leads))
+        if not any(divides(other, lead) and (other != lead or j < k) for j, other in enumerate(leads) if j != k)
+    ]
+    reduced = []
+    for k, g in enumerate(minimal):
+        r = _reference_normal_form(g, minimal[:k] + minimal[k + 1:], field, split)
+        terms = sorted(r, key=order, reverse=True)
+        reduced.append({t: field.div(r[t], r[terms[0]]) for t in terms})
+    return sorted(reduced, key=lambda g: [order(t) for t in g], reverse=True)
 
 
 @pytest.mark.parametrize("field", [F101, RationalField()], ids=["F101", "QQ"])
@@ -332,3 +413,66 @@ def test_normal_form_matches_a_plain_tuple_division(field, data):
     expected = _reference_normal_form(f, basis, field)
     # Same remainder, with its terms in the same (descending) order.
     assert list(gb.normal_form(f, basis, field).items()) == list(expected.items())
+
+
+_FIELDS = [(F101, st.integers(1, 100)), (RationalField(), st.fractions(-9, 9, max_denominator=9).filter(bool))]
+
+
+@pytest.mark.parametrize("field, coeffs", _FIELDS, ids=["F101", "QQ"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_buchberger_matches_an_all_pairs_reference(field, coeffs, data):
+    # Pair pruning must not change the basis: it equals an all-pairs
+    # Buchberger, and every S-pair of it reduces to zero, under a division
+    # written here on tuple terms.
+    rank, twists, gens, probe = data.draw(_submodules(coeffs))
+    gens.append(probe)
+    split = data.draw(st.sampled_from([None, 1])) if rank == 2 else None
+    basis = gb.buchberger(gens, twists, field, split=split)
+    expected = _reference_buchberger(gens, twists, field, split)
+    assert [list(g.items()) for g in basis] == [list(g.items()) for g in expected]
+    order = functools.cmp_to_key(_term_cmp(split))
+    for f, g in itertools.combinations(basis, 2):
+        s = _s_vector(f, g, field, order)
+        assert not s or not _reference_normal_form(s, basis, field, split)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_submodules(), st.data())
+def test_extending_a_basis_equals_building_it_at_once(case, data):
+    rank, twists, gens, probe = case
+    vecs = gens + [probe]
+    cut = data.draw(st.integers(0, len(vecs)))
+    old, new = vecs[:cut], vecs[cut:]
+    extended = gb.buchberger(new, twists, F101, known=gb.buchberger(old, twists, F101))
+    at_once = gb.buchberger(old + new, twists, F101)
+    assert [list(g.items()) for g in extended] == [list(g.items()) for g in at_once]
+
+
+def test_syzygies_of_the_pfaffians_reduce_a_pinned_number_of_s_vectors(monkeypatch):
+    # The five 4x4 Pfaffians of a generic 5x5 skew matrix, in 10 variables;
+    # syzygies makes one buchberger call on them.  Counted: the S-vectors
+    # that call reduces, and those that reduce to zero.
+    names = [f"a{i}{j}" for i, j in itertools.combinations(range(5), 2)]
+    R = PolyRing(tuple(names), F)
+    pfaffians = [
+        gb.column_to_vec((parse_poly(f"a{i}{j}*a{k}{l} - a{i}{k}*a{j}{l} + a{i}{l}*a{j}{k}", R),))
+        for i, j, k, l in itertools.combinations(range(5), 4)
+    ]
+    remainders, counts = [], []
+    reduce, interreduce = gb._reduce, gb.interreduce
+
+    def counting_reduce(*args):
+        remainders.append(reduce(*args))
+        return remainders[-1]
+
+    def counting_interreduce(*args):
+        counts.append((len(remainders), sum(not r for r in remainders)))
+        return interreduce(*args)
+
+    monkeypatch.setattr(gb, "_reduce", counting_reduce)
+    monkeypatch.setattr(gb, "interreduce", counting_interreduce)
+    syz = gb.syzygies(pfaffians, (0,), R)
+    assert len(syz) == 12
+    # With the product criterion alone: 25 S-vectors, 13 of them to zero.
+    assert counts == [(19, 7)]

@@ -9,7 +9,7 @@ from conftest import poly, ring
 from dgkoszul import FPModule, PrimeField, kernel, min_gens, subquotient
 from dgkoszul import groebner as gb
 from dgkoszul.hilbert import NEG_INF
-from dgkoszul.modules import modulo
+from dgkoszul.modules import _j_basis, modulo
 from dgkoszul.groebner import column_to_vec
 from dgkoszul.rings import FreeModule
 
@@ -184,3 +184,34 @@ def test_kernel_maps_into_the_relations_and_has_the_image_series(case):
     source = FreeModule(Q101, len(degs), degs)
     image = FPModule(source, ker).hilbert_series()
     assert image == M.hilbert_series() - FPModule(F_RANK2, rels + cols).hilbert_series()
+
+
+def _rebuilt_min_gens(columns, ambient, baseline):
+    """min_gens with a full Buchberger over the kept columns and the
+    baseline columns after every kept column."""
+    field = ambient.ring.field
+    candidates = sorted(
+        (c for c in columns if c),
+        key=lambda v: (gb.vec_degree(v, ambient.twists), gb.column_key(v)),
+    )
+    kept = []
+    for cand in candidates:
+        spanning = kept + baseline
+        basis = gb.buchberger(spanning, ambient.twists, field) if spanning else []
+        if basis and not gb.normal_form(cand, basis, field):
+            continue
+        kept.append(cand)
+    return kept
+
+
+@pytest.mark.parametrize("modulo_j", [False, True], ids=["plain", "modulo-J"])
+@settings(max_examples=40, deadline=None)
+@given(case=_subquotients())
+def test_min_gens_matches_a_rebuild_after_every_kept_column(modulo_j, case):
+    gens, rels, probe = case
+    columns = gens + rels + [probe]
+    # min_gens takes a Groebner basis of J times the ambient module; the
+    # reference starts from J's generators.
+    baseline = _j_basis(F_RANK2) if modulo_j else []
+    expected = _rebuilt_min_gens(columns, F_RANK2, F_RANK2.j_columns() if modulo_j else [])
+    assert min_gens(columns, F_RANK2, baseline=baseline) == expected
