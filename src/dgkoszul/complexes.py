@@ -25,7 +25,7 @@ from . import groebner as gb
 from .hilbert import NEG_INF, POS_INF, HilbertSeries
 from .linalg import Echelon
 from .modules import FPModule, kernel, subquotient
-from .poly import Polynomial, mono_mul
+from .poly import Polynomial
 from .rings import QuotientRing
 
 
@@ -407,8 +407,9 @@ def _degree_floor(C: Complex) -> int:
 
 
 def oracle_basis_size(C: Complex, d_max: int) -> int:
-    """The number of monomial basis vectors the truncation oracle builds up
-    to d_max, known before it starts.
+    """An upper bound, known before it starts, on the number of basis
+    vectors the truncation oracle builds up to d_max: the monomials of the
+    ambient modules, of which the oracle keeps those outside J.
 
     A generator of twist w contributes C(t - w + n - 1, n - 1) monomials in
     each degree t; summed over t from the degree floor (which is at most w)
@@ -426,68 +427,124 @@ def oracle_basis_size(C: Complex, d_max: int) -> int:
 def truncation_oracle(C: Complex, d_max: int) -> dict:
     """Graded homology dimensions by exact linear algebra, Groebner-free.
 
-    For each internal degree t up to d_max, each term's graded piece is the
-    span of its ambient monomial basis modulo the relation rows N (the
-    monomial multiples of the relation columns), so its dimension is
-    |basis| - rank N.  The non-pivot basis vectors of N's echelon span a
-    complement of N, so the rank of the induced differential is what their
-    images add to the echelon of the next term's N.  Rank-nullity gives
-    dim H^i_t.
+    It works in the coordinates of A_d = S_d/J_d.  For each monomial degree
+    d, one echelon of J_d (the monomial multiples of J's generators) leaves
+    the monomials outside its pivots as a basis of A_d, and a monomial's
+    normal form is its remainder by that echelon.  In internal degree t,
+    term i is the sum of A_{t-w_j} over its generators j, modulo the rows
+    N of its relations (their monomial multiples, in normal form), so its
+    dimension is |basis| - rank N.  The non-pivot basis vectors of N's
+    echelon span a complement of N, so the rank of the induced differential
+    is what their images add to the echelon of the next term's N.
+    Rank-nullity gives dim H^i_t.
+
+    A monomial is one int with a field of bits per variable, wide enough
+    for every degree up to d_max minus the degree floor, so a product of
+    monomials is their sum.
 
     Returns {i: {t: dim}} over the complex's support.
     """
     ring = C.ring
     field = ring.field
-    add = field.add
+    one, add, mul = field.one, field.add, field.mul
     support = C.support
     result = {i: {} for i in support}
+    floor = _degree_floor(C)
+    top = d_max - floor  # the largest monomial degree the oracle meets
+    width = max(top, 0).bit_length() + 1
+    shifts = [width * k for k in reversed(range(ring.nvars))]
+    variables = [1 << s for s in shifts]
+
+    def pack(e):
+        return sum(x << s for x, s in zip(e, shifts))
+
+    def pack_column(col):
+        """(component, monomial, coeff) triples, or None for a column of
+        degree above d_max, which meets no basis monomial."""
+        if any(sum(e) > top for _, e in col):
+            return None
+        return [(comp, pack(e), c) for (comp, e), c in col.items()]
+
+    j_gens = [
+        (g.homogeneous_degree(), pack_column({(0, e): c for e, c in g.terms.items()}))
+        for g in ring.j_gens
+    ]
+    relations = {
+        i: [(gb.vec_degree(col, t.ambient.twists), pack_column(col)) for col in t.rels]
+        for i, t in C.terms.items()
+    }
+    diffs = {i: [pack_column(col) for col in m] for i, m in C.diffs.items()}
+
     monomial_lists = {}
+    standard_lists = {}
+    normal = {}  # monomial -> its normal form {position in degree: coeff}
 
     def monomials(d):
+        """The monomials of degree d >= 0, descending (in lex order)."""
         if d not in monomial_lists:
-            monomial_lists[d] = _monomials_of_degree(ring.nvars, d)
+            monomial_lists[d] = (
+                sorted({m + v for m in monomials(d - 1) for v in variables}, reverse=True)
+                if d else [0]
+            )
         return monomial_lists[d]
 
-    for t_deg in range(_degree_floor(C), d_max + 1):
+    def standard(d):
+        """Positions of the monomials of degree d that form A_d's basis."""
+        if d not in standard_lists:
+            monos = monomials(d)
+            index = {m: k for k, m in enumerate(monos)}
+            j_rows = Echelon(field)
+            for g_deg, g in j_gens:
+                if g_deg <= d:
+                    for m in monomials(d - g_deg):
+                        j_rows.add({index[m + e]: c for _, e, c in g})
+            for k, m in enumerate(monos):
+                normal[m] = j_rows.remainder({k: one})
+            standard_lists[d] = [k for k in range(len(monos)) if k not in j_rows.rows]
+        return standard_lists[d]
+
+    def row(col, m, offsets):
+        """The normal form of the column times the monomial m, in a term
+        whose basis in this degree is built (so standard() has filled in
+        the normal forms it needs)."""
+        out = {}
+        for comp, e, c in col:
+            off = offsets[comp]
+            for k, v in normal[m + e].items():
+                out[off + k] = add(out.get(off + k, 0), mul(c, v))
+        return out
+
+    for t_deg in range(floor, d_max + 1):
         bases = {}
+        offsets = {}
         echelons = {}
         for i in support:
-            term = C.terms[i]
-            basis = [
-                (j, mono)
-                for j, w in enumerate(term.ambient.twists)
-                for mono in monomials(t_deg - w)
-            ]
-            index = {bm: k for k, bm in enumerate(basis)}
-            relations = Echelon(field)
-            for col in term.relation_columns():
-                col_deg = gb.vec_degree(col, term.ambient.twists)
-                for mono in monomials(t_deg - col_deg):
-                    row = {}
-                    for (comp, e), cc in col.items():
-                        pos = index[(comp, mono_mul(mono, e))]
-                        row[pos] = add(row.get(pos, 0), cc)
-                    relations.add(row)
-            bases[i] = (basis, index)
-            echelons[i] = relations
-        dims = {i: len(bases[i][0]) - echelons[i].rank for i in support}
+            basis = []
+            offsets[i] = []
+            off = 0
+            for j, w in enumerate(C.terms[i].ambient.twists):
+                offsets[i].append(off)
+                if t_deg >= w:
+                    monos = monomials(t_deg - w)
+                    basis += [(j, monos[k], off + k) for k in standard(t_deg - w)]
+                    off += len(monos)
+            rels = Echelon(field)
+            for col_deg, col in relations[i]:
+                if col_deg <= t_deg:
+                    for m in monomials(t_deg - col_deg):
+                        rels.add(row(col, m, offsets[i]))
+            bases[i] = basis
+            echelons[i] = rels
+        dims = {i: len(bases[i]) - echelons[i].rank for i in support}
         ranks = {}
         for i in support:
             if i not in C.diffs or (i + 1) not in echelons or not dims[i + 1]:
                 continue
-            basis_s, _ = bases[i]
-            _, index_t = bases[i + 1]
-            pivots_s = echelons[i].rows
+            pivots = echelons[i].rows
             image = echelons[i + 1].copy()
-            columns = C.diffs[i]
-            for pos, (j, mono) in enumerate(basis_s):
-                if pos in pivots_s:
-                    continue
-                img = {}
-                for (r, e), cc in columns[j].items():
-                    k = index_t[(r, mono_mul(mono, e))]
-                    img[k] = add(img.get(k, 0), cc)
-                image.add(img)
+            for j, m, pos in bases[i]:
+                if pos not in pivots:
+                    image.add(row(diffs[i][j], m, offsets[i + 1]))
             ranks[i] = image.rank - echelons[i + 1].rank
         for i in support:
             result[i][t_deg] = dims[i] - ranks.get(i, 0) - ranks.get(i - 1, 0)

@@ -29,11 +29,12 @@ SCHEMA_VERSION = 1
 # variable count, MAX_VARIABLES, lives in rings.py).  The oracle's graded
 # pieces in degree t have about C(t+n-1, n-1) basis vectors per generator,
 # so its work grows like depth^(n-1); its total basis size
-# (complexes.oracle_basis_size) is bounded too.  The oracle's time is about
-# linear in that size: on a 2-vCPU Xeon, Koszul on all variables of
-# k[x0..x3]/(x0x1-x2x3) to depth 16 (50,049 vectors) took 0.5 s over
-# F_32003 and 1.6 s over Q, and in 5 variables to depth 13 (124,515) 1.3 s
-# and 5.0 s; in 6 variables to depth 16 (1,884,961) it took 33 s and 94 s.
+# (complexes.oracle_basis_size, an upper bound) is bounded too.  The
+# oracle's time grows a little faster than that size: on a 2-vCPU Xeon, the
+# oracle of Koszul on all variables of k[x0..x3]/(x0x1-x2x3) to depth 16
+# (bound 50,049) took 0.15 s over F_32003 and 0.5 s over Q, in 5 variables
+# to depth 13 (124,515) 0.7 s and 2.1 s, and in 6 variables to depth 16
+# (1,884,961) 11 s and 42 s.
 MAX_ORACLE_DEPTH = 16
 MAX_ORACLE_BASIS = 100_000
 
@@ -267,6 +268,10 @@ def _run_tasks(job: dict, config: RunConfig) -> dict:
     }
     try:
         field, ring, dg = _job_context(job)
+    except gb.DegreeCapExceeded as exc:
+        report["error"] = str(exc)
+        report["status"] = "resource-cap"
+        return report
     except (JobError, gb.InhomogeneousError, ValueError) as exc:
         report["error"] = str(exc)
         report["status"] = "input-error"
@@ -354,7 +359,7 @@ def run_suite(paths, config: RunConfig | None = None) -> dict:
             continue
         report = run_job(job, config)
         entry["status"] = report["status"]
-        entry["expectations_met"] = report["expectations_met"]
+        entry["expectations_met"] = report.get("expectations_met", False)
         entry["report"] = report
         if not (report["status"] == "ok" and report["expectations_met"]):
             all_ok = False

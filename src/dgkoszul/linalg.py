@@ -2,8 +2,9 @@
 
 Used by the degree-truncation oracle, which must stay independent of the
 Groebner path.  Its matrices are Macaulay matrices (monomial multiples of
-relation columns and of differential entries) with a handful of nonzeros
-per row, so a row is a {column: coeff} dict of nonzero entries.  The field
+J's generators, of relation columns and of differential entries) with a
+handful of nonzeros per row, so a row is a {column: coeff} dict of nonzero
+entries.  The remainder by J's echelon is the oracle's normal form.  The field
 object does the arithmetic, so F_p and Q share one engine and no
 fixed-width integer can overflow.
 """
@@ -32,23 +33,36 @@ class Echelon:
     def copy(self) -> "Echelon":
         return Echelon(self.field, dict(self.rows))
 
-    def add(self, row: dict) -> None:
-        """Add a row ({column: coeff}, zeros allowed) to the span; the rank
-        rises by one if the row is independent of the stored rows."""
+    def remainder(self, row: dict) -> dict:
+        """The row ({column: coeff}, zeros allowed) fully reduced by the
+        stored rows: it has no pivot column, and it differs from the row by
+        an element of the span."""
         field, rows = self.field, self.rows
         sub, mul = field.sub, field.mul
         row = {c: v for c, v in row.items() if v}
+        out = {}
         while row:
             lead = min(row)
+            factor = row.pop(lead)
             pivot_row = rows.get(lead)
             if pivot_row is None:
-                inv = field.inv(row[lead])
-                rows[lead] = {c: mul(v, inv) for c, v in row.items()}
-                return
-            factor = row[lead]
+                out[lead] = factor
+                continue
             for c, v in pivot_row.items():
+                if c == lead:
+                    continue
                 w = sub(row.get(c, 0), mul(factor, v))
                 if w:
                     row[c] = w
                 else:
                     del row[c]
+        return out
+
+    def add(self, row: dict) -> None:
+        """Add a row ({column: coeff}, zeros allowed) to the span; the rank
+        rises by one if the row is independent of the stored rows."""
+        row = self.remainder(row)
+        if row:
+            lead = min(row)
+            inv = self.field.inv(row[lead])
+            self.rows[lead] = {c: self.field.mul(v, inv) for c, v in row.items()}

@@ -119,6 +119,21 @@ def test_degree_cap_diagnostic_exit_code(tmp_path):
     assert report["results"][0]["status"] == "resource-cap"
 
 
+
+def test_degree_cap_hit_while_building_the_dg_ring(tmp_path):
+    # The trivial extension minimizes its module before any task runs.
+    fixture = os.path.join(SUITE_DIR, "a11_oracle_trivial_extension.json")
+    result = run_cli("compute", fixture, "--degree-cap", "0")
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    report = json.loads(result.stdout)
+    assert report["status"] == "resource-cap"
+    assert report["error"] == "S-pair of degree 2 exceeds the configured cap 0"
+    (tmp_path / "a11.json").write_text(open(fixture, encoding="utf-8").read())
+    result = run_cli("suite", str(tmp_path), "--degree-cap", "0")
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+
 def test_task_isolation_on_injected_failure(tmp_path):
     job = {
         "schema": 1,

@@ -95,3 +95,25 @@ def test_adding_to_a_copy_leaves_the_original_unchanged(case, data):
     assert original.rows == snapshot
     assert original.rank == _dense_rank(rows[:split], ncols, _p(field))
     assert extended.rank == _dense_rank(rows, ncols, _p(field))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows(), st.data())
+def test_remainder_has_no_pivot_and_differs_from_the_row_by_the_span(case, data):
+    field, ncols, rows = case
+    split = data.draw(st.integers(0, len(rows)))
+    # a dense probe meets every pivot column that the echelon has
+    entries = data.draw(st.lists(COEFFS, min_size=ncols, max_size=ncols))
+    probe = {c: field.div(field.from_int(num), field.from_int(den)) for c, (num, den) in enumerate(entries)}
+    echelon = Echelon(field)
+    for row in rows[:split]:
+        echelon.add(row)
+    snapshot = {pivot: dict(row) for pivot, row in echelon.rows.items()}
+    before = dict(probe)
+    rest = echelon.remainder(probe)
+    assert probe == before and echelon.rows == snapshot
+    assert all(rest.values()) and not set(rest) & set(echelon.rows)
+    difference = {c: field.sub(probe[c], rest.get(c, field.zero)) for c in range(ncols)}
+    p = _p(field)
+    assert _dense_rank(rows[:split] + [difference], ncols, p) == echelon.rank
+    assert _dense_rank(rows[:split] + [rest], ncols, p) == _dense_rank(rows[:split] + [probe], ncols, p)
