@@ -180,7 +180,8 @@ def check_base_change(A: DGRingRep, args, config) -> dict:
             f"{MAX_VARIABLES} names) and 'ideal' lists"
         )
     target = quotient_ring_from_strings(
-        target_spec["vars"], target_spec.get("ideal", []), A.base.field
+        target_spec["vars"], target_spec.get("ideal", []), A.base.field,
+        A.base.poly_ring.degree_cap,
     )
     images = [parse_poly(t, target.poly_ring) for t in args.get("images") or []]
     f = RingMap(A.base, target, images)
@@ -334,7 +335,7 @@ def check_counterexample_4_5(A: DGRingRep, args, config) -> dict:
         "constant amplitude, and K(A;y) has seq.depth 0 < dim H0 = 1"
     )
     field = A.base.field
-    B = quotient_ring_from_strings(("x", "y"), ["x*y"], field)
+    B = quotient_ring_from_strings(("x", "y"), ["x*y"], field, A.base.poly_ring.degree_cap)
     M = FPModule.quotient_by_ideal(B, [parse_poly("x", B.poly_ring)])
     ext = trivial_extension(B, M, 2)
     local_cm = is_local_cm(ext)

@@ -155,7 +155,7 @@ def cmd_suite(args) -> int:
     )
     if any(e["status"] == "resource-cap" for e in aggregate["fixtures"]):
         return EXIT_RESOURCE_CAP
-    if aggregate["missing"]:
+    if aggregate["missing"] or any(e["status"] == "input-error" for e in aggregate["fixtures"]):
         return EXIT_INPUT_ERROR
     return EXIT_OK if aggregate["all_passed"] else EXIT_CHECK_FAILURE
 
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--field", help="default field: a prime p or 'rationals'")
     common.add_argument(
         "--degree-cap",
-        type=_non_negative_int,
+        type=_non_negative_int, default=DEFAULT_DEGREE_CAP,
         help=f"S-pair degree cap (default {DEFAULT_DEGREE_CAP})",
     )
     common.add_argument(

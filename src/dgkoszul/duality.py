@@ -59,6 +59,14 @@ def free_resolution(M: FPModule) -> Complex:
     return resolution
 
 
+def ring_resolution(Q: QuotientRing) -> Complex:
+    """The minimal free resolution of Q over S, computed once per ring
+    object and kept on it for the Gorenstein verdict and dualizing complex."""
+    if Q._resolution is None:
+        Q._resolution = free_resolution(FPModule.free(Q, (0,)))
+    return Q._resolution
+
+
 def _assert_minimal(res: Complex) -> None:
     zero_expo = (0,) * res.ring.nvars
     for m in res.diffs.values():
@@ -89,10 +97,7 @@ def dualizing_complex(Q: QuotientRing) -> Complex:
     free resolution, with inf = -dim(Q)."""
     if Q.is_trivial():
         raise ValueError("the zero ring has no dualizing complex")
-    module = FPModule.free(Q, (0,))
-    res = free_resolution(module)
-    dual = res.hom_dual()
-    shifted = dual.shift(Q.poly_ring.nvars)
+    shifted = ring_resolution(Q).hom_dual().shift(Q.poly_ring.nvars)
     lo = shifted.inf()
     want = -Q.dim()
     if lo != want:
@@ -135,7 +140,7 @@ def is_gorenstein_ring(Q: QuotientRing) -> tuple[bool, dict]:
     of type 1 (last Betti number 1).  The Betti table rides along."""
     if Q.is_trivial():
         raise ValueError("the zero ring has no Gorenstein verdict")
-    res = free_resolution(FPModule.free(Q, (0,)))
+    res = ring_resolution(Q)
     length = -min(res.terms)
     codim = Q.poly_ring.nvars - Q.dim()
     cm = length == codim

@@ -65,6 +65,9 @@ ambient basis vector, and min_gens extends its basis by each kept column.
 Division looks up reducers by the component bits of the term: only a lead
 of the term's own component can divide it.
 
+Degree cap.  buchberger processes no S-pair above its degree_cap, which
+every caller passes from its PolyRing: the cap belongs to the job's ring.
+
 Determinism: S-pairs are processed in (degree, index, index) order, the
 output basis is reduced, monic, inter-reduced and canonically sorted, so
 identical inputs give identical outputs.
@@ -77,23 +80,10 @@ from itertools import groupby
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
-from .poly import Expo, PolyRing, Polynomial, grevlex_key, mono_deg, mono_mul
+from .poly import DEFAULT_DEGREE_CAP, Expo, PolyRing, Polynomial, grevlex_key, mono_deg, mono_mul
 
 ModTerm = tuple  # (component, exponent tuple)
 ModVec = dict  # ModTerm -> scalar
-
-DEFAULT_DEGREE_CAP = 40
-_degree_cap = DEFAULT_DEGREE_CAP
-
-
-def set_degree_cap(cap: int) -> None:
-    """Set the global S-pair degree cap (the CLI --degree-cap flag)."""
-    global _degree_cap
-    _degree_cap = cap
-
-
-def get_degree_cap() -> int:
-    return _degree_cap
 
 
 class InhomogeneousError(ValueError):
@@ -338,7 +328,7 @@ def buchberger(
     gens: Sequence[ModVec],
     twists: Sequence[int],
     field,
-    degree_cap: int | None = None,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
     allow_inhomogeneous: bool = False,
     split: int | None = None,
     known: Sequence[ModVec] = (),
@@ -358,8 +348,6 @@ def buchberger(
     radical-membership certificate), and DegreeCapExceeded if an S-pair
     above the cap would have to be processed.
     """
-    if degree_cap is None:
-        degree_cap = _degree_cap
     if not allow_inhomogeneous:
         for g in gens:
             if g and vec_degree(g, twists) is None:
@@ -510,7 +498,7 @@ def syzygies(columns: Sequence[ModVec], twists: Sequence[int], ring: PolyRing) -
         col_degs.append(d)
         if col:
             tagged.append({**col, (rank + j, zero_expo): field.one})
-    basis = buchberger(tagged, tuple(twists) + tuple(col_degs), field, split=rank)
+    basis = buchberger(tagged, tuple(twists) + tuple(col_degs), field, ring.degree_cap, split=rank)
     syz = [
         {(comp - rank, e): c for (comp, e), c in g.items()}
         for g in basis

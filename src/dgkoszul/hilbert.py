@@ -4,15 +4,16 @@ A HilbertSeries is an integer Laurent numerator over the implicit
 denominator (1-t)^m.  The reduced form divides out every factor of (1-t)
 from the numerator; the remaining pole order at t=1 is the Krull dimension
 of the graded module the series describes.
+The numerators of monomial ideals are memoized on their polynomial ring
+(PolyRing.numerators), which all rings of one job share.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Sequence
 
-from .poly import Expo, mono_deg, mono_divides
+from .poly import Expo, PolyRing, mono_deg, mono_divides
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -172,19 +173,21 @@ def _minimalize(gens: frozenset) -> frozenset:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
-def _numerator(gens: frozenset, nvars: int) -> tuple:
-    """Numerator of HS(S/I) over (1-t)^nvars for the monomial ideal I.
+def _ideal_numerator(gens: frozenset, ring: PolyRing) -> tuple:
+    """Numerator of HS(S/I) over (1-t)^nvars for the monomial ideal I of
+    S = ring, memoized in ring.numerators by I's minimal generators.
 
     Bayer-Stillman style splitting: N(I + (g)) = N(I) - t^deg(g) N(I : g).
-    Returned as a sorted tuple of (degree, coeff) pairs for cacheability.
+    Returned as a sorted tuple of (degree, coeff) pairs.
     """
     gens = _minimalize(gens)
     if not gens:
         return ((0, 1),)
-    zero = (0,) * nvars
-    if zero in gens:
+    if (0,) * ring.nvars in gens:
         return ()
+    memo = ring.numerators
+    if gens in memo:
+        return memo[gens]
     # Disjoint supports: product of (1 - t^deg).
     supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
     if all(
@@ -200,30 +203,27 @@ def _numerator(gens: frozenset, nvars: int) -> tuple:
                 new[k] = new.get(k, 0) + v
                 new[k + d] = new.get(k + d, 0) - v
             num = {k: v for k, v in new.items() if v != 0}
-        return tuple(sorted(num.items()))
-    ordered = sorted(gens)
-    rest = frozenset(ordered[:-1])
-    g = ordered[-1]
-    base = dict(_numerator(rest, nvars))
-    colon = frozenset(
-        tuple(max(h[i] - g[i], 0) for i in range(nvars)) for h in rest
-    )
-    corr = dict(_numerator(colon, nvars))
-    d = mono_deg(g)
-    out = dict(base)
-    for k, v in corr.items():
-        out[k + d] = out.get(k + d, 0) - v
-    return tuple(sorted((k, v) for k, v in out.items() if v != 0))
+    else:
+        ordered = sorted(gens)
+        rest = frozenset(ordered[:-1])
+        g = ordered[-1]
+        num = dict(_ideal_numerator(rest, ring))
+        colon = frozenset(tuple(max(a - b, 0) for a, b in zip(h, g)) for h in rest)
+        d = mono_deg(g)
+        for k, v in _ideal_numerator(colon, ring):
+            num[k + d] = num.get(k + d, 0) - v
+    memo[gens] = out = tuple(sorted((k, v) for k, v in num.items() if v != 0))
+    return out
 
 
-def monomial_quotient_series(gens: Sequence[Expo], nvars: int) -> HilbertSeries:
-    """Hilbert series of S/I for the monomial ideal I."""
-    num = dict(_numerator(frozenset(gens), nvars))
-    return HilbertSeries(num, nvars)
+def monomial_quotient_series(gens: Sequence[Expo], ring: PolyRing) -> HilbertSeries:
+    """Hilbert series of S/I for the monomial ideal I of S = ring."""
+    num = dict(_ideal_numerator(frozenset(gens), ring))
+    return HilbertSeries(num, ring.nvars)
 
 
 def lead_module_series(
-    lead_terms: Sequence[tuple], rank: int, twists: Sequence[int], nvars: int
+    lead_terms: Sequence[tuple], rank: int, twists: Sequence[int], ring: PolyRing
 ) -> HilbertSeries:
     """Hilbert series of F/L for a monomial submodule L of the free module F.
 
@@ -232,9 +232,9 @@ def lead_module_series(
     per_comp: list[list[Expo]] = [[] for _ in range(rank)]
     for comp, e in lead_terms:
         per_comp[comp].append(e)
-    total = HilbertSeries({}, nvars)
+    total = HilbertSeries({}, ring.nvars)
     for comp in range(rank):
-        total = total + monomial_quotient_series(per_comp[comp], nvars).shift(
+        total = total + monomial_quotient_series(per_comp[comp], ring).shift(
             twists[comp]
         )
     return total

@@ -47,11 +47,7 @@ class JobError(ValueError):
 class RunConfig:
     oracle_depth: int = 8
     budget: int = 400
-    degree_cap: int | None = None
-
-    def apply(self):
-        if self.degree_cap is not None:
-            gb.set_degree_cap(self.degree_cap)
+    degree_cap: int = gb.DEFAULT_DEGREE_CAP
 
 
 def _build_module(spec: dict, ring: QuotientRing) -> FPModule:
@@ -104,7 +100,7 @@ def build_dg(spec: dict, ring: QuotientRing) -> DGRingRep:
     raise JobError(f"unknown dg construction {kind!r}")
 
 
-def _job_context(job: dict):
+def _job_context(job: dict, degree_cap: int):
     if not isinstance(job, dict):
         raise JobError("a job must be a JSON object")
     field = field_from_json(job.get("field"))
@@ -120,11 +116,10 @@ def _job_context(job: dict):
     if not isinstance(job.get("sequences", {}), dict):
         raise JobError("'sequences' must be a JSON object")
     try:
-        ring = quotient_ring_from_strings(variables, ideal, field)
-        dg = build_dg(job.get("dg", {"kind": "ring"}), ring)
+        ring = quotient_ring_from_strings(variables, ideal, field, degree_cap)
+        return build_dg(job.get("dg", {"kind": "ring"}), ring)
     except ParseError as exc:
         raise JobError(f"parse error: {exc}") from exc
-    return field, ring, dg
 
 
 def _task_invariants(dg: DGRingRep, task: dict, config: RunConfig) -> dict:
@@ -247,19 +242,11 @@ def _expect_matches(expected, actual) -> bool:
 def run_job(job: dict, config: RunConfig | None = None) -> dict:
     """Execute all tasks in a job; per-task failures are isolated.
 
-    The config's degree cap holds for this job only: the previous cap is
-    restored afterwards, so a job never changes how later jobs run.
+    All rings of the job share one PolyRing, built for this job, which
+    carries the config's degree cap and the job's Hilbert-numerator memo,
+    so a job never changes how later jobs run.
     """
     config = config or RunConfig()
-    previous_cap = gb.get_degree_cap()
-    config.apply()
-    try:
-        return _run_tasks(job, config)
-    finally:
-        gb.set_degree_cap(previous_cap)
-
-
-def _run_tasks(job: dict, config: RunConfig) -> dict:
     report = {
         "schema": SCHEMA_VERSION,
         "job": job,
@@ -267,7 +254,7 @@ def _run_tasks(job: dict, config: RunConfig) -> dict:
         "notes": [],
     }
     try:
-        field, ring, dg = _job_context(job)
+        dg = _job_context(job, config.degree_cap)
     except gb.DegreeCapExceeded as exc:
         report["error"] = str(exc)
         report["status"] = "resource-cap"

@@ -76,8 +76,9 @@ class FPModule:
         """(reduced Groebner basis of N, its leading terms), built once and
         shared by membership tests and the Hilbert series."""
         if self._basis is None:
+            cap = self.ring.poly_ring.degree_cap
             basis = gb.buchberger(
-                self.rels, self.ambient.twists, self.ring.field, known=_j_basis(self.ambient)
+                self.rels, self.ambient.twists, self.ring.field, cap, known=_j_basis(self.ambient)
             )
             self._basis = (basis, gb.leading_terms(basis))
         return self._basis
@@ -93,7 +94,7 @@ class FPModule:
         if self._hilbert is None:
             _, leads = self._reduced_basis()
             self._hilbert = lead_module_series(
-                leads, self.ambient.rank, self.ambient.twists, self.ring.nvars
+                leads, self.ambient.rank, self.ambient.twists, self.ring.poly_ring
             )
         return self._hilbert
 
@@ -275,7 +276,7 @@ def min_gens(
     when generation is only needed modulo J), always spans but is never
     kept.  Each kept column extends the Groebner basis of the span so far.
     """
-    field = ambient.ring.field
+    field, cap = ambient.ring.field, ambient.ring.poly_ring.degree_cap
     candidates = sorted(
         (c for c in columns if c),
         key=lambda v: (gb.vec_degree(v, ambient.twists), gb.column_key(v)),
@@ -286,5 +287,5 @@ def min_gens(
         if basis and not gb.normal_form(cand, basis, field):
             continue
         kept.append(cand)
-        basis = gb.buchberger([cand], ambient.twists, field, known=basis)
+        basis = gb.buchberger([cand], ambient.twists, field, cap, known=basis)
     return kept

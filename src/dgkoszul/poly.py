@@ -47,21 +47,28 @@ def grevlex_key(e: Expo):
 
 # ---------- rings and polynomials ----------
 
+DEFAULT_DEGREE_CAP = 40  # of a ring given no cap, and of the CLI
+
+
 class PolyRing:
     """A polynomial ring k[x_1..x_m].
 
     Acts as the ring-context id: operations between polynomials of
-    different PolyRings raise RingMismatchError.
+    different PolyRings raise RingMismatchError.  All rings of a job share
+    one, so it carries the job's state, outside ring equality: the S-pair
+    degree cap and the memo of monomial-ideal Hilbert numerators.
     """
 
-    __slots__ = ("variables", "field", "_zero_expo")
+    __slots__ = ("variables", "field", "degree_cap", "numerators", "_zero_expo")
 
-    def __init__(self, variables: Iterable[str], field):
+    def __init__(self, variables: Iterable[str], field, degree_cap: int = DEFAULT_DEGREE_CAP):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         self.variables = variables
         self.field = field
+        self.degree_cap = degree_cap
+        self.numerators: dict = {}
         self._zero_expo = (0,) * len(variables)
 
     @property

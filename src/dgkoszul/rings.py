@@ -1,8 +1,8 @@
 """Graded quotient rings Q = S/J and free modules over them.
 
-The ambient polynomial ring S does all Groebner work; Q caches the reduced
-basis of its defining ideal and its Hilbert series, whose pole order is the
-Krull dimension.
+The ambient polynomial ring S does all Groebner work, under its degree
+cap; Q caches the reduced basis of its defining ideal, its Hilbert series,
+whose pole order is the Krull dimension, and its minimal resolution.
 Quotient rings compare equal when their reduced bases agree, so different
 generator lists for the same ideal give interchangeable contexts.
 """
@@ -14,7 +14,7 @@ from typing import Sequence
 from . import groebner as gb
 from .hilbert import HilbertSeries, monomial_quotient_series
 from .parse import parse_poly
-from .poly import PolyRing, Polynomial
+from .poly import DEFAULT_DEGREE_CAP, PolyRing, Polynomial
 
 # A bound on the variable count of a ring read from a job (its own ring and
 # a base-change target), checked before any work starts.  It is a plain
@@ -45,6 +45,7 @@ class QuotientRing:
         self._gb_vecs: list[gb.ModVec] = []
         self._gb_leads: list[gb.ModTerm] = []
         self._hilbert: HilbertSeries | None = None
+        self._resolution = None
 
     # -- basic structure --
 
@@ -64,7 +65,7 @@ class QuotientRing:
         """Reduced Groebner basis of J."""
         if self._gb is None:
             vecs = [gb.column_to_vec((g,)) for g in self.j_gens]
-            self._gb_vecs = gb.buchberger(vecs, (0,), self.field)
+            self._gb_vecs = gb.buchberger(vecs, (0,), self.field, self.poly_ring.degree_cap)
             self._gb_leads = gb.leading_terms(self._gb_vecs)
             self._gb = tuple(gb.vec_to_column(v, self.poly_ring, 1)[0] for v in self._gb_vecs)
         return self._gb
@@ -96,7 +97,7 @@ class QuotientRing:
     def hilbert_series(self) -> HilbertSeries:
         if self._hilbert is None:
             self.groebner()
-            self._hilbert = monomial_quotient_series([e for _, e in self._gb_leads], self.nvars)
+            self._hilbert = monomial_quotient_series([e for _, e in self._gb_leads], self.poly_ring)
         return self._hilbert
 
     def is_nilpotent(self, g: Polynomial) -> bool:
@@ -107,7 +108,7 @@ class QuotientRing:
         """
         if self.is_zero(g):
             return True
-        ext = PolyRing(self.variables + ("_t",), self.field)
+        ext = PolyRing(self.variables + ("_t",), self.field, self.poly_ring.degree_cap)
 
         def lift(p: Polynomial, tdeg: int = 0) -> Polynomial:
             return Polynomial(
@@ -117,7 +118,7 @@ class QuotientRing:
         witness = ext.one - lift(g, tdeg=1)
         vecs = [gb.column_to_vec((lift(j),)) for j in self.j_gens]
         vecs.append(gb.column_to_vec((witness,)))
-        basis = gb.buchberger(vecs, (0,), self.field, allow_inhomogeneous=True)
+        basis = gb.buchberger(vecs, (0,), self.field, ext.degree_cap, allow_inhomogeneous=True)
         return any(
             len(v) == 1 and next(iter(v))[1] == (0,) * ext.nvars for v in basis
         )
@@ -195,8 +196,8 @@ def substitute(p: Polynomial, target: PolyRing, images: Sequence[Polynomial]) ->
 
 
 def quotient_ring_from_strings(
-    variables: Sequence[str], ideal_texts: Sequence[str], field
+    variables: Sequence[str], ideal_texts: Sequence[str], field, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> QuotientRing:
-    ring = PolyRing(variables, field)
+    ring = PolyRing(variables, field, degree_cap)
     gens = [parse_poly(t, ring) for t in ideal_texts]
     return QuotientRing(ring, gens)

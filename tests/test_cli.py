@@ -196,6 +196,18 @@ def test_suite_isolates_corrupted_fixture(tmp_path):
     assert aggregate["fixtures"][0]["expectations_met"] is True
 
 
+def test_suite_exits_2_on_a_malformed_job_like_compute(tmp_path):
+    path = write_job(tmp_path, {"vars": [], "tasks": []}, "malformed.json")
+    assert run_cli("compute", path).returncode == 2
+    result = run_cli("suite", str(tmp_path))
+    assert result.returncode == 2, result.stderr
+    assert json.loads(result.stdout)["fixtures"][0]["status"] == "input-error"
+    # A resource-cap fixture beside it keeps exit 3.
+    fixture = os.path.join(SUITE_DIR, "a11_oracle_trivial_extension.json")
+    (tmp_path / "a11.json").write_text(open(fixture, encoding="utf-8").read())
+    assert run_cli("suite", str(tmp_path), "--degree-cap", "0").returncode == 3
+
+
 def test_field_flag_applies_when_job_omits_field(tmp_path):
     job = {k: v for k, v in BASIC_JOB.items() if k != "field"}
     path = write_job(tmp_path, job)

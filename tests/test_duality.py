@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from conftest import poly, ring
@@ -18,8 +21,11 @@ from dgkoszul import (
     self_duality_check,
     trivial_extension,
 )
+from dgkoszul import duality, run_job
 from dgkoszul.complexes import truncation_oracle, homology_hilbert_functions
 from dgkoszul.duality import betti_table
+
+SUITE = Path(__file__).resolve().parent.parent / "suite"
 
 
 def test_betti_numbers_of_residue_field():
@@ -179,3 +185,25 @@ def test_dual_of_koszul_requires_koszul_provenance():
     ext = trivial_extension(B, FPModule.free(B, (0,)), 1)
     with pytest.raises(ValueError):
         dualizing_of_koszul(ext)
+
+
+def test_a_job_resolves_its_ring_once(monkeypatch):
+    # Three gorenstein_transfer checks and a duality task: each reads the
+    # ring's Betti table and dualizing complex, from one resolution.
+    job = json.loads((SUITE / "a09_gorenstein_quadric_surface.json").read_text(encoding="utf-8"))
+    job["tasks"].append({"task": "duality", "elements": ["y", "z"]})
+    resolved = []
+    resolve = duality.free_resolution
+
+    def counting(M):
+        resolved.append(M.ring)
+        return resolve(M)
+
+    monkeypatch.setattr(duality, "free_resolution", counting)
+    for run in (1, 2):
+        report = run_job(job)
+        assert report["status"] == "ok" and report["expectations_met"]
+        assert len(resolved) == run
+        assert resolved[-1].variables == ("x", "y", "z")
+    # The second job built and resolved a ring of its own.
+    assert resolved[1] is not resolved[0]

@@ -11,7 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgkoszul import PolyRing, PrimeField, RunConfig, parse_poly, run_job
+from dgkoszul import (
+    FPModule, FreeModule, PolyRing, PrimeField, QuotientRing, RunConfig, min_gens, parse_poly,
+    run_job,
+)
+from dgkoszul import groebner as gb
 from dgkoszul.checks import MAX_EULER_DEPTH
 from dgkoszul.dgring import MAX_COMPLEX_RANK
 from dgkoszul.fields import FieldError
@@ -39,6 +43,52 @@ def test_degree_cap_does_not_leak_into_later_jobs():
     assert run_job(job, RunConfig(degree_cap=2))["status"] == "resource-cap"
     assert run_job(job)["status"] == "ok"
 
+
+# Each Buchberger call site of the package, fed two quadrics over k[x,y]
+# whose leads x^2 and x*y need an S-pair of degree 3.
+def _quadrics(S):
+    return [gb.column_to_vec((parse_poly(t, S),)) for t in ("x^2 + y^2", "x*y")]
+
+
+CAP_SITES = {
+    "QuotientRing.groebner": lambda S: QuotientRing(
+        S, [parse_poly("x^2 + y^2", S), parse_poly("x*y", S)]
+    ).groebner(),
+    # (x^2) needs no S-pair; x^2 against 1 - t*x in S[t] needs one of degree 3.
+    "QuotientRing.is_nilpotent": lambda S: QuotientRing(
+        S, [parse_poly("x^2", S)]
+    ).is_nilpotent(parse_poly("x", S)),
+    "FPModule._reduced_basis": lambda S: FPModule.cokernel(
+        QuotientRing(S), (0,), _quadrics(S)
+    ).hilbert_series(),
+    "min_gens": lambda S: min_gens(_quadrics(S), FreeModule(QuotientRing(S), 1)),
+    "groebner.syzygies": lambda S: gb.syzygies(_quadrics(S), (0,), S),
+}
+
+
+@pytest.mark.parametrize("site", CAP_SITES)
+def test_the_degree_cap_travels_with_the_ring(site):
+    run = CAP_SITES[site]
+    with pytest.raises(gb.DegreeCapExceeded) as hit:
+        run(PolyRing(["x", "y"], PrimeField(32003), degree_cap=2))
+    assert (hit.value.cap, hit.value.degree) == (2, 3)
+    run(PolyRing(["x", "y"], PrimeField(32003)))
+
+
+def test_a_base_change_target_ring_honours_the_job_cap():
+    def job(target_ideal):
+        check = {
+            "task": "check", "name": "base_change", "elements": ["x"], "images": ["u", "v"],
+            "target": {"vars": ["u", "v"], "ideal": target_ideal},
+        }
+        return _job(tasks=[check])
+
+    # Only the target ideal (u^2 + v^2, u*v) needs an S-pair of degree 3.
+    assert run_job(job([]), RunConfig(degree_cap=2))["status"] == "ok"
+    capped = run_job(job(["u^2 + v^2", "u*v"]), RunConfig(degree_cap=2))
+    assert capped["results"][0]["status"] == "resource-cap"
+    assert capped["results"][0]["error"] == "S-pair of degree 3 exceeds the configured cap 2"
+    assert run_job(job(["u^2 + v^2", "u*v"]))["status"] == "ok"
 
 
 def test_degree_cap_hit_while_building_the_dg_ring_is_a_resource_cap():

@@ -1,6 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and none keeps process-global state.
 
-`__init__.py` is exempt: its imports are the package's public API.
+`__init__.py` is exempt from the import scan: its imports are the
+package's public API.
 """
 
 from __future__ import annotations
@@ -91,3 +93,41 @@ def test_every_unexported_definition_has_a_caller():
     }
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert uncalled(sources, exported) == []
+
+
+def global_state(source: str) -> list[str]:
+    """`global` statements and functools caches (`lru_cache`, `cache`): state
+    that outlives a job.  Per-job state lives on the job's rings."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Global):
+            found.append((node.lineno, f"global {', '.join(node.names)}"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    found.append((dec.lineno, f"@{name} on {node.name}"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_the_scan_sees_global_state():
+    source = (
+        "import functools\nfrom functools import lru_cache\n_cap = 40\n"
+        "def set_cap(c):\n    global _cap\n    _cap = c\n"
+        "@lru_cache(maxsize=None)\ndef a(n): return n\n"
+        "@functools.cache\ndef b(n): return n\n"
+        "class C:\n    @property\n    def cache(self): return {}\n"
+        "    @functools.lru_cache\n    def d(self): return self.cache\n"
+    )
+    assert global_state(source) == [
+        "global _cap (line 5)",
+        "@lru_cache on a (line 7)",
+        "@cache on b (line 9)",
+        "@lru_cache on d (line 14)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_keeps_no_process_global_state(path):
+    assert global_state(path.read_text(encoding="utf-8")) == []
