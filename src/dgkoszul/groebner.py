@@ -16,8 +16,8 @@ j in target-generator coordinates.  Composition is vec_combination.
 column_to_vec and vec_to_column convert a column to and from Polynomial
 entries where ring elements enter or leave as Polynomials.
 
-Packed terms.  buchberger, normal_form, leading_terms and syzygies take
-and return ModVecs, but inside one call every term is one int whose
+Packed terms.  buchberger, normal_forms and syzygies take and return
+ModVecs, but inside one call every term is one int whose
 integer order is the module term order, built by a _Packer sized for that
 call.  With n variables and fields w bits wide (2^w exceeds the largest
 monomial degree the call can reach), from the top bit down:
@@ -39,7 +39,7 @@ component is `-`.  A lead l divides a term t of its own component exactly
 when (t - l) & mask == 0, mask being the guard and component bits.
 
 No field carries into the next, since every field holds at most the
-monomial degree.  normal_form sizes its fields from its input terms: a
+monomial degree.  normal_forms sizes its fields from its input terms: a
 reduction step only makes terms smaller than the one it removes, so never
 of higher monomial degree.  buchberger also admits the degree cap minus
 the smallest twist, since the cap bounds the twisted degree of every
@@ -70,7 +70,8 @@ every caller passes from its PolyRing: the cap belongs to the job's ring.
 
 Determinism: S-pairs are processed in (degree, index, index) order, the
 output basis is reduced, monic, inter-reduced and canonically sorted, so
-identical inputs give identical outputs.
+identical inputs give identical outputs.  Each output vector keeps its
+terms in descending order, so its first key is its leading term.
 """
 
 from __future__ import annotations
@@ -261,14 +262,6 @@ def vec_degree(a: ModVec, twists) -> int | None:
     return None
 
 
-def leading_terms(vecs: Sequence[ModVec]) -> list[ModTerm]:
-    """The largest term of each nonzero vector, term over position."""
-    if not vecs:
-        return []
-    packer = _fitting_packer(vecs)
-    return [packer.unpack_term(max(packer.pack(v))) for v in vecs]
-
-
 # ---------- division ----------
 
 def _add_multiple(out: dict, a: dict, m: int, c, field) -> None:
@@ -304,22 +297,27 @@ def _reduce(work: dict, reducers: dict, field, packer: _Packer) -> dict:
     return rem
 
 
-def normal_form(f: ModVec, basis: Sequence[ModVec], field) -> ModVec:
-    """Fully reduced remainder of f modulo basis (tail reduction included),
-    term over position.
+def normal_forms(vecs: Sequence[ModVec], basis: Sequence[ModVec], field) -> list[ModVec]:
+    """The fully reduced remainder of each vector modulo basis (tail
+    reduction included), term over position, with one packer for the batch.
 
     Each step reduces by the first applicable element in list order; the
     remainder does not depend on that order when basis is a Groebner basis.
     """
-    if not f:
-        return {}
     basis = [g for g in basis if g]
-    packer = _fitting_packer([f, *basis])
+    if not any(vecs):
+        return [{} for _ in vecs]
+    packer = _fitting_packer([*vecs, *basis])
     reducers: dict = {}
     for g in map(packer.pack, basis):
         lead = max(g)
         reducers.setdefault(lead & packer.comp_mask, []).append((g, lead))
-    return packer.unpack(_reduce(packer.pack(f), reducers, field, packer))
+    return [packer.unpack(_reduce(packer.pack(f), reducers, field, packer)) for f in vecs]
+
+
+def normal_form(f: ModVec, basis: Sequence[ModVec], field) -> ModVec:
+    """The remainder of one vector: normal_forms([f], basis, field)[0]."""
+    return normal_forms([f], basis, field)[0]
 
 
 # ---------- Buchberger ----------

@@ -166,11 +166,14 @@ def _mul_one_minus_t(num: dict) -> dict:
 # ---------- monomial ideals ----------
 
 def _minimalize(gens: frozenset) -> frozenset:
-    out = []
-    for g in sorted(gens):
-        if not any(h != g and mono_divides(h, g) for h in gens):
-            out.append(g)
-    return frozenset(out)
+    """The minimal generators of the monomial ideal.  A proper divisor has
+    a smaller degree, so in ascending degree each monomial is checked only
+    against those kept before it."""
+    kept: list[Expo] = []
+    for g in sorted(gens, key=mono_deg):
+        if not any(mono_divides(h, g) for h in kept):
+            kept.append(g)
+    return frozenset(kept)
 
 
 def _ideal_numerator(gens: frozenset, ring: PolyRing) -> tuple:
@@ -180,12 +183,14 @@ def _ideal_numerator(gens: frozenset, ring: PolyRing) -> tuple:
     Bayer-Stillman style splitting: N(I + (g)) = N(I) - t^deg(g) N(I : g).
     Returned as a sorted tuple of (degree, coeff) pairs.
     """
+    memo = ring.numerators
+    if gens in memo:  # a reduced basis's leads are already minimal
+        return memo[gens]
     gens = _minimalize(gens)
     if not gens:
         return ((0, 1),)
     if (0,) * ring.nvars in gens:
         return ()
-    memo = ring.numerators
     if gens in memo:
         return memo[gens]
     # Disjoint supports: product of (1 - t^deg).

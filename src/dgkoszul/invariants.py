@@ -17,7 +17,7 @@ from .complexes import _monomials_of_degree
 from .dgring import DGRingRep, ElementOfH0, _as_element, koszul
 from .groebner import vec_to_column
 from .hilbert import NEG_INF, POS_INF
-from .modules import kernel
+from .modules import FPModule, kernel
 from .poly import Polynomial
 
 
@@ -48,25 +48,45 @@ def lcdim(A: DGRingRep):
     return max((hs.pole_order + i for i, hs in A.homology_table().items()), default=NEG_INF)
 
 
-def is_regular(A: DGRingRep, x) -> tuple[bool, dict]:
-    """x is A-regular iff multiplication by x on H^{inf(A)}(A) is injective."""
-    x = _as_element(x, A.base)
+def _bottom_homology(A: DGRingRep):
+    """(inf(A), H^{inf}(A)); regularity is undefined when A is acyclic."""
     lo = A.inf()
     if lo == POS_INF:
         raise AcyclicModuleError("regularity is undefined for acyclic modules")
-    h = A.underlying.homology(lo)
-    times_x = [
-        {(j, e): c for e, c in x.rep.terms.items()} for j in range(h.ambient.rank)
-    ]
-    ker = kernel(times_x, h)
-    witness = next((v for v in ker if not h.element_is_zero(v)), None)
-    ok = witness is None
-    cert = {
-        "element": str(x.rep),
-        "bottom_degree": int(lo),
-        "kernel_is_zero": ok,
-    }
+    return lo, A.underlying.homology(lo)
+
+
+def _times(x: ElementOfH0, h: FPModule) -> list:
+    """The columns of multiplication by x on the generators of h."""
+    return [{(j, e): c for e, c in x.rep.terms.items()} for j in range(h.ambient.rank)]
+
+
+def _regular_on(h: FPModule, x: ElementOfH0) -> bool:
+    """Whether multiplication by x is injective on the graded module h.
+
+    With d = deg x, 0 -> (0 :_h x)(-d) -> h(-d) -> h -> h/xh -> 0 is exact,
+    so HS(h/xh) = (1 - t^d) HS(h) exactly when 0 :_h x = 0.  That takes one
+    Groebner basis of h's relations and x times its generators, and no
+    syzygies."""
+    quotient = FPModule(h.ambient, h.rels + tuple(_times(x, h)))
+    hs = h.hilbert_series()
+    return quotient.hilbert_series() == hs - hs.shift(x.degree)
+
+
+def _certificate(x: ElementOfH0, lo, regular: bool) -> dict:
+    return {"element": str(x.rep), "bottom_degree": int(lo), "kernel_is_zero": regular}
+
+
+def is_regular(A: DGRingRep, x) -> tuple[bool, dict]:
+    """x is A-regular iff multiplication by x on H^{inf(A)}(A) is injective,
+    decided by Hilbert series.  The kernel of a non-regular x is built only
+    to report an element of it outside the relations (kernel_witness)."""
+    x = _as_element(x, A.base)
+    lo, h = _bottom_homology(A)
+    ok = _regular_on(h, x)
+    cert = _certificate(x, lo, ok)
     if not ok:
+        witness = next(v for v in kernel(_times(x, h), h) if not h.element_is_zero(v))
         column = vec_to_column(witness, h.ring.poly_ring, h.ambient.rank)
         cert["kernel_witness"] = [str(p) for p in column]
     return ok, cert
@@ -126,28 +146,30 @@ def _candidate_pool(B: DGRingRep, gens: list[ElementOfH0], degree_cap: int):
     multiples of the generators up to the degree cap, then pairwise sums
     within each degree.  Candidates are H^0-reduced and deduplicated."""
     ring = B.base.poly_ring
-    h0 = B.h0
-    by_degree: dict[int, list[Polynomial]] = {}
-    seen = set()
+    degrees, products = [], []
     for g in gens:
         if g.rep.is_zero():
             continue
         for d in range(g.degree, degree_cap + 1):
             for mono in _monomials_of_degree(ring.nvars, d - g.degree):
-                cand = h0.nf(g.rep.mul_term(mono, ring.field.one))
-                if cand.is_zero():
-                    continue
-                key = cand.sort_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                by_degree.setdefault(d, []).append(cand)
+                degrees.append(d)
+                products.append(g.rep.mul_term(mono, ring.field.one))
+    by_degree: dict[int, list[Polynomial]] = {}
+    seen = set()
+    for d, cand in zip(degrees, B.h0.normal_forms(products)):
+        if cand.is_zero():
+            continue
+        key = cand.sort_key()
+        if key in seen:
+            continue
+        seen.add(key)
+        by_degree.setdefault(d, []).append(cand)
     pool = []
     for d in sorted(by_degree):
         singles = sorted(by_degree[d], key=lambda p: p.sort_key())
         pool.extend(singles)
         for a, b in itertools.combinations(singles, 2):
-            s = h0.nf(a + b)
+            s = a + b  # a sum of normal forms is a normal form
             if s.is_zero():
                 continue
             key = s.sort_key()
@@ -167,10 +189,10 @@ def greedy_regular_sequence(
 ) -> RegularSequenceWitness:
     """Greedy search for a maximal regular sequence inside the ideal.
 
-    Each found element passes to the Koszul DG-ring and the search
-    recurses on the ideal's image.  The witness records per-step kernel
-    certificates and whether the budget ran out before the candidate pool
-    was fully examined.
+    Each candidate is tested by Hilbert series (_regular_on).  Each found
+    element passes to the Koszul DG-ring and the search recurses on the
+    ideal's image.  The witness records per-step certificates and whether
+    the budget ran out before the candidate pool was fully examined.
     """
     elems = [_as_element(e, A.base) for e in ideal_gens]
     _proper_koszul(A, elems)
@@ -188,11 +210,11 @@ def greedy_regular_sequence(
                 return witness
             remaining -= 1
             witness.tested += 1
-            ok, cert = is_regular(stage, cand)
-            if ok:
-                el = ElementOfH0(cand)
+            lo, h = _bottom_homology(stage)  # memoized on the stage
+            el = ElementOfH0(cand)
+            if _regular_on(h, el):
                 witness.elements.append(el)
-                witness.certificates.append(cert)
+                witness.certificates.append(_certificate(el, lo, True))
                 stage = koszul(stage, [el])
                 advanced = True
                 break

@@ -9,19 +9,24 @@ sparse maps (ambient component, exponent) -> scalar, and a map is the
 tuple of its columns: column j is the ModVec image of source generator j
 over the target generators.
 
-Kernels, subquotient presentations and annihilators are one syzygy step,
-modulo(): the syzygies of [gens | rels] projected to the gens
-coordinates.  A subquotient (span(gens) + N)/N, such as a homology
-module, is presented by subquotient() as a minimized cokernel.
+Kernels and subquotient presentations are one syzygy step, modulo(): the
+syzygies of [gens | rels] projected to the gens coordinates.  So is the
+annihilator of a module with two or more generators; a cyclic module Q/I
+is annihilated by I, read off its relations.  A free module's Hilbert
+series is HS(Q) twisted by each generator, with no Groebner basis of its
+own.  A subquotient (span(gens) + N)/N, such as a homology module, is
+presented by subquotient() as a minimized cokernel.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Sequence
 
 from . import groebner as gb
 from .groebner import ModVec
 from .hilbert import HilbertSeries, lead_module_series
+from .linalg import Echelon
 from .poly import Polynomial, PolyRing
 from .rings import FreeModule, QuotientRing
 
@@ -72,30 +77,34 @@ class FPModule:
         """Generators of N: the relations, then the J-multiples of the basis."""
         return list(self.rels) + self.ambient.j_columns()
 
-    def _reduced_basis(self):
-        """(reduced Groebner basis of N, its leading terms), built once and
-        shared by membership tests and the Hilbert series."""
+    def _reduced_basis(self) -> list[ModVec]:
+        """The reduced Groebner basis of N, built once and shared by
+        membership tests and the Hilbert series."""
         if self._basis is None:
             cap = self.ring.poly_ring.degree_cap
-            basis = gb.buchberger(
+            self._basis = gb.buchberger(
                 self.rels, self.ambient.twists, self.ring.field, cap, known=_j_basis(self.ambient)
             )
-            self._basis = (basis, gb.leading_terms(basis))
         return self._basis
 
     def element_is_zero(self, v: ModVec) -> bool:
         """True if the ambient vector v lies in N."""
-        basis, _ = self._reduced_basis()
-        return not gb.normal_form(v, basis, self.ring.field)
+        return not gb.normal_form(v, self._reduced_basis(), self.ring.field)
 
     # -- invariants --
 
     def hilbert_series(self) -> HilbertSeries:
+        """HS(F/N), read from the leads of N's basis (each basis vector's
+        first key); with no relations, N = J * F and the series is HS(Q)
+        twisted by each generator."""
         if self._hilbert is None:
-            _, leads = self._reduced_basis()
-            self._hilbert = lead_module_series(
-                leads, self.ambient.rank, self.ambient.twists, self.ring.poly_ring
-            )
+            ring, twists = self.ring.poly_ring, self.ambient.twists
+            if self.rels:
+                leads = [next(iter(g)) for g in self._reduced_basis()]
+                self._hilbert = lead_module_series(leads, self.ambient.rank, twists, ring)
+            else:
+                q = self.ring.hilbert_series()
+                self._hilbert = sum((q.shift(w) for w in twists), HilbertSeries({}, ring.nvars))
         return self._hilbert
 
     def dim(self):
@@ -106,10 +115,11 @@ class FPModule:
         """Generators (in S) of ann_Q(M), as their nonzero normal forms
         modulo J; callers that want the ideal of S add J's generators.
 
-        Computed as the syzygy coefficient on the stacked column
-        (e_1, ..., e_k) of the basis vectors inside the direct sum of k
-        twisted copies of the ambient module, against all relations in
-        each copy.
+        A cyclic module F/N is Q/I for the ideal I of its relation entries,
+        and I is its annihilator.  With k >= 2 generators, the annihilator
+        is the syzygy coefficient on the stacked column (e_1, ..., e_k) of
+        the basis vectors inside the direct sum of k twisted copies of the
+        ambient module, against all relations in each copy.
         """
         if self._annihilator is not None:
             return self._annihilator
@@ -118,21 +128,22 @@ class FPModule:
         if k == 0:
             self._annihilator = [ring.one]
             return self._annihilator
-        twists = self.ambient.twists
-        big_twists = [t - twists[j] for j in range(k) for t in twists]
-        one = self.ring.field.one
-        stacked = {(j * k + j, (0,) * self.ring.nvars): one for j in range(k)}
-        rels = [
-            gb.vec_offset(rel, j * k)
-            for j in range(k)
-            for rel in self.relation_columns()
-        ]
-        anns = [
-            self.ring.nf(Polynomial(ring, {e: c for (_, e), c in v.items()}))
-            for v in modulo([stacked], rels, big_twists, ring)
-        ]
-        anns = sorted({p for p in anns if not p.is_zero()}, key=lambda p: p.sort_key())
-        self._annihilator = anns
+        if k == 1:
+            entries = self.rels
+        else:
+            twists = self.ambient.twists
+            big_twists = [t - twists[j] for j in range(k) for t in twists]
+            one = self.ring.field.one
+            stacked = {(j * k + j, (0,) * self.ring.nvars): one for j in range(k)}
+            rels = [
+                gb.vec_offset(rel, j * k)
+                for j in range(k)
+                for rel in self.relation_columns()
+            ]
+            entries = modulo([stacked], rels, big_twists, ring)
+        polys = [gb.vec_to_column(v, ring, 1)[0] for v in entries]
+        anns = {p for p in self.ring.normal_forms(polys) if not p.is_zero()}
+        self._annihilator = sorted(anns, key=lambda p: p.sort_key())
         return self._annihilator
 
     # -- minimization --
@@ -270,22 +281,36 @@ def min_gens(
 ) -> list[ModVec]:
     """A minimal generating subset of the given homogeneous columns.
 
-    Greedy by ascending degree with membership tests against the kept
-    part; for graded modules this realizes the Nakayama minimal count.
     The baseline, a Groebner basis (e.g. of J times the ambient module,
     when generation is only needed modulo J), always spans but is never
-    kept.  Each kept column extends the Groebner basis of the span so far.
+    kept.  The columns are taken one degree at a time, in ascending order.
+    In degree d, the normal form modulo a Groebner basis of the baseline
+    and the columns kept so far is k-linear, and its kernel is exactly the
+    degree-d part of their span.  So, in canonical order within degree d,
+    a column is kept when its normal form raises the rank of an echelon of
+    the normal forms before it: the greedy choice, which for graded modules
+    realizes the Nakayama minimal count.  The kept columns of each degree
+    extend the basis once.
     """
     field, cap = ambient.ring.field, ambient.ring.poly_ring.degree_cap
-    candidates = sorted(
-        (c for c in columns if c),
-        key=lambda v: (gb.vec_degree(v, ambient.twists), gb.column_key(v)),
-    )
+
+    def degree(v: ModVec) -> int:
+        return gb.vec_degree(v, ambient.twists)
+
+    candidates = sorted((c for c in columns if c), key=lambda v: (degree(v), gb.column_key(v)))
     basis = [v for v in baseline if v]
     kept: list[ModVec] = []
-    for cand in candidates:
-        if basis and not gb.normal_form(cand, basis, field):
-            continue
-        kept.append(cand)
-        basis = gb.buchberger([cand], ambient.twists, field, cap, known=basis)
+    for _, group in groupby(candidates, key=degree):
+        group = list(group)
+        echelon = Echelon(field)
+        index: dict = {}
+        new = []
+        for cand, nf in zip(group, gb.normal_forms(group, basis, field)):
+            rank = echelon.rank
+            echelon.add({index.setdefault(t, len(index)): c for t, c in nf.items()})
+            if echelon.rank > rank:
+                new.append(cand)
+        if new:
+            kept += new
+            basis = gb.buchberger(new, ambient.twists, field, cap, known=basis)
     return kept

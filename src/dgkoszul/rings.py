@@ -43,7 +43,6 @@ class QuotientRing:
         self.j_gens = tuple(gens)
         self._gb: tuple[Polynomial, ...] | None = None
         self._gb_vecs: list[gb.ModVec] = []
-        self._gb_leads: list[gb.ModTerm] = []
         self._hilbert: HilbertSeries | None = None
         self._resolution = None
 
@@ -66,18 +65,23 @@ class QuotientRing:
         if self._gb is None:
             vecs = [gb.column_to_vec((g,)) for g in self.j_gens]
             self._gb_vecs = gb.buchberger(vecs, (0,), self.field, self.poly_ring.degree_cap)
-            self._gb_leads = gb.leading_terms(self._gb_vecs)
             self._gb = tuple(gb.vec_to_column(v, self.poly_ring, 1)[0] for v in self._gb_vecs)
         return self._gb
 
-    def nf(self, p: Polynomial) -> Polynomial:
-        """Fully reduced normal form of p modulo J."""
-        if p.ring != self.poly_ring:
+    def normal_forms(self, polys: Sequence[Polynomial]) -> list[Polynomial]:
+        """The fully reduced normal form of each polynomial modulo J."""
+        if any(p.ring != self.poly_ring for p in polys):
             raise gb.InhomogeneousError("polynomial from a different ring")
         self.groebner()
-        v = gb.column_to_vec((p,))
-        r = gb.normal_form(v, self._gb_vecs, self.field)
-        return gb.vec_to_column(r, self.poly_ring, 1)[0]
+        vecs = [gb.column_to_vec((p,)) for p in polys]
+        return [
+            gb.vec_to_column(r, self.poly_ring, 1)[0]
+            for r in gb.normal_forms(vecs, self._gb_vecs, self.field)
+        ]
+
+    def nf(self, p: Polynomial) -> Polynomial:
+        """The normal form of one polynomial: normal_forms([p])[0]."""
+        return self.normal_forms([p])[0]
 
     def is_zero(self, p: Polynomial) -> bool:
         return self.nf(p).is_zero()
@@ -97,7 +101,9 @@ class QuotientRing:
     def hilbert_series(self) -> HilbertSeries:
         if self._hilbert is None:
             self.groebner()
-            self._hilbert = monomial_quotient_series([e for _, e in self._gb_leads], self.poly_ring)
+            # Each basis vector's first key is its lead.
+            leads = [next(iter(v))[1] for v in self._gb_vecs]
+            self._hilbert = monomial_quotient_series(leads, self.poly_ring)
         return self._hilbert
 
     def is_nilpotent(self, g: Polynomial) -> bool:

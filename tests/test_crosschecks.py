@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import poly, ring
 from dgkoszul import FPModule, PrimeField, RationalField, koszul, dg_from_ring, subquotient
 from dgkoszul import groebner as gb
-from dgkoszul.complexes import _monomials_of_degree
+from dgkoszul.complexes import _monomials_of_degree, oracle_basis_size, truncation_oracle
 from dgkoszul.duality import betti_table, free_resolution
+from dgkoszul.jobs import MAX_ORACLE_BASIS
 from dgkoszul.linalg import Echelon
 from dgkoszul.parse import parse_poly
 from dgkoszul.poly import PolyRing, Polynomial, mono_mul
@@ -117,25 +118,53 @@ def test_prime_field_and_rationals_agree_on_homology():
     assert table == reference
 
 
-_QUADRIC_MONOMIALS = _monomials_of_degree(3, 2)
-_quadrics = st.dictionaries(
-    st.sampled_from(_QUADRIC_MONOMIALS), st.integers(1, 100), min_size=1
-)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(_quadrics, min_size=2, max_size=3))
-def test_tor_from_the_resolution_matches_koszul_homology(forms):
-    # Tor^S_i(Q, k)_j two ways: the Betti table of the minimal free
-    # resolution of Q over S, and dim H^{-i}(K(x, y, z; Q))_j.  Koszul
-    # homology is killed by (x, y, z), so each series is a polynomial.
-    R = PolyRing(("x", "y", "z"), PrimeField(101))
-    Q = QuotientRing(R, [Polynomial(R, terms) for terms in forms])
-    resolved = betti_table(free_resolution(FPModule.free(Q, (0,))))
-    K = koszul(dg_from_ring(Q), ["x", "y", "z"])
-    from_koszul = {}
+def _koszul_tor(Q):
+    """{i: {j: dim H^{-i}(K(x; Q))_j}}, which is Tor^S_i(Q, k)_j.  Koszul
+    homology is killed by the variables, so each series is a polynomial."""
+    K = koszul(dg_from_ring(Q), list(Q.variables))
+    tor = {}
     for i, hs in K.homology_table().items():
         num, pole = hs.reduced()
         assert pole == 0
-        from_koszul[-i] = {j: c for j, c in num.items() if c}
-    assert resolved == from_koszul
+        tor[-i] = {j: c for j, c in num.items() if c}
+    return K, tor
+
+
+@st.composite
+def _forms(draw):
+    """2-4 forms of degree 2 or 3 in 3 or 4 variables over F_101, and a
+    linear form."""
+    nvars = draw(st.integers(3, 4))
+    R = PolyRing(("x", "y", "z", "w")[:nvars], PrimeField(101))
+    coeffs = st.integers(1, 100)
+
+    def form(degree):
+        monos = st.sampled_from(_monomials_of_degree(nvars, degree))
+        return Polynomial(R, draw(st.dictionaries(monos, coeffs, min_size=1, max_size=4)))
+
+    forms = [form(draw(st.integers(2, 3))) for _ in range(draw(st.integers(2, 4)))]
+    return R, forms, form(1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_forms())
+def test_tor_from_the_resolution_matches_koszul_homology(case):
+    # Tor^S_i(M, k)_j two ways: the Betti table of the minimal free
+    # resolution of M over S, and Koszul homology on the variables, for
+    # M = Q = S/J and M = Q/(l) = S/(J, l).  The truncation oracle, which
+    # uses no Groebner basis, agrees with the Koszul homology of Q in every
+    # degree up to one above reg + n, past its last nonzero entry.
+    R, forms, linear = case
+    Q = QuotientRing(R, forms)
+    K, tor = _koszul_tor(Q)
+    assert betti_table(free_resolution(FPModule.free(Q, (0,)))) == tor
+    reg = max(j - i for i, row in tor.items() for j in row)
+    d_max = reg + R.nvars + 1
+    assert oracle_basis_size(K.underlying, d_max) <= MAX_ORACLE_BASIS
+    oracle = truncation_oracle(K.underlying, d_max)
+    assert oracle == {
+        i: {t: tor.get(-i, {}).get(t, 0) for t in dims} for i, dims in oracle.items()
+    }
+    M = FPModule.quotient_by_ideal(Q, [linear])
+    _, tor_of_m = _koszul_tor(QuotientRing(R, forms + [linear]))
+    assert betti_table(free_resolution(M)) == tor_of_m

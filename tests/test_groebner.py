@@ -11,7 +11,7 @@ from conftest import grevlex_textbook, poly, ring
 from dgkoszul import PolyRing, PrimeField, RationalField, parse_poly
 from dgkoszul import groebner as gb
 from dgkoszul.modules import modulo
-from dgkoszul.poly import mono_divides, mono_mul
+from dgkoszul.poly import grevlex_key, mono_divides, mono_mul
 
 F = PrimeField()
 
@@ -295,8 +295,11 @@ def _submodules(draw, coeffs=st.integers(1, 100)):
 def test_buchberger_gives_a_reduced_basis_with_path_independent_remainders(case):
     rank, twists, gens, probe = case
     basis = gb.buchberger(gens, twists, F101)
-    leads = gb.leading_terms(basis)
+    # Each output vector's first key is its lead: its largest term, term
+    # over position (the lower component wins ties).
+    leads = [next(iter(g)) for g in basis]
     for i, (g, lt) in enumerate(zip(basis, leads)):
+        assert lt == max(g, key=lambda t: (grevlex_key(t[1]), -t[0]))
         assert g[lt] == 1
         for j, (comp, e) in enumerate(leads):
             if j != i:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import poly, ring
 from dgkoszul import (
     FPModule,
+    PrimeField,
     amp_profile,
     cm_certify,
     compute_invariants,
@@ -16,13 +18,20 @@ from dgkoszul import (
     homotopy_fiber,
     is_local_cm,
     is_regular,
+    kernel,
     koszul,
     lcdim,
     seq_depth,
     trivial_extension,
 )
+from dgkoszul.complexes import _monomials_of_degree
+from dgkoszul.dgring import ElementOfH0
 from dgkoszul.hilbert import NEG_INF
-from dgkoszul.invariants import ImproperIdealError, NonLocalMapError
+from dgkoszul.invariants import ImproperIdealError, NonLocalMapError, _regular_on
+from dgkoszul.poly import Polynomial
+
+S101 = ring("x", "y", "z", field=PrimeField(101))
+Q101 = ring("x", "y", "z", ideal=["x*y - z^2"], field=PrimeField(101))
 
 
 def _example_extension(field_ring=None):
@@ -61,6 +70,41 @@ def test_is_regular():
     ext = _example_extension()
     assert is_regular(ext, "y")[0]
     assert not is_regular(ext, "x")[0]
+
+
+@st.composite
+def _cokernels_and_elements(draw):
+    """A graded cokernel of rank 1 or 2 over F_101[x, y, z], modulo xy - z^2
+    or not, and a homogeneous element of degree 1 or 2."""
+    Q = Q101 if draw(st.booleans()) else S101
+    coeffs = st.integers(1, 100)
+    rank = draw(st.integers(1, 2))
+    twists = tuple(draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank)))
+
+    def relation(degree):
+        v = {}
+        for comp, twist in enumerate(twists):
+            if degree >= twist:
+                monos = st.sampled_from(_monomials_of_degree(3, degree - twist))
+                for e in draw(st.lists(monos, max_size=3, unique=True)):
+                    v[(comp, e)] = draw(coeffs)
+        return v
+
+    rels = [relation(draw(st.integers(1, 3))) for _ in range(draw(st.integers(0, 3)))]
+    monos = st.sampled_from(_monomials_of_degree(3, draw(st.integers(1, 2))))
+    x = Polynomial(Q.poly_ring, draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3)))
+    return FPModule.cokernel(Q, twists, rels), ElementOfH0(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cokernels_and_elements())
+def test_the_series_verdict_on_regularity_is_the_kernel_verdict(case):
+    # x is H-regular iff HS(H/xH) = (1 - t^deg x) HS(H), iff no element of
+    # ker(x : F -> F/N) lies outside N.
+    H, x = case
+    times_x = [{(j, e): c for e, c in x.rep.terms.items()} for j in range(H.ambient.rank)]
+    injective = all(H.element_is_zero(v) for v in kernel(times_x, H))
+    assert _regular_on(H, x) == injective
 
 
 def test_depth_examples():

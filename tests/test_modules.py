@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import poly, ring
 from dgkoszul import FPModule, PrimeField, kernel, min_gens, subquotient
 from dgkoszul import groebner as gb
-from dgkoszul.hilbert import NEG_INF
+from dgkoszul.hilbert import NEG_INF, lead_module_series
 from dgkoszul.modules import _j_basis, modulo
 from dgkoszul.groebner import column_to_vec
-from dgkoszul.rings import FreeModule
+from dgkoszul.poly import grevlex_key
+from dgkoszul.rings import FreeModule, QuotientRing
 
 
 def _col(text, Q):
@@ -215,3 +216,53 @@ def test_min_gens_matches_a_rebuild_after_every_kept_column(modulo_j, case):
     baseline = _j_basis(F_RANK2) if modulo_j else []
     expected = _rebuilt_min_gens(columns, F_RANK2, F_RANK2.j_columns() if modulo_j else [])
     assert min_gens(columns, F_RANK2, baseline=baseline) == expected
+
+
+def _term_order_key(term):
+    """Term over position by grevlex_key, the lower component winning ties."""
+    comp, e = term
+    return grevlex_key(e), -comp
+
+
+@pytest.mark.parametrize(
+    "variables,ideal",
+    [(("x", "y"), ["x*y"]), (("x", "y", "z"), ["x^2 - y*z", "x*y*z"]), (("x", "y"), ["1"])],
+    ids=["hypersurface", "two-generators", "zero-ring"],
+)
+@pytest.mark.parametrize("twists", [(), (0,), (-2, 0, 3)], ids=["rank-0", "rank-1", "negative"])
+def test_a_free_modules_series_is_the_rings_series_twisted(variables, ideal, twists):
+    Q = ring(*variables, ideal=ideal)
+    basis = gb.buchberger(FreeModule(Q, len(twists), twists).j_columns(), twists, Q.field)
+    leads = [max(g, key=_term_order_key) for g in basis]
+    expected = lead_module_series(leads, len(twists), twists, Q.poly_ring)
+    assert FPModule.free(Q, twists).hilbert_series() == expected
+
+
+@st.composite
+def _cyclic_modules(draw):
+    """Homogeneous relations of a cyclic module over F_101[x, y, z]/(xy - z^2)
+    on one generator of twist 0 or 1."""
+    twist = draw(st.integers(0, 1))
+
+    def relation(degree):
+        monos = st.sampled_from(_monomials(degree - twist))
+        return {(0, e): draw(st.integers(1, 100)) for e in draw(st.lists(monos, max_size=3, unique=True))}
+
+    rels = [relation(draw(st.integers(twist, 3))) for _ in range(draw(st.integers(0, 3)))]
+    return (twist,), rels
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cyclic_modules())
+def test_a_cyclic_modules_annihilator_is_its_relation_ideal(case):
+    twists, rels = case
+    M = FPModule.cokernel(Q101, twists, rels)
+    R = Q101.poly_ring
+    # The reference is the syzygy coefficient on the generator against
+    # every relation, the stacked-modulo computation of any rank.
+    generator = {(0, (0, 0, 0)): Q101.field.one}
+    reference = [
+        gb.vec_to_column(v, R, 1)[0] for v in modulo([generator], M.relation_columns(), (0,), R)
+    ]
+    ideal = QuotientRing(R, tuple(M.annihilator()) + Q101.j_gens)
+    assert ideal == QuotientRing(R, tuple(reference) + Q101.j_gens)
