@@ -15,7 +15,6 @@ from .rings import FreeModule, QuotientRing, quotient_ring_from_strings
 from .hilbert import NEG_INF, POS_INF, HilbertSeries
 from .modules import FPModule, kernel, min_gens, subquotient
 from .complexes import (
-    Bicomplex,
     Complex,
     euler_series,
     koszul_complex,

@@ -90,6 +90,13 @@ def _report_exit(report: dict) -> int:
     return EXIT_OK
 
 
+def _summarize(label: str, report: dict, elapsed: float) -> None:
+    """One stderr line: the error of a job that never ran, or the label."""
+    failed = report["status"] == "input-error"
+    line = f"input error: {report['error']}" if failed else f"{label} ({elapsed:.2f}s)"
+    print(line, file=sys.stderr)
+
+
 def cmd_compute(args) -> int:
     try:
         job = _load_job(args.job, args)
@@ -100,7 +107,7 @@ def cmd_compute(args) -> int:
     report = run_job(job, _config(args))
     elapsed = time.monotonic() - started
     _emit(canonical_json(report), args.out)
-    print(f"status: {report['status']} ({elapsed:.2f}s)", file=sys.stderr)
+    _summarize(f"status: {report['status']}", report, elapsed)
     return _report_exit(report)
 
 
@@ -127,7 +134,7 @@ def cmd_check(args) -> int:
     _emit(canonical_json(report), args.out)
     record = report["results"][0] if report["results"] else {}
     verdict = (record.get("result") or {}).get("verdict", record.get("status"))
-    print(f"{args.name}: {verdict} ({elapsed:.2f}s)", file=sys.stderr)
+    _summarize(f"{args.name}: {verdict}", report, elapsed)
     return _report_exit(report)
 
 

@@ -9,15 +9,16 @@ the source over the generators of the target.
 
 Sign conventions, pinned once:
   * the rank-1 Koszul differential sends the degree -1 basis vector for a
-    to the element a;
-  * Tot uses d = d_h + (-1)^p d_v with p the horizontal degree;
+    to the element a, and the Koszul complex on several elements is the
+    tensor product of these;
+  * Tot(C (x) D) uses d = d_C (x) 1 + (-1)^p 1 (x) d_D on C^p (x) D^q; it
+    lives in tensor_complexes, the one place that builds a tensor product;
   * the dual of a complex of frees uses (-1)^(i+1) on the transpose;
   * shift(C, j) multiplies differentials by (-1)^j.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
@@ -200,128 +201,62 @@ class Complex:
         return f"Complex({rng}, ranks={[self.term(i).ambient.rank for i in self.support]})"
 
 
-def direct_sum(modules: Sequence[FPModule], ring: QuotientRing) -> FPModule:
-    """Direct sum of modules, blocks in the given order."""
-    twists: list[int] = []
-    offsets = []
-    for m in modules:
-        offsets.append(len(twists))
-        twists.extend(m.ambient.twists)
-    rels = [gb.vec_offset(r, off) for off, m in zip(offsets, modules) for r in m.rels]
-    return FPModule.cokernel(ring, tuple(twists), rels)
+def tensor_complexes(C: Complex, D: Complex) -> Complex:
+    """Tot(C (x) D); at least one factor must be termwise free.
 
-
-class Bicomplex:
-    """Grid of modules with commuting horizontal and vertical differentials,
-    each a tuple of ModVec columns as in Complex."""
-
-    def __init__(self, ring: QuotientRing, grid: dict, d_h: dict, d_v: dict):
-        self.ring = ring
-        self.grid = {pq: m for pq, m in grid.items() if m.ambient.rank > 0}
-        self.d_h = {pq: m for pq, m in d_h.items() if pq in self.grid}
-        self.d_v = {pq: m for pq, m in d_v.items() if pq in self.grid}
-
-    def validate(self) -> None:
-        """Every square commutes; a missing map counts as zero."""
-        field = self.ring.field
-        for (p, q), m in self.grid.items():
-            tgt = self.grid.get((p + 1, q + 1))
-            if tgt is None:
-                continue
-            a = _compose(self.d_v.get((p + 1, q)), self.d_h.get((p, q)), field)
-            b = _compose(self.d_h.get((p, q + 1)), self.d_v.get((p, q)), field)
-            if not _agree(a, b, tgt, m.ambient.rank):
-                raise AssertionError(f"square at {(p, q)} does not commute")
-
-    def total(self) -> Complex:
-        """Tot with d = d_h + (-1)^p d_v; the blocks of a total degree are
-        ordered by (p, q)."""
-        field = self.ring.field
-        degrees = sorted({p + q for (p, q) in self.grid})
-        blocks = {
-            i: sorted(pq for pq in self.grid if pq[0] + pq[1] == i)
-            for i in degrees
-        }
-        terms = {
-            i: direct_sum([self.grid[pq] for pq in blocks[i]], self.ring)
-            for i in degrees
-        }
-        offset = {}
-        for i in degrees:
-            off = 0
-            for pq in blocks[i]:
-                offset[pq] = off
-                off += self.grid[pq].ambient.rank
-        diffs = {}
-        for i in degrees:
-            if (i + 1) not in blocks:
-                continue
-            cols = []
-            for p, q in blocks[i]:
-                h = self.d_h.get((p, q)) if (p + 1, q) in self.grid else None
-                v = self.d_v.get((p, q)) if (p, q + 1) in self.grid else None
-                sign = field.from_int(-1 if p % 2 else 1)
-                for c in range(self.grid[(p, q)].ambient.rank):
-                    col = {}
-                    if h is not None:
-                        col.update(gb.vec_offset(h[c], offset[(p + 1, q)]))
-                    if v is not None:
-                        signed = gb.vec_scale(v[c], sign, field)
-                        col.update(gb.vec_offset(signed, offset[(p, q + 1)]))
-                    cols.append(col)
-            diffs[i] = tuple(cols)
-        return Complex(self.ring, terms, diffs)
-
-
-def tensor_bicomplex(C: Complex, D: Complex) -> Bicomplex:
-    """Bicomplex of C (x) D; at least one side must be termwise free.
-
-    Horizontal direction is C.  Block generators are indexed (i, j) with
-    the C index outermost: generator i * rank(D^q) + j.
+    The term of total degree i is the direct sum of the blocks C^p (x) D^q
+    with p + q = i, in increasing p.  Generator (a, b) of a block, a of C^p
+    and b of D^q, is its generator a * rank(D^q) + b; the block's relations
+    are those of C^p on each b, then those of D^q on each a.  The
+    differential is d = d_C (x) 1 + (-1)^p 1 (x) d_D.  One pass builds the
+    terms from the top degree down, so the block offsets of term i + 1 are
+    known when the columns of d^i are built.
     """
     ring = C.ring
     if ring != D.ring:
         raise ValueError("tensor factors live over different rings")
     if not (C.is_termwise_free() or D.is_termwise_free()):
         raise ValueError("one tensor factor must be termwise free")
-    grid = {}
-    d_h = {}
-    d_v = {}
-    for p, cp in C.terms.items():
-        for q, dq in D.terms.items():
-            kd = dq.ambient.rank
-            twists = tuple(a + b for a in cp.ambient.twists for b in dq.ambient.twists)
-            rels = [
-                {(i * kd + j, e): c for (i, e), c in r.items()}
-                for j in range(kd)
+    field = ring.field
+    blocks: dict = {}
+    for p in sorted(C.terms):
+        for q in sorted(D.terms):
+            blocks.setdefault(p + q, []).append((p, q))
+    offset = {}
+    terms = {}
+    diffs = {}
+    for i in sorted(blocks, reverse=True):
+        twists: list[int] = []
+        rels = []
+        cols = []
+        for p, q in blocks[i]:
+            cp, dq = C.terms[p], D.terms[q]
+            kc, kd = cp.ambient.rank, dq.ambient.rank
+            o = offset[(p, q)] = len(twists)
+            twists += [u + w for u in cp.ambient.twists for w in dq.ambient.twists]
+            rels += [
+                {(o + a * kd + b, e): c for (a, e), c in r.items()}
+                for b in range(kd)
                 for r in cp.rels
-            ] + [gb.vec_offset(r, i * kd) for i in range(cp.ambient.rank) for r in dq.rels]
-            grid[(p, q)] = FPModule.cokernel(ring, twists, rels)
-    for p, q in grid:
-        kd = D.terms[q].ambient.rank
-        dc = C.diffs.get(p)
-        if dc is not None and (p + 1, q) in grid:
-            # d_C (x) 1 sends generator (c, j) to sum_r dc[c]_r (r, j)
-            d_h[(p, q)] = tuple(
-                {(r * kd + j, e): v for (r, e), v in col.items()}
-                for col in dc
-                for j in range(kd)
-            )
-        dd = D.diffs.get(q)
-        if dd is not None and (p, q + 1) in grid:
-            # 1 (x) d_D sends generator (i, c) to sum_r dd[c]_r (i, r)
-            kd_tgt = D.terms[q + 1].ambient.rank
-            d_v[(p, q)] = tuple(
-                gb.vec_offset(col, i * kd_tgt)
-                for i in range(C.terms[p].ambient.rank)
-                for col in dd
-            )
-    return Bicomplex(ring, grid, d_h, d_v)
-
-
-def tensor_complexes(C: Complex, D: Complex) -> Complex:
-    """Tot of the tensor bicomplex (C free termwise, or D free termwise)."""
-    return tensor_bicomplex(C, D).total()
+            ]
+            rels += [gb.vec_offset(r, o + a * kd) for a in range(kc) for r in dq.rels]
+            dc, dd = C.diffs.get(p), D.diffs.get(q)
+            if dd is not None:
+                sign = field.from_int(-1 if p % 2 else 1)
+                signed = [gb.vec_scale(col, sign, field) for col in dd]
+                kd_next = D.terms[q + 1].ambient.rank
+            for a in range(kc):
+                for b in range(kd):
+                    col = {}
+                    if dc is not None:
+                        h = offset[(p + 1, q)] + b
+                        col.update({(h + r * kd, e): v for (r, e), v in dc[a].items()})
+                    if dd is not None:
+                        col.update(gb.vec_offset(signed[b], offset[(p, q + 1)] + a * kd_next))
+                    cols.append(col)
+        terms[i] = FPModule.cokernel(ring, tuple(twists), rels)
+        diffs[i] = tuple(cols)  # Complex drops d^i of the top term
+    return Complex(ring, terms, diffs)
 
 
 # ---------- Koszul complexes ----------
@@ -331,48 +266,37 @@ def koszul_complex(
     elements: Sequence[Polynomial],
     degrees: Sequence[int] | None = None,
 ) -> Complex:
-    """The Koszul complex on the given homogeneous elements of Q.
+    """The Koszul complex K(a_1) (x) (K(a_2) (x) ... (K(a_n) (x) Q)) on the
+    given homogeneous elements of Q, where K(a) is Q(-deg a) -> Q sending
+    its generator to a, and Q is the rank-1 free complex in degree 0.
 
-    Terms sit in degrees [-n, 0]; the term in degree -k has one generator
-    per k-subset of the elements (subsets in lexicographic order), twisted
-    by the sum of the element degrees.  d(e_T) = sum over positions l of
-    (-1)^(l-1) a_{t_l} e_{T minus t_l}.
+    Terms sit in degrees [-n, 0].  By the block order of tensor_complexes,
+    which puts the subsets that hold a_1 first, the term in degree -k has
+    one generator per k-subset of the elements, subsets in lexicographic
+    order, twisted by the sum of the element degrees, and d(e_T) = sum over
+    positions l of (-1)^(l-1) a_{t_l} e_{T minus t_l}.
 
     Zero elements need an explicit degree (default 1): the cone of the
     zero map still carries a twist.
     """
-    n = len(elements)
     degs = []
     for idx, a in enumerate(elements):
         d = a.homogeneous_degree()
+        if d is None and not a.is_zero():
+            raise gb.InhomogeneousError(f"Koszul element {a} is not homogeneous")
         if d is None:
-            if a.is_zero():
-                d = degrees[idx] if degrees is not None else 1
-            else:
-                raise gb.InhomogeneousError(
-                    f"Koszul element {a} is not homogeneous"
-                )
+            d = degrees[idx] if degrees is not None else 1
         degs.append(d)
-    field = ring.field
-    subsets = {
-        k: list(itertools.combinations(range(n), k)) for k in range(n + 1)
-    }
-    terms = {}
-    for k in range(n + 1):
-        twists = [sum(degs[i] for i in T) for T in subsets[k]]
-        terms[-k] = FPModule.free(ring, tuple(twists))
-    diffs = {}
-    for k in range(1, n + 1):
-        tgt_index = {T: r for r, T in enumerate(subsets[k - 1])}
-        diffs[-k] = tuple(
-            {
-                (tgt_index[T[:l] + T[l + 1:]], e): c if l % 2 == 0 else field.neg(c)
-                for l, t in enumerate(T)
-                for e, c in elements[t].terms.items()
-            }
-            for T in subsets[k]
+    unit = FPModule.free(ring, (0,))
+    K = Complex(ring, {0: unit}, {})
+    for a, d in reversed(list(zip(elements, degs))):
+        rank_one = Complex(
+            ring,
+            {-1: FPModule.free(ring, (d,)), 0: unit},
+            {-1: ({(0, e): c for e, c in a.terms.items()},)},
         )
-    return Complex(ring, terms, diffs)
+        K = tensor_complexes(rank_one, K)
+    return K
 
 
 def euler_series(K: Complex) -> HilbertSeries:

@@ -37,6 +37,12 @@ SCHEMA_VERSION = 1
 # (1,884,961) 11 s and 42 s.
 MAX_ORACLE_DEPTH = 16
 MAX_ORACLE_BASIS = 100_000
+# Declared Koszul degrees and module twists become exponents of Hilbert
+# series, and hilbert._divide_by_one_minus_t walks the whole exponent span:
+# the reduced numerator of (1 - t^D)/(1 - t) really has |D| terms.  Over
+# k[x,y]/(xy), a zero Koszul element of degree -10^7 cost 0.7 s, -10^8 7 s,
+# and -10^12 did not finish.
+MAX_DEGREE = 1000
 
 
 class JobError(ValueError):
@@ -54,8 +60,8 @@ def _build_module(spec: dict, ring: QuotientRing) -> FPModule:
     if not isinstance(spec, dict):
         raise JobError("a module must be a JSON object")
     twists = spec.get("twists", [0])
-    if not _is_int_list(twists):
-        raise JobError("module 'twists' must be a list of integers")
+    if not _is_degree_list(twists):
+        raise JobError(f"module 'twists' must list integers from -{MAX_DEGREE} to {MAX_DEGREE}")
     rels = spec.get("rels", [])
     if not (isinstance(rels, list) and all(map(_is_text_list, rels))):
         raise JobError("module 'rels' must be a list of polynomial columns")
@@ -79,8 +85,11 @@ def build_dg(spec: dict, ring: QuotientRing) -> DGRingRep:
         texts = spec.get("elements", [])
         if not _is_text_list(texts):
             raise JobError("koszul 'elements' must be a list of polynomials")
-        if degrees is not None and not (_is_int_list(degrees) and len(degrees) == len(texts)):
-            raise JobError("koszul 'degrees' must list one integer per element")
+        if degrees is not None and not (_is_degree_list(degrees) and len(degrees) == len(texts)):
+            raise JobError(
+                f"koszul 'degrees' must list one integer from -{MAX_DEGREE} to {MAX_DEGREE}"
+                " per element"
+            )
         elems = []
         for idx, text in enumerate(texts):
             p = parse_poly(text, ring.poly_ring)
@@ -196,8 +205,8 @@ def _task_duality(dg: DGRingRep, task: dict, config: RunConfig) -> dict:
     return out
 
 
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(type(v) is int for v in value)
+def _is_degree_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int and abs(v) <= MAX_DEGREE for v in value)
 
 
 _SEQUENCE_KEYS = ("elements", "ideal", "first", "second", "alternates", "images")

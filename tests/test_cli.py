@@ -290,3 +290,32 @@ def test_malformed_job_file_is_a_one_line_input_error(tmp_path, job, argv, messa
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [f"input error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "dg, message",
+    [
+        (
+            {"kind": "koszul", "elements": ["0", "x"], "degrees": [-10**12, 1]},
+            "koszul 'degrees' must list one integer from -1000 to 1000 per element",
+        ),
+        (
+            {
+                "kind": "trivial_extension",
+                "module": {"twists": [0, -10**12], "rels": [["x", "0"], ["0", "x"]]},
+            },
+            "module 'twists' must list integers from -1000 to 1000",
+        ),
+    ],
+    ids=["koszul degree", "module twist"],
+)
+@pytest.mark.parametrize("argv", [("compute",), ("check", "gorenstein_transfer")])
+def test_a_job_that_never_runs_gives_one_input_error_line(tmp_path, dg, message, argv):
+    # Both degrees would become Hilbert-series exponents of size 10^12.
+    job = dict(BASIC_JOB, dg=dg)
+    if argv[0] == "check":
+        job["check_args"] = {"elements": ["x"]}
+    result = run_cli(*argv, write_job(tmp_path, job), timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"input error: {message}"]
+    assert json.loads(result.stdout)["status"] == "input-error"

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import poly, ring
 from dgkoszul import (
-    Bicomplex,
     Complex,
     FPModule,
     PolyRing,
@@ -18,13 +17,13 @@ from dgkoszul import (
     koszul_complex,
     run_job,
     tensor_complexes,
+    trivial_extension,
     truncation_oracle,
 )
 from dgkoszul.complexes import (
     _monomials_of_degree,
     homology_hilbert_functions,
     oracle_basis_size,
-    tensor_bicomplex,
 )
 from dgkoszul.groebner import column_to_vec
 from dgkoszul.hilbert import NEG_INF, POS_INF
@@ -84,28 +83,42 @@ def test_total_complex_of_single_row_is_that_row():
     assert T.diffs == C.diffs
 
 
-def test_bicomplex_squares_commute():
-    Q = ring("x", "y")
-    B = tensor_bicomplex(_koszul(Q, ["x"]), _koszul(Q, ["y"]))
-    B.validate()
-
-
-def test_bicomplex_square_with_a_missing_map_must_still_commute():
-    # Over k[x]: one path around the square is 1*x, the other has no map
-    # at all (zero), so the square does not commute and Tot has d*d != 0.
+def test_complex_with_a_nonzero_d_squared_is_rejected():
+    # Over k[x]: Q(-1) --x--> Q --1--> Q, each map well defined, but d∘d = x.
     Q = ring("x")
     x, one = poly("x", Q), Q.poly_ring.one
-    grid = {
-        (0, 0): FPModule.free(Q, (1,)),
-        (1, 0): FPModule.free(Q, (1,)),
-        (0, 1): FPModule.free(Q, (0,)),
-        (1, 1): FPModule.free(Q, (0,)),
-    }
-    B = Bicomplex(Q, grid, {(0, 1): _map((one,))}, {(0, 0): _map((x,))})
+    terms = {0: FPModule.free(Q, (1,)), 1: FPModule.free(Q, (0,)), 2: FPModule.free(Q, (0,))}
+    C = Complex(Q, terms, {0: _map((x,)), 1: _map((one,))})
     with pytest.raises(AssertionError, match="d∘d"):
-        B.total().validate()
-    with pytest.raises(AssertionError, match="does not commute"):
-        B.validate()
+        C.validate()
+
+
+def _relation_cases():
+    """(free Koszul complex, complex with relations) pairs over one ring."""
+    Q = ring("x", "y", "z", ideal=["x*y - z^2"])
+    line = FPModule.quotient_by_ideal(Q, [poly("x + y", Q)])
+    # generators of degrees 0 and 1 with relations x*e0 and z^2*e0 + y*e1
+    M = FPModule.cokernel(
+        Q, (0, 1), _map((poly("x", Q), poly("0", Q)), (poly("z^2", Q), poly("y", Q)))
+    )
+    extension = trivial_extension(Q, M, 1).underlying
+    return [
+        (_koszul(Q, ["x", "z"]), Complex(Q, {0: line}, {})),
+        (_koszul(Q, ["x", "y^2"]), tensor_complexes(extension, _koszul(Q, ["y"]))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(2), ids=["Q/(l)", "K(y) over a trivial extension"])
+def test_relations_on_either_side_of_a_tensor_give_the_same_homology(case):
+    # The two orders put the relations on opposite sides of the tensor
+    # product, so each relation branch of tensor_complexes checks the other.
+    K, D = _relation_cases()[case]
+    assert not D.is_termwise_free()
+    left, right = tensor_complexes(K, D), tensor_complexes(D, K)
+    left.validate()
+    right.validate()
+    assert left.homology_table() == right.homology_table()
+    assert left.homology_table()
 
 
 def test_hom_dual_of_rank_one_koszul():
@@ -268,6 +281,58 @@ def _koszul_over_a_quadric(draw):
     Q = QuotientRing(S101, [draw(_forms(2).filter(lambda q: not q.is_zero()))])
     elements = [draw(_forms(draw(st.integers(1, 2)))) for _ in range(draw(st.integers(1, 3)))]
     return koszul_complex(Q, elements)
+
+
+def _reference_koszul(ring, elements, degrees):
+    """The Koszul complex built subset by subset: the term in degree -k has
+    one generator per k-subset T of the elements, in lexicographic order,
+    twisted by the sum of their degrees, and d(e_T) is the sum over
+    positions l of (-1)^(l-1) a_{t_l} e_{T minus t_l}."""
+    n = len(elements)
+    degs = [
+        degrees[i] if a.is_zero() else a.homogeneous_degree() for i, a in enumerate(elements)
+    ]
+    field = ring.field
+    subsets = {k: list(itertools.combinations(range(n), k)) for k in range(n + 1)}
+    terms = {
+        -k: FPModule.free(ring, tuple(sum(degs[i] for i in T) for T in subsets[k]))
+        for k in range(n + 1)
+    }
+    diffs = {}
+    for k in range(1, n + 1):
+        tgt_index = {T: r for r, T in enumerate(subsets[k - 1])}
+        diffs[-k] = tuple(
+            {
+                (tgt_index[T[:l] + T[l + 1:]], e): c if l % 2 == 0 else field.neg(c)
+                for l, t in enumerate(T)
+                for e, c in elements[t].terms.items()
+            }
+            for T in subsets[k]
+        )
+    return Complex(ring, terms, diffs)
+
+
+@st.composite
+def _elements_over_a_quadric(draw):
+    """Q = F_101[x, y, z]/(q), 0 to 4 forms of degree 1 or 2 (some of them
+    zero), and a declared degree for each."""
+    Q = QuotientRing(S101, [draw(_forms(2).filter(lambda q: not q.is_zero()))])
+    form = st.integers(1, 2).flatmap(_forms)
+    elements = draw(st.lists(st.one_of(form, st.just(S101.zero)), max_size=4))
+    degrees = draw(st.lists(st.integers(-3, 3), min_size=len(elements), max_size=len(elements)))
+    return Q, elements, degrees
+
+
+@settings(max_examples=100, deadline=None)
+@given(_elements_over_a_quadric())
+def test_koszul_complex_matches_the_subset_indexed_reference(case):
+    Q, elements, degrees = case
+    K = koszul_complex(Q, elements, degrees=degrees)
+    R = _reference_koszul(Q, elements, degrees)
+    assert {i: t.ambient.twists for i, t in K.terms.items()} == {
+        i: t.ambient.twists for i, t in R.terms.items()
+    }
+    assert K.diffs == R.diffs
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,7 +19,7 @@ from dgkoszul import groebner as gb
 from dgkoszul.checks import MAX_EULER_DEPTH
 from dgkoszul.dgring import MAX_COMPLEX_RANK
 from dgkoszul.fields import FieldError
-from dgkoszul.jobs import MAX_ORACLE_BASIS, MAX_ORACLE_DEPTH, MAX_VARIABLES
+from dgkoszul.jobs import MAX_DEGREE, MAX_ORACLE_BASIS, MAX_ORACLE_DEPTH, MAX_VARIABLES
 from dgkoszul.parse import MAX_EXPONENT, ParseError
 
 SUITE = Path(__file__).resolve().parent.parent / "suite"
@@ -142,6 +142,16 @@ MALFORMED = {
     ),
     "dg degrees not a list": _job(dg={"kind": "koszul", "elements": ["0"], "degrees": 5}),
     "dg degrees too short": _job(dg={"kind": "koszul", "elements": ["0", "0"], "degrees": [1]}),
+    "dg degree far below the bound": _job(
+        ideal=["x*y"], dg={"kind": "koszul", "elements": ["0", "x"], "degrees": [-10**12, 1]}
+    ),
+    "module twist far below the bound": _job(
+        ideal=["x*y"],
+        dg={
+            "kind": "trivial_extension",
+            "module": {"twists": [0, -10**12], "rels": [["x", "0"], ["0", "x"]]},
+        },
+    ),
     "task not an object": _job(tasks=[5]),
     "tasks not a list": _job(tasks=5),
     "module twists not a list": _job(dg={"kind": "trivial_extension", "module": {"twists": 5}}),
@@ -252,6 +262,38 @@ def test_malformed_job_gives_an_error_status_not_an_exception(job):
         assert report["error"]
     else:
         assert all(r["status"] == "error" for r in report["results"])
+
+
+def _degree_job(degree, kind):
+    """A job over k[x,y]/(xy) whose DG ring declares the given degree, as
+    the degree of a zero Koszul element or as a module twist."""
+    if kind == "koszul":
+        dg = {"kind": "koszul", "elements": ["0", "x"], "degrees": [degree, 1]}
+    else:
+        module = {"twists": [0, degree], "rels": [["x", "0"], ["0", "x"]]}
+        dg = {"kind": "trivial_extension", "module": module}
+    tasks = [
+        {"task": "koszul", "elements": ["x"], "oracle_depth": 0},
+        {"task": "invariants"},
+        {"task": "duality", "elements": ["x"]},
+        {"task": "check", "name": "gorenstein_transfer", "elements": ["x"]},
+    ]
+    return _job(ideal=["x*y"], dg=dg, tasks=tasks)
+
+
+@pytest.mark.parametrize("kind", ["koszul", "trivial_extension"])
+def test_declared_degrees_are_bounded(kind):
+    # A degree becomes a Hilbert-series exponent, so the work grows with
+    # it: just past the bound is an input error, and at the bound every
+    # task ends, if only at the degree cap, well within a second.
+    for degree in (-MAX_DEGREE - 1, MAX_DEGREE + 1):
+        report = run_job(_degree_job(degree, kind))
+        assert report["status"] == "input-error"
+        assert f"from -{MAX_DEGREE} to {MAX_DEGREE}" in report["error"]
+    for degree in (-MAX_DEGREE, MAX_DEGREE):
+        start = time.monotonic()
+        assert run_job(_degree_job(degree, kind))["status"] in ("ok", "task-error", "resource-cap")
+        assert time.monotonic() - start < 1.0
 
 
 def test_null_task_elements_mean_none():

@@ -1,6 +1,6 @@
 """Canonical reports are byte-identical to the digests recorded in
-bench/digests.json: every suite fixture, and the variant-0 (identity
-coordinates) jobs of the koszul_ladder workload."""
+bench/digests.json: every suite fixture, and every job of every recorded
+coordinate variant of the koszul_ladder and oracle_sweep workloads."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ DIGESTS = json.loads((ROOT / "bench" / "digests.json").read_text(encoding="utf-8
 _spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
-LADDER = dict(workloads.make_jobs("koszul_ladder", 0, ROOT))
 
 
 def _digest(job) -> str:
@@ -32,6 +31,19 @@ def test_suite_report_matches_recorded_digest(name):
     assert _digest(job) == DIGESTS["suite"]["0"][name]
 
 
-@pytest.mark.parametrize("name", sorted(LADDER))
-def test_koszul_ladder_report_matches_recorded_digest(name):
-    assert _digest(LADDER[name]) == DIGESTS["koszul_ladder"]["0"][name]
+# make_jobs reads its seed modulo VARIANTS, so seed v gives variant v.
+VARIANT_JOBS = [
+    (workload, variant, name, job)
+    for workload in ("koszul_ladder", "oracle_sweep")
+    for variant in range(workloads.VARIANTS)
+    for name, job in workloads.make_jobs(workload, variant, ROOT)
+]
+
+
+@pytest.mark.parametrize(
+    "workload, variant, name, job",
+    VARIANT_JOBS,
+    ids=[f"{w}-{v}-{n}" for w, v, n, _ in VARIANT_JOBS],
+)
+def test_workload_report_matches_recorded_digest(workload, variant, name, job):
+    assert _digest(job) == DIGESTS[workload][str(variant)][name]
