@@ -8,12 +8,13 @@ bases, normal forms, syzygies and Hilbert series.
 
 from dgkoszul import (
     PolyRing,
+    Polynomial,
     PrimeField,
     parse_poly,
     quotient_ring_from_strings,
 )
 from dgkoszul import groebner as gb
-from dgkoszul.poly import grevlex_key
+from dgkoszul.poly import grevlex_key, vec_to_column
 
 field = PrimeField()
 R = PolyRing(("x", "y", "z"), field)
@@ -31,24 +32,25 @@ print("grevlex: y^2 > x*z   ", grevlex_key((0, 2, 0)) > grevlex_key((1, 0, 1)))
 print("grevlex: z^3 > x^2   ", grevlex_key((0, 0, 3)) > grevlex_key((2, 0, 0)))
 
 # --- a Groebner basis in grevlex ---
+# A polynomial is the rank-1 case of a module vector: p.vec maps
+# (0, exponent) to the coefficient, and the engine works on such vectors.
 # The generators are inhomogeneous, which the engine allows on request.
 gens = [parse_poly(t, R) for t in ("x^2 - y", "x*y - z")]
-vecs = [gb.column_to_vec((g,)) for g in gens]
-basis = gb.buchberger(vecs, (0,), field, allow_inhomogeneous=True)
+basis = gb.buchberger([g.vec for g in gens], (0,), field, allow_inhomogeneous=True)
 print("\ngrevlex basis of (x^2 - y, x*y - z):")
 for v in basis:
-    print("  ", gb.vec_to_column(v, R, 1)[0])
+    print("  ", Polynomial(R, v))
 # y^2 - x*z = x*(x*y - z) - y*(x^2 - y) lies in the ideal:
 claimed = parse_poly("y^2 - x*z", R)
-rem = gb.normal_form(gb.column_to_vec((claimed,)), basis, field)
+rem = gb.normal_form(claimed.vec, basis, field)
 print("y^2 - x*z reduces to zero:", not rem)
 
 # --- syzygies ---
 R2 = PolyRing(("x", "y"), field)
-vx = gb.column_to_vec((parse_poly("x", R2),))
-vy = gb.column_to_vec((parse_poly("y", R2),))
+vx = parse_poly("x", R2).vec
+vy = parse_poly("y", R2).vec
 syz = gb.syzygies([vx, vy], (0,), R2)
-print("\nsyzygies of (x, y):", [gb.vec_to_column(s, R2, 2) for s in syz])
+print("\nsyzygies of (x, y):", [vec_to_column(s, R2, 2) for s in syz])
 
 # --- Hilbert series and Krull dimension of quotient rings ---
 for variables, ideal in [

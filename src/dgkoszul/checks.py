@@ -7,7 +7,6 @@ instantiates, the hypotheses it validated, and both computed sides.
 
 from __future__ import annotations
 
-from . import groebner as gb
 from .complexes import Complex, euler_series, homology_hilbert_functions, truncation_oracle
 from .dgring import (
     DGRingRep,
@@ -33,6 +32,7 @@ from .invariants import (
 )
 from .modules import FPModule
 from .parse import parse_poly
+from .poly import column_to_vec, vec_to_column
 from .rings import MAX_VARIABLES, quotient_ring_from_strings
 
 
@@ -196,7 +196,7 @@ def check_base_change(A: DGRingRep, args, config) -> dict:
     for i, m in K.underlying.diffs.items():
         rows = K.underlying.terms[i + 1].ambient.rank
         mapped_diffs[i] = tuple(
-            gb.column_to_vec(map(f.apply, gb.vec_to_column(col, A.base.poly_ring, rows)))
+            column_to_vec(map(f.apply, vec_to_column(col, A.base.poly_ring, rows)))
             for col in m
         )
     mapped = Complex(target, mapped_terms, mapped_diffs)

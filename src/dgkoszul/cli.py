@@ -21,8 +21,8 @@ import time
 
 from .checks import CHECK_NAMES
 from .fields import FieldError
-from .groebner import DEFAULT_DEGREE_CAP
 from .jobs import JobError, RunConfig, canonical_json, run_job, run_suite
+from .poly import DEFAULT_DEGREE_CAP
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1

@@ -26,7 +26,7 @@ from . import groebner as gb
 from .hilbert import NEG_INF, POS_INF, HilbertSeries
 from .linalg import Echelon
 from .modules import FPModule, kernel, subquotient
-from .poly import Polynomial
+from .poly import Polynomial, vec_add_multiple, vec_combination, vec_degree, vec_offset, vec_scale
 from .rings import QuotientRing
 
 
@@ -34,7 +34,7 @@ def _compose(outer, inner, field):
     """The columns of outer∘inner, or None (zero) if either map is missing."""
     if outer is None or inner is None:
         return None
-    return tuple(gb.vec_combination(outer, col, field) for col in inner)
+    return tuple(vec_combination(outer, col, field) for col in inner)
 
 
 def _agree(a, b, target: FPModule, n: int) -> bool:
@@ -46,7 +46,7 @@ def _agree(a, b, target: FPModule, n: int) -> bool:
     for j in range(n):
         v = dict(a[j]) if a is not None else {}
         if b is not None:
-            gb.vec_add_multiple(v, b[j], zero_expo, minus_one, field)
+            vec_add_multiple(v, b[j], zero_expo, minus_one, field)
         if not target.element_is_zero(v):
             return False
     return True
@@ -168,7 +168,7 @@ class Complex:
         sign = field.from_int(-1 if j % 2 else 1)
         terms = {i - j: t for i, t in self.terms.items()}
         diffs = {
-            i - j: tuple(gb.vec_scale(col, sign, field) for col in m)
+            i - j: tuple(vec_scale(col, sign, field) for col in m)
             for i, m in self.diffs.items()
         }
         return Complex(self.ring, terms, diffs)
@@ -239,11 +239,11 @@ def tensor_complexes(C: Complex, D: Complex) -> Complex:
                 for b in range(kd)
                 for r in cp.rels
             ]
-            rels += [gb.vec_offset(r, o + a * kd) for a in range(kc) for r in dq.rels]
+            rels += [vec_offset(r, o + a * kd) for a in range(kc) for r in dq.rels]
             dc, dd = C.diffs.get(p), D.diffs.get(q)
             if dd is not None:
                 sign = field.from_int(-1 if p % 2 else 1)
-                signed = [gb.vec_scale(col, sign, field) for col in dd]
+                signed = [vec_scale(col, sign, field) for col in dd]
                 kd_next = D.terms[q + 1].ambient.rank
             for a in range(kc):
                 for b in range(kd):
@@ -252,7 +252,7 @@ def tensor_complexes(C: Complex, D: Complex) -> Complex:
                         h = offset[(p + 1, q)] + b
                         col.update({(h + r * kd, e): v for (r, e), v in dc[a].items()})
                     if dd is not None:
-                        col.update(gb.vec_offset(signed[b], offset[(p, q + 1)] + a * kd_next))
+                        col.update(vec_offset(signed[b], offset[(p, q + 1)] + a * kd_next))
                     cols.append(col)
         terms[i] = FPModule.cokernel(ring, tuple(twists), rels)
         diffs[i] = tuple(cols)  # Complex drops d^i of the top term
@@ -290,11 +290,7 @@ def koszul_complex(
     unit = FPModule.free(ring, (0,))
     K = Complex(ring, {0: unit}, {})
     for a, d in reversed(list(zip(elements, degs))):
-        rank_one = Complex(
-            ring,
-            {-1: FPModule.free(ring, (d,)), 0: unit},
-            {-1: ({(0, e): c for e, c in a.terms.items()},)},
-        )
+        rank_one = Complex(ring, {-1: FPModule.free(ring, (d,)), 0: unit}, {-1: (a.vec,)})
         K = tensor_complexes(rank_one, K)
     return K
 
@@ -389,12 +385,9 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
             return None
         return [(comp, pack(e), c) for (comp, e), c in col.items()]
 
-    j_gens = [
-        (g.homogeneous_degree(), pack_column({(0, e): c for e, c in g.terms.items()}))
-        for g in ring.j_gens
-    ]
+    j_gens = [(g.homogeneous_degree(), pack_column(g.vec)) for g in ring.j_gens]
     relations = {
-        i: [(gb.vec_degree(col, t.ambient.twists), pack_column(col)) for col in t.rels]
+        i: [(vec_degree(col, t.ambient.twists), pack_column(col)) for col in t.rels]
         for i, t in C.terms.items()
     }
     diffs = {i: [pack_column(col) for col in m] for i, m in C.diffs.items()}

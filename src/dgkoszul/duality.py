@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 
-from . import groebner as gb
 from .complexes import Complex, _agree, _compose, koszul_complex, tensor_complexes
 from .dgring import DGRingRep
 from .modules import FPModule, min_gens, modulo
+from .poly import vec_degree
 from .rings import FreeModule, QuotientRing
 
 
@@ -49,7 +49,7 @@ def free_resolution(M: FPModule) -> Complex:
         k += 1
         if k > ring.nvars + 1:
             raise ResolutionError("resolution exceeded the syzygy bound")
-        col_degs = tuple(gb.vec_degree(c, ambient.twists) for c in cols)
+        col_degs = tuple(vec_degree(c, ambient.twists) for c in cols)
         terms[-k] = FPModule.free(S, col_degs)
         diffs[-k] = tuple(cols)
         cols = modulo(cols, (), ambient.twists, ring)

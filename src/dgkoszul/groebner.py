@@ -2,25 +2,15 @@
 
 All computation happens over the ambient polynomial ring S; quotient-ring
 submodules are handled by the callers adjoining J-multiples of the basis
-vectors.  A module element (ModVec) is a sparse map
+vectors.  The engine takes and returns ModVecs (see poly.py), the
+package's one element type, of a free module with an integer twist per
+component; a ring element is the rank-1 case, with the single twist 0.
 
-    (component, exponent tuple) -> nonzero scalar
-
-over a free module with an integer twist per component (the internal
-degree of that basis vector), so that a term's degree is
-deg(monomial) + twist[component].  It is the only module-element type of
-the package: generators, relations, kernels and syzygies are all ModVecs,
-and a map of free modules (a differential or a module map) is the
-tuple of its columns, column j the ModVec of the image of source generator
-j in target-generator coordinates.  Composition is vec_combination.
-column_to_vec and vec_to_column convert a column to and from Polynomial
-entries where ring elements enter or leave as Polynomials.
-
-Packed terms.  buchberger, normal_forms and syzygies take and return
-ModVecs, but inside one call every term is one int whose
-integer order is the module term order, built by a _Packer sized for that
-call.  With n variables and fields w bits wide (2^w exceeds the largest
-monomial degree the call can reach), from the top bit down:
+Packed terms.  Inside one call of buchberger, normal_forms or syzygies,
+every term is one int whose integer order is the module term order, built
+by a _Packer sized for that call.  With n variables and fields w bits wide
+(2^w exceeds the largest monomial degree the call can reach), from the top
+bit down:
 
     block bit              set for the components before `split`
     upper component slot   C - comp for the components from `split` on
@@ -81,10 +71,7 @@ from itertools import groupby
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
-from .poly import DEFAULT_DEGREE_CAP, Expo, PolyRing, Polynomial, grevlex_key, mono_deg, mono_mul
-
-ModTerm = tuple  # (component, exponent tuple)
-ModVec = dict  # ModTerm -> scalar
+from .poly import DEFAULT_DEGREE_CAP, ModTerm, ModVec, PolyRing, vec_degree, vec_offset, vec_scale
 
 
 class InhomogeneousError(ValueError):
@@ -207,59 +194,6 @@ def _fitting_packer(vecs: Sequence[ModVec]) -> _Packer:
         1 + max(map(itemgetter(0), terms)),
         max(map(sum, map(itemgetter(1), terms))),
     )
-
-
-def column_key(v: ModVec):
-    """Canonical sort key of a module element: per ambient component, the
-    (monomial key, coefficient repr) of its terms in descending order.
-
-    Trailing empty components are left out; an empty component is the
-    smallest entry, so vectors of any one ambient rank compare as if padded.
-    """
-    rank = 1 + max((comp for comp, _ in v), default=-1)
-    comps: list[list] = [[] for _ in range(rank)]
-    for (comp, e), c in v.items():
-        comps[comp].append((grevlex_key(e), repr(c)))
-    return tuple(tuple(sorted(terms, reverse=True)) for terms in comps)
-
-
-# ---------- module element helpers ----------
-
-def vec_scale(a: ModVec, c, field) -> ModVec:
-    return {t: field.mul(c, v) for t, v in a.items()}
-
-
-def vec_offset(a: ModVec, offset: int) -> ModVec:
-    """a with every component moved up by offset: its image in a block of
-    a direct sum."""
-    return {(comp + offset, e): c for (comp, e), c in a.items()}
-
-
-def vec_add_multiple(out: ModVec, a: ModVec, e: Expo, c, field) -> None:
-    """out += c * x^e * a, in place; terms that cancel are removed."""
-    for (comp, e0), v in a.items():
-        t = (comp, mono_mul(e, e0))
-        s = field.add(out.get(t, field.zero), field.mul(c, v))
-        if s == field.zero:
-            out.pop(t, None)
-        else:
-            out[t] = s
-
-
-def vec_combination(vectors: Sequence[ModVec], coords: ModVec, field) -> ModVec:
-    """sum of c * x^e * vectors[j] over the terms (j, e) -> c of coords."""
-    out: ModVec = {}
-    for (j, e), c in coords.items():
-        vec_add_multiple(out, vectors[j], e, c, field)
-    return out
-
-
-def vec_degree(a: ModVec, twists) -> int | None:
-    """Common homogeneous degree, or None if mixed (zero gives None)."""
-    degs = {mono_deg(e) + twists[comp] for (comp, e) in a}
-    if len(degs) == 1:
-        return degs.pop()
-    return None
 
 
 # ---------- division ----------
@@ -497,26 +431,5 @@ def syzygies(columns: Sequence[ModVec], twists: Sequence[int], ring: PolyRing) -
         if col:
             tagged.append({**col, (rank + j, zero_expo): field.one})
     basis = buchberger(tagged, tuple(twists) + tuple(col_degs), field, ring.degree_cap, split=rank)
-    syz = [
-        {(comp - rank, e): c for (comp, e), c in g.items()}
-        for g in basis
-        if min(map(itemgetter(0), g)) >= rank
-    ]
+    syz = [vec_offset(g, -rank) for g in basis if min(map(itemgetter(0), g)) >= rank]
     return syz + [{(j, zero_expo): field.one} for j, col in enumerate(columns) if not col]
-
-
-# ---------- columns with Polynomial entries ----------
-
-def column_to_vec(entries: Iterable[Polynomial]) -> ModVec:
-    """A column, given top to bottom as Polynomials, as a ModVec."""
-    return {
-        (comp, e): c for comp, p in enumerate(entries) for e, c in p.terms.items()
-    }
-
-
-def vec_to_column(v: ModVec, ring: PolyRing, rank: int) -> tuple[Polynomial, ...]:
-    """The rank entries of v as a column of Polynomials."""
-    buckets: list[dict] = [dict() for _ in range(rank)]
-    for (comp, e), c in v.items():
-        buckets[comp][e] = c
-    return tuple(Polynomial(ring, b) for b in buckets)

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 from .complexes import _monomials_of_degree
 from .dgring import DGRingRep, ElementOfH0, _as_element, koszul
-from .groebner import vec_to_column
 from .hilbert import NEG_INF, POS_INF
 from .modules import FPModule, kernel
-from .poly import Polynomial
+from .poly import Polynomial, vec_offset, vec_to_column
 
 
 class ImproperIdealError(ValueError):
@@ -58,7 +57,7 @@ def _bottom_homology(A: DGRingRep):
 
 def _times(x: ElementOfH0, h: FPModule) -> list:
     """The columns of multiplication by x on the generators of h."""
-    return [{(j, e): c for e, c in x.rep.terms.items()} for j in range(h.ambient.rank)]
+    return [vec_offset(x.rep.vec, j) for j in range(h.ambient.rank)]
 
 
 def _regular_on(h: FPModule, x: ElementOfH0) -> bool:

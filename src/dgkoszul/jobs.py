@@ -21,6 +21,7 @@ from .fields import field_from_json
 from .invariants import compute_invariants, sentinel_json
 from .modules import FPModule
 from .parse import ParseError, parse_poly
+from .poly import DEFAULT_DEGREE_CAP, column_to_vec
 from .rings import MAX_VARIABLES, QuotientRing, quotient_ring_from_strings
 
 SCHEMA_VERSION = 1
@@ -53,7 +54,7 @@ class JobError(ValueError):
 class RunConfig:
     oracle_depth: int = 8
     budget: int = 400
-    degree_cap: int = gb.DEFAULT_DEGREE_CAP
+    degree_cap: int = DEFAULT_DEGREE_CAP
 
 
 def _build_module(spec: dict, ring: QuotientRing) -> FPModule:
@@ -69,7 +70,7 @@ def _build_module(spec: dict, ring: QuotientRing) -> FPModule:
     for col in rels:
         if len(col) != len(twists):
             raise JobError("module relation column length must match twists")
-        cols.append(gb.column_to_vec(parse_poly(t, ring.poly_ring) for t in col))
+        cols.append(column_to_vec(parse_poly(t, ring.poly_ring) for t in col))
     return FPModule.cokernel(ring, tuple(twists), cols)
 
 

@@ -4,7 +4,7 @@ An FPModule is a cokernel F/N over Q = S/J: F is a free ambient module
 whose basis vectors are the generators, and N is the span of the
 relations together with J times the ambient basis.  One reduced Groebner
 basis of N serves both membership tests and the Hilbert series.
-Relations and every other module element are ModVecs (see groebner.py),
+Relations and every other module element are ModVecs (see poly.py),
 sparse maps (ambient component, exponent) -> scalar, and a map is the
 tuple of its columns: column j is the ModVec image of source generator j
 over the target generators.
@@ -24,10 +24,9 @@ from itertools import groupby
 from typing import Sequence
 
 from . import groebner as gb
-from .groebner import ModVec
 from .hilbert import HilbertSeries, lead_module_series
 from .linalg import Echelon
-from .poly import Polynomial, PolyRing
+from .poly import ModVec, Polynomial, PolyRing, column_key, vec_combination, vec_degree, vec_offset
 from .rings import FreeModule, QuotientRing
 
 
@@ -44,7 +43,7 @@ class FPModule:
         for v in self.rels:
             if any(comp >= ambient.rank for comp, _ in v):
                 raise ValueError("vector component outside the ambient rank")
-            if gb.vec_degree(v, ambient.twists) is None:
+            if vec_degree(v, ambient.twists) is None:
                 raise gb.InhomogeneousError("inhomogeneous column")
         self._basis = None
         self._hilbert = None
@@ -69,7 +68,7 @@ class FPModule:
 
     @classmethod
     def quotient_by_ideal(cls, ring: QuotientRing, ideal: Sequence[Polynomial]) -> FPModule:
-        return cls.cokernel(ring, (0,), [gb.column_to_vec((p,)) for p in ideal])
+        return cls.cokernel(ring, (0,), [p.vec for p in ideal])
 
     # -- structure --
 
@@ -135,13 +134,9 @@ class FPModule:
             big_twists = [t - twists[j] for j in range(k) for t in twists]
             one = self.ring.field.one
             stacked = {(j * k + j, (0,) * self.ring.nvars): one for j in range(k)}
-            rels = [
-                gb.vec_offset(rel, j * k)
-                for j in range(k)
-                for rel in self.relation_columns()
-            ]
+            rels = [vec_offset(rel, j * k) for j in range(k) for rel in self.relation_columns()]
             entries = modulo([stacked], rels, big_twists, ring)
-        polys = [gb.vec_to_column(v, ring, 1)[0] for v in entries]
+        polys = [Polynomial(ring, v) for v in entries]
         anns = {p for p in self.ring.normal_forms(polys) if not p.is_zero()}
         self._annihilator = sorted(anns, key=lambda p: p.sort_key())
         return self._annihilator
@@ -183,7 +178,7 @@ def kernel(columns: Sequence[ModVec], target: FPModule) -> list[ModVec]:
     ring = target.ring.poly_ring
     gens = {}
     for v in modulo(columns, target.relation_columns(), target.ambient.twists, ring):
-        gens.setdefault(gb.column_key(v), v)
+        gens.setdefault(column_key(v), v)
     return [gens[key] for key in sorted(gens)]
 
 
@@ -201,7 +196,7 @@ def subquotient(
     if gens == [ambient.basis_vector(i) for i in range(ambient.rank)]:
         return _minimal_cokernel(ring, ambient.twists, rel_cols)
     cols = modulo(gens, rel_cols, ambient.twists, ring.poly_ring)
-    degs = [gb.vec_degree(g, ambient.twists) for g in gens]
+    degs = [vec_degree(g, ambient.twists) for g in gens]
     return _minimal_cokernel(ring, degs, cols)
 
 
@@ -232,7 +227,7 @@ def _minimal_cokernel(ring: QuotientRing, degs: Sequence[int], cols: Sequence[Mo
                 }
                 if coords:
                     coords[(0, zero_expo)] = field.one
-                    cols[cj] = gb.vec_combination([other, col], coords, field)
+                    cols[cj] = vec_combination([other, col], coords, field)
             del cols[ci]
             cols = [_drop_row(c, pivot) for c in cols]
             del degs[pivot]
@@ -241,7 +236,7 @@ def _minimal_cokernel(ring: QuotientRing, degs: Sequence[int], cols: Sequence[Mo
     clean = {}
     for c in cols:
         if c:
-            clean.setdefault(gb.column_key(c), c)
+            clean.setdefault(column_key(c), c)
     # Relations are only defined modulo J, so redundancy is tested
     # against the kept columns together with the J-multiples.
     ambient = FreeModule(ring, len(degs), tuple(degs))
@@ -254,11 +249,7 @@ def _minimal_cokernel(ring: QuotientRing, degs: Sequence[int], cols: Sequence[Mo
 def _j_basis(ambient: FreeModule) -> list[ModVec]:
     """J's reduced Groebner basis times each basis vector: a Groebner basis
     of J * ambient."""
-    return [
-        {(i, e): c for e, c in g.terms.items()}
-        for g in ambient.ring.groebner()
-        for i in range(ambient.rank)
-    ]
+    return [vec_offset(g.vec, i) for g in ambient.ring.groebner() for i in range(ambient.rank)]
 
 
 def _unit_row(col: ModVec, zero_expo) -> int | None:
@@ -295,9 +286,9 @@ def min_gens(
     field, cap = ambient.ring.field, ambient.ring.poly_ring.degree_cap
 
     def degree(v: ModVec) -> int:
-        return gb.vec_degree(v, ambient.twists)
+        return vec_degree(v, ambient.twists)
 
-    candidates = sorted((c for c in columns if c), key=lambda v: (degree(v), gb.column_key(v)))
+    candidates = sorted((c for c in columns if c), key=lambda v: (degree(v), column_key(v)))
     basis = [v for v in baseline if v]
     kept: list[ModVec] = []
     for _, group in groupby(candidates, key=degree):

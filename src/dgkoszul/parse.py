@@ -7,7 +7,8 @@ Grammar (integer literals only; fractions are not accepted):
     factor := INT | VAR ('^' INT)? | '(' expr ')'
 
 Exponents above MAX_EXPONENT are rejected.  Errors carry the character
-position that triggered them.
+position that triggered them.  A variable name must be one VAR token
+(is_name), so that every printed polynomial parses back.
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ def _tokenize(text: str):
         else:
             raise ParseError(f"unexpected character {ch!r}", i)
     return tokens
+
+
+def is_name(text: str) -> bool:
+    """True when text is exactly one name token: a variable so named is
+    printed as itself and parsed back."""
+    try:
+        return [token[:2] for token in _tokenize(text)] == [("name", text)]
+    except ParseError:
+        return False
 
 
 class _Parser:
@@ -113,7 +123,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", pos)
             kind2, value2, _ = self.peek()
             if not (kind2 == "op" and value2 == "^"):
-                return self.ring.var_named(value)
+                return self.ring.var(self.ring.variables.index(value))
             self.next()
             kind3, value3, pos3 = self.next()
             if kind3 != "int":

@@ -1,21 +1,35 @@
-"""Exact multivariate polynomials, ordered by grevlex.
+"""Exact polynomials and module vectors, ordered by grevlex.
 
 A monomial is an exponent tuple (one entry per variable, standard grading:
-every variable has degree 1).  A polynomial is a sparse map
+every variable has degree 1).  A module element (ModVec) is a sparse map
 
-    exponent tuple -> nonzero field scalar
+    (component, exponent tuple) -> nonzero field scalar
 
-wrapped together with its ring context (variable names + coefficient
-field).  Zero coefficients are never stored, so equality testing is exact
+over a free module with an integer twist per component (the internal
+degree of that basis vector), so that a term's degree is
+deg(monomial) + twist[component].  It is the only element type of the
+package: generators, relations, kernels and syzygies are all ModVecs, and
+a map of free modules (a differential or a module map) is the tuple of its
+columns, column j the ModVec of the image of source generator j in
+target-generator coordinates.  Composition is vec_combination.
+
+A ring element is the rank-1 case.  A Polynomial is its ring context
+(variable names + coefficient field) together with the rank-1 ModVec
+{(0, e): c}; its arithmetic is the vec_* helpers, and it is the view in
+which ring elements are parsed and printed.  column_to_vec and
+vec_to_column convert a column of several entries to and from Polynomials.
+Zero coefficients are never stored, so equality testing is exact
 dictionary equality.  All values are immutable after construction and safe
 to share between threads.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Expo = tuple  # exponent tuple, one non-negative int per variable
+ModTerm = tuple  # (component, exponent tuple)
+ModVec = dict  # ModTerm -> scalar
 
 
 class RingMismatchError(ValueError):
@@ -43,6 +57,60 @@ def grevlex_key(e: Expo):
     """Sort key of the graded reverse lexicographic order, the only
     monomial order: a larger key is a larger monomial."""
     return (sum(e), tuple(-x for x in reversed(e)))
+
+
+# ---------- module element helpers ----------
+
+def column_key(v: ModVec):
+    """Canonical sort key of a module element: per ambient component, the
+    (monomial key, coefficient repr) of its terms in descending order.
+
+    Trailing empty components are left out; an empty component is the
+    smallest entry, so vectors of any one ambient rank compare as if padded.
+    """
+    rank = 1 + max((comp for comp, _ in v), default=-1)
+    comps: list[list] = [[] for _ in range(rank)]
+    for (comp, e), c in v.items():
+        comps[comp].append((grevlex_key(e), repr(c)))
+    return tuple(tuple(sorted(terms, reverse=True)) for terms in comps)
+
+
+def vec_scale(a: ModVec, c, field) -> ModVec:
+    """c * a, for a nonzero scalar c."""
+    return {t: field.mul(c, v) for t, v in a.items()}
+
+
+def vec_offset(a: ModVec, offset: int) -> ModVec:
+    """a with every component moved up by offset: its image in a block of
+    a direct sum."""
+    return {(comp + offset, e): c for (comp, e), c in a.items()}
+
+
+def vec_add_multiple(out: ModVec, a: ModVec, e: Expo, c, field) -> None:
+    """out += c * x^e * a, in place; terms that cancel are removed."""
+    for (comp, e0), v in a.items():
+        t = (comp, mono_mul(e, e0))
+        s = field.add(out.get(t, field.zero), field.mul(c, v))
+        if s == field.zero:
+            out.pop(t, None)
+        else:
+            out[t] = s
+
+
+def vec_combination(vectors: Sequence[ModVec], coords: ModVec, field) -> ModVec:
+    """sum of c * x^e * vectors[j] over the terms (j, e) -> c of coords."""
+    out: ModVec = {}
+    for (j, e), c in coords.items():
+        vec_add_multiple(out, vectors[j], e, c, field)
+    return out
+
+
+def vec_degree(a: ModVec, twists) -> int | None:
+    """Common homogeneous degree, or None if mixed (zero gives None)."""
+    degs = {mono_deg(e) + twists[comp] for (comp, e) in a}
+    if len(degs) == 1:
+        return degs.pop()
+    return None
 
 
 # ---------- rings and polynomials ----------
@@ -77,8 +145,8 @@ class PolyRing:
 
     def poly(self, terms: dict) -> Polynomial:
         """Build a polynomial from expo->scalar, dropping zeros."""
-        clean = {e: c for e, c in terms.items() if c != self.field.zero}
-        return Polynomial(self, clean)
+        zero = self.field.zero
+        return Polynomial(self, {(0, e): c for e, c in terms.items() if c != zero})
 
     @property
     def zero(self) -> Polynomial:
@@ -86,7 +154,7 @@ class PolyRing:
 
     @property
     def one(self) -> Polynomial:
-        return Polynomial(self, {self._zero_expo: self.field.one})
+        return Polynomial(self, {(0, self._zero_expo): self.field.one})
 
     def const(self, n: int) -> Polynomial:
         return self.poly({self._zero_expo: self.field.from_int(n)})
@@ -94,14 +162,10 @@ class PolyRing:
     def var(self, i: int) -> Polynomial:
         e = [0] * self.nvars
         e[i] = 1
-        return Polynomial(self, {tuple(e): self.field.one})
+        return self.monomial(e)
 
-    def var_named(self, name: str) -> Polynomial:
-        return self.var(self.variables.index(name))
-
-    def monomial(self, e: Expo, coeff=None) -> Polynomial:
-        c = self.field.one if coeff is None else coeff
-        return self.poly({tuple(e): c})
+    def monomial(self, e: Expo) -> Polynomial:
+        return Polynomial(self, {(0, tuple(e)): self.field.one})
 
     def __eq__(self, other) -> bool:
         return (
@@ -118,38 +182,32 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial over a PolyRing."""
+    """Immutable sparse polynomial: a PolyRing and a rank-1 ModVec
+    {(0, e): c} with no zero coefficient.  PolyRing.poly builds one from
+    exponent -> coefficient."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "vec", "_hash")
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    def __init__(self, ring: PolyRing, vec: ModVec):
         self.ring = ring
-        self.terms = terms
+        self.vec = vec
         self._hash = None
 
     # -- queries --
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.vec
 
     def total_degree(self) -> int:
         """Max term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mono_deg(e) for e in self.terms)
+        return max((mono_deg(e) for _, e in self.vec), default=-1)
 
     def homogeneous_degree(self):
         """The common degree of all terms, or None if inhomogeneous.
 
         Zero counts as homogeneous of every degree and returns None.
         """
-        degs = {mono_deg(e) for e in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def is_homogeneous(self) -> bool:
-        return len({mono_deg(e) for e in self.terms}) <= 1
+        return vec_degree(self.vec, (0,))
 
     # -- arithmetic --
 
@@ -160,35 +218,20 @@ class Polynomial:
     def __add__(self, other: Polynomial) -> Polynomial:
         self._check(other)
         f = self.ring.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = f.add(out.get(e, f.zero), c)
-            if s == f.zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
+        out = dict(self.vec)
+        vec_add_multiple(out, other.vec, self.ring._zero_expo, f.one, f)
         return Polynomial(self.ring, out)
 
     def __neg__(self) -> Polynomial:
         f = self.ring.field
-        return Polynomial(self.ring, {e: f.neg(c) for e, c in self.terms.items()})
+        return Polynomial(self.ring, vec_scale(self.vec, f.neg(f.one), f))
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         self._check(other)
-        f = self.ring.field
-        out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = mono_mul(ea, eb)
-                s = f.add(out.get(e, f.zero), f.mul(ca, cb))
-                if s == f.zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, vec_combination([other.vec], self.vec, self.ring.field))
 
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
@@ -201,41 +244,47 @@ class Polynomial:
         return result
 
     def scale(self, c) -> Polynomial:
-        f = self.ring.field
-        if c == f.zero:
-            return self.ring.zero
-        return Polynomial(self.ring, {e: f.mul(c, v) for e, v in self.terms.items()})
+        return self.mul_term(self.ring._zero_expo, c)
 
     def mul_term(self, e: Expo, c) -> Polynomial:
         """Multiply by the single term c * x^e."""
-        f = self.ring.field
-        if c == f.zero:
-            return self.ring.zero
-        return Polynomial(
-            self.ring, {mono_mul(e, e0): f.mul(c, v) for e0, v in self.terms.items()}
-        )
+        return Polynomial(self.ring, vec_combination([self.vec], {(0, e): c}, self.ring.field))
 
     # -- identity --
 
     def sort_key(self):
         """A canonical sortable key (degree-major, deterministic)."""
-        keys = ((grevlex_key(e), repr(c)) for e, c in self.terms.items())
-        return tuple(sorted(keys, reverse=True))
+        return column_key(self.vec)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and other.ring == self.ring
-            and other.terms == self.terms
+            and other.vec == self.vec
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
+            self._hash = hash((self.ring, frozenset(self.vec.items())))
         return self._hash
 
     def __repr__(self):
         return poly_to_text(self)
+
+
+# ---------- columns with Polynomial entries ----------
+
+def column_to_vec(entries: Iterable[Polynomial]) -> ModVec:
+    """A column, given top to bottom as Polynomials, as a ModVec."""
+    return {(comp, e): c for comp, p in enumerate(entries) for (_, e), c in p.vec.items()}
+
+
+def vec_to_column(v: ModVec, ring: PolyRing, rank: int) -> tuple[Polynomial, ...]:
+    """The rank entries of v as a column of Polynomials."""
+    buckets: list[ModVec] = [{} for _ in range(rank)]
+    for (comp, e), c in v.items():
+        buckets[comp][0, e] = c
+    return tuple(Polynomial(ring, b) for b in buckets)
 
 
 # ---------- printing ----------
@@ -246,13 +295,13 @@ def poly_to_text(p: Polynomial) -> str:
     Integer coefficients round-trip through parse_poly; rational
     coefficients with denominator > 1 are display-only.
     """
-    if not p.terms:
+    if not p.vec:
         return "0"
     names = p.ring.variables
     one = p.ring.field.one
     pieces = []
-    for e in sorted(p.terms, key=grevlex_key, reverse=True):
-        c = p.terms[e]
+    for _, e in sorted(p.vec, key=lambda t: grevlex_key(t[1]), reverse=True):
+        c = p.vec[0, e]
         factors = []
         for name, k in zip(names, e):
             if k == 1:

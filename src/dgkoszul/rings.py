@@ -13,8 +13,8 @@ from typing import Sequence
 
 from . import groebner as gb
 from .hilbert import HilbertSeries, monomial_quotient_series
-from .parse import parse_poly
-from .poly import DEFAULT_DEGREE_CAP, PolyRing, Polynomial
+from .parse import is_name, parse_poly
+from .poly import DEFAULT_DEGREE_CAP, ModVec, PolyRing, Polynomial, RingMismatchError, vec_offset
 
 # A bound on the variable count of a ring read from a job (its own ring and
 # a base-change target), checked before any work starts.  It is a plain
@@ -34,15 +34,14 @@ class QuotientRing:
         gens = []
         for g in j_gens:
             if g.ring != poly_ring:
-                raise gb.InhomogeneousError("ideal generator from a different ring")
+                raise RingMismatchError("ideal generator from a different ring")
             if g.is_zero():
                 continue
-            if not g.is_homogeneous():
+            if g.homogeneous_degree() is None:
                 raise gb.InhomogeneousError(f"inhomogeneous ideal generator {g}")
             gens.append(g)
         self.j_gens = tuple(gens)
         self._gb: tuple[Polynomial, ...] | None = None
-        self._gb_vecs: list[gb.ModVec] = []
         self._hilbert: HilbertSeries | None = None
         self._resolution = None
 
@@ -63,20 +62,19 @@ class QuotientRing:
     def groebner(self) -> tuple[Polynomial, ...]:
         """Reduced Groebner basis of J."""
         if self._gb is None:
-            vecs = [gb.column_to_vec((g,)) for g in self.j_gens]
-            self._gb_vecs = gb.buchberger(vecs, (0,), self.field, self.poly_ring.degree_cap)
-            self._gb = tuple(gb.vec_to_column(v, self.poly_ring, 1)[0] for v in self._gb_vecs)
+            vecs = [g.vec for g in self.j_gens]
+            basis = gb.buchberger(vecs, (0,), self.field, self.poly_ring.degree_cap)
+            self._gb = tuple(Polynomial(self.poly_ring, v) for v in basis)
         return self._gb
 
     def normal_forms(self, polys: Sequence[Polynomial]) -> list[Polynomial]:
         """The fully reduced normal form of each polynomial modulo J."""
         if any(p.ring != self.poly_ring for p in polys):
-            raise gb.InhomogeneousError("polynomial from a different ring")
-        self.groebner()
-        vecs = [gb.column_to_vec((p,)) for p in polys]
+            raise RingMismatchError("polynomial from a different ring")
+        basis = [g.vec for g in self.groebner()]
         return [
-            gb.vec_to_column(r, self.poly_ring, 1)[0]
-            for r in gb.normal_forms(vecs, self._gb_vecs, self.field)
+            Polynomial(self.poly_ring, r)
+            for r in gb.normal_forms([p.vec for p in polys], basis, self.field)
         ]
 
     def nf(self, p: Polynomial) -> Polynomial:
@@ -100,34 +98,32 @@ class QuotientRing:
 
     def hilbert_series(self) -> HilbertSeries:
         if self._hilbert is None:
-            self.groebner()
             # Each basis vector's first key is its lead.
-            leads = [next(iter(v))[1] for v in self._gb_vecs]
+            leads = [next(iter(g.vec))[1] for g in self.groebner()]
             self._hilbert = monomial_quotient_series(leads, self.poly_ring)
         return self._hilbert
 
     def is_nilpotent(self, g: Polynomial) -> bool:
         """True iff g lies in the radical of J.
 
-        Certificate: 1 in J + (1 - t*g) inside S[t]; the extension variable
-        makes the input inhomogeneous, which the engine allows here.
+        Certificate: 1 in J + (1 - t*g) inside S[t], whose exponent tuples
+        carry the power of t as one more entry; t makes the input
+        inhomogeneous, which the engine allows here.
         """
         if self.is_zero(g):
             return True
-        ext = PolyRing(self.variables + ("_t",), self.field, self.poly_ring.degree_cap)
+        field = self.field
 
-        def lift(p: Polynomial, tdeg: int = 0) -> Polynomial:
-            return Polynomial(
-                ext, {e + (tdeg,): c for e, c in p.terms.items()}
-            )
+        def lift(p: Polynomial, tdeg: int) -> ModVec:
+            return {(0, e + (tdeg,)): c for (_, e), c in p.vec.items()}
 
-        witness = ext.one - lift(g, tdeg=1)
-        vecs = [gb.column_to_vec((lift(j),)) for j in self.j_gens]
-        vecs.append(gb.column_to_vec((witness,)))
-        basis = gb.buchberger(vecs, (0,), self.field, ext.degree_cap, allow_inhomogeneous=True)
-        return any(
-            len(v) == 1 and next(iter(v))[1] == (0,) * ext.nvars for v in basis
+        one = (0,) * (self.nvars + 1)
+        witness = {(0, one): field.one, **lift(-g, 1)}
+        vecs = [lift(j, 0) for j in self.j_gens] + [witness]
+        basis = gb.buchberger(
+            vecs, (0,), field, self.poly_ring.degree_cap, allow_inhomogeneous=True
         )
+        return any(len(v) == 1 and next(iter(v))[1] == one for v in basis)
 
     # -- identity --
 
@@ -161,16 +157,12 @@ class FreeModule:
         if len(self.twists) != rank:
             raise ValueError("twists length must equal rank")
 
-    def basis_vector(self, i: int) -> gb.ModVec:
+    def basis_vector(self, i: int) -> ModVec:
         return {(i, (0,) * self.ring.nvars): self.ring.field.one}
 
-    def j_columns(self) -> list[gb.ModVec]:
+    def j_columns(self) -> list[ModVec]:
         """The J-multiples of the basis vectors (J acts as zero over Q)."""
-        return [
-            {(i, e): c for e, c in g.terms.items()}
-            for g in self.ring.j_gens
-            for i in range(self.rank)
-        ]
+        return [vec_offset(g.vec, i) for g in self.ring.j_gens for i in range(self.rank)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -192,7 +184,7 @@ def substitute(p: Polynomial, target: PolyRing, images: Sequence[Polynomial]) ->
     if len(images) != p.ring.nvars:
         raise ValueError("one image per source variable required")
     out = target.zero
-    for e, c in p.terms.items():
+    for (_, e), c in p.vec.items():
         term = target.poly({(0,) * target.nvars: c})
         for i, k in enumerate(e):
             for _ in range(k):
@@ -204,6 +196,11 @@ def substitute(p: Polynomial, target: PolyRing, images: Sequence[Polynomial]) ->
 def quotient_ring_from_strings(
     variables: Sequence[str], ideal_texts: Sequence[str], field, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> QuotientRing:
+    for name in variables:
+        if not is_name(name):
+            raise ValueError(
+                f"variable name {name!r} must be a letter or '_' then letters, digits or '_'"
+            )
     ring = PolyRing(variables, field, degree_cap)
     gens = [parse_poly(t, ring) for t in ideal_texts]
     return QuotientRing(ring, gens)

@@ -103,6 +103,19 @@ def test_unknown_variable_is_input_error(tmp_path):
     assert report["status"] == "input-error"
 
 
+@pytest.mark.parametrize("variables, ideal", [(["", "y"], ["y^2"]), (["x+y", "z"], ["z^2"])])
+def test_a_variable_name_the_parser_cannot_read_is_a_one_line_input_error(
+    tmp_path, variables, ideal
+):
+    job = dict(BASIC_JOB, vars=variables, ideal=ideal, dg={"kind": "ring"})
+    result = run_cli("compute", write_job(tmp_path, job))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"input error: variable name {variables[0]!r} must be a letter or '_' "
+        "then letters, digits or '_'"
+    ]
+
+
 def test_degree_cap_diagnostic_exit_code(tmp_path):
     job = {
         "schema": 1,

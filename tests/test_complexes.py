@@ -10,7 +10,6 @@ from dgkoszul import (
     Complex,
     FPModule,
     PolyRing,
-    Polynomial,
     PrimeField,
     QuotientRing,
     euler_series,
@@ -25,8 +24,8 @@ from dgkoszul.complexes import (
     homology_hilbert_functions,
     oracle_basis_size,
 )
-from dgkoszul.groebner import column_to_vec
 from dgkoszul.hilbert import NEG_INF, POS_INF
+from dgkoszul.poly import column_to_vec
 
 
 def _koszul(Q, texts):
@@ -270,7 +269,7 @@ def _forms(degree):
     coeffs = st.lists(st.integers(0, 100), min_size=len(monos), max_size=len(monos))
     field = S101.field
     return coeffs.map(
-        lambda cs: Polynomial(S101, {e: field.from_int(c) for e, c in zip(monos, cs) if c})
+        lambda cs: S101.poly({e: field.from_int(c) for e, c in zip(monos, cs) if c})
     )
 
 
@@ -305,7 +304,7 @@ def _reference_koszul(ring, elements, degrees):
             {
                 (tgt_index[T[:l] + T[l + 1:]], e): c if l % 2 == 0 else field.neg(c)
                 for l, t in enumerate(T)
-                for e, c in elements[t].terms.items()
+                for (_, e), c in elements[t].vec.items()
             }
             for T in subsets[k]
         )

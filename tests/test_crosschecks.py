@@ -14,7 +14,7 @@ from dgkoszul.duality import betti_table, free_resolution
 from dgkoszul.jobs import MAX_ORACLE_BASIS
 from dgkoszul.linalg import Echelon
 from dgkoszul.parse import parse_poly
-from dgkoszul.poly import PolyRing, Polynomial, mono_mul
+from dgkoszul.poly import PolyRing, column_to_vec, mono_mul
 from dgkoszul.rings import FreeModule, QuotientRing, quotient_ring_from_strings
 
 F = PrimeField()
@@ -32,7 +32,7 @@ def _graded_piece_rank(gens, ring_, t):
             continue
         for m in _monomials_of_degree(ring_.nvars, t - d):
             row = {}
-            for e, c in g.terms.items():
+            for (_, e), c in g.vec.items():
                 k = index[mono_mul(m, e)]
                 row[k] = ring_.field.add(row.get(k, ring_.field.zero), c)
             echelon.add(row)
@@ -81,7 +81,7 @@ def test_syzygy_module_graded_dimensions():
     Q = quotient_ring_from_strings(("x", "y", "z"), [], F)
     R = Q.poly_ring
     gens = [parse_poly(t, R) for t in ("x", "y", "z")]
-    cols = [gb.column_to_vec((g,)) for g in gens]
+    cols = [g.vec for g in gens]
     syz = gb.syzygies(cols, (0,), R)
     syz_module = subquotient(FreeModule(Q, 3, (1, 1, 1)), syz)
     hs = syz_module.hilbert_series()
@@ -99,8 +99,8 @@ def test_minimize_preserves_hilbert_series():
         Q,
         (0, 1),
         [
-            gb.column_to_vec((parse_poly("x", R), parse_poly("1", R))),
-            gb.column_to_vec((parse_poly("y^2", R), parse_poly("y", R))),
+            column_to_vec((parse_poly("x", R), parse_poly("1", R))),
+            column_to_vec((parse_poly("y^2", R), parse_poly("y", R))),
         ],
     )
     assert redundant.minimize().hilbert_series() == redundant.hilbert_series()
@@ -140,7 +140,7 @@ def _forms(draw):
 
     def form(degree):
         monos = st.sampled_from(_monomials_of_degree(nvars, degree))
-        return Polynomial(R, draw(st.dictionaries(monos, coeffs, min_size=1, max_size=4)))
+        return R.poly(draw(st.dictionaries(monos, coeffs, min_size=1, max_size=4)))
 
     forms = [form(draw(st.integers(2, 3))) for _ in range(draw(st.integers(2, 4)))]
     return R, forms, form(1)

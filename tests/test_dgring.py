@@ -22,6 +22,7 @@ from dgkoszul.complexes import (
     truncation_oracle,
 )
 from dgkoszul.dgring import MAX_COMPLEX_RANK, ComplexSizeError
+from dgkoszul.poly import RingMismatchError
 
 
 def _tables_equal(a, b):
@@ -268,3 +269,12 @@ def test_zero_element_carries_declared_degree():
     e = ElementOfH0(A.base.poly_ring.zero, degree=3)
     K = koszul(A, [e])
     assert K.homology(-1).hilbert_series() == A.base.hilbert_series().shift(3)
+
+
+def test_an_element_of_another_ring_is_a_ring_mismatch():
+    A = dg_from_ring(ring("x", "y", ideal=["x*y"]))
+    foreign = poly("x", ring("x", "y", "z"))
+    with pytest.raises(RingMismatchError):
+        koszul(A, [foreign])
+    with pytest.raises(RingMismatchError):
+        A.base.normal_forms([foreign])

@@ -12,6 +12,7 @@ from dgkoszul import (
     betti_numbers,
     depth,
     dg_from_ring,
+    dg_tensor,
     dualizing_complex,
     dualizing_of_koszul,
     free_resolution,
@@ -207,3 +208,34 @@ def test_a_job_resolves_its_ring_once(monkeypatch):
         assert resolved[-1].variables == ("x", "y", "z")
     # The second job built and resolved a ring of its own.
     assert resolved[1] is not resolved[0]
+
+
+def test_a_tensor_of_koszul_rings_dualizes_as_the_koszul_ring_on_both_elements():
+    # K(x) (x) K(y) and K(x, y) over k[x,y,z]/(xy - z^2), each extended by z:
+    # the lifts and the root ring are read through the tensor provenance.
+    Q = ring("x", "y", "z", ideal=["x*y - z^2"])
+    A = dg_from_ring(Q)
+    T = dg_tensor(koszul(A, ["x"]), koszul(A, ["y"]))
+    assert [e.rep for e in T.koszul_lifts()] == [poly("x", Q), poly("y", Q)]
+    assert T.root_ring() == Q
+
+    def results(dg):
+        tasks = [
+            {"task": "duality", "elements": ["z"]},
+            {"task": "check", "name": "self_duality", "elements": ["z"]},
+            {"task": "check", "name": "gorenstein_transfer", "elements": ["z"]},
+        ]
+        job = {"vars": ["x", "y", "z"], "ideal": ["x*y - z^2"], "dg": dg, "tasks": tasks}
+        report = run_job(job)
+        assert report["status"] == "ok"
+        return report["results"]
+
+    tensor = {
+        "kind": "tensor",
+        "left": {"kind": "koszul", "elements": ["x"]},
+        "right": {"kind": "koszul", "elements": ["y"]},
+    }
+    both = results({"kind": "koszul", "elements": ["x", "y"]})
+    assert results(tensor) == both
+    assert both[0]["result"]["amp_equal"] is True
+    assert [r["result"]["verdict"] for r in both[1:]] == ["PASS", "PASS"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import grevlex_textbook
 from dgkoszul import PrimeField, RationalField, PolyRing
 from dgkoszul.fields import FieldError
-from dgkoszul.poly import RingMismatchError, grevlex_key
+from dgkoszul.poly import RingMismatchError, grevlex_key, mono_mul
 
 F = PrimeField()
 QQ = RationalField()
@@ -136,3 +136,123 @@ def test_homogeneous_degree():
     assert (x * y).homogeneous_degree() == 2
     assert (x + x * y).homogeneous_degree() is None
     assert r.zero.homogeneous_degree() is None
+
+
+def test_negative_rational_coefficients_print_as_differences():
+    r = PolyRing(("x", "y"), QQ)
+    p = r.poly({(1, 0): Fraction(1), (0, 1): Fraction(-2), (0, 0): Fraction(-1, 3)})
+    assert str(p) == "x - 2*y - 1/3"
+    assert str(-p) == "-1*x + 2*y + 1/3"
+
+
+# ---- the reference: a ring element as an exponent -> coefficient dict ----
+# Polynomial's arithmetic and printing from when it was such a dict with
+# term loops of its own.  Polynomial is now a rank-1 module vector and must
+# agree with it term for term, coefficient types included.
+
+
+def _ref_add(f, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = f.add(out.get(e, f.zero), c)
+        if s == f.zero:
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def _ref_neg(f, a):
+    return {e: f.neg(c) for e, c in a.items()}
+
+
+def _ref_mul(f, a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = mono_mul(ea, eb)
+            s = f.add(out.get(e, f.zero), f.mul(ca, cb))
+            if s == f.zero:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _ref_mul_term(f, a, e, c):
+    if c == f.zero:
+        return {}
+    return {mono_mul(e, e0): f.mul(c, v) for e0, v in a.items()}
+
+
+def _ref_sort_key(a):
+    return tuple(sorted(((grevlex_key(e), repr(c)) for e, c in a.items()), reverse=True))
+
+
+def _ref_text(names, one, a):
+    if not a:
+        return "0"
+    pieces = []
+    for e in sorted(a, key=grevlex_key, reverse=True):
+        c = a[e]
+        body = "*".join(
+            name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k
+        )
+        pieces.append(str(c) if not body else body if c == one else f"{c}*{body}")
+    text = pieces[0]
+    for term in pieces[1:]:
+        text += " - " + term[1:] if term.startswith("-") else " + " + term
+    return text
+
+
+def _terms(p):
+    """p as the reference form: exponent -> coefficient."""
+    return {e: c for (_, e), c in p.vec.items()}
+
+
+def _typed(a):
+    return {e: (c, type(c)) for e, c in a.items()}
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+_FIELDS = {
+    # F_5: few coefficient values, so sums and products cancel often.
+    "F_5": (PrimeField(5), st.integers(1, 4), st.integers(0, 4)),
+    "Q": (
+        QQ,
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _FIELDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_polynomial_arithmetic_matches_the_dict_reference(name, data):
+    f, coeffs, scalars = _FIELDS[name]
+    r = PolyRing(("x", "y"), f)
+    monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    a, b = (data.draw(st.dictionaries(monos, coeffs, max_size=5)) for _ in range(2))
+    c, e = data.draw(scalars), data.draw(monos)
+    p, q = r.poly(a), r.poly(b)
+    assert _typed(_terms(p)) == _typed(a)
+    cases = [
+        (p + q, _ref_add(f, a, b)),
+        (p - q, _ref_add(f, a, _ref_neg(f, b))),
+        (-p, _ref_neg(f, a)),
+        (p * q, _ref_mul(f, a, b)),
+        (p**2, _ref_mul(f, a, a)),
+        (p.scale(c), _ref_mul_term(f, a, (0, 0), c)),
+        (p.mul_term(e, c), _ref_mul_term(f, a, e, c)),
+    ]
+    for got, want in cases:
+        assert _typed(_terms(got)) == _typed(want)
+        assert str(got) == _ref_text(r.variables, f.one, want)
+    assert _sign(p.sort_key(), q.sort_key()) == _sign(_ref_sort_key(a), _ref_sort_key(b))
+    assert (p == q) == (a == b)
+    same = r.poly(dict(reversed(list(a.items()))))
+    assert same == p and hash(same) == hash(p)

@@ -11,20 +11,20 @@ from conftest import grevlex_textbook, poly, ring
 from dgkoszul import PolyRing, PrimeField, RationalField, parse_poly
 from dgkoszul import groebner as gb
 from dgkoszul.modules import modulo
-from dgkoszul.poly import grevlex_key, mono_divides, mono_mul
+from dgkoszul.poly import Polynomial, grevlex_key, mono_divides, mono_mul, vec_to_column
 
 F = PrimeField()
 
 
 def _ideal_gb(texts, R, inhomogeneous=False):
-    vecs = [gb.column_to_vec((parse_poly(t, R),)) for t in texts]
+    vecs = [parse_poly(t, R).vec for t in texts]
     return gb.buchberger(vecs, (0,), F, allow_inhomogeneous=inhomogeneous)
 
 
 def test_already_reduced_basis_unchanged():
     R = PolyRing(("x", "y"), F)
     basis = _ideal_gb(["x", "y"], R)
-    polys = {gb.vec_to_column(v, R, 1)[0] for v in basis}
+    polys = {Polynomial(R, v) for v in basis}
     assert polys == {parse_poly("x", R), parse_poly("y", R)}
 
 
@@ -33,7 +33,7 @@ def test_inhomogeneous_basis_contains_new_element():
     R = PolyRing(("x", "y", "z"), F)
     basis = _ideal_gb(["x^2 - y", "x*y - z"], R, inhomogeneous=True)
     claimed = parse_poly("y^2 - x*z", R)
-    rem = gb.normal_form(gb.column_to_vec((claimed,)), basis, F)
+    rem = gb.normal_form(claimed.vec, basis, F)
     assert not rem
     # and every basis element lies in the original ideal: cross-check by
     # the degree-truncation comparison in test_modules (Hilbert series).
@@ -41,7 +41,7 @@ def test_inhomogeneous_basis_contains_new_element():
 
 def test_single_generator_module():
     R = PolyRing(("x",), F)
-    v = gb.column_to_vec((parse_poly("x", R),))
+    v = parse_poly("x", R).vec
     basis = gb.buchberger([v], (0,), F)
     assert basis == [v]
 
@@ -49,20 +49,20 @@ def test_single_generator_module():
 def test_normal_form_examples():
     R = PolyRing(("x", "y"), F)
     basis = _ideal_gb(["x"], R)
-    xy = gb.column_to_vec((parse_poly("x*y", R),))
+    xy = parse_poly("x*y", R).vec
     assert gb.normal_form(xy, basis, F) == {}
-    y2 = gb.column_to_vec((parse_poly("y^2", R),))
+    y2 = parse_poly("y^2", R).vec
     assert gb.normal_form(y2, basis, F) == y2
     basis2 = _ideal_gb(["x^2 - y"], R, inhomogeneous=True)
-    x2 = gb.column_to_vec((parse_poly("x^2", R),))
+    x2 = parse_poly("x^2", R).vec
     rem = gb.normal_form(x2, basis2, F)
-    assert gb.vec_to_column(rem, R, 1)[0] == parse_poly("y", R)
+    assert Polynomial(R, rem) == parse_poly("y", R)
 
 
 def test_normal_form_is_reduction_path_independent():
     R = PolyRing(("x", "y", "z"), F)
     basis = _ideal_gb(["x*y - z^2", "y^2 - x*z", "x^2 - y*z"], R)
-    probe = gb.column_to_vec((parse_poly("(x + y + z)*(x + y + z)*(x + y + z)", R),))
+    probe = parse_poly("(x + y + z)*(x + y + z)*(x + y + z)", R).vec
     first = gb.normal_form(probe, basis, F)
     last = gb.normal_form(probe, basis[::-1], F)
     assert first == last
@@ -142,14 +142,14 @@ def test_a_term_too_large_for_its_fields_raises():
 
 def test_generator_at_the_exponent_bound():
     R = PolyRing(("x", "y"), F)
-    gens = [gb.column_to_vec((parse_poly(t, R),)) for t in ("x^1000 - y^1000", "x*y")]
+    gens = [parse_poly(t, R).vec for t in ("x^1000 - y^1000", "x*y")]
     assert gb.buchberger(gens[:1], (0,), F) == gens[:1]
     with pytest.raises(gb.DegreeCapExceeded):
         gb.buchberger(gens, (0,), F)
     # y * (x^1000 - y^1000) - x^999 * (x*y) = -y^1001, in degree 1001; the
     # pairs with y^1001 have degrees 1002 and 2001, so the cap must admit them.
     basis = gb.buchberger(gens, (0,), F, degree_cap=2001)
-    assert [gb.vec_to_column(v, R, 1)[0] for v in basis] == [
+    assert [Polynomial(R, v) for v in basis] == [
         parse_poly(t, R) for t in ("y^1000*y", "x^1000 - y^1000", "x*y")
     ]
     for text, remainder in [
@@ -158,8 +158,8 @@ def test_generator_at_the_exponent_bound():
         ("x^1000*x^1000", "0"),
         ("y^1000 + x^999", "y^1000 + x^999"),
     ]:
-        v = gb.column_to_vec((parse_poly(text, R),))
-        rem = gb.vec_to_column(gb.normal_form(v, basis, F), R, 1)[0]
+        v = parse_poly(text, R).vec
+        rem = Polynomial(R, gb.normal_form(v, basis, F))
         assert rem == parse_poly(remainder, R)
 
 
@@ -176,7 +176,7 @@ def test_a_negative_twist_reaches_the_cap():
 
 
 def _syzygies(texts, R):
-    cols = [gb.column_to_vec((parse_poly(t, R),)) for t in texts]
+    cols = [parse_poly(t, R).vec for t in texts]
     return gb.syzygies(cols, (0,), R)
 
 
@@ -185,7 +185,7 @@ def test_koszul_syzygy_of_two_variables():
     syz = _syzygies(["x", "y"], R)
     assert len(syz) == 1
     # the Koszul syzygy (y, -x) up to normalization
-    sx, sy = gb.vec_to_column(syz[0], R, 2)
+    sx, sy = vec_to_column(syz[0], R, 2)
     assert sx * parse_poly("x", R) + sy * parse_poly("y", R) == R.zero
 
 
@@ -196,7 +196,7 @@ def test_syzygies_of_three_variables_annihilate():
     gens = [parse_poly(t, R) for t in ("x", "y", "z")]
     for s in syz:
         total = R.zero
-        for c, g in zip(gb.vec_to_column(s, R, 3), gens):
+        for c, g in zip(vec_to_column(s, R, 3), gens):
             total = total + c * g
         assert total.is_zero()
 
@@ -208,7 +208,7 @@ def test_syzygy_of_single_nonzerodivisor_is_empty():
 
 def test_inhomogeneous_input_rejected():
     R = PolyRing(("x", "y"), F)
-    v = gb.column_to_vec((parse_poly("x + x^2", R),))
+    v = parse_poly("x + x^2", R).vec
     with pytest.raises(gb.InhomogeneousError):
         gb.buchberger([v], (0,), F)
 
@@ -216,7 +216,7 @@ def test_inhomogeneous_input_rejected():
 def test_degree_cap_reports_diagnostic():
     R = PolyRing(("x", "y", "z"), F)
     vecs = [
-        gb.column_to_vec((parse_poly(t, R),))
+        parse_poly(t, R).vec
         for t in ("x^5 - y^4*z", "x^2*y^3 - z^5")
     ]
     with pytest.raises(gb.DegreeCapExceeded):
@@ -228,13 +228,13 @@ def test_modulo_contains_a_unit_exactly_for_members():
     # as generated by modulo, contains a nonzero constant.
     R = PolyRing(("x", "y"), F)
     cols = [
-        gb.column_to_vec((parse_poly("x", R),)),
-        gb.column_to_vec((parse_poly("y", R),)),
+        parse_poly("x", R).vec,
+        parse_poly("y", R).vec,
     ]
     constant = (0, 0)
 
     def is_member(text):
-        v = gb.column_to_vec((parse_poly(text, R),))
+        v = parse_poly(text, R).vec
         return any(set(c) == {(0, constant)} for c in modulo([v], cols, (0,), R))
 
     assert is_member("x^2 + x*y")
@@ -459,7 +459,7 @@ def test_syzygies_of_the_pfaffians_reduce_a_pinned_number_of_s_vectors(monkeypat
     names = [f"a{i}{j}" for i, j in itertools.combinations(range(5), 2)]
     R = PolyRing(tuple(names), F)
     pfaffians = [
-        gb.column_to_vec((parse_poly(f"a{i}{j}*a{k}{l} - a{i}{k}*a{j}{l} + a{i}{l}*a{j}{k}", R),))
+        parse_poly(f"a{i}{j}*a{k}{l} - a{i}{k}*a{j}{l} + a{i}{l}*a{j}{k}", R).vec
         for i, j, k, l in itertools.combinations(range(5), 4)
     ]
     remainders, counts = [], []

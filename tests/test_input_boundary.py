@@ -47,7 +47,7 @@ def test_degree_cap_does_not_leak_into_later_jobs():
 # Each Buchberger call site of the package, fed two quadrics over k[x,y]
 # whose leads x^2 and x*y need an S-pair of degree 3.
 def _quadrics(S):
-    return [gb.column_to_vec((parse_poly(t, S),)) for t in ("x^2 + y^2", "x*y")]
+    return [parse_poly(t, S).vec for t in ("x^2 + y^2", "x*y")]
 
 
 CAP_SITES = {
@@ -176,6 +176,11 @@ MALFORMED = {
         tasks=[{"task": "koszul", "elements": ["x0"], "oracle_depth": 0}],
     ),
     "variable not a name": _job(vars=["x", 5]),
+    # Both were accepted: "" printed as the unit "1", "x+y" as a sum.
+    "empty variable name": _job(vars=["", "y"], ideal=["y^2"], tasks=[{"task": "invariants"}]),
+    "variable name not one token": _job(
+        vars=["x+y", "z"], ideal=["z^2"], tasks=[{"task": "invariants"}]
+    ),
     "field not an object": _job(field=5),
     "sequences not an object": _job(sequences=5, tasks=[{"task": "koszul", "elements": "s"}]),
     "job not an object": [5],
@@ -227,6 +232,17 @@ MALFORMED = {
                 "elements": ["x"],
                 "target": {"vars": [f"t{i}" for i in range(MAX_VARIABLES + 1)], "ideal": []},
                 "images": ["t0", "t1"],
+            }
+        ]
+    ),
+    "base change target variable name not one token": _job(
+        tasks=[
+            {
+                "task": "check",
+                "name": "base_change",
+                "elements": ["x"],
+                "target": {"vars": ["u", "v w"], "ideal": []},
+                "images": ["u", "u"],
             }
         ]
     ),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from dgkoszul import (
     kernel,
     koszul,
     lcdim,
+    run_job,
     seq_depth,
     trivial_extension,
 )
@@ -28,7 +31,6 @@ from dgkoszul.complexes import _monomials_of_degree
 from dgkoszul.dgring import ElementOfH0
 from dgkoszul.hilbert import NEG_INF
 from dgkoszul.invariants import ImproperIdealError, NonLocalMapError, _regular_on
-from dgkoszul.poly import Polynomial
 
 S101 = ring("x", "y", "z", field=PrimeField(101))
 Q101 = ring("x", "y", "z", ideal=["x*y - z^2"], field=PrimeField(101))
@@ -92,7 +94,7 @@ def _cokernels_and_elements(draw):
 
     rels = [relation(draw(st.integers(1, 3))) for _ in range(draw(st.integers(0, 3)))]
     monos = st.sampled_from(_monomials_of_degree(3, draw(st.integers(1, 2))))
-    x = Polynomial(Q.poly_ring, draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3)))
+    x = Q.poly_ring.poly(draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3)))
     return FPModule.cokernel(Q, twists, rels), ElementOfH0(x)
 
 
@@ -102,7 +104,7 @@ def test_the_series_verdict_on_regularity_is_the_kernel_verdict(case):
     # x is H-regular iff HS(H/xH) = (1 - t^deg x) HS(H), iff no element of
     # ker(x : F -> F/N) lies outside N.
     H, x = case
-    times_x = [{(j, e): c for e, c in x.rep.terms.items()} for j in range(H.ambient.rank)]
+    times_x = [{(j, e): c for (_, e), c in x.rep.vec.items()} for j in range(H.ambient.rank)]
     injective = all(H.element_is_zero(v) for v in kernel(times_x, H))
     assert _regular_on(H, x) == injective
 
@@ -282,3 +284,23 @@ def test_invariants_build_the_koszul_complex_at_the_irrelevant_ideal_once(monkey
     rep = compute_invariants(cubic, with_witness=False).to_json()
     assert len(built) == 1
     assert rep["depth_at_irrelevant"] == 2 and rep["local_cm"] is True
+
+
+@pytest.mark.parametrize("t", ["t", "_t"])
+def test_a_job_variable_may_have_any_name_the_nilpotency_test_might_use(t):
+    # The radical-membership certificate works in S[t]; a job variable
+    # named like t must not clash with it.
+    job = {
+        "vars": ["x", t],
+        "ideal": [f"x*{t}"],
+        "dg": {"kind": "trivial_extension", "shift": 2, "module": {"rels": [["x"]]}},
+        "tasks": [{"task": "invariants"}],
+    }
+    report = run_job(job)
+    assert report["status"] == "ok"
+    result = report["results"][0]["result"]
+    assert result["local_cm"] is True
+    assert result["constant_amplitude"] is False
+    assert result["cm_certified"] == "unknown"
+    plain = run_job(dict(job, vars=["x", "t"], ideal=["x*t"]))["results"][0]["result"]
+    assert json.dumps(result).replace(f'"{t}"', '"t"') == json.dumps(plain)

@@ -10,18 +10,24 @@ from dgkoszul import FPModule, PrimeField, kernel, min_gens, subquotient
 from dgkoszul import groebner as gb
 from dgkoszul.hilbert import NEG_INF, lead_module_series
 from dgkoszul.modules import _j_basis, modulo
-from dgkoszul.groebner import column_to_vec
-from dgkoszul.poly import grevlex_key
+from dgkoszul.poly import (
+    Polynomial,
+    column_key,
+    grevlex_key,
+    vec_add_multiple,
+    vec_combination,
+    vec_degree,
+)
 from dgkoszul.rings import FreeModule, QuotientRing
 
 
 def _col(text, Q):
-    return column_to_vec((poly(text, Q),))
+    return poly(text, Q).vec
 
 
 def _kernel_of_multiplication(M, c):
     """ker(c : M -> M) as a module in M's own grading."""
-    times_c = [{(j, e): v for e, v in c.terms.items()} for j in range(M.ambient.rank)]
+    times_c = [{(j, e): v for (_, e), v in c.vec.items()} for j in range(M.ambient.rank)]
     return subquotient(M.ambient, kernel(times_c, M), M.rels)
 
 
@@ -143,9 +149,9 @@ def test_subquotient_matches_the_two_series_formula_and_membership_matches_the_c
 
     # x times the sum of the relation columns lies in N; adding it keeps
     # a probe in N exactly when the probe is.
-    in_n = gb.vec_combination(cols, {(j, (1, 0, 0)): field.one for j in range(len(cols))}, field)
+    in_n = vec_combination(cols, {(j, (1, 0, 0)): field.one for j in range(len(cols))}, field)
     shifted = dict(probe)
-    gb.vec_add_multiple(shifted, in_n, (0, 0, 0), field.one, field)
+    vec_add_multiple(shifted, in_n, (0, 0, 0), field.one, field)
     assert N.element_is_zero(in_n)
     for v in gens + [probe, shifted]:
         assert N.element_is_zero(v) == in_n_by_colon(v)
@@ -180,7 +186,7 @@ def test_kernel_maps_into_the_relations_and_has_the_image_series(case):
     ker = kernel(cols, M)
     field = Q101.field
     for v in ker:
-        assert M.element_is_zero(gb.vec_combination(cols, v, field))
+        assert M.element_is_zero(vec_combination(cols, v, field))
     # F_src/ker is the image, so HS(F_src/ker) = HS(M) - HS(M/im)
     source = FreeModule(Q101, len(degs), degs)
     image = FPModule(source, ker).hilbert_series()
@@ -193,7 +199,7 @@ def _rebuilt_min_gens(columns, ambient, baseline):
     field = ambient.ring.field
     candidates = sorted(
         (c for c in columns if c),
-        key=lambda v: (gb.vec_degree(v, ambient.twists), gb.column_key(v)),
+        key=lambda v: (vec_degree(v, ambient.twists), column_key(v)),
     )
     kept = []
     for cand in candidates:
@@ -262,7 +268,7 @@ def test_a_cyclic_modules_annihilator_is_its_relation_ideal(case):
     # every relation, the stacked-modulo computation of any rank.
     generator = {(0, (0, 0, 0)): Q101.field.one}
     reference = [
-        gb.vec_to_column(v, R, 1)[0] for v in modulo([generator], M.relation_columns(), (0,), R)
+        Polynomial(R, v) for v in modulo([generator], M.relation_columns(), (0,), R)
     ]
     ideal = QuotientRing(R, tuple(M.annihilator()) + Q101.j_gens)
     assert ideal == QuotientRing(R, tuple(reference) + Q101.j_gens)

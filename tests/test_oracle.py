@@ -14,7 +14,6 @@ from dgkoszul import (
     Complex,
     FPModule,
     PolyRing,
-    Polynomial,
     PrimeField,
     QuotientRing,
     RationalField,
@@ -26,7 +25,7 @@ from dgkoszul import groebner as gb
 from dgkoszul.complexes import _monomials_of_degree
 from dgkoszul.dgring import koszul, trivial_extension
 from dgkoszul.linalg import Echelon
-from dgkoszul.poly import mono_mul
+from dgkoszul.poly import mono_mul, vec_degree
 
 
 def reference_oracle(C: Complex, d_max: int) -> dict:
@@ -50,7 +49,7 @@ def reference_oracle(C: Complex, d_max: int) -> dict:
             index = {bm: k for k, bm in enumerate(basis)}
             relations = Echelon(field)
             for col in term.relation_columns():
-                col_deg = gb.vec_degree(col, term.ambient.twists)
+                col_deg = vec_degree(col, term.ambient.twists)
                 for mono in _monomials_of_degree(ring_.nvars, t_deg - col_deg):
                     row = {}
                     for (comp, e), c in col.items():
@@ -90,7 +89,7 @@ def _forms(S: PolyRing, degree: int, coeffs):
     monos = _monomials_of_degree(S.nvars, degree)
     field = S.field
     return st.lists(coeffs, min_size=len(monos), max_size=len(monos)).map(
-        lambda cs: Polynomial(S, {e: field.from_int(c) for e, c in zip(monos, cs) if c})
+        lambda cs: S.poly({e: field.from_int(c) for e, c in zip(monos, cs) if c})
     )
 
 
@@ -113,7 +112,7 @@ def complexes(draw, field):
     source = draw(st.sampled_from(["koszul", "tensor_line", "trivial_extension", "dual"]))
     if source == "tensor_line":
         line = draw(_forms(S, 1, coeffs))
-        M = FPModule.cokernel(Q, (0,), [gb.column_to_vec((line,))])
+        M = FPModule.cokernel(Q, (0,), [line.vec])
         return tensor_complexes(K, Complex(Q, {0: M}, {}))
     if source == "trivial_extension":
         line = draw(_forms(S, 1, coeffs))
@@ -142,7 +141,7 @@ def test_oracle_matches_the_reference_on_a_dual_and_a_cokernel_complex():
     # relations beyond J, and a degree floor below 0.
     Q = ring("x", "y", "z", ideal=["x*y - z^2"])
     K = koszul_complex(Q, [poly("x", Q), poly("y^2", Q)])
-    line = FPModule.cokernel(Q, (0,), [gb.column_to_vec((poly("x + z", Q),))])
+    line = FPModule.cokernel(Q, (0,), [poly("x + z", Q).vec])
     cases = [K.hom_dual(), tensor_complexes(K, Complex(Q, {0: line}, {}))]
     assert min(w for t in cases[0].terms.values() for w in t.ambient.twists) < 0
     assert not cases[1].is_termwise_free()

@@ -13,7 +13,7 @@ R3 = PolyRing(("x", "y", "z"), F)
 
 def test_basic_terms():
     p = parse_poly("x*y - z^2", R3)
-    assert p.terms == {(1, 1, 0): 1, (0, 0, 2): F.p - 1}
+    assert p.vec == {(0, (1, 1, 0)): 1, (0, (0, 0, 2)): F.p - 1}
 
 
 def test_like_terms_merge():
