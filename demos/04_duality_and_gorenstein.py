@@ -43,7 +43,8 @@ for variables, ideal in [
     (("x", "y", "z"), ["x^2", "x*y", "y^2"]),
 ]:
     R = ring(variables, ideal)
-    res = free_resolution(FPModule.free(R, (0,)))
+    # R as a module over itself: one generator of twist 0, no relations.
+    res = free_resolution(FPModule(R, (0,)))
     gor, data = is_gorenstein_ring(R)
     print(
         f"S/{tuple(ideal)}: Betti {betti_numbers(res)}, "

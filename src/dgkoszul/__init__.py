@@ -11,7 +11,7 @@ be cross-checked by a Groebner-independent degree-truncation oracle.
 from .fields import DEFAULT_PRIME, PrimeField, RationalField, field_from_json
 from .poly import PolyRing, Polynomial
 from .parse import ParseError, parse_poly
-from .rings import FreeModule, QuotientRing, quotient_ring_from_strings
+from .rings import QuotientRing, quotient_ring_from_strings
 from .hilbert import NEG_INF, POS_INF, HilbertSeries
 from .modules import FPModule, kernel, min_gens, subquotient
 from .complexes import (

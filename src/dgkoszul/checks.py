@@ -189,12 +189,12 @@ def check_base_change(A: DGRingRep, args, config) -> dict:
     pushed = base_change(K, f)
     # Independent side: map the Koszul complex entrywise and take homology.
     mapped_terms = {
-        i: FPModule.free(target, t.ambient.twists)
+        i: FPModule(target, t.twists)
         for i, t in K.underlying.terms.items()
     }
     mapped_diffs = {}
     for i, m in K.underlying.diffs.items():
-        rows = K.underlying.terms[i + 1].ambient.rank
+        rows = K.underlying.terms[i + 1].rank
         mapped_diffs[i] = tuple(
             column_to_vec(map(f.apply, vec_to_column(col, A.base.poly_ring, rows)))
             for col in m

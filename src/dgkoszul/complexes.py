@@ -2,10 +2,10 @@
 degree-truncation oracle.
 
 Complexes are cohomologically indexed: d^i maps term i to term i+1 and has
-internal degree 0.  Terms are FPModules, cokernels of their ambient free
-modules; a map is the tuple of its columns: column j of a differential,
-or of any other map, is the sparse ModVec image of generator j of
-the source over the generators of the target.
+internal degree 0.  Terms are FPModules, cokernels of the free modules on
+their generators; a map is the tuple of its columns: column j of a
+differential, or of any other map, is the sparse ModVec image of generator
+j of the source over the generators of the target.
 
 Sign conventions, pinned once:
   * the rank-1 Koszul differential sends the degree -1 basis vector for a
@@ -61,7 +61,7 @@ class Complex:
 
     def __init__(self, ring: QuotientRing, terms: dict, diffs: dict):
         self.ring = ring
-        self.terms = {i: t for i, t in terms.items() if t.ambient.rank > 0}
+        self.terms = {i: t for i, t in terms.items() if t.rank > 0}
         self.diffs = {
             i: tuple(m)
             for i, m in diffs.items()
@@ -88,7 +88,7 @@ class Complex:
     def term(self, i: int) -> FPModule:
         if i in self.terms:
             return self.terms[i]
-        return FPModule.zero(self.ring)
+        return FPModule(self.ring, ())
 
     def is_termwise_free(self) -> bool:
         return all(len(t.rels) == 0 for t in self.terms.values())
@@ -103,7 +103,7 @@ class Complex:
         for i in self.diffs:
             if (i + 1) in self.diffs:
                 dd = _compose(self.diffs[i + 1], self.diffs[i], field)
-                if not _agree(dd, None, self.terms[i + 2], self.terms[i].ambient.rank):
+                if not _agree(dd, None, self.terms[i + 2], self.terms[i].rank):
                     raise AssertionError(f"d∘d != 0 between {i} and {i+2}")
 
     # -- homology --
@@ -114,15 +114,15 @@ class Complex:
         if i in self._homology:
             return self._homology[i]
         if i not in self.terms:
-            h = FPModule.zero(self.ring)
+            h = FPModule(self.ring, ())
             self._homology[i] = h
             return h
         M = self.terms[i]
         if i in self.diffs:
             ker_gens = kernel(self.diffs[i], self.terms[i + 1])
         else:
-            ker_gens = [M.ambient.basis_vector(j) for j in range(M.ambient.rank)]
-        h = subquotient(M.ambient, ker_gens, M.rels + self.diffs.get(i - 1, ()))
+            ker_gens = [M.basis_vector(j) for j in range(M.rank)]
+        h = subquotient(M, ker_gens, self.diffs.get(i - 1, ()))
         self._homology[i] = h
         return h
 
@@ -130,7 +130,7 @@ class Complex:
         """HS(im d^i) = HS(C^{i+1}) - HS(F^{i+1}/(N^{i+1} + d^i F^i))."""
         if i not in self._images:
             tgt = self.terms[i + 1]
-            coker = FPModule(tgt.ambient, tgt.rels + self.diffs[i])
+            coker = FPModule(tgt.ring, tgt.twists, tgt.rels + self.diffs[i])
             self._images[i] = tgt.hilbert_series() - coker.hilbert_series()
         return self._images[i]
 
@@ -180,7 +180,7 @@ class Complex:
             raise ValueError("hom_dual requires a termwise-free complex")
         field = self.ring.field
         terms = {
-            -i: FPModule.free(self.ring, tuple(-w for w in t.ambient.twists))
+            -i: FPModule(self.ring, tuple(-w for w in t.twists))
             for i, t in self.terms.items()
         }
         diffs = {}
@@ -189,7 +189,7 @@ class Complex:
             # of the dual (a generator of C^{i+1}) holds row c of d^i.  The
             # dual degree is -i-1, so (-1)^{(dual degree)+1} = (-1)^i.
             sign = field.from_int(-1 if i % 2 else 1)
-            dual = [{} for _ in range(self.terms[i + 1].ambient.rank)]
+            dual = [{} for _ in range(self.terms[i + 1].rank)]
             for r, col in enumerate(m):
                 for (c, e), v in col.items():
                     dual[c][(r, e)] = field.mul(sign, v)
@@ -198,7 +198,7 @@ class Complex:
 
     def __repr__(self):
         rng = f"[{self.lo}, {self.hi}]" if self.terms else "[]"
-        return f"Complex({rng}, ranks={[self.term(i).ambient.rank for i in self.support]})"
+        return f"Complex({rng}, ranks={[self.term(i).rank for i in self.support]})"
 
 
 def tensor_complexes(C: Complex, D: Complex) -> Complex:
@@ -231,9 +231,9 @@ def tensor_complexes(C: Complex, D: Complex) -> Complex:
         cols = []
         for p, q in blocks[i]:
             cp, dq = C.terms[p], D.terms[q]
-            kc, kd = cp.ambient.rank, dq.ambient.rank
+            kc, kd = cp.rank, dq.rank
             o = offset[(p, q)] = len(twists)
-            twists += [u + w for u in cp.ambient.twists for w in dq.ambient.twists]
+            twists += [u + w for u in cp.twists for w in dq.twists]
             rels += [
                 {(o + a * kd + b, e): c for (a, e), c in r.items()}
                 for b in range(kd)
@@ -244,7 +244,7 @@ def tensor_complexes(C: Complex, D: Complex) -> Complex:
             if dd is not None:
                 sign = field.from_int(-1 if p % 2 else 1)
                 signed = [vec_scale(col, sign, field) for col in dd]
-                kd_next = D.terms[q + 1].ambient.rank
+                kd_next = D.terms[q + 1].rank
             for a in range(kc):
                 for b in range(kd):
                     col = {}
@@ -254,7 +254,7 @@ def tensor_complexes(C: Complex, D: Complex) -> Complex:
                     if dd is not None:
                         col.update(vec_offset(signed[b], offset[(p, q + 1)] + a * kd_next))
                     cols.append(col)
-        terms[i] = FPModule.cokernel(ring, tuple(twists), rels)
+        terms[i] = FPModule(ring, twists, rels)
         diffs[i] = tuple(cols)  # Complex drops d^i of the top term
     return Complex(ring, terms, diffs)
 
@@ -287,10 +287,10 @@ def koszul_complex(
         if d is None:
             d = degrees[idx] if degrees is not None else 1
         degs.append(d)
-    unit = FPModule.free(ring, (0,))
+    unit = FPModule(ring, (0,))
     K = Complex(ring, {0: unit}, {})
     for a, d in reversed(list(zip(elements, degs))):
-        rank_one = Complex(ring, {-1: FPModule.free(ring, (d,)), 0: unit}, {-1: (a.vec,)})
+        rank_one = Complex(ring, {-1: FPModule(ring, (d,)), 0: unit}, {-1: (a.vec,)})
         K = tensor_complexes(rank_one, K)
     return K
 
@@ -323,13 +323,13 @@ def _monomials_of_degree(nvars: int, d: int):
 def _degree_floor(C: Complex) -> int:
     """The first internal degree of the oracle tables: the least twist of
     any term, and at most 0."""
-    return min([0] + [w for t in C.terms.values() for w in t.ambient.twists])
+    return min([0] + [w for t in C.terms.values() for w in t.twists])
 
 
 def oracle_basis_size(C: Complex, d_max: int) -> int:
     """An upper bound, known before it starts, on the number of basis
     vectors the truncation oracle builds up to d_max: the monomials of the
-    ambient modules, of which the oracle keeps those outside J.
+    terms' free modules, of which the oracle keeps those outside J.
 
     A generator of twist w contributes C(t - w + n - 1, n - 1) monomials in
     each degree t; summed over t from the degree floor (which is at most w)
@@ -339,7 +339,7 @@ def oracle_basis_size(C: Complex, d_max: int) -> int:
     return sum(
         math.comb(d_max - w + n, n)
         for t in C.terms.values()
-        for w in t.ambient.twists
+        for w in t.twists
         if w <= d_max
     )
 
@@ -387,7 +387,7 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
 
     j_gens = [(g.homogeneous_degree(), pack_column(g.vec)) for g in ring.j_gens]
     relations = {
-        i: [(vec_degree(col, t.ambient.twists), pack_column(col)) for col in t.rels]
+        i: [(vec_degree(col, t.twists), pack_column(col)) for col in t.rels]
         for i, t in C.terms.items()
     }
     diffs = {i: [pack_column(col) for col in m] for i, m in C.diffs.items()}
@@ -439,7 +439,7 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
             basis = []
             offsets[i] = []
             off = 0
-            for j, w in enumerate(C.terms[i].ambient.twists):
+            for j, w in enumerate(C.terms[i].twists):
                 offsets[i].append(off)
                 if t_deg >= w:
                     monos = monomials(t_deg - w)

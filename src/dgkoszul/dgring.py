@@ -16,7 +16,7 @@ from typing import Sequence
 from .complexes import Complex, koszul_complex, tensor_complexes
 from .modules import FPModule
 from .parse import parse_poly
-from .poly import Polynomial
+from .poly import Polynomial, RingMismatchError
 from .rings import QuotientRing, substitute
 
 # Bound on the total rank (the number of generators over all terms) of a
@@ -48,7 +48,7 @@ def _check_rank(rank: int, what: str) -> None:
 
 
 def _total_rank(C: Complex) -> int:
-    return sum(t.ambient.rank for t in C.terms.values())
+    return sum(t.rank for t in C.terms.values())
 
 
 class ElementOfH0:
@@ -89,13 +89,17 @@ class ElementOfH0:
 
 
 def _as_element(x, ring: QuotientRing) -> ElementOfH0:
-    if isinstance(x, ElementOfH0):
-        return x
-    if isinstance(x, Polynomial):
-        return ElementOfH0(x)
     if isinstance(x, str):
         return ElementOfH0(parse_poly(x, ring.poly_ring))
-    raise TypeError(f"cannot interpret {x!r} as an element of H^0")
+    if isinstance(x, Polynomial):
+        x = ElementOfH0(x)
+    elif not isinstance(x, ElementOfH0):
+        raise TypeError(f"cannot interpret {x!r} as an element of H^0")
+    if x.rep.ring != ring.poly_ring:
+        raise RingMismatchError(
+            f"element {x.rep} of {x.rep.ring!r} is not in {ring.poly_ring!r}"
+        )
+    return x
 
 
 class DGRingRep:
@@ -187,7 +191,7 @@ class DGRingRep:
 # ---------- constructors ----------
 
 def dg_from_ring(Q: QuotientRing) -> DGRingRep:
-    underlying = Complex(Q, {0: FPModule.free(Q, (0,))}, {})
+    underlying = Complex(Q, {0: FPModule(Q, (0,))}, {})
     return DGRingRep(Q, underlying, Q, ("ring",))
 
 
@@ -199,8 +203,8 @@ def trivial_extension(Q: QuotientRing, M: FPModule, n: int) -> DGRingRep:
     if M.ring != Q:
         raise ValueError("module must live over the base ring")
     pres = M.minimize()
-    terms = {0: FPModule.free(Q, (0,))}
-    if pres.ambient.rank > 0:
+    terms = {0: FPModule(Q, (0,))}
+    if pres.rank > 0:
         terms[-n] = pres
     underlying = Complex(Q, terms, {})
     return DGRingRep(Q, underlying, Q, ("trivial-extension", M, n))

@@ -18,7 +18,7 @@ from .complexes import Complex, _agree, _compose, koszul_complex, tensor_complex
 from .dgring import DGRingRep
 from .modules import FPModule, min_gens, modulo
 from .poly import vec_degree
-from .rings import FreeModule, QuotientRing
+from .rings import QuotientRing
 
 
 def ambient_ring(Q: QuotientRing) -> QuotientRing:
@@ -36,24 +36,22 @@ def free_resolution(M: FPModule) -> Complex:
     minimal, with no unit entries)."""
     S = ambient_ring(M.ring)
     ring = S.poly_ring
-    twists = M.ambient.twists
+    F = FPModule(S, M.twists)
     cols = M.relation_columns()
-    terms = {0: FPModule.free(S, twists)}
+    terms = {0: F}
     diffs = {}
-    ambient = FreeModule(S, len(twists), twists)
     k = 0
     while True:
-        cols = min_gens(cols, ambient)
+        cols = min_gens(cols, F)
         if not cols:
             break
         k += 1
         if k > ring.nvars + 1:
             raise ResolutionError("resolution exceeded the syzygy bound")
-        col_degs = tuple(vec_degree(c, ambient.twists) for c in cols)
-        terms[-k] = FPModule.free(S, col_degs)
+        degs = [vec_degree(c, F.twists) for c in cols]
         diffs[-k] = tuple(cols)
-        cols = modulo(cols, (), ambient.twists, ring)
-        ambient = FreeModule(S, len(col_degs), col_degs)
+        cols = modulo(cols, (), F.twists, ring)
+        F = terms[-k] = FPModule(S, degs)
     resolution = Complex(S, terms, diffs)
     _assert_minimal(resolution)
     return resolution
@@ -63,7 +61,7 @@ def ring_resolution(Q: QuotientRing) -> Complex:
     """The minimal free resolution of Q over S, computed once per ring
     object and kept on it for the Gorenstein verdict and dualizing complex."""
     if Q._resolution is None:
-        Q._resolution = free_resolution(FPModule.free(Q, (0,)))
+        Q._resolution = free_resolution(FPModule(Q, (0,)))
     return Q._resolution
 
 
@@ -80,14 +78,14 @@ def betti_table(res: Complex) -> dict:
     for i in sorted(res.terms):
         step = -i
         row: dict[int, int] = {}
-        for w in res.terms[i].ambient.twists:
+        for w in res.terms[i].twists:
             row[w] = row.get(w, 0) + 1
         out[step] = dict(sorted(row.items()))
     return out
 
 
 def betti_numbers(res: Complex) -> list[int]:
-    return [res.term(-k).ambient.rank for k in range(-min(res.terms) + 1)]
+    return [res.term(-k).rank for k in range(-min(res.terms) + 1)]
 
 
 # ---------- dualizing complexes ----------
@@ -144,7 +142,7 @@ def is_gorenstein_ring(Q: QuotientRing) -> tuple[bool, dict]:
     length = -min(res.terms)
     codim = Q.poly_ring.nvars - Q.dim()
     cm = length == codim
-    last = res.term(min(res.terms)).ambient.rank
+    last = res.term(min(res.terms)).rank
     data = {
         "betti": betti_numbers(res),
         "betti_table": {str(k): v for k, v in betti_table(res).items()},
@@ -271,7 +269,7 @@ def gorenstein_dg_check(K: DGRingRep) -> dict:
         top_k = top_d + s
         hd = D.homology(top_d)
         hk = K.homology(top_k)
-        if hd.ambient.rank == 1 and hk.ambient.rank == 1:
+        if hd.rank == 1 and hk.rank == 1:
             S_poly = root.poly_ring
             closure_k = QuotientRing(
                 S_poly, tuple(hk.annihilator()) + root.j_gens

@@ -51,7 +51,7 @@ the mask test; the lcm, its degree and coprimality take a few int
 operations each.  A removed pair is never processed, so it never trips the
 degree cap.  buchberger(known=B) extends a Groebner basis B and forms no
 pair within it: a module's basis starts from J's reduced basis times each
-ambient basis vector, and min_gens extends its basis by each kept column.
+of its basis vectors, and min_gens extends its basis by each kept column.
 Division looks up reducers by the component bits of the term: only a lead
 of the term's own component can divide it.
 

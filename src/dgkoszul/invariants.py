@@ -57,7 +57,7 @@ def _bottom_homology(A: DGRingRep):
 
 def _times(x: ElementOfH0, h: FPModule) -> list:
     """The columns of multiplication by x on the generators of h."""
-    return [vec_offset(x.rep.vec, j) for j in range(h.ambient.rank)]
+    return [vec_offset(x.rep.vec, j) for j in range(h.rank)]
 
 
 def _regular_on(h: FPModule, x: ElementOfH0) -> bool:
@@ -67,7 +67,7 @@ def _regular_on(h: FPModule, x: ElementOfH0) -> bool:
     so HS(h/xh) = (1 - t^d) HS(h) exactly when 0 :_h x = 0.  That takes one
     Groebner basis of h's relations and x times its generators, and no
     syzygies."""
-    quotient = FPModule(h.ambient, h.rels + tuple(_times(x, h)))
+    quotient = FPModule(h.ring, h.twists, h.rels + tuple(_times(x, h)))
     hs = h.hilbert_series()
     return quotient.hilbert_series() == hs - hs.shift(x.degree)
 
@@ -86,7 +86,7 @@ def is_regular(A: DGRingRep, x) -> tuple[bool, dict]:
     cert = _certificate(x, lo, ok)
     if not ok:
         witness = next(v for v in kernel(_times(x, h), h) if not h.element_is_zero(v))
-        column = vec_to_column(witness, h.ring.poly_ring, h.ambient.rank)
+        column = vec_to_column(witness, h.ring.poly_ring, h.rank)
         cert["kernel_witness"] = [str(p) for p in column]
     return ok, cert
 
@@ -140,16 +140,20 @@ class RegularSequenceWitness:
         }
 
 
-def _candidate_pool(B: DGRingRep, gens: list[ElementOfH0], degree_cap: int):
+# The top degree of the regular-sequence candidates.
+CANDIDATE_DEGREE = 2
+
+
+def _candidate_pool(B: DGRingRep, gens: list[ElementOfH0]):
     """Deterministic homogeneous candidates inside the ideal: monomial
-    multiples of the generators up to the degree cap, then pairwise sums
+    multiples of the generators up to CANDIDATE_DEGREE, then pairwise sums
     within each degree.  Candidates are H^0-reduced and deduplicated."""
     ring = B.base.poly_ring
     degrees, products = [], []
     for g in gens:
         if g.rep.is_zero():
             continue
-        for d in range(g.degree, degree_cap + 1):
+        for d in range(g.degree, CANDIDATE_DEGREE + 1):
             for mono in _monomials_of_degree(ring.nvars, d - g.degree):
                 degrees.append(d)
                 products.append(g.rep.mul_term(mono, ring.field.one))
@@ -179,13 +183,7 @@ def _candidate_pool(B: DGRingRep, gens: list[ElementOfH0], degree_cap: int):
     return pool
 
 
-def greedy_regular_sequence(
-    A: DGRingRep,
-    ideal_gens,
-    budget: int = 400,
-    degree_cap: int = 2,
-    max_len: int | None = None,
-) -> RegularSequenceWitness:
+def greedy_regular_sequence(A: DGRingRep, ideal_gens, budget: int = 400) -> RegularSequenceWitness:
     """Greedy search for a maximal regular sequence inside the ideal.
 
     Each candidate is tested by Hilbert series (_regular_on).  Each found
@@ -201,7 +199,7 @@ def greedy_regular_sequence(
     while True:
         if stage.inf() == POS_INF:
             break
-        pool = _candidate_pool(stage, elems, degree_cap)
+        pool = _candidate_pool(stage, elems)
         advanced = False
         for cand in pool:
             if remaining <= 0:
@@ -218,8 +216,6 @@ def greedy_regular_sequence(
                 advanced = True
                 break
         if not advanced:
-            break
-        if max_len is not None and len(witness) >= max_len:
             break
     return witness
 

@@ -71,7 +71,7 @@ def _build_module(spec: dict, ring: QuotientRing) -> FPModule:
         if len(col) != len(twists):
             raise JobError("module relation column length must match twists")
         cols.append(column_to_vec(parse_poly(t, ring.poly_ring) for t in col))
-    return FPModule.cokernel(ring, tuple(twists), cols)
+    return FPModule(ring, twists, cols)
 
 
 def build_dg(spec: dict, ring: QuotientRing) -> DGRingRep:

@@ -1,13 +1,14 @@
 """Finitely presented graded modules as cokernels, and maps between them.
 
-An FPModule is a cokernel F/N over Q = S/J: F is a free ambient module
-whose basis vectors are the generators, and N is the span of the
-relations together with J times the ambient basis.  One reduced Groebner
-basis of N serves both membership tests and the Hilbert series.
-Relations and every other module element are ModVecs (see poly.py),
-sparse maps (ambient component, exponent) -> scalar, and a map is the
-tuple of its columns: column j is the ModVec image of source generator j
-over the target generators.
+An FPModule is its ring Q = S/J, its twists and its relations: the
+cokernel F/N, where F is the free module with one basis vector, a
+generator, per twist, and N is the span of the relations together with J
+times that basis.  A free module is the cokernel with no relations.  One
+reduced Groebner basis of N serves both membership tests and the Hilbert
+series.  Relations and every other module element are ModVecs (see
+poly.py), sparse maps (component of F, exponent) -> scalar, and a map is
+the tuple of its columns: column j is the ModVec image of source generator
+j over the target generators.
 
 Kernels and subquotient presentations are one syzygy step, modulo(): the
 syzygies of [gens | rels] projected to the gens coordinates.  So is the
@@ -27,54 +28,47 @@ from . import groebner as gb
 from .hilbert import HilbertSeries, lead_module_series
 from .linalg import Echelon
 from .poly import ModVec, Polynomial, PolyRing, column_key, vec_combination, vec_degree, vec_offset
-from .rings import FreeModule, QuotientRing
+from .rings import QuotientRing
 
 
 class FPModule:
     """Graded cokernel F/N over a QuotientRing, N = span(rels) + J * F.
 
-    F is the free ambient module; its basis vectors are the generators.
+    F is the free module with one basis vector, a generator, per twist; a
+    free module is the cokernel with no relations.
     """
 
-    def __init__(self, ambient: FreeModule, rels: Sequence[ModVec] = ()):
-        self.ambient = ambient
-        self.ring = ambient.ring
+    def __init__(self, ring: QuotientRing, twists: Sequence[int], rels: Sequence[ModVec] = ()):
+        self.ring = ring
+        self.twists = tuple(twists)
+        self.rank = len(self.twists)
         self.rels = tuple(v for v in rels if v)
         for v in self.rels:
-            if any(comp >= ambient.rank for comp, _ in v):
-                raise ValueError("vector component outside the ambient rank")
-            if vec_degree(v, ambient.twists) is None:
+            if any(comp >= self.rank for comp, _ in v):
+                raise ValueError("vector component outside the module's rank")
+            if vec_degree(v, self.twists) is None:
                 raise gb.InhomogeneousError("inhomogeneous column")
         self._basis = None
         self._hilbert = None
         self._minimal = None
         self._annihilator = None
 
-    # -- constructors --
-
-    @classmethod
-    def cokernel(
-        cls, ring: QuotientRing, twists: Sequence[int], rels: Sequence[ModVec] = ()
-    ) -> FPModule:
-        return cls(FreeModule(ring, len(twists), twists), rels)
-
-    @classmethod
-    def free(cls, ring: QuotientRing, twists: Sequence[int]) -> FPModule:
-        return cls.cokernel(ring, twists, ())
-
-    @classmethod
-    def zero(cls, ring: QuotientRing) -> FPModule:
-        return cls.cokernel(ring, (), ())
-
     @classmethod
     def quotient_by_ideal(cls, ring: QuotientRing, ideal: Sequence[Polynomial]) -> FPModule:
-        return cls.cokernel(ring, (0,), [p.vec for p in ideal])
+        return cls(ring, (0,), [p.vec for p in ideal])
 
     # -- structure --
 
+    def basis_vector(self, i: int) -> ModVec:
+        return {(i, (0,) * self.ring.nvars): self.ring.field.one}
+
+    def j_columns(self) -> list[ModVec]:
+        """The J-multiples of the basis vectors (J acts as zero over Q)."""
+        return [vec_offset(g.vec, i) for g in self.ring.j_gens for i in range(self.rank)]
+
     def relation_columns(self) -> list[ModVec]:
         """Generators of N: the relations, then the J-multiples of the basis."""
-        return list(self.rels) + self.ambient.j_columns()
+        return list(self.rels) + self.j_columns()
 
     def _reduced_basis(self) -> list[ModVec]:
         """The reduced Groebner basis of N, built once and shared by
@@ -82,12 +76,12 @@ class FPModule:
         if self._basis is None:
             cap = self.ring.poly_ring.degree_cap
             self._basis = gb.buchberger(
-                self.rels, self.ambient.twists, self.ring.field, cap, known=_j_basis(self.ambient)
+                self.rels, self.twists, self.ring.field, cap, known=_j_basis(self)
             )
         return self._basis
 
     def element_is_zero(self, v: ModVec) -> bool:
-        """True if the ambient vector v lies in N."""
+        """True if the vector v of F lies in N."""
         return not gb.normal_form(v, self._reduced_basis(), self.ring.field)
 
     # -- invariants --
@@ -97,10 +91,10 @@ class FPModule:
         first key); with no relations, N = J * F and the series is HS(Q)
         twisted by each generator."""
         if self._hilbert is None:
-            ring, twists = self.ring.poly_ring, self.ambient.twists
+            ring, twists = self.ring.poly_ring, self.twists
             if self.rels:
                 leads = [next(iter(g)) for g in self._reduced_basis()]
-                self._hilbert = lead_module_series(leads, self.ambient.rank, twists, ring)
+                self._hilbert = lead_module_series(leads, self.rank, twists, ring)
             else:
                 q = self.ring.hilbert_series()
                 self._hilbert = sum((q.shift(w) for w in twists), HilbertSeries({}, ring.nvars))
@@ -117,20 +111,20 @@ class FPModule:
         A cyclic module F/N is Q/I for the ideal I of its relation entries,
         and I is its annihilator.  With k >= 2 generators, the annihilator
         is the syzygy coefficient on the stacked column (e_1, ..., e_k) of
-        the basis vectors inside the direct sum of k twisted copies of the
-        ambient module, against all relations in each copy.
+        the basis vectors inside the direct sum of k twisted copies of F,
+        against all relations in each copy.
         """
         if self._annihilator is not None:
             return self._annihilator
         ring = self.ring.poly_ring
-        k = self.ambient.rank
+        k = self.rank
         if k == 0:
             self._annihilator = [ring.one]
             return self._annihilator
         if k == 1:
             entries = self.rels
         else:
-            twists = self.ambient.twists
+            twists = self.twists
             big_twists = [t - twists[j] for j in range(k) for t in twists]
             one = self.ring.field.one
             stacked = {(j * k + j, (0,) * self.ring.nvars): one for j in range(k)}
@@ -146,13 +140,11 @@ class FPModule:
     def minimize(self) -> FPModule:
         """Minimal cokernel presentation (no unit entries in the relations)."""
         if self._minimal is None:
-            self._minimal = _minimal_cokernel(
-                self.ring, self.ambient.twists, self.relation_columns()
-            )
+            self._minimal = _minimal_cokernel(self.ring, self.twists, self.relation_columns())
         return self._minimal
 
     def __repr__(self):
-        return f"FPModule(rank={self.ambient.rank}, rels={len(self.rels)})"
+        return f"FPModule(rank={self.rank}, rels={len(self.rels)})"
 
 
 def modulo(
@@ -177,27 +169,25 @@ def kernel(columns: Sequence[ModVec], target: FPModule) -> list[ModVec]:
     duplicates dropped and in canonical order."""
     ring = target.ring.poly_ring
     gens = {}
-    for v in modulo(columns, target.relation_columns(), target.ambient.twists, ring):
+    for v in modulo(columns, target.relation_columns(), target.twists, ring):
         gens.setdefault(column_key(v), v)
     return [gens[key] for key in sorted(gens)]
 
 
-def subquotient(
-    ambient: FreeModule, gens: Sequence[ModVec], rels: Sequence[ModVec] = ()
-) -> FPModule:
-    """The minimized cokernel form of (span(gens) + N)/N, with N the span
-    of rels together with J times the ambient basis.
+def subquotient(M: FPModule, gens: Sequence[ModVec], rels: Sequence[ModVec] = ()) -> FPModule:
+    """The minimized cokernel form of (span(gens) + N)/N inside M's free
+    module, with N spanned by M's relations, then rels, then J times M's
+    generators.
 
     The relations on the generators are modulo(gens, N).
     """
-    ring = ambient.ring
     gens = [g for g in gens if g]
-    rel_cols = [v for v in rels if v] + ambient.j_columns()
-    if gens == [ambient.basis_vector(i) for i in range(ambient.rank)]:
-        return _minimal_cokernel(ring, ambient.twists, rel_cols)
-    cols = modulo(gens, rel_cols, ambient.twists, ring.poly_ring)
-    degs = [vec_degree(g, ambient.twists) for g in gens]
-    return _minimal_cokernel(ring, degs, cols)
+    rel_cols = list(M.rels) + [v for v in rels if v] + M.j_columns()
+    if gens == [M.basis_vector(i) for i in range(M.rank)]:
+        return _minimal_cokernel(M.ring, M.twists, rel_cols)
+    cols = modulo(gens, rel_cols, M.twists, M.ring.poly_ring)
+    degs = [vec_degree(g, M.twists) for g in gens]
+    return _minimal_cokernel(M.ring, degs, cols)
 
 
 def _minimal_cokernel(ring: QuotientRing, degs: Sequence[int], cols: Sequence[ModVec]) -> FPModule:
@@ -237,19 +227,16 @@ def _minimal_cokernel(ring: QuotientRing, degs: Sequence[int], cols: Sequence[Mo
     for c in cols:
         if c:
             clean.setdefault(column_key(c), c)
-    # Relations are only defined modulo J, so redundancy is tested
-    # against the kept columns together with the J-multiples.
-    ambient = FreeModule(ring, len(degs), tuple(degs))
-    kept = min_gens([clean[key] for key in sorted(clean)], ambient, baseline=_j_basis(ambient))
-    result = FPModule(ambient, kept)
+    kept = min_gens([clean[key] for key in sorted(clean)], FPModule(ring, degs))
+    result = FPModule(ring, degs, kept)
     result._minimal = result
     return result
 
 
-def _j_basis(ambient: FreeModule) -> list[ModVec]:
+def _j_basis(M: FPModule) -> list[ModVec]:
     """J's reduced Groebner basis times each basis vector: a Groebner basis
-    of J * ambient."""
-    return [vec_offset(g.vec, i) for g in ambient.ring.groebner() for i in range(ambient.rank)]
+    of J times M's free module."""
+    return [vec_offset(g.vec, i) for g in M.ring.groebner() for i in range(M.rank)]
 
 
 def _unit_row(col: ModVec, zero_expo) -> int | None:
@@ -267,29 +254,28 @@ def _drop_row(col: ModVec, row: int) -> ModVec:
     }
 
 
-def min_gens(
-    columns: Sequence[ModVec], ambient: FreeModule, baseline: Sequence[ModVec] = ()
-) -> list[ModVec]:
-    """A minimal generating subset of the given homogeneous columns.
+def min_gens(columns: Sequence[ModVec], M: FPModule) -> list[ModVec]:
+    """A minimal generating subset of the given homogeneous columns of M's
+    free module, modulo J.
 
-    The baseline, a Groebner basis (e.g. of J times the ambient module,
-    when generation is only needed modulo J), always spans but is never
-    kept.  The columns are taken one degree at a time, in ascending order.
-    In degree d, the normal form modulo a Groebner basis of the baseline
-    and the columns kept so far is k-linear, and its kernel is exactly the
-    degree-d part of their span.  So, in canonical order within degree d,
-    a column is kept when its normal form raises the rank of an echelon of
-    the normal forms before it: the greedy choice, which for graded modules
-    realizes the Nakayama minimal count.  The kept columns of each degree
-    extend the basis once.
+    Relations are only defined modulo J, so J times the basis (a Groebner
+    basis of it, empty over S) always spans but is never kept.  The columns
+    are taken one degree at a time, in ascending order.  In degree d, the
+    normal form modulo a Groebner basis of J's multiples and the columns
+    kept so far is k-linear, and its kernel is exactly the degree-d part of
+    their span.  So, in canonical order within degree d, a column is kept
+    when its normal form raises the rank of an echelon of the normal forms
+    before it: the greedy choice, which for graded modules realizes the
+    Nakayama minimal count.  The kept columns of each degree extend the
+    basis once.
     """
-    field, cap = ambient.ring.field, ambient.ring.poly_ring.degree_cap
+    field, cap = M.ring.field, M.ring.poly_ring.degree_cap
 
     def degree(v: ModVec) -> int:
-        return vec_degree(v, ambient.twists)
+        return vec_degree(v, M.twists)
 
     candidates = sorted((c for c in columns if c), key=lambda v: (degree(v), column_key(v)))
-    basis = [v for v in baseline if v]
+    basis = _j_basis(M)
     kept: list[ModVec] = []
     for _, group in groupby(candidates, key=degree):
         group = list(group)
@@ -303,5 +289,5 @@ def min_gens(
                 new.append(cand)
         if new:
             kept += new
-            basis = gb.buchberger(new, ambient.twists, field, cap, known=basis)
+            basis = gb.buchberger(new, M.twists, field, cap, known=basis)
     return kept

@@ -62,11 +62,11 @@ def grevlex_key(e: Expo):
 # ---------- module element helpers ----------
 
 def column_key(v: ModVec):
-    """Canonical sort key of a module element: per ambient component, the
+    """Canonical sort key of a module element: per component, the
     (monomial key, coefficient repr) of its terms in descending order.
 
     Trailing empty components are left out; an empty component is the
-    smallest entry, so vectors of any one ambient rank compare as if padded.
+    smallest entry, so vectors of any one rank compare as if padded.
     """
     rank = 1 + max((comp for comp, _ in v), default=-1)
     comps: list[list] = [[] for _ in range(rank)]

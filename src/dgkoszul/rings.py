@@ -1,4 +1,4 @@
-"""Graded quotient rings Q = S/J and free modules over them.
+"""Graded quotient rings Q = S/J.
 
 The ambient polynomial ring S does all Groebner work, under its degree
 cap; Q caches the reduced basis of its defining ideal, its Hilbert series,
@@ -14,7 +14,7 @@ from typing import Sequence
 from . import groebner as gb
 from .hilbert import HilbertSeries, monomial_quotient_series
 from .parse import is_name, parse_poly
-from .poly import DEFAULT_DEGREE_CAP, ModVec, PolyRing, Polynomial, RingMismatchError, vec_offset
+from .poly import DEFAULT_DEGREE_CAP, ModVec, PolyRing, Polynomial, RingMismatchError
 
 # A bound on the variable count of a ring read from a job (its own ring and
 # a base-change target), checked before any work starts.  It is a plain
@@ -141,42 +141,6 @@ class QuotientRing:
         if not self.j_gens:
             return repr(self.poly_ring)
         return f"{self.poly_ring!r}/({', '.join(map(str, self.j_gens))})"
-
-
-class FreeModule:
-    """Free graded module over a QuotientRing with one twist per generator."""
-
-    __slots__ = ("ring", "rank", "twists")
-
-    def __init__(self, ring: QuotientRing, rank: int, twists: Sequence[int] | None = None):
-        if rank < 0:
-            raise ValueError("negative rank")
-        self.ring = ring
-        self.rank = rank
-        self.twists = tuple(twists) if twists is not None else (0,) * rank
-        if len(self.twists) != rank:
-            raise ValueError("twists length must equal rank")
-
-    def basis_vector(self, i: int) -> ModVec:
-        return {(i, (0,) * self.ring.nvars): self.ring.field.one}
-
-    def j_columns(self) -> list[ModVec]:
-        """The J-multiples of the basis vectors (J acts as zero over Q)."""
-        return [vec_offset(g.vec, i) for g in self.ring.j_gens for i in range(self.rank)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FreeModule)
-            and other.ring == self.ring
-            and other.rank == self.rank
-            and other.twists == self.twists
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.rank, self.twists))
-
-    def __repr__(self):
-        return f"Free(rank={self.rank}, twists={list(self.twists)})"
 
 
 def substitute(p: Polynomial, target: PolyRing, images: Sequence[Polynomial]) -> Polynomial:

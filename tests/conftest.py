@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from dgkoszul import PrimeField, PolyRing, parse_poly, quotient_ring_from_strings
+from dgkoszul import PrimeField, parse_poly, quotient_ring_from_strings
 
 FIELD = PrimeField()
 

@@ -13,36 +13,26 @@ import os
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from conftest import poly, ring
 from dgkoszul import (
     FPModule,
     canonical_json,
-    cm_certify,
-    depth,
     dg_from_ring,
     dg_tensor,
     dualizing_complex,
     dualizing_of_koszul,
     euler_series,
-    greedy_regular_sequence,
     gorenstein_dg_check,
-    has_constant_amplitude,
-    is_local_cm,
     koszul,
     lift_independence_check,
     run_suite,
     self_duality_check,
-    seq_depth,
     trivial_extension,
     truncation_oracle,
 )
 from dgkoszul.complexes import homology_hilbert_functions
 from dgkoszul.checks import run_check
-from dgkoszul.hilbert import NEG_INF
 from dgkoszul.jobs import RunConfig
-from dgkoszul.rings import QuotientRing
 
 SUITE_DIR = os.path.join(os.path.dirname(__file__), "..", "suite")
 CONFIG = RunConfig()

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import poly, ring
 from dgkoszul import FPModule, PrimeField, RationalField, koszul, dg_from_ring, subquotient
 from dgkoszul import groebner as gb
 from dgkoszul.complexes import _monomials_of_degree, oracle_basis_size, truncation_oracle
@@ -15,7 +14,7 @@ from dgkoszul.jobs import MAX_ORACLE_BASIS
 from dgkoszul.linalg import Echelon
 from dgkoszul.parse import parse_poly
 from dgkoszul.poly import PolyRing, column_to_vec, mono_mul
-from dgkoszul.rings import FreeModule, QuotientRing, quotient_ring_from_strings
+from dgkoszul.rings import QuotientRing, quotient_ring_from_strings
 
 F = PrimeField()
 
@@ -83,7 +82,7 @@ def test_syzygy_module_graded_dimensions():
     gens = [parse_poly(t, R) for t in ("x", "y", "z")]
     cols = [g.vec for g in gens]
     syz = gb.syzygies(cols, (0,), R)
-    syz_module = subquotient(FreeModule(Q, 3, (1, 1, 1)), syz)
+    syz_module = subquotient(FPModule(Q, (1, 1, 1)), syz)
     hs = syz_module.hilbert_series()
     for t in range(0, 9):
         monos_prev = len(_monomials_of_degree(3, t - 1)) if t >= 1 else 0
@@ -95,7 +94,7 @@ def test_syzygy_module_graded_dimensions():
 def test_minimize_preserves_hilbert_series():
     Q = quotient_ring_from_strings(("x", "y"), ["x*y"], F)
     R = Q.poly_ring
-    redundant = FPModule.cokernel(
+    redundant = FPModule(
         Q,
         (0, 1),
         [
@@ -157,7 +156,7 @@ def test_tor_from_the_resolution_matches_koszul_homology(case):
     R, forms, linear = case
     Q = QuotientRing(R, forms)
     K, tor = _koszul_tor(Q)
-    assert betti_table(free_resolution(FPModule.free(Q, (0,)))) == tor
+    assert betti_table(free_resolution(FPModule(Q, (0,)))) == tor
     reg = max(j - i for i, row in tor.items() for j in row)
     d_max = reg + R.nvars + 1
     assert oracle_basis_size(K.underlying, d_max) <= MAX_ORACLE_BASIS

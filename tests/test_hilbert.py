@@ -2,11 +2,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIELD, ring
-from dgkoszul.hilbert import NEG_INF, HilbertSeries, monomial_quotient_series
+from dgkoszul.hilbert import NEG_INF, monomial_quotient_series
 from dgkoszul.poly import PolyRing
 
 

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgkoszul import (
-    FPModule, FreeModule, PolyRing, PrimeField, QuotientRing, RunConfig, min_gens, parse_poly,
+    FPModule, PolyRing, PrimeField, QuotientRing, RunConfig, min_gens, parse_poly,
     run_job,
 )
 from dgkoszul import groebner as gb
 from dgkoszul.checks import MAX_EULER_DEPTH
+from dgkoszul.cli import EXIT_INPUT_ERROR, _report_exit
 from dgkoszul.dgring import MAX_COMPLEX_RANK
 from dgkoszul.fields import FieldError
 from dgkoszul.jobs import MAX_DEGREE, MAX_ORACLE_BASIS, MAX_ORACLE_DEPTH, MAX_VARIABLES
@@ -58,10 +59,10 @@ CAP_SITES = {
     "QuotientRing.is_nilpotent": lambda S: QuotientRing(
         S, [parse_poly("x^2", S)]
     ).is_nilpotent(parse_poly("x", S)),
-    "FPModule._reduced_basis": lambda S: FPModule.cokernel(
+    "FPModule._reduced_basis": lambda S: FPModule(
         QuotientRing(S), (0,), _quadrics(S)
     ).hilbert_series(),
-    "min_gens": lambda S: min_gens(_quadrics(S), FreeModule(QuotientRing(S), 1)),
+    "min_gens": lambda S: min_gens(_quadrics(S), FPModule(QuotientRing(S), (0,))),
     "groebner.syzygies": lambda S: gb.syzygies(_quadrics(S), (0,), S),
 }
 
@@ -158,6 +159,10 @@ MALFORMED = {
     "module not an object": _job(dg={"kind": "trivial_extension", "module": 5}),
     "module relation not a list": _job(
         dg={"kind": "trivial_extension", "module": {"twists": [0], "rels": [5]}}
+    ),
+    "module relation inhomogeneous": _job(
+        ideal=["x*y"],
+        dg={"kind": "trivial_extension", "module": {"twists": [0], "rels": [["x + y^2"]]}},
     ),
     "module relations not a list": _job(
         dg={"kind": "trivial_extension", "module": {"twists": [0], "rels": 5}}
@@ -278,6 +283,12 @@ def test_malformed_job_gives_an_error_status_not_an_exception(job):
         assert report["error"]
     else:
         assert all(r["status"] == "error" for r in report["results"])
+
+
+def test_an_inhomogeneous_module_relation_is_an_input_error():
+    report = run_job(MALFORMED["module relation inhomogeneous"])
+    assert (report["status"], report["error"]) == ("input-error", "inhomogeneous column")
+    assert _report_exit(report) == EXIT_INPUT_ERROR
 
 
 def _degree_job(degree, kind):

@@ -9,7 +9,7 @@ from conftest import poly, ring
 from dgkoszul import FPModule, PrimeField, kernel, min_gens, subquotient
 from dgkoszul import groebner as gb
 from dgkoszul.hilbert import NEG_INF, lead_module_series
-from dgkoszul.modules import _j_basis, modulo
+from dgkoszul.modules import modulo
 from dgkoszul.poly import (
     Polynomial,
     column_key,
@@ -18,7 +18,7 @@ from dgkoszul.poly import (
     vec_combination,
     vec_degree,
 )
-from dgkoszul.rings import FreeModule, QuotientRing
+from dgkoszul.rings import QuotientRing
 
 
 def _col(text, Q):
@@ -27,14 +27,14 @@ def _col(text, Q):
 
 def _kernel_of_multiplication(M, c):
     """ker(c : M -> M) as a module in M's own grading."""
-    times_c = [{(j, e): v for (_, e), v in c.vec.items()} for j in range(M.ambient.rank)]
-    return subquotient(M.ambient, kernel(times_c, M), M.rels)
+    times_c = [{(j, e): v for (_, e), v in c.vec.items()} for j in range(M.rank)]
+    return subquotient(M, kernel(times_c, M))
 
 
 def test_kernel_of_multiplication_on_hypersurface():
     # ker(x : Q -> Q) for Q = k[x,y]/(xy) is the ideal (y): dims 0,1,1,1,...
     Q = ring("x", "y", ideal=["x*y"])
-    M = FPModule.free(Q, (0,))
+    M = FPModule(Q, (0,))
     ker = _kernel_of_multiplication(M, poly("x", Q))
     assert ker.hilbert_series().coefficients(5, start=0) == [0, 1, 1, 1, 1, 1]
     assert ker.dim() == 1
@@ -42,15 +42,15 @@ def test_kernel_of_multiplication_on_hypersurface():
 
 def test_kernel_of_zero_map_is_everything():
     Q = ring("x", "y", ideal=["x*y"])
-    M = FPModule.free(Q, (0,))
-    zero_map = [{} for _ in range(M.ambient.rank)]
-    everything = subquotient(M.ambient, kernel(zero_map, M), M.rels)
+    M = FPModule(Q, (0,))
+    zero_map = [{} for _ in range(M.rank)]
+    everything = subquotient(M, kernel(zero_map, M))
     assert everything.hilbert_series() == M.hilbert_series()
 
 
 def test_kernel_on_domain_is_zero():
     Q = ring("x")
-    M = FPModule.free(Q, (0,))
+    M = FPModule(Q, (0,))
     assert _kernel_of_multiplication(M, poly("x", Q)).hilbert_series().is_zero()
 
 
@@ -60,7 +60,7 @@ def test_module_dims():
     assert N.dim() == 1
     k_mod = FPModule.quotient_by_ideal(Q, [poly("x", Q), poly("y", Q)])
     assert k_mod.dim() == 0
-    assert FPModule.free(Q, (0,)).dim() == Q.dim()
+    assert FPModule(Q, (0,)).dim() == Q.dim()
     zero = FPModule.quotient_by_ideal(Q, [Q.poly_ring.one])
     assert zero.dim() == NEG_INF
 
@@ -69,35 +69,53 @@ def test_annihilators():
     Q = ring("x", "y", ideal=["x*y"])
     N = FPModule.quotient_by_ideal(Q, [poly("x", Q)])
     assert [str(p) for p in N.annihilator()] == ["x"]
-    M = FPModule.free(Q, (0,))
+    M = FPModule(Q, (0,))
     assert M.annihilator() == []  # J reduces to zero in Q
 
 
 def test_minimize_redundant_presentation_of_residue_field():
     # k = Q/(x, y, x+y) over k[x,y]: three generators, minimal Betti 1,2
     Q = ring("x", "y")
-    pres = FPModule.cokernel(Q, (0,), [_col("x", Q), _col("y", Q), _col("x + y", Q)])
+    pres = FPModule(Q, (0,), [_col("x", Q), _col("y", Q), _col("x + y", Q)])
     m = pres.minimize()
-    assert m.ambient.rank == 1
+    assert m.rank == 1
     assert len(m.rels) == 2
 
 
 def test_minimize_kills_unit_cokernel():
     Q = ring("x", "y")
-    unit = FPModule.cokernel(Q, (0,), [_col("1", Q)])
+    unit = FPModule(Q, (0,), [_col("1", Q)])
     assert unit.minimize().hilbert_series().is_zero()
+
+
+def test_a_relation_outside_the_rank_is_rejected():
+    Q = ring("x", "y")
+    beyond = {(1, (1, 0)): Q.field.one}
+    with pytest.raises(ValueError, match="^vector component outside the module's rank$"):
+        FPModule(Q, (0,), [beyond])
+
+
+def test_an_inhomogeneous_relation_is_rejected():
+    Q = ring("x", "y")
+    one = Q.field.one
+    # x in both components has degree 1 + 0 and 1 + 1 under twists (0, 1).
+    cases = [((0,), _col("x + y^2", Q)), ((0, 1), {(0, (1, 0)): one, (1, (1, 0)): one})]
+    for twists, rel in cases:
+        with pytest.raises(gb.InhomogeneousError, match="^inhomogeneous column$"):
+            FPModule(Q, twists, [rel])
 
 
 def test_min_gens_drops_redundant_columns():
     Q = ring("x", "y")
-    F2 = FreeModule(Q, 1, (0,))
+    F2 = FPModule(Q, (0,))
     cols = [_col(t, Q) for t in ("x", "y", "x + y", "x^2")]
     kept = min_gens(cols, F2)
     assert len(kept) == 2
 
 
 Q101 = ring("x", "y", "z", ideal=["x*y - z^2"], field=PrimeField(101))
-F_RANK2 = FreeModule(Q101, 2, (0, 1))
+TWISTS = (0, 1)
+F_RANK2 = FPModule(Q101, TWISTS)
 
 
 def _monomials(degree):
@@ -127,9 +145,9 @@ def _subquotients(draw):
 @given(_subquotients())
 def test_subquotient_matches_the_two_series_formula_and_membership_matches_the_colon_ideal(case):
     gens, rels, probe = case
-    N = FPModule(F_RANK2, rels)
+    N = FPModule(Q101, TWISTS, rels)
     # HS((span(gens) + N)/N) = HS(F/N) - HS(F/(N + span(gens)))
-    expected = N.hilbert_series() - FPModule(F_RANK2, rels + gens).hilbert_series()
+    expected = N.hilbert_series() - FPModule(Q101, TWISTS, rels + gens).hilbert_series()
     assert subquotient(F_RANK2, gens, rels).hilbert_series() == expected
     cols = N.relation_columns()
     field = Q101.field
@@ -182,29 +200,28 @@ def _maps_into_rank2(draw):
 @given(_maps_into_rank2())
 def test_kernel_maps_into_the_relations_and_has_the_image_series(case):
     degs, cols, rels = case
-    M = FPModule(F_RANK2, rels)
+    M = FPModule(Q101, TWISTS, rels)
     ker = kernel(cols, M)
     field = Q101.field
     for v in ker:
         assert M.element_is_zero(vec_combination(cols, v, field))
     # F_src/ker is the image, so HS(F_src/ker) = HS(M) - HS(M/im)
-    source = FreeModule(Q101, len(degs), degs)
-    image = FPModule(source, ker).hilbert_series()
-    assert image == M.hilbert_series() - FPModule(F_RANK2, rels + cols).hilbert_series()
+    image = FPModule(Q101, degs, ker).hilbert_series()
+    assert image == M.hilbert_series() - FPModule(Q101, TWISTS, rels + cols).hilbert_series()
 
 
-def _rebuilt_min_gens(columns, ambient, baseline):
-    """min_gens with a full Buchberger over the kept columns and the
-    baseline columns after every kept column."""
-    field = ambient.ring.field
+def _rebuilt_min_gens(columns, F):
+    """min_gens with a full Buchberger over the kept columns and J's
+    multiples of F's basis after every kept column."""
+    field = F.ring.field
     candidates = sorted(
         (c for c in columns if c),
-        key=lambda v: (vec_degree(v, ambient.twists), column_key(v)),
+        key=lambda v: (vec_degree(v, F.twists), column_key(v)),
     )
     kept = []
     for cand in candidates:
-        spanning = kept + baseline
-        basis = gb.buchberger(spanning, ambient.twists, field) if spanning else []
+        spanning = kept + F.j_columns()
+        basis = gb.buchberger(spanning, F.twists, field) if spanning else []
         if basis and not gb.normal_form(cand, basis, field):
             continue
         kept.append(cand)
@@ -217,11 +234,10 @@ def _rebuilt_min_gens(columns, ambient, baseline):
 def test_min_gens_matches_a_rebuild_after_every_kept_column(modulo_j, case):
     gens, rels, probe = case
     columns = gens + rels + [probe]
-    # min_gens takes a Groebner basis of J times the ambient module; the
-    # reference starts from J's generators.
-    baseline = _j_basis(F_RANK2) if modulo_j else []
-    expected = _rebuilt_min_gens(columns, F_RANK2, F_RANK2.j_columns() if modulo_j else [])
-    assert min_gens(columns, F_RANK2, baseline=baseline) == expected
+    # min_gens spans modulo a Groebner basis of J times F's basis; the
+    # reference starts from J's generators.  Over S, J = 0.
+    F = F_RANK2 if modulo_j else FPModule(QuotientRing(Q101.poly_ring), TWISTS)
+    assert min_gens(columns, F) == _rebuilt_min_gens(columns, F)
 
 
 def _term_order_key(term):
@@ -238,10 +254,10 @@ def _term_order_key(term):
 @pytest.mark.parametrize("twists", [(), (0,), (-2, 0, 3)], ids=["rank-0", "rank-1", "negative"])
 def test_a_free_modules_series_is_the_rings_series_twisted(variables, ideal, twists):
     Q = ring(*variables, ideal=ideal)
-    basis = gb.buchberger(FreeModule(Q, len(twists), twists).j_columns(), twists, Q.field)
+    basis = gb.buchberger(FPModule(Q, twists).j_columns(), twists, Q.field)
     leads = [max(g, key=_term_order_key) for g in basis]
     expected = lead_module_series(leads, len(twists), twists, Q.poly_ring)
-    assert FPModule.free(Q, twists).hilbert_series() == expected
+    assert FPModule(Q, twists).hilbert_series() == expected
 
 
 @st.composite
@@ -262,7 +278,7 @@ def _cyclic_modules(draw):
 @given(_cyclic_modules())
 def test_a_cyclic_modules_annihilator_is_its_relation_ideal(case):
     twists, rels = case
-    M = FPModule.cokernel(Q101, twists, rels)
+    M = FPModule(Q101, twists, rels)
     R = Q101.poly_ring
     # The reference is the syzygy coefficient on the generator against
     # every relation, the stacked-modulo computation of any rank.

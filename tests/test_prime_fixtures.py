@@ -137,8 +137,9 @@ def test_regular_elements_avoid_associated_primes(fx):
     A = fx["make"]()
     if not has_constant_amplitude(A):
         return
-    witness = greedy_regular_sequence(A, A.irrelevant_ideal(), budget=200, max_len=1)
-    for el in witness.elements:
+    # The greedy search's first element is the one any longer run starts with.
+    witness = greedy_regular_sequence(A, A.irrelevant_ideal(), budget=200)
+    for el in witness.elements[:1]:
         for gens in fx["ass"]:
             P = _prime_ring(A, gens)
             assert not P.is_zero(el.rep), (fx["name"], str(el.rep), gens)

@@ -1,5 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and none keeps process-global state.
+"""Source hygiene: no module of the package, test or demo imports a name
+it never uses, and no module of the package keeps process-global state.
 
 `__init__.py` is exempt from the import scan: its imports are the
 package's public API.
@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dgkoszul"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dgkoszul"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,7 +40,11 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports("import os.path\nos.path.join()\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path",
+    MODULES + SCRIPTS,
+    ids=[p.name for p in MODULES] + [f"{p.parent.name}/{p.name}" for p in SCRIPTS],
+)
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

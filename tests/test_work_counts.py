@@ -35,7 +35,7 @@ def test_a_free_modules_series_builds_no_basis_beyond_the_rings(monkeypatch, twi
     ring("x", "y", "z", "w", ideal=ideal).hilbert_series()
     for_the_ring = calls[0]
     calls[0] = 0
-    FPModule.free(ring("x", "y", "z", "w", ideal=ideal), twists).hilbert_series()
+    FPModule(ring("x", "y", "z", "w", ideal=ideal), twists).hilbert_series()
     assert calls[0] <= for_the_ring
 
 
