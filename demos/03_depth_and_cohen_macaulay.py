@@ -89,7 +89,7 @@ print("k[x] inside k[x,y]/(y^2, xy): flatdim =", report["flatdim"],
 
 # --- everything at once: the invariant report ---
 print("\nfull invariant report for the trivial extension:")
-rep = compute_invariants(ext, ideals={"q": ["y"]}).to_json()
+rep = compute_invariants(ext, ideals={"q": ["y"]})
 for key in ("inf", "sup", "amp", "dim_h0", "lcdim",
             "depth_at_irrelevant", "seq_depth_at_irrelevant",
             "local_cm", "constant_amplitude", "cm_certified"):

@@ -33,7 +33,6 @@ from .dgring import (
     trivial_extension,
 )
 from .invariants import (
-    InvariantReport,
     RegularSequenceWitness,
     amp_profile,
     cm_certify,

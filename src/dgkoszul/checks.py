@@ -19,7 +19,7 @@ from .dgring import (
     trivial_extension,
 )
 from .duality import gorenstein_dg_check, self_duality_check
-from .hilbert import NEG_INF
+from .hilbert import NEG_INF, table_json
 from .invariants import (
     cm_certify,
     depth,
@@ -155,7 +155,7 @@ def check_self_duality(A: DGRingRep, args, config) -> dict:
     statement = "Hom(K, A) == K[-n] via an explicit chain isomorphism with entries +-1"
     elems = _elements(args, "elements", A.base)
     K = koszul(A, elems)
-    if K.root_ring() is None:
+    if K.lifts is None:
         raise CheckInputError("self-duality check needs a ring base")
     rep = self_duality_check(K)
     rep["statement"] = statement
@@ -207,8 +207,8 @@ def check_base_change(A: DGRingRep, args, config) -> dict:
         "statement": statement,
         "verdict": "PASS" if equal else "FAIL",
         "hypotheses": {"ring_map_well_defined": f.is_well_defined()},
-        "table_pushforward": {str(i): hs.to_json() for i, hs in sorted(ta.items())},
-        "table_tensored": {str(i): hs.to_json() for i, hs in sorted(tb.items())},
+        "table_pushforward": table_json(ta),
+        "table_tensored": table_json(tb),
     }
 
 
@@ -243,7 +243,7 @@ def check_composition(A: DGRingRep, args, config) -> dict:
         "iterated_equal": iter_ok,
         "tensor_equal": tensor_ok,
         "hypotheses": {},
-        "table": {str(i): hs.to_json() for i, hs in sorted(t_flat.items())},
+        "table": table_json(t_flat),
     }
 
 
@@ -345,7 +345,7 @@ def check_counterexample_4_5(A: DGRingRep, args, config) -> dict:
     sd = seq_depth(K, K.irrelevant_ideal())
     dim0 = K.h0.dim()
     cm_k = cm_certify(K)
-    table = {str(i): hs.to_json() for i, hs in sorted(K.homology_table().items())}
+    table = table_json(K.homology_table())
     h_minus_1_zero = "-1" not in table
     note = (
         "computed H^-1(K) is nonzero (the kernel of y on the degree-0 part), "
@@ -383,7 +383,7 @@ def check_counterexample_4_5(A: DGRingRep, args, config) -> dict:
 def check_euler_characteristic(A: DGRingRep, args, config) -> dict:
     statement = "sum_i (-1)^i HS(H^i(K)) == HS(Q) * prod_j (1 - t^deg(a_j))"
     elems = _elements(args, "elements", A.base)
-    if A.provenance[0] != "ring":
+    if A.kind != "ring":
         raise CheckInputError("euler_characteristic runs over a ring base")
     depth_cap = args.get("depth", 10)
     if type(depth_cap) is not int or not 0 <= depth_cap <= MAX_EULER_DEPTH:

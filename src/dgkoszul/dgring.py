@@ -3,10 +3,12 @@ DG-rings, trivial extensions, and tensor products over a ring base.
 
 A DGRingRep carries its degree-zero ring Q = S/J, the underlying bounded
 non-positive complex of Q-modules, a presentation of H^0 as a quotient
-ring, and construction provenance.  The DG multiplication is never stored
-as tables: every invariant in scope (homology, depth, amplitude,
-dimension, duality data) factors through the underlying complex and the
-Q-action.
+ring, its kind ("ring", "koszul", "trivial-extension" or "tensor") and
+its Koszul lifts: the representatives in Q of every Koszul element below
+it, outermost last, or None when a trivial extension lies underneath.
+The DG multiplication is never stored as tables: every invariant in scope
+(homology, depth, amplitude, dimension, duality data) factors through the
+underlying complex and the Q-action.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .complexes import Complex, koszul_complex, tensor_complexes
+from .hilbert import table_json
 from .modules import FPModule
 from .parse import parse_poly
 from .poly import Polynomial, RingMismatchError
@@ -110,13 +113,16 @@ class DGRingRep:
         base: QuotientRing,
         underlying: Complex,
         h0: QuotientRing,
-        provenance: tuple,
+        kind: str,
+        lifts: tuple | None,
     ):
         self.base = base
         self.underlying = underlying
         self.h0 = h0
-        self.provenance = provenance
-        self._cache: dict = {}
+        self.kind = kind
+        self.lifts = lifts
+        self._koszul: dict = {}
+        self._constant_amplitude: bool | None = None
 
     # -- cohomology --
 
@@ -127,11 +133,7 @@ class DGRingRep:
         return self.underlying.homology_table()
 
     def inf(self):
-        """inf of the cohomology, memoized: depth, sequential depth,
-        regularity and the CM flags all read it."""
-        if "inf" not in self._cache:
-            self._cache["inf"] = self.underlying.inf()
-        return self._cache["inf"]
+        return self.underlying.inf()
 
     def sup(self):
         return self.underlying.sup()
@@ -143,30 +145,6 @@ class DGRingRep:
         """The variable classes generating the irrelevant maximal ideal."""
         ring = self.base.poly_ring
         return [ElementOfH0(ring.var(i)) for i in range(ring.nvars)]
-
-    def koszul_lifts(self) -> list[ElementOfH0]:
-        """All Koszul elements accumulated along the provenance chain,
-        outermost last."""
-        if self.provenance[0] == "koszul":
-            parent, elems = self.provenance[1], self.provenance[2]
-            return parent.koszul_lifts() + list(elems)
-        if self.provenance[0] == "tensor":
-            left, right = self.provenance[1], self.provenance[2]
-            return left.koszul_lifts() + right.koszul_lifts()
-        return []
-
-    def root_ring(self) -> QuotientRing | None:
-        """The ring at the bottom of a pure koszul/tensor provenance chain."""
-        kind = self.provenance[0]
-        if kind == "ring":
-            return self.base
-        if kind == "koszul":
-            return self.provenance[1].root_ring()
-        if kind == "tensor":
-            l = self.provenance[1].root_ring()
-            r = self.provenance[2].root_ring()
-            return l if l == r else None
-        return None
 
     def validate(self) -> None:
         """Structural invariants: complex sanity and H^0(underlying) = h0
@@ -185,14 +163,14 @@ class DGRingRep:
             raise AssertionError("H^0 annihilator disagrees with h0")
 
     def __repr__(self):
-        return f"DGRing({self.provenance[0]}, base={self.base!r})"
+        return f"DGRing({self.kind}, base={self.base!r})"
 
 
 # ---------- constructors ----------
 
 def dg_from_ring(Q: QuotientRing) -> DGRingRep:
     underlying = Complex(Q, {0: FPModule(Q, (0,))}, {})
-    return DGRingRep(Q, underlying, Q, ("ring",))
+    return DGRingRep(Q, underlying, Q, "ring", ())
 
 
 def trivial_extension(Q: QuotientRing, M: FPModule, n: int) -> DGRingRep:
@@ -207,7 +185,7 @@ def trivial_extension(Q: QuotientRing, M: FPModule, n: int) -> DGRingRep:
     if pres.rank > 0:
         terms[-n] = pres
     underlying = Complex(Q, terms, {})
-    return DGRingRep(Q, underlying, Q, ("trivial-extension", M, n))
+    return DGRingRep(Q, underlying, Q, "trivial-extension", None)
 
 
 def koszul(A: DGRingRep, elems: Sequence) -> DGRingRep:
@@ -222,15 +200,16 @@ def koszul(A: DGRingRep, elems: Sequence) -> DGRingRep:
     elems = tuple(_as_element(e, A.base) for e in elems)
     if not elems:
         return A
-    if elems not in A._cache:
+    if elems not in A._koszul:
         _check_rank(_total_rank(A.underlying) * 2 ** len(elems), "the Koszul complex")
         K = koszul_complex(
             A.base, [e.rep for e in elems], degrees=[e.degree for e in elems]
         )
         underlying = tensor_complexes(A.underlying, K)
         h0 = QuotientRing(A.base.poly_ring, A.h0.j_gens + tuple(e.rep for e in elems))
-        A._cache[elems] = DGRingRep(A.base, underlying, h0, ("koszul", A, elems))
-    return A._cache[elems]
+        lifts = None if A.lifts is None else A.lifts + elems
+        A._koszul[elems] = DGRingRep(A.base, underlying, h0, "koszul", lifts)
+    return A._koszul[elems]
 
 
 def dg_tensor(L: DGRingRep, R: DGRingRep) -> DGRingRep:
@@ -249,7 +228,8 @@ def dg_tensor(L: DGRingRep, R: DGRingRep) -> DGRingRep:
     )
     underlying = tensor_complexes(L.underlying, R.underlying)
     h0 = QuotientRing(L.base.poly_ring, L.h0.j_gens + R.h0.j_gens)
-    return DGRingRep(L.base, underlying, h0, ("tensor", L, R))
+    lifts = None if L.lifts is None or R.lifts is None else L.lifts + R.lifts
+    return DGRingRep(L.base, underlying, h0, "tensor", lifts)
 
 
 class RingMap:
@@ -280,12 +260,12 @@ def base_change(K: DGRingRep, f: RingMap) -> DGRingRep:
     Returns K(B; images of the classes), the right-hand side of the
     Koszul base-change isomorphism.
     """
-    if K.provenance[0] != "koszul" or K.root_ring() is None:
+    if K.kind != "koszul" or K.lifts is None:
         raise ValueError("base change needs a Koszul DG-ring over a ring")
     if not f.is_well_defined():
         raise ValueError("the map does not send the source ideal into the target")
     mapped = []
-    for e in K.koszul_lifts():
+    for e in K.lifts:
         img = f.apply(e.rep)
         mapped.append(ElementOfH0(img, degree=e.degree if img.is_zero() else None))
     return koszul(dg_from_ring(f.target), mapped)
@@ -314,6 +294,6 @@ def lift_independence_check(
     t2 = k2.homology_table()
     return {
         "equal": t1 == t2,
-        "table_primary": {i: hs.to_json() for i, hs in sorted(t1.items())},
-        "table_alternate": {i: hs.to_json() for i, hs in sorted(t2.items())},
+        "table_primary": table_json(t1),
+        "table_alternate": table_json(t2),
     }

@@ -16,6 +16,7 @@ import itertools
 
 from .complexes import Complex, _agree, _compose, koszul_complex, tensor_complexes
 from .dgring import DGRingRep
+from .hilbert import table_json
 from .modules import FPModule, min_gens, modulo
 from .poly import vec_degree
 from .rings import QuotientRing
@@ -105,30 +106,17 @@ def dualizing_complex(Q: QuotientRing) -> Complex:
     return shifted
 
 
-def koszul_complex_over_ambient(K: DGRingRep) -> Complex:
-    """The Koszul complex of K's accumulated lifts, over S."""
-    root = K.root_ring()
-    if root is None or K.provenance[0] != "koszul":
-        raise ValueError("expected a Koszul DG-ring over a ring")
-    S = ambient_ring(root)
-    lifts = K.koszul_lifts()
-    return koszul_complex(
-        S, [e.rep for e in lifts], degrees=[e.degree for e in lifts]
-    )
-
-
 def dualizing_of_koszul(K: DGRingRep) -> Complex:
     """The dualizing DG-module of a Koszul DG-ring over a ring base,
     computed over S as Tot(K_S(lifts) (x) R)[-n] with R the normalized
     dualizing complex of the base ring."""
-    root = K.root_ring()
-    if root is None or K.provenance[0] != "koszul":
+    if K.lifts is None or K.kind != "koszul":
         raise ValueError("expected a Koszul DG-ring over a ring")
-    n = len(K.koszul_lifts())
-    KS = koszul_complex_over_ambient(K)
-    R = dualizing_complex(root)
-    D0 = tensor_complexes(KS, R)
-    return D0.shift(-n)
+    KS = koszul_complex(
+        ambient_ring(K.base), [e.rep for e in K.lifts], degrees=[e.degree for e in K.lifts]
+    )
+    R = dualizing_complex(K.base)
+    return tensor_complexes(KS, R).shift(-len(K.lifts))
 
 
 # ---------- Gorenstein ----------
@@ -178,11 +166,10 @@ def self_duality_check(K: DGRingRep) -> dict:
     isomorphism is homogeneous of one uniform internal twist (the total
     degree of the lifts).
     """
-    lifts = K.koszul_lifts()
-    if K.provenance[0] not in ("koszul", "ring") or K.root_ring() is None:
+    if K.kind not in ("koszul", "ring") or K.lifts is None:
         raise ValueError("expected a Koszul DG-ring over a ring")
-    n = len(lifts)
-    Q = K.root_ring()
+    n = len(K.lifts)
+    Q = K.base
     field = Q.field
     under = K.underlying
     dual = under.hom_dual()
@@ -209,7 +196,7 @@ def self_duality_check(K: DGRingRep) -> dict:
         )
         for i in range(n)
     }
-    total_twist = sum(e.degree for e in lifts)
+    total_twist = sum(e.degree for e in K.lifts)
     return {
         "pass": all(squares.values()),
         "n": n,
@@ -253,10 +240,9 @@ def gorenstein_dg_check(K: DGRingRep) -> dict:
             classes lie in the irrelevant ideal, so the converse applies).
     unknown: anything else.
     """
-    root = K.root_ring()
-    if root is None:
+    if K.lifts is None:
         raise ValueError("expected a Koszul DG-ring over a ring")
-    goren_ring, ring_data = is_gorenstein_ring(root)
+    goren_ring, ring_data = is_gorenstein_ring(K.base)
     D = dualizing_of_koszul(K)
     table_k = K.homology_table()
     table_d = D.homology_table()
@@ -270,9 +256,9 @@ def gorenstein_dg_check(K: DGRingRep) -> dict:
         hd = D.homology(top_d)
         hk = K.homology(top_k)
         if hd.rank == 1 and hk.rank == 1:
-            S_poly = root.poly_ring
+            S_poly = K.base.poly_ring
             closure_k = QuotientRing(
-                S_poly, tuple(hk.annihilator()) + root.j_gens
+                S_poly, tuple(hk.annihilator()) + K.base.j_gens
             )
             closure_d = QuotientRing(S_poly, tuple(hd.annihilator()))
             ann_equal = closure_k == closure_d
@@ -292,6 +278,6 @@ def gorenstein_dg_check(K: DGRingRep) -> dict:
         "uniform_twist": None if match is None else match[1],
         "top_annihilators_equal": ann_equal,
         "comparison_level": level,
-        "table_koszul": {str(i): hs.to_json() for i, hs in sorted(table_k.items())},
-        "table_dual": {str(i): hs.to_json() for i, hs in sorted(table_d.items())},
+        "table_koszul": table_json(table_k),
+        "table_dual": table_json(table_d),
     }

@@ -140,6 +140,11 @@ class HilbertSeries:
         return f"HS({dict(sorted(num.items()))}, pole={pole})"
 
 
+def table_json(table: dict) -> dict:
+    """A homology table {degree: HilbertSeries} as JSON, keyed by str(degree)."""
+    return {str(i): hs.to_json() for i, hs in sorted(table.items())}
+
+
 def _divide_by_one_minus_t(num: dict) -> dict:
     """Divide a Laurent polynomial (summing to 0 at t=1) by (1-t)."""
     if not num:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .complexes import _monomials_of_degree
 from .dgring import DGRingRep, ElementOfH0, _as_element, koszul
-from .hilbert import NEG_INF, POS_INF
+from .hilbert import NEG_INF, POS_INF, table_json
 from .modules import FPModule, kernel
 from .poly import Polynomial, vec_offset, vec_to_column
 
@@ -140,20 +140,22 @@ class RegularSequenceWitness:
         }
 
 
-# The top degree of the regular-sequence candidates.
+# The top degree of the regular-sequence candidates; a generator of higher
+# degree is a candidate at its own degree only.
 CANDIDATE_DEGREE = 2
 
 
 def _candidate_pool(B: DGRingRep, gens: list[ElementOfH0]):
     """Deterministic homogeneous candidates inside the ideal: monomial
-    multiples of the generators up to CANDIDATE_DEGREE, then pairwise sums
-    within each degree.  Candidates are H^0-reduced and deduplicated."""
+    multiples of the generators up to CANDIDATE_DEGREE (each generator at
+    least at its own degree), then pairwise sums within each degree.
+    Candidates are H^0-reduced and deduplicated."""
     ring = B.base.poly_ring
     degrees, products = [], []
     for g in gens:
         if g.rep.is_zero():
             continue
-        for d in range(g.degree, CANDIDATE_DEGREE + 1):
+        for d in range(g.degree, max(g.degree, CANDIDATE_DEGREE) + 1):
             for mono in _monomials_of_degree(ring.nvars, d - g.degree):
                 degrees.append(d)
                 products.append(g.rep.mul_term(mono, ring.field.one))
@@ -232,18 +234,12 @@ def is_local_cm(A: DGRingRep) -> bool:
 def has_constant_amplitude(A: DGRingRep) -> bool:
     """Supp(H^{inf}) = Spec(H^0): every annihilator generator of the bottom
     cohomology is nilpotent in H^0."""
-    if "constant_amplitude" in A._cache:
-        return A._cache["constant_amplitude"]
-    lo = A.inf()
-    result = True
-    if lo != POS_INF:
-        h = A.underlying.homology(lo)
-        for g in h.annihilator():
-            if not A.h0.is_nilpotent(A.h0.nf(g)):
-                result = False
-                break
-    A._cache["constant_amplitude"] = result
-    return result
+    if A._constant_amplitude is None:
+        lo = A.inf()
+        A._constant_amplitude = lo == POS_INF or all(
+            A.h0.is_nilpotent(A.h0.nf(g)) for g in A.underlying.homology(lo).annihilator()
+        )
+    return A._constant_amplitude
 
 
 def cm_certify(A: DGRingRep) -> str:
@@ -305,44 +301,8 @@ def flatdim_over_regular(source_vars, images, B: DGRingRep) -> dict:
         "constant_amplitude": const,
         "hypotheses_met": cm == "true" and const,
         "sides_equal": (rhs is not None and flat == rhs),
-        "fiber_homology": {
-            str(i): hs.to_json() for i, hs in sorted(fiber.homology_table().items())
-        },
+        "fiber_homology": table_json(fiber.homology_table()),
     }
-
-
-@dataclass
-class InvariantReport:
-    inf: object
-    sup: object
-    amp: object
-    dim_h0: object
-    lcdim: object
-    depth_at_irrelevant: object
-    seq_depth_at_irrelevant: object
-    local_cm: bool
-    constant_amplitude: bool
-    cm_certified: str
-    homology: dict
-    per_ideal: list = field(default_factory=list)
-    witness: dict | None = None
-
-    def to_json(self):
-        return {
-            "inf": sentinel_json(self.inf),
-            "sup": sentinel_json(self.sup),
-            "amp": sentinel_json(self.amp),
-            "dim_h0": sentinel_json(self.dim_h0),
-            "lcdim": sentinel_json(self.lcdim),
-            "depth_at_irrelevant": sentinel_json(self.depth_at_irrelevant),
-            "seq_depth_at_irrelevant": sentinel_json(self.seq_depth_at_irrelevant),
-            "local_cm": self.local_cm,
-            "constant_amplitude": self.constant_amplitude,
-            "cm_certified": self.cm_certified,
-            "homology": self.homology,
-            "per_ideal": self.per_ideal,
-            "witness": self.witness,
-        }
 
 
 def compute_invariants(
@@ -350,15 +310,22 @@ def compute_invariants(
     ideals: dict | None = None,
     with_witness: bool = True,
     budget: int = 400,
-) -> InvariantReport:
+) -> dict:
+    """The invariant report of A as a JSON-ready dict."""
     lo, hi, a = amp_profile(A)
     irr = A.irrelevant_ideal()
-    d = depth(A, irr)
-    sd = seq_depth(A, irr)
-    per_ideal = []
+    report = {
+        "inf": sentinel_json(lo),
+        "sup": sentinel_json(hi),
+        "amp": sentinel_json(a),
+        "depth_at_irrelevant": sentinel_json(depth(A, irr)),
+        "seq_depth_at_irrelevant": sentinel_json(seq_depth(A, irr)),
+        "per_ideal": [],
+        "witness": None,
+    }
     for name, gens in (ideals or {}).items():
         elems = [_as_element(e, A.base) for e in gens]
-        per_ideal.append(
+        report["per_ideal"].append(
             {
                 "ideal": name,
                 "generators": [str(e.rep) for e in elems],
@@ -366,23 +333,14 @@ def compute_invariants(
                 "seq_depth": sentinel_json(seq_depth(A, elems)),
             }
         )
-    witness = None
     if with_witness and not A.h0.is_trivial():
-        witness = greedy_regular_sequence(A, irr, budget=budget).to_json()
-    return InvariantReport(
-        inf=lo,
-        sup=hi,
-        amp=a,
-        dim_h0=A.h0.dim(),
-        lcdim=lcdim(A),
-        depth_at_irrelevant=d,
-        seq_depth_at_irrelevant=sd,
+        report["witness"] = greedy_regular_sequence(A, irr, budget=budget).to_json()
+    report.update(
+        dim_h0=sentinel_json(A.h0.dim()),
+        lcdim=sentinel_json(lcdim(A)),
         local_cm=is_local_cm(A),
         constant_amplitude=has_constant_amplitude(A),
         cm_certified=cm_certify(A),
-        homology={
-            str(i): hs.to_json() for i, hs in sorted(A.homology_table().items())
-        },
-        per_ideal=per_ideal,
-        witness=witness,
+        homology=table_json(A.homology_table()),
     )
+    return report

@@ -18,6 +18,7 @@ from .complexes import homology_hilbert_functions, oracle_basis_size, truncation
 from .dgring import DGRingRep, ElementOfH0, dg_from_ring, dg_tensor, koszul, trivial_extension
 from .duality import dualizing_complex, dualizing_of_koszul, is_gorenstein_ring
 from .fields import field_from_json
+from .hilbert import table_json
 from .invariants import compute_invariants, sentinel_json
 from .modules import FPModule
 from .parse import ParseError, parse_poly
@@ -139,8 +140,7 @@ def _task_invariants(dg: DGRingRep, task: dict, config: RunConfig) -> dict:
     witness = task.get("witness", True)
     if not isinstance(witness, bool):
         raise JobError("'witness' must be true or false")
-    report = compute_invariants(dg, ideals=ideals, with_witness=witness, budget=config.budget)
-    return report.to_json()
+    return compute_invariants(dg, ideals=ideals, with_witness=witness, budget=config.budget)
 
 
 def _oracle_record(K, depth: int) -> dict:
@@ -170,9 +170,7 @@ def _task_koszul(dg: DGRingRep, task: dict, config: RunConfig) -> dict:
         "amp": sentinel_json(K.amp()),
         "h0_hilbert": K.h0.hilbert_series().to_json(),
         "dim_h0": sentinel_json(K.h0.dim()),
-        "homology": {
-            str(i): hs.to_json() for i, hs in sorted(K.homology_table().items())
-        },
+        "homology": table_json(K.homology_table()),
     }
     if depth:
         out["oracle"] = _oracle_record(K, depth)
@@ -189,20 +187,13 @@ def _task_duality(dg: DGRingRep, task: dict, config: RunConfig) -> dict:
         "dualizing_amp": sentinel_json(R.amp()),
         "dualizing_inf": sentinel_json(R.inf()),
     }
-    elements = task.get("elements")
-    K = None
-    if elements:
-        K = koszul(dg, elements)
-    elif dg.provenance[0] == "koszul":
-        K = dg
-    if K is not None and K.root_ring() is not None:
+    K = koszul(dg, task.get("elements") or [])
+    if K.kind == "koszul" and K.lifts is not None:
         D = dualizing_of_koszul(K)
         out["amp_koszul"] = sentinel_json(K.amp())
         out["amp_dual"] = sentinel_json(D.amp())
         out["amp_equal"] = out["amp_koszul"] == out["amp_dual"]
-        out["dual_homology"] = {
-            str(i): hs.to_json() for i, hs in sorted(D.homology_table().items())
-        }
+        out["dual_homology"] = table_json(D.homology_table())
     return out
 
 

@@ -314,6 +314,8 @@ def poly_to_text(p: Polynomial) -> str:
             term = cs
         elif c == one:
             term = body
+        elif c == -one:
+            term = "-" + body
         else:
             term = f"{cs}*{body}"
         pieces.append(term)

@@ -69,7 +69,7 @@ def test_two_lifts_of_one_class_give_two_koszul_dg_rings():
     assert koszul(A, ["x^2"]) is K1
     K2 = koszul(A, ["x*y"])
     assert K2 is not K1
-    assert K1.koszul_lifts() != K2.koszul_lifts()
+    assert K1.lifts != K2.lifts
     zero = A.base.poly_ring.zero
     Z1 = koszul(A, [ElementOfH0(zero, degree=1)])
     Z2 = koszul(A, [ElementOfH0(zero, degree=2)])
@@ -209,6 +209,31 @@ def test_base_change_examples():
     t = collapsed.homology_table()
     assert t[0].reduced() == ({0: 1}, 1)
     assert t[-1].reduced()[1] == 1  # H^-1 = k[u] twisted
+
+
+def test_a_dg_ring_records_its_kind_and_its_koszul_lifts():
+    Q = ring("x", "y", "z")
+    A = dg_from_ring(Q)
+    assert (A.kind, A.lifts) == ("ring", ())
+    T = dg_tensor(koszul(A, ["x"]), koszul(A, ["y"]))
+    assert T.kind == "tensor"
+    assert [e.rep for e in T.lifts] == [poly("x", Q), poly("y", Q)]
+    K = koszul(T, ["z"])
+    assert K.kind == "koszul"
+    assert [e.rep for e in K.lifts] == [poly("x", Q), poly("y", Q), poly("z", Q)]
+
+
+def test_a_koszul_ring_over_a_trivial_extension_has_no_lifts():
+    B = ring("x", "y", ideal=["x*y"])
+    ext = trivial_extension(B, FPModule(B, (0,)), 1)
+    K = koszul(ext, ["y"])
+    assert (ext.kind, ext.lifts) == ("trivial-extension", None)
+    assert (K.kind, K.lifts) == ("koszul", None)
+    assert koszul(K, ["x"]).lifts is None
+    assert dg_tensor(koszul(dg_from_ring(B), ["x"]), K).lifts is None
+    ident = RingMap(B, B, [poly("x", B), poly("y", B)])
+    with pytest.raises(ValueError, match="^base change needs a Koszul DG-ring over a ring$"):
+        base_change(K, ident)
 
 
 def test_base_change_rejects_non_maps():

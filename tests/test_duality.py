@@ -21,6 +21,8 @@ from dgkoszul import (
     trivial_extension,
 )
 from dgkoszul import duality, run_job
+from dgkoszul.checks import CheckInputError, run_check
+from dgkoszul.jobs import RunConfig
 
 SUITE = Path(__file__).resolve().parent.parent / "suite"
 
@@ -177,11 +179,31 @@ def test_gorenstein_transfer_positive_and_negative():
     assert not rep["tables_match"]
 
 
-def test_dual_of_koszul_requires_koszul_provenance():
+def test_dual_of_koszul_requires_a_koszul_dg_ring_over_a_ring():
     B = ring("x")
     ext = trivial_extension(B, FPModule(B, (0,)), 1)
     with pytest.raises(ValueError):
         dualizing_of_koszul(ext)
+
+
+def test_a_koszul_ring_over_a_trivial_extension_is_refused_by_the_duality_readers():
+    B = ring("x", "y", ideal=["x*y"])
+    ext = trivial_extension(B, FPModule(B, (0,)), 1)
+    K = koszul(ext, ["y"])
+    assert K.kind == "koszul" and K.lifts is None
+    for reader in (dualizing_of_koszul, self_duality_check, gorenstein_dg_check):
+        with pytest.raises(ValueError, match="^expected a Koszul DG-ring over a ring$"):
+            reader(K)
+    with pytest.raises(CheckInputError, match="^self-duality check needs a ring base$"):
+        run_check("self_duality", ext, {"elements": ["y"]}, RunConfig())
+    job = {
+        "vars": ["x", "y"],
+        "ideal": ["x*y"],
+        "dg": {"kind": "koszul", "elements": ["y"], "base": {"kind": "trivial_extension"}},
+        "tasks": [{"task": "duality"}],
+    }
+    result = run_job(job)["results"][0]["result"]
+    assert "amp_koszul" not in result and "dual_homology" not in result
 
 
 def test_a_job_resolves_its_ring_once(monkeypatch):
@@ -208,12 +230,12 @@ def test_a_job_resolves_its_ring_once(monkeypatch):
 
 def test_a_tensor_of_koszul_rings_dualizes_as_the_koszul_ring_on_both_elements():
     # K(x) (x) K(y) and K(x, y) over k[x,y,z]/(xy - z^2), each extended by z:
-    # the lifts and the root ring are read through the tensor provenance.
+    # the tensor carries the lifts of both factors over their common base.
     Q = ring("x", "y", "z", ideal=["x*y - z^2"])
     A = dg_from_ring(Q)
     T = dg_tensor(koszul(A, ["x"]), koszul(A, ["y"]))
-    assert [e.rep for e in T.koszul_lifts()] == [poly("x", Q), poly("y", Q)]
-    assert T.root_ring() == Q
+    assert [e.rep for e in T.lifts] == [poly("x", Q), poly("y", Q)]
+    assert T.base == Q
 
     def results(dg):
         tasks = [

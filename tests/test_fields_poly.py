@@ -142,7 +142,8 @@ def test_negative_rational_coefficients_print_as_differences():
     r = PolyRing(("x", "y"), QQ)
     p = r.poly({(1, 0): Fraction(1), (0, 1): Fraction(-2), (0, 0): Fraction(-1, 3)})
     assert str(p) == "x - 2*y - 1/3"
-    assert str(-p) == "-1*x + 2*y + 1/3"
+    assert str(-p) == "-x + 2*y + 1/3"
+    assert str(r.poly({(1, 0): Fraction(1), (0, 1): Fraction(-1)})) == "x - y"
 
 
 # ---- the reference: a ring element as an exponent -> coefficient dict ----
@@ -198,7 +199,14 @@ def _ref_text(names, one, a):
         body = "*".join(
             name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k
         )
-        pieces.append(str(c) if not body else body if c == one else f"{c}*{body}")
+        if not body:
+            pieces.append(str(c))
+        elif c == one:
+            pieces.append(body)
+        elif c == -one:
+            pieces.append("-" + body)
+        else:
+            pieces.append(f"{c}*{body}")
     text = pieces[0]
     for term in pieces[1:]:
         text += " - " + term[1:] if term.startswith("-") else " + " + term

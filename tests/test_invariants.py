@@ -179,6 +179,22 @@ def test_greedy_witness_full_flag():
     assert len(wq) == 1 and not wq.exhausted
 
 
+def test_generators_above_the_candidate_degree_are_candidates():
+    # x^3, y^3 is a regular sequence in k[x,y]; each cubic must be tried.
+    A = dg_from_ring(ring("x", "y"))
+    w = greedy_regular_sequence(A, ["x^3", "y^3"])
+    assert sorted(str(e.rep) for e in w.elements) == ["x^3", "y^3"]
+    assert not w.exhausted
+    for name in ("seq_depth", "depth_formula"):
+        job = {
+            "vars": ["x", "y"],
+            "tasks": [{"task": "check", "name": name, "ideal": ["x^3", "y^3"]}],
+        }
+        record = run_job(job)["results"][0]["result"]
+        assert record["verdict"] == "PASS", record
+        assert "witness_mismatch" not in record
+
+
 def test_greedy_budget_exhaustion_flagged():
     Aq = dg_from_ring(ring("x", "y", "z", "w", ideal=["x*y - z*w"]))
     w = greedy_regular_sequence(Aq, ["x", "z"], budget=1)
@@ -256,9 +272,7 @@ def test_flatdim_reports():
 
 
 def test_invariant_report_shape():
-    rep = compute_invariants(
-        _example_extension(), ideals={"q": ["y"]}, budget=100
-    ).to_json()
+    rep = compute_invariants(_example_extension(), ideals={"q": ["y"]}, budget=100)
     assert rep["inf"] == -2 and rep["amp"] == 2
     assert rep["local_cm"] is True
     assert rep["constant_amplitude"] is False
@@ -280,7 +294,7 @@ def test_invariants_build_the_koszul_complex_at_the_irrelevant_ideal_once(monkey
 
     monkeypatch.setattr(dgkoszul.dgring, "koszul_complex", counting)
     cubic = dg_from_ring(ring("a", "b", "c", "d", ideal=["a*c - b^2", "b*d - c^2", "a*d - b*c"]))
-    rep = compute_invariants(cubic, with_witness=False).to_json()
+    rep = compute_invariants(cubic, with_witness=False)
     assert len(built) == 1
     assert rep["depth_at_irrelevant"] == 2 and rep["local_cm"] is True
 
