@@ -16,7 +16,9 @@ from .hilbert import NEG_INF, POS_INF, HilbertSeries
 from .modules import FPModule, kernel, min_gens, subquotient
 from .complexes import (
     Complex,
+    betti_table,
     euler_series,
+    free_resolution,
     koszul_complex,
     tensor_complexes,
     truncation_oracle,
@@ -49,10 +51,8 @@ from .invariants import (
 )
 from .duality import (
     betti_numbers,
-    betti_table,
     dualizing_complex,
     dualizing_of_koszul,
-    free_resolution,
     gorenstein_dg_check,
     is_gorenstein_ring,
     self_duality_check,

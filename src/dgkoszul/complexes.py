@@ -1,5 +1,6 @@
-"""Bounded complexes of graded modules, their operations, and the
-degree-truncation oracle.
+"""Bounded complexes of graded modules, their operations, minimal free
+resolutions over the ambient polynomial ring, and the degree-truncation
+oracle.
 
 Complexes are cohomologically indexed: d^i maps term i to term i+1 and has
 internal degree 0.  Terms are FPModules, cokernels of the free modules on
@@ -25,7 +26,7 @@ from typing import Sequence
 from . import groebner as gb
 from .hilbert import NEG_INF, POS_INF, HilbertSeries
 from .linalg import Echelon
-from .modules import FPModule, kernel, subquotient
+from .modules import FPModule, kernel, min_gens, modulo, subquotient
 from .poly import Polynomial, vec_add_multiple, vec_combination, vec_degree, vec_offset, vec_scale
 from .rings import QuotientRing
 
@@ -303,6 +304,72 @@ def euler_series(K: Complex) -> HilbertSeries:
         hs = K.homology(i).hilbert_series()
         total = total + (hs if i % 2 == 0 else hs.scale(-1))
     return total
+
+
+# ---------- minimal free resolutions ----------
+
+def ambient_ring(Q: QuotientRing) -> QuotientRing:
+    """Q's ambient polynomial ring S as a QuotientRing with zero ideal."""
+    return QuotientRing(Q.poly_ring, ())
+
+
+class ResolutionError(RuntimeError):
+    pass
+
+
+def free_resolution(M: FPModule) -> Complex:
+    """Minimal free resolution over S of a module over Q = S/J: iterated
+    syzygies with minimal generating sets at every stage (the result is
+    minimal, with no unit entries)."""
+    S = ambient_ring(M.ring)
+    ring = S.poly_ring
+    F = FPModule(S, M.twists)
+    cols = M.relation_columns()
+    terms = {0: F}
+    diffs = {}
+    k = 0
+    while True:
+        cols = min_gens(cols, F)
+        if not cols:
+            break
+        k += 1
+        if k > ring.nvars + 1:
+            raise ResolutionError("resolution exceeded the syzygy bound")
+        degs = [vec_degree(c, F.twists) for c in cols]
+        diffs[-k] = tuple(cols)
+        cols = modulo(cols, (), F.twists, ring)
+        F = terms[-k] = FPModule(S, degs)
+    resolution = Complex(S, terms, diffs)
+    _assert_minimal(resolution)
+    return resolution
+
+
+def ring_resolution(Q: QuotientRing) -> Complex:
+    """The minimal free resolution of Q over S, computed once per ring
+    object and kept on it for the Betti table, the Gorenstein verdict, the
+    dualizing complex and the Koszul homology on a basis of S_1."""
+    if Q._resolution is None:
+        Q._resolution = free_resolution(FPModule(Q, (0,)))
+    return Q._resolution
+
+
+def _assert_minimal(res: Complex) -> None:
+    zero_expo = (0,) * res.ring.nvars
+    for m in res.diffs.values():
+        if any(e == zero_expo for col in m for _, e in col):
+            raise ResolutionError("unit entry in a minimal resolution")
+
+
+def betti_table(res: Complex) -> dict:
+    """{homological step: {internal degree: rank}} of a resolution."""
+    out = {}
+    for i in sorted(res.terms):
+        step = -i
+        row: dict[int, int] = {}
+        for w in res.terms[i].twists:
+            row[w] = row.get(w, 0) + 1
+        out[step] = dict(sorted(row.items()))
+    return out
 
 
 # ---------- degree-truncation oracle ----------

@@ -8,15 +8,19 @@ its Koszul lifts: the representatives in Q of every Koszul element below
 it, outermost last, or None when a trivial extension lies underneath.
 The DG multiplication is never stored as tables: every invariant in scope
 (homology, depth, amplitude, dimension, duality data) factors through the
-underlying complex and the Q-action.
+underlying complex and the Q-action.  The Koszul DG-ring of a ring on a
+basis of S_1, the variables among them, takes its homology series from
+the ring's minimal resolution (its Betti table) rather than from its
+differentials.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .complexes import Complex, koszul_complex, tensor_complexes
-from .hilbert import table_json
+from .complexes import Complex, betti_table, koszul_complex, ring_resolution, tensor_complexes
+from .hilbert import HilbertSeries, table_json
+from .linalg import Echelon
 from .modules import FPModule
 from .parse import parse_poly
 from .poly import Polynomial, RingMismatchError
@@ -25,17 +29,15 @@ from .rings import QuotientRing, substitute
 # Bound on the total rank (the number of generators over all terms) of a
 # Koszul or tensor complex, checked before any of its terms is built: K(A;
 # a_1..a_n) has rank(A) * 2^n generators and L (x) R has rank(L) * rank(R).
-# Homology is read from Hilbert series, one Groebner basis per differential.
-# Measured one process at a time on a 2-vCPU Xeon, at rank 512, 1024 and
-# 2048: a koszul task on n copies of x over k[x,y] took 0.1, 0.4-0.5 and
-# 0.9-1.3 s, and one on all variables of k[x0..x(n-1)] 0.15, 0.3-0.4 and
-# 1.1 s.  Relations cost more: on all variables of k[x0..x(n-1)]/(x0x1 -
-# x2x3, x4x5 - x6x7) a koszul task took 0.8-0.9 s at rank 512 (n = 9) and
-# 2.3-2.8 s at 1024.  An invariants task (depth at the irrelevant ideal and
-# a regular-sequence witness, which still builds homology modules) at rank
-# 512 took 0.5 s on k[x0..x8], 1.1-1.2 s with the first quadric and
-# 1.8-2.0 s with both; on both quadrics in ten variables (rank 1024) it
-# took 4.3-4.7 s.  The suite and the benchmark build at most rank 64.
+# Homology is read from Hilbert series: for a ring and a basis of S_1 from
+# the ring's minimal resolution, otherwise one Groebner basis per
+# differential.  Measured one process at a time on a 2-vCPU Xeon at rank
+# 512: a koszul task on all variables of k[x0..x8] and of
+# k[x0..x8]/(x0x1 - x2x3, x4x5 - x6x7) took 0.01 s (0.03-0.12 s through
+# the differentials), one on nine copies of x over k[x,y] 0.03 s, and an
+# invariants task (depth at the irrelevant ideal and a regular-sequence
+# witness, whose stages still read their differentials) 0.12 s on either
+# ring.  The suite and the benchmark build at most rank 64.
 MAX_COMPLEX_RANK = 512
 
 
@@ -188,6 +190,17 @@ def trivial_extension(Q: QuotientRing, M: FPModule, n: int) -> DGRingRep:
     return DGRingRep(Q, underlying, Q, "trivial-extension", None)
 
 
+def _is_basis_of_linear_forms(Q: QuotientRing, elems: tuple) -> bool:
+    """Whether the elements are nvars forms of degree 1 whose coefficient
+    rows are independent, that is a basis of S_1."""
+    if len(elems) != Q.nvars or any(e.degree != 1 for e in elems):
+        return False
+    rows = Echelon(Q.field)
+    for e in elems:
+        rows.add({expo.index(1): c for (_, expo), c in e.rep.vec.items()})
+    return rows.rank == Q.nvars
+
+
 def koszul(A: DGRingRep, elems: Sequence) -> DGRingRep:
     """The Koszul DG-ring K(A; elems) on classes of H^0(A).
 
@@ -196,6 +209,13 @@ def koszul(A: DGRingRep, elems: Sequence) -> DGRingRep:
     element list returns A itself.  The result is memoized on A, keyed by
     the representatives and degrees, so every reader of K(A; elems) shares
     one complex and its homology.
+
+    On a nonzero ring Q = S/J and a basis l of S_1, K(S; l) resolves k, so
+    H^{-i}(K(Q; l)) = Tor_i^S(Q, k), whose Hilbert series is the Betti row
+    sum_j beta_ij t^j of Q's minimal resolution (balancing of Tor).  The
+    homology series are then read from ring_resolution, with no Groebner
+    basis of a Koszul differential; the complex is still built, for the
+    homology modules and the truncation oracle.
     """
     elems = tuple(_as_element(e, A.base) for e in elems)
     if not elems:
@@ -206,6 +226,11 @@ def koszul(A: DGRingRep, elems: Sequence) -> DGRingRep:
             A.base, [e.rep for e in elems], degrees=[e.degree for e in elems]
         )
         underlying = tensor_complexes(A.underlying, K)
+        Q = A.base
+        if A.kind == "ring" and _is_basis_of_linear_forms(Q, elems) and not Q.is_trivial():
+            betti = betti_table(ring_resolution(Q))
+            for i in underlying.support:
+                underlying._series[i] = HilbertSeries(betti.get(-i, {}), 0)
         h0 = QuotientRing(A.base.poly_ring, A.h0.j_gens + tuple(e.rep for e in elems))
         lifts = None if A.lifts is None else A.lifts + elems
         A._koszul[elems] = DGRingRep(A.base, underlying, h0, "koszul", lifts)

@@ -1,5 +1,6 @@
-"""Free resolutions over the ambient polynomial ring, normalized dualizing
-complexes, duals of Koszul DG-rings, and Gorenstein checks.
+"""Betti numbers, normalized dualizing complexes, duals of Koszul DG-rings,
+and Gorenstein checks, all read from the minimal free resolutions over the
+ambient polynomial ring that complexes.py computes.
 
 "Dualizing" is by construction (the shifted Hom of a minimal free
 resolution over S); the self-Hom axioms are classical facts about that
@@ -14,75 +15,19 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import Complex, _agree, _compose, koszul_complex, tensor_complexes
+from .complexes import (
+    Complex,
+    _agree,
+    _compose,
+    ambient_ring,
+    betti_table,
+    koszul_complex,
+    ring_resolution,
+    tensor_complexes,
+)
 from .dgring import DGRingRep
 from .hilbert import table_json
-from .modules import FPModule, min_gens, modulo
-from .poly import vec_degree
 from .rings import QuotientRing
-
-
-def ambient_ring(Q: QuotientRing) -> QuotientRing:
-    """Q's ambient polynomial ring S as a QuotientRing with zero ideal."""
-    return QuotientRing(Q.poly_ring, ())
-
-
-class ResolutionError(RuntimeError):
-    pass
-
-
-def free_resolution(M: FPModule) -> Complex:
-    """Minimal free resolution over S of a module over Q = S/J: iterated
-    syzygies with minimal generating sets at every stage (the result is
-    minimal, with no unit entries)."""
-    S = ambient_ring(M.ring)
-    ring = S.poly_ring
-    F = FPModule(S, M.twists)
-    cols = M.relation_columns()
-    terms = {0: F}
-    diffs = {}
-    k = 0
-    while True:
-        cols = min_gens(cols, F)
-        if not cols:
-            break
-        k += 1
-        if k > ring.nvars + 1:
-            raise ResolutionError("resolution exceeded the syzygy bound")
-        degs = [vec_degree(c, F.twists) for c in cols]
-        diffs[-k] = tuple(cols)
-        cols = modulo(cols, (), F.twists, ring)
-        F = terms[-k] = FPModule(S, degs)
-    resolution = Complex(S, terms, diffs)
-    _assert_minimal(resolution)
-    return resolution
-
-
-def ring_resolution(Q: QuotientRing) -> Complex:
-    """The minimal free resolution of Q over S, computed once per ring
-    object and kept on it for the Gorenstein verdict and dualizing complex."""
-    if Q._resolution is None:
-        Q._resolution = free_resolution(FPModule(Q, (0,)))
-    return Q._resolution
-
-
-def _assert_minimal(res: Complex) -> None:
-    zero_expo = (0,) * res.ring.nvars
-    for m in res.diffs.values():
-        if any(e == zero_expo for col in m for _, e in col):
-            raise ResolutionError("unit entry in a minimal resolution")
-
-
-def betti_table(res: Complex) -> dict:
-    """{homological step: {internal degree: rank}} of a resolution."""
-    out = {}
-    for i in sorted(res.terms):
-        step = -i
-        row: dict[int, int] = {}
-        for w in res.terms[i].twists:
-            row[w] = row.get(w, 0) + 1
-        out[step] = dict(sorted(row.items()))
-    return out
 
 
 def betti_numbers(res: Complex) -> list[int]:
@@ -240,7 +185,7 @@ def gorenstein_dg_check(K: DGRingRep) -> dict:
             classes lie in the irrelevant ideal, so the converse applies).
     unknown: anything else.
     """
-    if K.lifts is None:
+    if K.lifts is None or K.kind != "koszul":
         raise ValueError("expected a Koszul DG-ring over a ring")
     goren_ring, ring_data = is_gorenstein_ring(K.base)
     D = dualizing_of_koszul(K)

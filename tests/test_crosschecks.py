@@ -8,8 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from dgkoszul import FPModule, PrimeField, RationalField, koszul, dg_from_ring, subquotient
 from dgkoszul import groebner as gb
-from dgkoszul.complexes import _monomials_of_degree, oracle_basis_size, truncation_oracle
-from dgkoszul.duality import betti_table, free_resolution
+from dgkoszul.complexes import (
+    _monomials_of_degree,
+    betti_table,
+    free_resolution,
+    koszul_complex,
+    oracle_basis_size,
+    truncation_oracle,
+)
 from dgkoszul.jobs import MAX_ORACLE_BASIS
 from dgkoszul.linalg import Echelon
 from dgkoszul.parse import parse_poly
@@ -119,8 +125,10 @@ def test_prime_field_and_rationals_agree_on_homology():
 
 def _koszul_tor(Q):
     """{i: {j: dim H^{-i}(K(x; Q))_j}}, which is Tor^S_i(Q, k)_j.  Koszul
-    homology is killed by the variables, so each series is a polynomial."""
-    K = koszul(dg_from_ring(Q), list(Q.variables))
+    homology is killed by the variables, so each series is a polynomial.
+    The bare Koszul complex reads its homology from the Groebner bases of
+    its differentials, not from Q's resolution as dgring.koszul would."""
+    K = koszul_complex(Q, [Q.poly_ring.var(i) for i in range(Q.nvars)])
     tor = {}
     for i, hs in K.homology_table().items():
         num, pole = hs.reduced()
@@ -159,11 +167,44 @@ def test_tor_from_the_resolution_matches_koszul_homology(case):
     assert betti_table(free_resolution(FPModule(Q, (0,)))) == tor
     reg = max(j - i for i, row in tor.items() for j in row)
     d_max = reg + R.nvars + 1
-    assert oracle_basis_size(K.underlying, d_max) <= MAX_ORACLE_BASIS
-    oracle = truncation_oracle(K.underlying, d_max)
+    assert oracle_basis_size(K, d_max) <= MAX_ORACLE_BASIS
+    oracle = truncation_oracle(K, d_max)
     assert oracle == {
         i: {t: tor.get(-i, {}).get(t, 0) for t in dims} for i, dims in oracle.items()
     }
     M = FPModule.quotient_by_ideal(Q, [linear])
     _, tor_of_m = _koszul_tor(QuotientRing(R, forms + [linear]))
     assert betti_table(free_resolution(M)) == tor_of_m
+
+
+@st.composite
+def _ring_and_basis(draw):
+    """1-3 quadrics in 3 or 4 variables over F_101, and a basis of S_1: the
+    rows of a unit lower-triangular matrix, with scaled diagonal, in
+    permuted coordinates."""
+    nvars = draw(st.integers(3, 4))
+    R = PolyRing(("x", "y", "z", "w")[:nvars], PrimeField(101))
+    monos = st.sampled_from(_monomials_of_degree(nvars, 2))
+    coeffs = st.integers(1, 100)
+    quadrics = [
+        R.poly(draw(st.dictionaries(monos, coeffs, min_size=1, max_size=4)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    perm = draw(st.permutations(range(nvars)))
+    unit = [tuple(int(k == i) for k in range(nvars)) for i in range(nvars)]
+    forms = []
+    for i in range(nvars):
+        row = {unit[perm[j]]: draw(st.integers(0, 100)) for j in range(i)}
+        row[unit[perm[i]]] = draw(coeffs)
+        forms.append(R.poly({e: c for e, c in row.items() if c}))
+    return QuotientRing(R, quadrics), forms
+
+
+@settings(max_examples=25, deadline=None)
+@given(_ring_and_basis())
+def test_koszul_homology_on_a_basis_of_linear_forms_is_the_betti_table(case):
+    # dgring.koszul reads these tables from Q's minimal resolution; the bare
+    # Koszul complex computes them from its differentials.
+    Q, forms = case
+    table = koszul(dg_from_ring(Q), forms).homology_table()
+    assert table == koszul_complex(Q, forms).homology_table()

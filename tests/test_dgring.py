@@ -306,3 +306,11 @@ def test_an_element_of_another_ring_is_a_ring_mismatch(monkeypatch):
             koszul(A, [element])
     with pytest.raises(RingMismatchError):
         A.base.normal_forms([foreign])
+
+
+def test_koszul_on_the_variables_of_the_zero_ring_has_no_homology():
+    # The unit ideal has no minimal resolution; the zero ring's Koszul
+    # homology is read from the differentials, and it is zero.
+    Q = ring("x", "y", ideal=["1"])
+    assert Q.is_trivial()
+    assert koszul(dg_from_ring(Q), ["x", "y"]).homology_table() == {}

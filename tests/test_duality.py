@@ -20,7 +20,7 @@ from dgkoszul import (
     self_duality_check,
     trivial_extension,
 )
-from dgkoszul import duality, run_job
+from dgkoszul import complexes, run_job
 from dgkoszul.checks import CheckInputError, run_check
 from dgkoszul.jobs import RunConfig
 
@@ -212,13 +212,13 @@ def test_a_job_resolves_its_ring_once(monkeypatch):
     job = json.loads((SUITE / "a09_gorenstein_quadric_surface.json").read_text(encoding="utf-8"))
     job["tasks"].append({"task": "duality", "elements": ["y", "z"]})
     resolved = []
-    resolve = duality.free_resolution
+    resolve = complexes.free_resolution
 
     def counting(M):
         resolved.append(M.ring)
         return resolve(M)
 
-    monkeypatch.setattr(duality, "free_resolution", counting)
+    monkeypatch.setattr(complexes, "free_resolution", counting)
     for run in (1, 2):
         report = run_job(job)
         assert report["status"] == "ok" and report["expectations_met"]

@@ -39,7 +39,9 @@ def _job(**overrides):
 
 
 def test_degree_cap_does_not_leak_into_later_jobs():
-    job = json.loads((SUITE / "a01_regular_collapse.json").read_text(encoding="utf-8"))
+    # The ring's Groebner basis needs the degree-3 S-pair of x^2 + y^2 and xy.
+    job = _job(ideal=["x^2 + y^2", "x*y"])
+    job["tasks"][0]["elements"] = ["x", "y"]
     assert run_job(job)["status"] == "ok"
     assert run_job(job, RunConfig(degree_cap=2))["status"] == "resource-cap"
     assert run_job(job)["status"] == "ok"
