@@ -420,9 +420,14 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
     normal form is its remainder by that echelon.  In internal degree t,
     term i is the sum of A_{t-w_j} over its generators j, modulo the rows
     N of its relations (their monomial multiples, in normal form), so its
-    dimension is |basis| - rank N.  The non-pivot basis vectors of N's
-    echelon span a complement of N, so the rank of the induced differential
-    is what their images add to the echelon of the next term's N.
+    dimension is |basis| - rank N.  The terms are ranked in ascending
+    order, and the images of d^i go straight into the echelon of term
+    i + 1, so that echelon spans N + im d^i when d^{i+1} is ranked.  Its
+    non-pivot basis vectors span a complement of N + im d^i, and by
+    d∘d = 0 (which Complex.validate checks, and rank-nullity already
+    assumes) d^{i+1} maps the rest into the next term's N.  So the rank of
+    the induced d^{i+1} is what the images of that complement add to the
+    next term's echelon, and only homology rows reduce to zero.
     Rank-nullity gives dim H^i_t.
 
     A monomial is one int with a field of bits per variable, wide enough
@@ -433,7 +438,7 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
     """
     ring = C.ring
     field = ring.field
-    one, add, mul = field.one, field.add, field.mul
+    one = field.one
     support = C.support
     result = {i: {} for i in support}
     floor = _degree_floor(C)
@@ -483,7 +488,7 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
                     for m in monomials(d - g_deg):
                         j_rows.add({index[m + e]: c for _, e, c in g})
             for k, m in enumerate(monos):
-                normal[m] = j_rows.remainder({k: one})
+                normal[m] = j_rows.remainder({k: one}) if k in j_rows.rows else {k: one}
             standard_lists[d] = [k for k in range(len(monos)) if k not in j_rows.rows]
         return standard_lists[d]
 
@@ -492,10 +497,11 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
         whose basis in this degree is built (so standard() has filled in
         the normal forms it needs)."""
         out = {}
+        get = out.get
         for comp, e, c in col:
             off = offsets[comp]
             for k, v in normal[m + e].items():
-                out[off + k] = add(out.get(off + k, 0), mul(c, v))
+                out[off + k] = get(off + k, 0) + c * v
         return out
 
     for t_deg in range(floor, d_max + 1):
@@ -524,12 +530,13 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
         for i in support:
             if i not in C.diffs or (i + 1) not in echelons or not dims[i + 1]:
                 continue
-            pivots = echelons[i].rows
-            image = echelons[i + 1].copy()
+            pivots = set(echelons.pop(i).rows)  # its rows are needed no more
+            image = echelons[i + 1]
+            before = image.rank
             for j, m, pos in bases[i]:
                 if pos not in pivots:
                     image.add(row(diffs[i][j], m, offsets[i + 1]))
-            ranks[i] = image.rank - echelons[i + 1].rank
+            ranks[i] = image.rank - before
         for i in support:
             result[i][t_deg] = dims[i] - ranks.get(i, 0) - ranks.get(i - 1, 0)
     return result

@@ -195,7 +195,7 @@ def gorenstein_dg_check(K: DGRingRep) -> dict:
     level = "hilbert-series"
     ann_equal = None
     if match is not None:
-        s, w = match
+        s, _ = match
         top_d = max(table_d) if table_d else 0
         top_k = top_d + s
         hd = D.homology(top_d)

@@ -60,6 +60,11 @@ class PrimeField:
     def from_int(self, n: int) -> int:
         return n % self.p
 
+    def norm(self, a: int) -> int:
+        """An int reduced into [0, p): sums of products may skip the
+        reduction until their value is read."""
+        return a % self.p
+
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
@@ -109,6 +114,10 @@ class RationalField:
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
+
+    def norm(self, a):
+        """A rational is exact as it is."""
+        return a
 
     def add(self, a, b):
         return a + b

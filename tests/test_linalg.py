@@ -39,11 +39,11 @@ COEFFS = st.tuples(st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40)), 
 
 
 @st.composite
-def sparse_rows(draw):
+def sparse_rows(draw, fields=FIELDS):
     """A field, a column count and rows as {column: coeff} dicts.  Each row
     sums a list of (column, coeff) entries, so a column may repeat and an
     entry may cancel to zero; empty and repeated rows are mixed in."""
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(fields))
     ncols = draw(st.integers(1, 8))
     entry = st.tuples(st.integers(0, ncols - 1), COEFFS)
     rows = []
@@ -75,9 +75,12 @@ def test_echelon_rank_matches_dense_elimination(case):
         echelon.add(row)
         assert echelon.rank == _dense_rank(rows[: k + 1], ncols, _p(field))
     assert rows == before
+    p = _p(field)
     for pivot, row in echelon.rows.items():
         assert min(row) == pivot and row[pivot] == field.one
         assert all(row.values())
+        if p:
+            assert all(0 < v < p for v in row.values())
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,3 +120,28 @@ def test_remainder_has_no_pivot_and_differs_from_the_row_by_the_span(case, data)
     p = _p(field)
     assert _dense_rank(rows[:split] + [difference], ncols, p) == echelon.rank
     assert _dense_rank(rows[:split] + [rest], ncols, p) == _dense_rank(rows[:split] + [probe], ncols, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows(fields=FIELDS[:2]), st.data())
+def test_unreduced_entries_over_a_prime_field_change_nothing(case, data):
+    # Over F_p a row may hand in any int for its class mod p: negative,
+    # above p^2, or a multiple of p where the entry is zero.
+    field, ncols, rows = case
+    p = field.p
+    shift = st.integers(-2 * p, 2 * p)
+
+    def unreduced(row):
+        out = {c: v + data.draw(shift) * p for c, v in row.items()}
+        for c in data.draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+            out.setdefault(c, data.draw(shift) * p)
+        return out
+
+    reduced, lifted = Echelon(field), Echelon(field)
+    for row in rows:
+        reduced.add(row)
+        lifted.add(unreduced(row))
+        assert lifted.rows == reduced.rows
+    entries = data.draw(st.lists(COEFFS, min_size=ncols, max_size=ncols))
+    probe = {c: field.div(field.from_int(num), field.from_int(den)) for c, (num, den) in enumerate(entries)}
+    assert reduced.remainder(unreduced(probe)) == reduced.remainder(probe)

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package, test or demo imports a name
-it never uses, and no module of the package keeps process-global state.
+it never uses, no function of the package stores a name it never loads,
+and no module of the package keeps process-global state.
 
 `__init__.py` is exempt from the import scan: its imports are the
 package's public API.
@@ -47,6 +48,50 @@ def test_the_scan_sees_an_unused_import():
 )
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_locals(source: str) -> list[str]:
+    """Names that a function stores and never loads, in its own body or in
+    a function nested in it; a name that starts with `_` is exempt."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, declared, stack = {}, set(), list(func.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.Nonlocal, ast.Global)):
+                declared.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                stack.extend(ast.iter_child_nodes(node))
+        loaded = {
+            node.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found += [
+            (line, f"{name} in {func.name}")
+            for name, line in stored.items()
+            if name not in loaded and name not in declared and not name.startswith("_")
+        ]
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_the_scan_sees_an_unused_local():
+    source = (
+        "def f(xs):\n    s, w = xs\n    for i, _j in xs:\n        pass\n"
+        "    def g():\n        return s\n    return g\n"
+        "def h():\n    n = 0\n    def bump():\n        nonlocal n\n        n += 1\n"
+        "    bump()\n    return n\n"
+    )
+    assert unused_locals(source) == ["w in f (line 2)", "i in f (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_loads_every_local_it_stores(path):
+    assert unused_locals(path.read_text(encoding="utf-8")) == []
 
 
 def uncalled(sources: dict[str, str], exported: set[str]) -> list[str]:

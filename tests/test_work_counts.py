@@ -12,6 +12,7 @@ from conftest import poly, ring
 from dgkoszul import (
     FPModule,
     HilbertSeries,
+    PrimeField,
     complexes,
     dg_from_ring,
     dgring,
@@ -20,10 +21,13 @@ from dgkoszul import (
     greedy_regular_sequence,
     invariants,
     koszul,
+    koszul_complex,
     modules,
     trivial_extension,
+    truncation_oracle,
 )
 from dgkoszul import groebner as gb
+from dgkoszul.linalg import Echelon
 from dgkoszul.checks import CheckInputError, run_check
 from dgkoszul.jobs import RunConfig
 
@@ -69,6 +73,25 @@ def test_a_cyclic_modules_annihilator_needs_no_syzygies(monkeypatch):
     assert [str(p) for p in M.annihilator()] == ["y*z", "x^2"]
     assert calls[0] == 0
 
+
+def test_the_oracle_reduces_no_boundary_to_zero(monkeypatch):
+    # Over k[x,y,z,w]/(xy - zw), K(x, y, z, w) has homology k in degree 0
+    # and k(-2) in homological degree 1.  A row that adds nothing to the
+    # rank is a homology class; a boundary, already in the span by
+    # d o d = 0, must not be reduced at all.
+    Q = ring("x", "y", "z", "w", ideal=["x*y - z*w"], field=PrimeField(101))
+    K = koszul_complex(Q, [poly(v, Q) for v in ("x", "y", "z", "w")])
+    add = Echelon.add
+    stalled = [0]
+
+    def counted(self, row):
+        rank = self.rank
+        add(self, row)
+        stalled[0] += self.rank == rank
+
+    monkeypatch.setattr(Echelon, "add", counted)
+    table = truncation_oracle(K, 8)
+    assert stalled[0] <= sum(sum(row.values()) for row in table.values())
 
 
 TWISTED_CUBIC = ["x*z - y^2", "y*w - z^2", "x*w - y*z"]
