@@ -432,13 +432,16 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
 
     A monomial is one int with a field of bits per variable, wide enough
     for every degree up to d_max minus the degree floor, so a product of
-    monomials is their sum.
+    monomials is their sum.  A column is packed as the field's primitive
+    multiple of itself, with int coefficients: a nonzero multiple spans the
+    same rows, and only spans and ranks are read.  A standard monomial's
+    normal form is {k: 1}.  So where J's echelon has unit pivots, every
+    normal form and row over Q is ints, and no Fraction is built.
 
     Returns {i: {t: dim}} over the complex's support.
     """
     ring = C.ring
     field = ring.field
-    one = field.one
     support = C.support
     result = {i: {} for i in support}
     floor = _degree_floor(C)
@@ -455,6 +458,7 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
         degree above d_max, which meets no basis monomial."""
         if any(sum(e) > top for _, e in col):
             return None
+        col = field.primitive(col)
         return [(comp, pack(e), c) for (comp, e), c in col.items()]
 
     j_gens = [(g.homogeneous_degree(), pack_column(g.vec)) for g in ring.j_gens]
@@ -488,7 +492,7 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
                     for m in monomials(d - g_deg):
                         j_rows.add({index[m + e]: c for _, e, c in g})
             for k, m in enumerate(monos):
-                normal[m] = j_rows.remainder({k: one}) if k in j_rows.rows else {k: one}
+                normal[m] = j_rows.remainder({k: 1}) if k in j_rows.rows else {k: 1}
             standard_lists[d] = [k for k in range(len(monos)) if k not in j_rows.rows]
         return standard_lists[d]
 

@@ -38,17 +38,21 @@ def betti_numbers(res: Complex) -> list[int]:
 
 def dualizing_complex(Q: QuotientRing) -> Complex:
     """Normalized dualizing complex of Q: the shifted S-dual of a minimal
-    free resolution, with inf = -dim(Q)."""
+    free resolution, with inf = -dim(Q).  It is built once per ring object
+    and kept on it, like the resolution, so the duality task and the
+    Gorenstein check share one complex and its homology."""
     if Q.is_trivial():
         raise ValueError("the zero ring has no dualizing complex")
-    shifted = ring_resolution(Q).hom_dual().shift(Q.poly_ring.nvars)
-    lo = shifted.inf()
-    want = -Q.dim()
-    if lo != want:
-        raise AssertionError(
-            f"normalized dualizing complex has inf {lo}, expected {want}"
-        )
-    return shifted
+    if Q._dualizing is None:
+        shifted = ring_resolution(Q).hom_dual().shift(Q.poly_ring.nvars)
+        lo = shifted.inf()
+        want = -Q.dim()
+        if lo != want:
+            raise AssertionError(
+                f"normalized dualizing complex has inf {lo}, expected {want}"
+            )
+        Q._dualizing = shifted
+    return Q._dualizing
 
 
 def dualizing_of_koszul(K: DGRingRep) -> Complex:

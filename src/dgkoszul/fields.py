@@ -8,6 +8,7 @@ arithmetic, so no floating point appears anywhere downstream.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 DEFAULT_PRIME = 32003
 
@@ -65,6 +66,12 @@ class PrimeField:
         reduction until their value is read."""
         return a % self.p
 
+    def primitive(self, row: dict) -> dict:
+        """A nonzero multiple of the row ({key: int}) with int entries, as a
+        new dict, for linalg.Echelon: here a copy of the row, since every
+        nonzero multiple serves and `norm` reduces the entries."""
+        return dict(row)
+
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
@@ -118,6 +125,26 @@ class RationalField:
     def norm(self, a):
         """A rational is exact as it is."""
         return a
+
+    def primitive(self, row: dict) -> dict:
+        """A nonzero multiple of the row ({key: coeff}) with int entries, as a
+        new dict, for linalg.Echelon: the primitive one, whose entries are
+        coprime ints and whose entry at the least key is positive, zeros
+        dropped."""
+        out = {k: v for k, v in row.items() if v}
+        if not out:
+            return out
+        try:
+            content = gcd(*out.values())
+        except TypeError:  # a Fraction entry: clear the denominators first
+            d = lcm(*(v.denominator for v in out.values()))
+            out = {k: v.numerator * (d // v.denominator) for k, v in out.items()}
+            content = gcd(*out.values())
+        if out[min(out)] < 0:
+            content = -content
+        if content != 1:
+            out = {k: v // content for k, v in out.items()}
+        return out
 
     def add(self, a, b):
         return a + b

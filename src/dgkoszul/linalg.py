@@ -1,14 +1,21 @@
-"""Exact sparse row echelon over the coefficient field.
+"""Exact sparse row echelon over the coefficient field, fraction-free.
 
 Used by the degree-truncation oracle, which must stay independent of the
 Groebner path.  Its matrices are Macaulay matrices (monomial multiples of
 J's generators, of relation columns and of differential entries) with a
-handful of nonzeros per row, so a row is a {column: coeff} dict.  An input
-row may hold zeros and, over F_p, unreduced ints (sums of products that
-skip the reduction); the field's `norm` reduces an entry only when it is
-read as a lead or stored.  The remainder by J's echelon is the oracle's
-normal form.  The field object does the arithmetic, so F_p and Q share one
-engine and no fixed-width integer can overflow.
+handful of nonzeros per row, so a row is a {column: coeff} dict.
+
+No inverse is taken and no fraction is built while a row is reduced.  A
+row enters as the field's `primitive` multiple of itself, with int entries
+(over Q its denominators are cleared).  An F_p entry may be an unreduced
+int, a sum of products that skips the reduction; the field's `norm`
+reduces it only when it is read as a lead or stored.  A stored row P keeps
+its own pivot lc, and the row's lead f is eliminated by cross-
+multiplication, row <- lc*row - f*P, which skips the scaling when lc = 1:
+Bareiss's integer-preserving elimination (Math. Comp. 22, 1968), with
+stored rows made primitive in place of his division by the previous pivot.
+The remainder by J's echelon is the oracle's normal form.  F_p and Q share
+this one engine, and no fixed-width integer can overflow.
 """
 
 from __future__ import annotations
@@ -17,32 +24,34 @@ from __future__ import annotations
 class Echelon:
     """The span of the rows added so far, in row echelon form.
 
-    Rows are stored by pivot column, the least column of the row, with the
-    pivot scaled to 1 and every entry nonzero and reduced.  `add` reduces a
-    row only until its lead is no pivot, which is all the rank and the
-    pivots need; `remainder` reduces it fully.  Stored rows are never
-    mutated, so a copy only copies the pivot table.
+    Rows are stored by pivot column, the least column of the row, each as
+    the field's primitive multiple of the reduced row: every entry nonzero
+    and reduced, the pivot kept as it is.  Over Q a stored row is the int
+    row on its line whose entries are coprime and whose pivot is positive;
+    over F_p its entries lie in (0, p).  `add` reduces a row only until its
+    lead is no pivot, which is all the rank and the pivots need;
+    `remainder` reduces it fully.
     """
 
     __slots__ = ("field", "rows")
 
-    def __init__(self, field, rows=None):
+    def __init__(self, field):
         self.field = field
-        self.rows = {} if rows is None else rows
+        self.rows = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "Echelon":
-        return Echelon(self.field, dict(self.rows))
-
     def _lead(self, row: dict):
-        """Eliminate pivots from the row (consumed) in ascending order up to
-        its first nonzero lead that is no pivot, and pop that lead: (column,
-        reduced coeff), or (None, 0) once the row is zero."""
+        """Eliminate pivots from the int row (consumed) in ascending order
+        up to its first nonzero lead that is no pivot, and pop that lead.
+        Returns (column, reduced coeff, scale): the row was multiplied by
+        scale on the way, and the column is None (coeff 0) once the row is
+        zero."""
         rows, norm = self.rows, self.field.norm
         get = row.get
+        scale = 1
         while row:
             lead = min(row)
             factor = norm(row.pop(lead))
@@ -50,36 +59,55 @@ class Echelon:
                 continue
             pivot_row = rows.get(lead)
             if pivot_row is None:
-                return lead, factor
+                return lead, factor, scale
+            lc = pivot_row[lead]
+            if lc != 1:
+                for c, v in row.items():
+                    row[c] = norm(v * lc)
+                scale = norm(scale * lc)
             for c, v in pivot_row.items():
                 row[c] = get(c, 0) - factor * v
             del row[lead]
-        return None, 0
+        return None, 0, scale
 
     def remainder(self, row: dict) -> dict:
         """The row ({column: coeff}) fully reduced by the stored rows: it
         has no pivot column, its entries are nonzero and reduced, and it
-        differs from the row by an element of the span."""
-        row = dict(row)
+        differs from the row by an element of the span.  It reduces the
+        primitive multiple u*row (u read off one entry), and divides a lead
+        popped at the scale s, u times the multipliers applied so far, by s
+        where s is not 1."""
+        field = self.field
+        work = field.primitive(row)
+        if not work:
+            return {}
+        k = next(iter(work))
+        scale = 1 if work[k] == row[k] else field.div(work[k], row[k])
         out = {}
-        lead, factor = self._lead(row)
-        while lead is not None:
-            out[lead] = factor
-            lead, factor = self._lead(row)
-        return out
+        while True:
+            lead, factor, s = self._lead(work)
+            if s != 1:
+                scale = field.norm(scale * s)
+            if lead is None:
+                return out
+            out[lead] = factor if scale == 1 else field.div(factor, scale)
 
     def add(self, row: dict) -> None:
         """Add a row ({column: coeff}) to the span; the rank rises by one if
         the row is independent of the stored rows."""
-        row = dict(row)
-        lead, factor = self._lead(row)
+        field = self.field
+        row = field.primitive(row)
+        if not row:
+            return
+        first = min(row)
+        lead, factor, _ = self._lead(row)
         if lead is None:
             return
-        field = self.field
-        inv, norm = field.inv(factor), field.norm
-        stored = {lead: field.one}
+        norm = field.norm
+        stored = {lead: factor}
         for c, v in row.items():
-            v = norm(v * inv)
+            v = norm(v)
             if v:
                 stored[c] = v
-        self.rows[lead] = stored
+        # a row that met no pivot is stored as the primitive row it entered as
+        self.rows[lead] = stored if lead == first else field.primitive(stored)

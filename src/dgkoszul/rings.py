@@ -2,7 +2,8 @@
 
 The ambient polynomial ring S does all Groebner work, under its degree
 cap; Q caches the reduced basis of its defining ideal, its Hilbert series,
-whose pole order is the Krull dimension, and its minimal resolution.
+whose pole order is the Krull dimension, its minimal resolution and its
+normalized dualizing complex.
 Quotient rings compare equal when their reduced bases agree, so different
 generator lists for the same ideal give interchangeable contexts.
 """
@@ -44,6 +45,7 @@ class QuotientRing:
         self._gb: tuple[Polynomial, ...] | None = None
         self._hilbert: HilbertSeries | None = None
         self._resolution = None
+        self._dualizing = None
 
     # -- basic structure --
 

@@ -4,6 +4,7 @@ as the reference, over F_101, F_(2^31 - 1) and Q."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -75,29 +76,55 @@ def test_echelon_rank_matches_dense_elimination(case):
         echelon.add(row)
         assert echelon.rank == _dense_rank(rows[: k + 1], ncols, _p(field))
     assert rows == before
+    # A stored row keeps its own pivot: over F_p its entries are reduced,
+    # over Q it is the primitive int row with a positive pivot.
     p = _p(field)
     for pivot, row in echelon.rows.items():
-        assert min(row) == pivot and row[pivot] == field.one
+        assert min(row) == pivot and row[pivot]
         assert all(row.values())
         if p:
             assert all(0 < v < p for v in row.values())
+        else:
+            assert all(type(v) is int for v in row.values())
+            assert gcd(*row.values()) == 1 and row[pivot] > 0
 
 
-@settings(max_examples=100, deadline=None)
-@given(sparse_rows(), st.data())
-def test_adding_to_a_copy_leaves_the_original_unchanged(case, data):
+def _dense_normal_form(rows, ncols, probe):
+    """Over Q: the probe minus the combination of the rows' reduced row
+    echelon form that clears each of its pivot columns."""
+    A = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        piv = next((i for i in range(len(pivots), len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        A[r], A[piv] = A[piv], A[r]
+        A[r] = [x / A[r][c] for x in A[r]]
+        for i in range(len(A)):
+            f = A[i][c]
+            if i != r and f:
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    out = [Fraction(probe.get(c, 0)) for c in range(ncols)]
+    for r, c in enumerate(pivots):
+        f = out[c]
+        out = [x - f * y for x, y in zip(out, A[r])]
+    return {c: x for c, x in enumerate(out) if x}
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows(fields=FIELDS[2:]), st.data())
+def test_remainder_over_q_is_the_exact_normal_form(case, data):
+    # Entries with denominators up to 7 give stored pivots other than 1, so
+    # the remainder divides by the scale it applied.
     field, ncols, rows = case
-    split = data.draw(st.integers(0, len(rows)))
-    original = Echelon(field)
-    for row in rows[:split]:
-        original.add(row)
-    snapshot = {pivot: dict(row) for pivot, row in original.rows.items()}
-    extended = original.copy()
-    for row in rows[split:]:
-        extended.add(row)
-    assert original.rows == snapshot
-    assert original.rank == _dense_rank(rows[:split], ncols, _p(field))
-    assert extended.rank == _dense_rank(rows, ncols, _p(field))
+    entries = data.draw(st.lists(COEFFS, min_size=ncols, max_size=ncols))
+    probe = {c: Fraction(num, den) for c, (num, den) in enumerate(entries)}
+    echelon = Echelon(field)
+    for row in rows:
+        echelon.add(row)
+    assert echelon.remainder(probe) == _dense_normal_form(rows, ncols, probe)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,14 +5,17 @@ it and counts the calls."""
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 
 import pytest
 
 from conftest import poly, ring
 from dgkoszul import (
+    Complex,
     FPModule,
     HilbertSeries,
     PrimeField,
+    RationalField,
     complexes,
     dg_from_ring,
     dgring,
@@ -29,7 +32,7 @@ from dgkoszul import (
 from dgkoszul import groebner as gb
 from dgkoszul.linalg import Echelon
 from dgkoszul.checks import CheckInputError, run_check
-from dgkoszul.jobs import RunConfig
+from dgkoszul.jobs import RunConfig, run_job
 
 
 def _count(monkeypatch, name, *namespaces):
@@ -92,6 +95,43 @@ def test_the_oracle_reduces_no_boundary_to_zero(monkeypatch):
     monkeypatch.setattr(Echelon, "add", counted)
     table = truncation_oracle(K, 8)
     assert stalled[0] <= sum(sum(row.values()) for row in table.values())
+
+
+def test_the_oracle_over_q_builds_no_fraction(monkeypatch):
+    # J = (xy - zw) has unit pivots, so every column, normal form and row
+    # of the oracle over Q is ints, and no Fraction is built.
+    Q = ring("x", "y", "z", "w", ideal=["x*y - z*w"], field=RationalField())
+    K = koszul_complex(Q, [poly(v, Q) for v in ("x", "y", "z", "w")])
+    calls = _count(monkeypatch, "__new__", Fraction)
+    if hasattr(Fraction, "_from_coprime_ints"):  # newer Pythons' arithmetic
+        make = Fraction._from_coprime_ints.__func__
+
+        def counted(cls, numerator, denominator, /):
+            calls[0] += 1
+            return make(cls, numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted))
+    table = truncation_oracle(K, 8)
+    assert calls[0] == 0
+    assert table[-1][2] == 1 and table[0][0] == 1
+
+
+def test_duality_and_the_gorenstein_check_dualize_the_resolution_once(monkeypatch):
+    # The duality task reads the ring's dualizing complex directly and
+    # through the Koszul DG-ring's dualizing module; the Gorenstein check
+    # reads the latter again.  All of them share one dual of the resolution.
+    job = {
+        "vars": ["x", "y", "z"],
+        "ideal": ["x*y - z^2"],
+        "tasks": [
+            {"task": "duality", "elements": ["x", "y"]},
+            {"task": "check", "name": "gorenstein_transfer", "elements": ["x", "y"]},
+        ],
+    }
+    calls = _count(monkeypatch, "hom_dual", Complex)
+    report = run_job(job)
+    assert [r["status"] for r in report["results"]] == ["ok", "ok"]
+    assert calls[0] == 1
 
 
 TWISTED_CUBIC = ["x*z - y^2", "y*w - z^2", "x*w - y*z"]
