@@ -417,10 +417,11 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
     It works in the coordinates of A_d = S_d/J_d.  For each monomial degree
     d, one echelon of J_d (the monomial multiples of J's generators) leaves
     the monomials outside its pivots as a basis of A_d, and a monomial's
-    normal form is its remainder by that echelon.  In internal degree t,
-    term i is the sum of A_{t-w_j} over its generators j, modulo the rows
-    N of its relations (their monomial multiples, in normal form), so its
-    dimension is |basis| - rank N.  The terms are ranked in ascending
+    normal form is its remainder by that echelon, computed when a row
+    first reads it (most pivot monomials are never read).  In internal
+    degree t, term i is the sum of A_{t-w_j} over its generators j, modulo
+    the rows N of its relations (their monomial multiples, in normal
+    form), so its dimension is |basis| - rank N.  The terms are ranked in ascending
     order, and the images of d^i go straight into the echelon of term
     i + 1, so that echelon spans N + im d^i when d^{i+1} is ranked.  Its
     non-pivot basis vectors span a complement of N + im d^i, and by
@@ -470,7 +471,18 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
 
     monomial_lists = {}
     standard_lists = {}
-    normal = {}  # monomial -> its normal form {position in degree: coeff}
+    pending = {}  # pivot monomial -> (J's echelon in its degree, its column)
+
+    class NormalForms(dict):
+        """monomial -> its normal form {position in degree: coeff}, computed
+        for a pivot monomial when it is first read."""
+
+        def __missing__(self, m):
+            j_rows, k = pending.pop(m)
+            nf = self[m] = j_rows.remainder({k: 1})
+            return nf
+
+    normal = NormalForms()
 
     def monomials(d):
         """The monomials of degree d >= 0, descending (in lex order)."""
@@ -492,14 +504,17 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
                     for m in monomials(d - g_deg):
                         j_rows.add({index[m + e]: c for _, e, c in g})
             for k, m in enumerate(monos):
-                normal[m] = j_rows.remainder({k: 1}) if k in j_rows.rows else {k: 1}
+                if k in j_rows.rows:
+                    pending[m] = (j_rows, k)
+                else:
+                    normal[m] = {k: 1}
             standard_lists[d] = [k for k in range(len(monos)) if k not in j_rows.rows]
         return standard_lists[d]
 
     def row(col, m, offsets):
         """The normal form of the column times the monomial m, in a term
-        whose basis in this degree is built (so standard() has filled in
-        the normal forms it needs)."""
+        whose basis in this degree is built (so standard() has registered
+        the monomials it reads)."""
         out = {}
         get = out.get
         for comp, e, c in col:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -95,6 +96,18 @@ def test_the_oracle_reduces_no_boundary_to_zero(monkeypatch):
     monkeypatch.setattr(Echelon, "add", counted)
     table = truncation_oracle(K, 8)
     assert stalled[0] <= sum(sum(row.values()) for row in table.values())
+
+
+def test_the_oracle_reduces_only_the_normal_forms_its_rows_read(monkeypatch):
+    # Over k[x,y,z,w]/(xy - zw) the pivot monomials of J_d are the multiples
+    # of xy, C(d+1, 3) of them.  The Koszul differentials on the variables
+    # read only a variable times a standard monomial, which is divisible by
+    # xy but not by x^2y^2: C(d+1, 3) - C(d-1, 3) of them in degree d.
+    Q = ring("x", "y", "z", "w", ideal=["x*y - z*w"], field=PrimeField(101))
+    K = koszul_complex(Q, [poly(v, Q) for v in ("x", "y", "z", "w")])
+    calls = _count(monkeypatch, "remainder", Echelon)
+    truncation_oracle(K, 8)
+    assert calls[0] <= sum(comb(d + 1, 3) - comb(d - 1, 3) for d in range(2, 9))
 
 
 def test_the_oracle_over_q_builds_no_fraction(monkeypatch):
