@@ -421,23 +421,26 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
     first reads it (most pivot monomials are never read).  In internal
     degree t, term i is the sum of A_{t-w_j} over its generators j, modulo
     the rows N of its relations (their monomial multiples, in normal
-    form), so its dimension is |basis| - rank N.  The terms are ranked in ascending
-    order, and the images of d^i go straight into the echelon of term
-    i + 1, so that echelon spans N + im d^i when d^{i+1} is ranked.  Its
-    non-pivot basis vectors span a complement of N + im d^i, and by
-    d∘d = 0 (which Complex.validate checks, and rank-nullity already
-    assumes) d^{i+1} maps the rest into the next term's N.  So the rank of
-    the induced d^{i+1} is what the images of that complement add to the
-    next term's echelon, and only homology rows reduce to zero.
-    Rank-nullity gives dim H^i_t.
+    form), so its dimension is its count of standard positions minus
+    rank N.  The terms are ranked in ascending order, and the images of
+    d^i go straight into the echelon of term i + 1, so that echelon spans
+    N + im d^i when d^{i+1} is ranked.  Its non-pivot basis vectors span a
+    complement of N + im d^i, and by d∘d = 0 (which Complex.validate
+    checks, and rank-nullity already assumes) d^{i+1} maps the rest into
+    the next term's N.  So the rank of the induced d^{i+1} is what the
+    images of that complement add to the next term's echelon, and only
+    homology rows reduce to zero.  Rank-nullity gives dim H^i_t.
 
     A monomial is one int with a field of bits per variable, wide enough
     for every degree up to d_max minus the degree floor, so a product of
     monomials is their sum.  A column is packed as the field's primitive
     multiple of itself, with int coefficients: a nonzero multiple spans the
-    same rows, and only spans and ranks are read.  A standard monomial's
-    normal form is {k: 1}.  So where J's echelon has unit pivots, every
-    normal form and row over Q is ints, and no Fraction is built.
+    same rows, and only spans and ranks are read.  Once per term and
+    degree, each relation and differential column is placed (each
+    component replaced by its offset in the target term), so a row is a
+    sum of shifted normal forms.  A standard monomial's normal form is
+    ((k, 1),).  So where J's echelon has unit pivots, every normal form and
+    row over Q is ints, and no Fraction is built.
 
     Returns {i: {t: dim}} over the complex's support.
     """
@@ -474,12 +477,12 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
     pending = {}  # pivot monomial -> (J's echelon in its degree, its column)
 
     class NormalForms(dict):
-        """monomial -> its normal form {position in degree: coeff}, computed
-        for a pivot monomial when it is first read."""
+        """monomial -> its normal form, (position in degree, coeff) pairs,
+        computed for a pivot monomial when it is first read."""
 
         def __missing__(self, m):
             j_rows, k = pending.pop(m)
-            nf = self[m] = j_rows.remainder({k: 1})
+            nf = self[m] = tuple(j_rows.remainder({k: 1}).items())
             return nf
 
     normal = NormalForms()
@@ -507,54 +510,59 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
                 if k in j_rows.rows:
                     pending[m] = (j_rows, k)
                 else:
-                    normal[m] = {k: 1}
+                    normal[m] = ((k, 1),)
             standard_lists[d] = [k for k in range(len(monos)) if k not in j_rows.rows]
         return standard_lists[d]
 
-    def row(col, m, offsets):
-        """The normal form of the column times the monomial m, in a term
-        whose basis in this degree is built (so standard() has registered
-        the monomials it reads)."""
+    def place(col, offsets):
+        """The column with each component replaced by its offset in a term
+        whose basis in this degree is built."""
+        return [(offsets[comp], e, c) for comp, e, c in col]
+
+    def row(col, m):
+        """The normal form of the placed column times the monomial m (so
+        standard() has registered the monomials it reads)."""
         out = {}
         get = out.get
-        for comp, e, c in col:
-            off = offsets[comp]
-            for k, v in normal[m + e].items():
-                out[off + k] = get(off + k, 0) + c * v
+        for off, e, c in col:
+            for k, v in normal[m + e]:
+                k += off
+                out[k] = get(k, 0) + c * v
         return out
 
     for t_deg in range(floor, d_max + 1):
-        bases = {}
         offsets = {}
         echelons = {}
+        dims = {}
         for i in support:
-            basis = []
-            offsets[i] = []
-            off = 0
-            for j, w in enumerate(C.terms[i].twists):
-                offsets[i].append(off)
+            offsets[i] = offs = []
+            off = size = 0
+            for w in C.terms[i].twists:
+                offs.append(off)
                 if t_deg >= w:
-                    monos = monomials(t_deg - w)
-                    basis += [(j, monos[k], off + k) for k in standard(t_deg - w)]
-                    off += len(monos)
-            rels = Echelon(field)
+                    off += len(monomials(t_deg - w))
+                    size += len(standard(t_deg - w))
+            rels = echelons[i] = Echelon(field)
             for col_deg, col in relations[i]:
                 if col_deg <= t_deg:
+                    col = place(col, offs)
                     for m in monomials(t_deg - col_deg):
-                        rels.add(row(col, m, offsets[i]))
-            bases[i] = basis
-            echelons[i] = rels
-        dims = {i: len(bases[i]) - echelons[i].rank for i in support}
+                        rels.add(row(col, m))
+            dims[i] = size - rels.rank
         ranks = {}
         for i in support:
             if i not in C.diffs or (i + 1) not in echelons or not dims[i + 1]:
                 continue
-            pivots = set(echelons.pop(i).rows)  # its rows are needed no more
+            pivots = echelons.pop(i).rows  # its rows are needed no more
             image = echelons[i + 1]
             before = image.rank
-            for j, m, pos in bases[i]:
-                if pos not in pivots:
-                    image.add(row(diffs[i][j], m, offsets[i + 1]))
+            for j, w in enumerate(C.terms[i].twists):
+                if t_deg >= w:
+                    col, off = place(diffs[i][j], offsets[i + 1]), offsets[i][j]
+                    monos = monomials(t_deg - w)
+                    for k in standard(t_deg - w):
+                        if off + k not in pivots:
+                            image.add(row(col, monos[k]))
             ranks[i] = image.rank - before
         for i in support:
             result[i][t_deg] = dims[i] - ranks.get(i, 0) - ranks.get(i - 1, 0)

@@ -67,10 +67,11 @@ class PrimeField:
         return a % self.p
 
     def primitive(self, row: dict) -> dict:
-        """A nonzero multiple of the row ({key: int}) with int entries, as a
-        new dict, for linalg.Echelon: here a copy of the row, since every
-        nonzero multiple serves and `norm` reduces the entries."""
-        return dict(row)
+        """The row ({key: int}) normalized for linalg.Echelon, as a new dict:
+        its entries reduced into (0, p), zeros dropped.  Every nonzero
+        multiple spans the same line, so no scaling is needed."""
+        p = self.p
+        return {k: r for k, v in row.items() if (r := v % p)}
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p

@@ -11,7 +11,6 @@ treated as "no regular element".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .complexes import _monomials_of_degree
 from .dgring import DGRingRep, ElementOfH0, _as_element, koszul
@@ -121,12 +120,12 @@ def seq_depth(A: DGRingRep, ideal_gens):
     return d - lo
 
 
-@dataclass
 class RegularSequenceWitness:
-    elements: list = field(default_factory=list)
-    certificates: list = field(default_factory=list)
-    exhausted: bool = False
-    tested: int = 0
+    def __init__(self, elements=None, certificates=None, exhausted: bool = False, tested: int = 0):
+        self.elements = [] if elements is None else elements
+        self.certificates = [] if certificates is None else certificates
+        self.exhausted = exhausted
+        self.tested = tested
 
     def __len__(self):
         return len(self.elements)

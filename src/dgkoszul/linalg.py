@@ -6,10 +6,13 @@ J's generators, of relation columns and of differential entries) with a
 handful of nonzeros per row, so a row is a {column: coeff} dict.
 
 No inverse is taken and no fraction is built while a row is reduced.  A
-row enters as the field's `primitive` multiple of itself, with int entries
-(over Q its denominators are cleared).  An F_p entry may be an unreduced
-int, a sum of products that skips the reduction; the field's `norm`
-reduces it only when it is read as a lead or stored.  A stored row P keeps
+row enters normalized, as the field's `primitive` multiple of itself: over
+F_p its entries reduced into (0, p), over Q the coprime int row with a
+positive lead (its denominators cleared).  A row whose lead is no pivot is
+stored as it entered, with no elimination step.  While a row is reduced,
+an F_p entry may be an unreduced int, a sum of products that skips the
+reduction; the field's `norm` reduces it only when it is read as a lead,
+and `primitive` again when the row is stored.  A stored row P keeps
 its own pivot lc, and the row's lead f is eliminated by cross-
 multiplication, row <- lc*row - f*P, which skips the scaling when lc = 1:
 Bareiss's integer-preserving elimination (Math. Comp. 22, 1968), with
@@ -28,9 +31,10 @@ class Echelon:
     the field's primitive multiple of the reduced row: every entry nonzero
     and reduced, the pivot kept as it is.  Over Q a stored row is the int
     row on its line whose entries are coprime and whose pivot is positive;
-    over F_p its entries lie in (0, p).  `add` reduces a row only until its
-    lead is no pivot, which is all the rank and the pivots need;
-    `remainder` reduces it fully.
+    over F_p its entries lie in (0, p).  A row enters in that form, so one
+    whose lead is no pivot is stored as it entered.  `add` reduces any
+    other row only until its lead is no pivot, which is all the rank and
+    the pivots need; `remainder` reduces it fully.
     """
 
     __slots__ = ("field", "rows")
@@ -95,19 +99,15 @@ class Echelon:
     def add(self, row: dict) -> None:
         """Add a row ({column: coeff}) to the span; the rank rises by one if
         the row is independent of the stored rows."""
-        field = self.field
-        row = field.primitive(row)
+        primitive = self.field.primitive
+        row = primitive(row)
         if not row:
             return
         first = min(row)
-        lead, factor, _ = self._lead(row)
-        if lead is None:
+        if first not in self.rows:  # a free lead: stored as the row entered
+            self.rows[first] = row
             return
-        norm = field.norm
-        stored = {lead: factor}
-        for c, v in row.items():
-            v = norm(v)
-            if v:
-                stored[c] = v
-        # a row that met no pivot is stored as the primitive row it entered as
-        self.rows[lead] = stored if lead == first else field.primitive(stored)
+        lead, factor, _ = self._lead(row)
+        if lead is not None:
+            row[lead] = factor
+            self.rows[lead] = primitive(row)

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package, test or demo imports a name
 it never uses, no function of the package stores a name it never loads,
-and no module of the package keeps process-global state.
+no module of the package keeps process-global state, and importing the
+job runner loads no introspection module.
 
 `__init__.py` is exempt from the import scan: its imports are the
 package's public API.
@@ -9,6 +10,8 @@ package's public API.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,3 +185,19 @@ def test_the_scan_sees_global_state():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_keeps_no_process_global_state(path):
     assert global_state(path.read_text(encoding="utf-8")) == []
+
+
+def test_importing_the_job_runner_loads_no_introspection_module():
+    # `dataclasses` pulls in `inspect` (and with it `ast`, `dis` and
+    # `tokenize`), which every start-up would pay for.  -S keeps
+    # site-packages' start-up hooks out of the count.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
+        "import dgkoszul.jobs\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

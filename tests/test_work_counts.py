@@ -98,6 +98,27 @@ def test_the_oracle_reduces_no_boundary_to_zero(monkeypatch):
     assert stalled[0] <= sum(sum(row.values()) for row in table.values())
 
 
+@pytest.mark.parametrize("field", [PrimeField(101), RationalField()], ids=["F_101", "Q"])
+def test_a_row_with_a_free_lead_is_stored_without_elimination(monkeypatch, field):
+    # A row enters Echelon normalized, so one whose lead is no pivot is
+    # stored as it entered.  Of the oracle's 1,390 adds here, only the few
+    # rows that meet a pivot take an elimination step.
+    Q = ring("x", "y", "z", "w", ideal=["x*y - z*w"], field=field)
+    K = koszul_complex(Q, [poly(v, Q) for v in ("x", "y", "z", "w")])
+    leads = _count(monkeypatch, "_lead", Echelon)
+    add = Echelon.add
+    eliminating = [0]
+
+    def counted(self, row):
+        before = leads[0]
+        add(self, row)
+        eliminating[0] += leads[0] > before
+
+    monkeypatch.setattr(Echelon, "add", counted)
+    truncation_oracle(K, 8)
+    assert eliminating[0] <= 10
+
+
 def test_the_oracle_reduces_only_the_normal_forms_its_rows_read(monkeypatch):
     # Over k[x,y,z,w]/(xy - zw) the pivot monomials of J_d are the multiples
     # of xy, C(d+1, 3) of them.  The Koszul differentials on the variables
