@@ -36,7 +36,7 @@ print("grevlex: z^3 > x^2   ", grevlex_key((0, 0, 3)) > grevlex_key((2, 0, 0)))
 # (0, exponent) to the coefficient, and the engine works on such vectors.
 # The generators are inhomogeneous, which the engine allows on request.
 gens = [parse_poly(t, R) for t in ("x^2 - y", "x*y - z")]
-basis = gb.buchberger([g.vec for g in gens], (0,), field, allow_inhomogeneous=True)
+basis, _ = gb.buchberger([g.vec for g in gens], (0,), field, allow_inhomogeneous=True)
 print("\ngrevlex basis of (x^2 - y, x*y - z):")
 for v in basis:
     print("  ", Polynomial(R, v))

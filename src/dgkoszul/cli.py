@@ -160,9 +160,10 @@ def cmd_suite(args) -> int:
         f"({elapsed:.2f}s)",
         file=sys.stderr,
     )
-    if any(e["status"] == "resource-cap" for e in aggregate["fixtures"]):
+    statuses = {e["status"] for e in aggregate["fixtures"]}
+    if "resource-cap" in statuses:
         return EXIT_RESOURCE_CAP
-    if aggregate["missing"] or any(e["status"] == "input-error" for e in aggregate["fixtures"]):
+    if aggregate["missing"] or statuses & {"input-error", "task-error"}:
         return EXIT_INPUT_ERROR
     return EXIT_OK if aggregate["all_passed"] else EXIT_CHECK_FAILURE
 

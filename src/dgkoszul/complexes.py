@@ -308,11 +308,6 @@ def euler_series(K: Complex) -> HilbertSeries:
 
 # ---------- minimal free resolutions ----------
 
-def ambient_ring(Q: QuotientRing) -> QuotientRing:
-    """Q's ambient polynomial ring S as a QuotientRing with zero ideal."""
-    return QuotientRing(Q.poly_ring, ())
-
-
 class ResolutionError(RuntimeError):
     pass
 
@@ -321,7 +316,7 @@ def free_resolution(M: FPModule) -> Complex:
     """Minimal free resolution over S of a module over Q = S/J: iterated
     syzygies with minimal generating sets at every stage (the result is
     minimal, with no unit entries)."""
-    S = ambient_ring(M.ring)
+    S = QuotientRing(M.ring.poly_ring, ())
     ring = S.poly_ring
     F = FPModule(S, M.twists)
     cols = M.relation_columns()

@@ -19,7 +19,6 @@ from .complexes import (
     Complex,
     _agree,
     _compose,
-    ambient_ring,
     betti_table,
     koszul_complex,
     ring_resolution,
@@ -61,9 +60,8 @@ def dualizing_of_koszul(K: DGRingRep) -> Complex:
     dualizing complex of the base ring."""
     if K.lifts is None or K.kind != "koszul":
         raise ValueError("expected a Koszul DG-ring over a ring")
-    KS = koszul_complex(
-        ambient_ring(K.base), [e.rep for e in K.lifts], degrees=[e.degree for e in K.lifts]
-    )
+    S = QuotientRing(K.base.poly_ring, ())
+    KS = koszul_complex(S, [e.rep for e in K.lifts], degrees=[e.degree for e in K.lifts])
     R = dualizing_complex(K.base)
     return tensor_complexes(KS, R).shift(-len(K.lifts))
 

@@ -51,7 +51,9 @@ the mask test; the lcm, its degree and coprimality take a few int
 operations each.  A removed pair is never processed, so it never trips the
 degree cap.  buchberger(known=B) extends a Groebner basis B and forms no
 pair within it: a module's basis starts from J's reduced basis times each
-of its basis vectors, and min_gens extends its basis by each kept column.
+of its basis vectors.  Each generator enters at its own degree, after the
+S-pairs up to it, and is kept only if it does not reduce to zero: so, like
+Singular's mstd, buchberger returns a minimal generating set with the basis.
 Division looks up reducers by the component bits of the term: only a lead
 of the term's own component can divide it.
 
@@ -264,13 +266,22 @@ def buchberger(
     allow_inhomogeneous: bool = False,
     split: int | None = None,
     known: Sequence[ModVec] = (),
-) -> list[ModVec]:
-    """Reduced Groebner basis of the submodule generated by known and gens,
-    in the free module with one twist per component.
+) -> tuple[list[ModVec], list[ModVec]]:
+    """The reduced Groebner basis of the submodule generated by known and
+    gens, in the free module with one twist per component, and the
+    generators kept on the way.
 
     known must be a Groebner basis (a previous output, say): the S-pairs
     among its elements are never formed, and only pairs with an element
-    of gens or a remainder are queued.
+    of gens or a remainder are queued.  Each generator enters at its
+    twisted degree (its largest, if inhomogeneous), in the order given
+    within a degree, once every S-pair of that degree and below is
+    processed.  It is reduced by the basis so far: one that reduces to
+    zero is dropped and forms no pair; otherwise it is kept and its
+    remainder joins the basis, whose lead no lead divides, so its pairs
+    lie above its degree.  On homogeneous input the basis is complete up
+    to that degree, so the kept generators are the greedy minimal
+    generating set modulo known.
 
     The order is term over position, except that the components from split
     on, if given, come position over term below all the others.
@@ -287,7 +298,7 @@ def buchberger(
     gens = [g for g in gens if g]
     known = [g for g in known if g]
     if not gens and not known:
-        return []
+        return [], []
     # Every processed S-pair has twisted degree at most the cap, so its
     # terms have monomial degree at most the cap minus the smallest twist.
     vecs = gens + known
@@ -364,11 +375,21 @@ def buchberger(
 
     for g in known:
         add(packer.pack(g), pairs=False)
-    for g in gens:
-        add(packer.pack(g))
+    # The generators wait by twisted degree, the next to enter last.
+    waiting = sorted(
+        ((max(sum(e) + twists[c] for c, e in g), g) for g in gens), key=itemgetter(0)
+    )[::-1]
+    kept: list[ModVec] = []
 
     neg_one = field.neg(field.one)
-    while heap:
+    while heap or waiting:
+        if waiting and (not heap or heap[0][0] > waiting[-1][0]):
+            g = waiting.pop()[1]
+            r = _reduce(packer.pack(g), reducers, field, packer)
+            if r:
+                kept.append(g)
+                add(r)
+            continue
         deg, i, j = heapq.heappop(heap)
         lcm = queued[leads[i] & comp_mask].pop((i, j), None)
         if lcm is None:
@@ -384,7 +405,7 @@ def buchberger(
         r = _reduce(s, reducers, field, packer)
         if r:
             add(r)
-    return [packer.unpack(g) for g in interreduce(basis, field, packer)]
+    return [packer.unpack(g) for g in interreduce(basis, field, packer)], kept
 
 
 def interreduce(basis: Sequence[dict], field, packer: _Packer) -> list[dict]:
@@ -430,6 +451,6 @@ def syzygies(columns: Sequence[ModVec], twists: Sequence[int], ring: PolyRing) -
         col_degs.append(d)
         if col:
             tagged.append({**col, (rank + j, zero_expo): field.one})
-    basis = buchberger(tagged, tuple(twists) + tuple(col_degs), field, ring.degree_cap, split=rank)
+    basis, _ = buchberger(tagged, (*twists, *col_degs), field, ring.degree_cap, split=rank)
     syz = [vec_offset(g, -rank) for g in basis if min(map(itemgetter(0), g)) >= rank]
     return syz + [{(j, zero_expo): field.one} for j, col in enumerate(columns) if not col]

@@ -21,12 +21,10 @@ presented by subquotient() as a minimized cokernel.
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Sequence
 
 from . import groebner as gb
 from .hilbert import HilbertSeries, lead_module_series
-from .linalg import Echelon
 from .poly import ModVec, Polynomial, PolyRing, column_key, vec_combination, vec_degree, vec_offset
 from .rings import QuotientRing
 
@@ -50,7 +48,6 @@ class FPModule:
                 raise gb.InhomogeneousError("inhomogeneous column")
         self._basis = None
         self._hilbert = None
-        self._minimal = None
         self._annihilator = None
 
     @classmethod
@@ -74,10 +71,7 @@ class FPModule:
         """The reduced Groebner basis of N, built once and shared by
         membership tests and the Hilbert series."""
         if self._basis is None:
-            cap = self.ring.poly_ring.degree_cap
-            self._basis = gb.buchberger(
-                self.rels, self.twists, self.ring.field, cap, known=_j_basis(self)
-            )
+            self._basis = _span(self.rels, self)[0]
         return self._basis
 
     def element_is_zero(self, v: ModVec) -> bool:
@@ -139,9 +133,7 @@ class FPModule:
 
     def minimize(self) -> FPModule:
         """Minimal cokernel presentation (no unit entries in the relations)."""
-        if self._minimal is None:
-            self._minimal = _minimal_cokernel(self.ring, self.twists, self.relation_columns())
-        return self._minimal
+        return _minimal_cokernel(self.ring, self.twists, self.relation_columns())
 
     def __repr__(self):
         return f"FPModule(rank={self.rank}, rels={len(self.rels)})"
@@ -192,8 +184,10 @@ def subquotient(M: FPModule, gens: Sequence[ModVec], rels: Sequence[ModVec] = ()
 
 def _minimal_cokernel(ring: QuotientRing, degs: Sequence[int], cols: Sequence[ModVec]) -> FPModule:
     """Minimal cokernel presentation of the cokernel of cols on generators
-    of the given degrees: unit entries are cancelled with their generator,
-    duplicates dropped and the rest thinned to a minimal set modulo J."""
+    of the given degrees: unit entries are cancelled with their generator
+    and the rest thinned to a minimal set modulo J, which drops duplicates
+    too.  The result keeps the Groebner basis of its relations that the
+    thinning built."""
     cols = list(cols)
     degs = list(degs)
     field = ring.field
@@ -223,13 +217,9 @@ def _minimal_cokernel(ring: QuotientRing, degs: Sequence[int], cols: Sequence[Mo
             del degs[pivot]
             changed = True
             break
-    clean = {}
-    for c in cols:
-        if c:
-            clean.setdefault(column_key(c), c)
-    kept = min_gens([clean[key] for key in sorted(clean)], FPModule(ring, degs))
+    basis, kept = _span(cols, FPModule(ring, degs))
     result = FPModule(ring, degs, kept)
-    result._minimal = result
+    result._basis = basis
     return result
 
 
@@ -256,38 +246,23 @@ def _drop_row(col: ModVec, row: int) -> ModVec:
 
 def min_gens(columns: Sequence[ModVec], M: FPModule) -> list[ModVec]:
     """A minimal generating subset of the given homogeneous columns of M's
-    free module, modulo J.
+    free module, modulo J: the columns that _span's buchberger call keeps.
 
-    Relations are only defined modulo J, so J times the basis (a Groebner
-    basis of it, empty over S) always spans but is never kept.  The columns
-    are taken one degree at a time, in ascending order.  In degree d, the
-    normal form modulo a Groebner basis of J's multiples and the columns
-    kept so far is k-linear, and its kernel is exactly the degree-d part of
-    their span.  So, in canonical order within degree d, a column is kept
-    when its normal form raises the rank of an echelon of the normal forms
-    before it: the greedy choice, which for graded modules realizes the
-    Nakayama minimal count.  The kept columns of each degree extend the
-    basis once.
+    Relations are only defined modulo J, so J times the basis always spans
+    but is never kept.  A column is kept when it does not lie in the span
+    of J's multiples and the columns before it in (degree, column_key)
+    order: the greedy choice, which drops zero and duplicate columns and
+    realizes the Nakayama minimal count for graded modules.
     """
-    field, cap = M.ring.field, M.ring.poly_ring.degree_cap
+    return _span(columns, M)[1]
 
-    def degree(v: ModVec) -> int:
-        return vec_degree(v, M.twists)
 
-    candidates = sorted((c for c in columns if c), key=lambda v: (degree(v), column_key(v)))
-    basis = _j_basis(M)
-    kept: list[ModVec] = []
-    for _, group in groupby(candidates, key=degree):
-        group = list(group)
-        echelon = Echelon(field)
-        index: dict = {}
-        new = []
-        for cand, nf in zip(group, gb.normal_forms(group, basis, field)):
-            rank = echelon.rank
-            echelon.add({index.setdefault(t, len(index)): c for t, c in nf.items()})
-            if echelon.rank > rank:
-                new.append(cand)
-        if new:
-            kept += new
-            basis = gb.buchberger(new, M.twists, field, cap, known=basis)
-    return kept
+def _span(columns: Sequence[ModVec], M: FPModule) -> tuple[list[ModVec], list[ModVec]]:
+    """buchberger's (basis, kept) for the columns in (degree, column_key)
+    order over J's basis times M's generators: the reduced Groebner basis of
+    span(columns) + J * F, and min_gens."""
+    candidates = sorted(
+        (c for c in columns if c), key=lambda v: (vec_degree(v, M.twists), column_key(v))
+    )
+    cap = M.ring.poly_ring.degree_cap
+    return gb.buchberger(candidates, M.twists, M.ring.field, cap, known=_j_basis(M))

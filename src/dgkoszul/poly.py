@@ -117,6 +117,11 @@ def vec_degree(a: ModVec, twists) -> int | None:
 
 DEFAULT_DEGREE_CAP = 40  # of a ring given no cap, and of the CLI
 
+# A bound on the term pairs len(a) * len(b) of one Polynomial product.  Only
+# job input is multiplied (the parser's '*', ring-map substitution), and a
+# short product of sums can have millions of terms.
+MAX_PRODUCT_TERMS = 10_000
+
 
 class PolyRing:
     """A polynomial ring k[x_1..x_m].
@@ -231,6 +236,9 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         self._check(other)
+        pairs = len(self.vec) * len(other.vec)
+        if pairs > MAX_PRODUCT_TERMS:
+            raise ValueError(f"a product of {pairs} term pairs exceeds {MAX_PRODUCT_TERMS}")
         return Polynomial(self.ring, vec_combination([other.vec], self.vec, self.ring.field))
 
     def __pow__(self, n: int) -> Polynomial:

@@ -65,7 +65,7 @@ class QuotientRing:
         """Reduced Groebner basis of J."""
         if self._gb is None:
             vecs = [g.vec for g in self.j_gens]
-            basis = gb.buchberger(vecs, (0,), self.field, self.poly_ring.degree_cap)
+            basis, _ = gb.buchberger(vecs, (0,), self.field, self.poly_ring.degree_cap)
             self._gb = tuple(Polynomial(self.poly_ring, v) for v in basis)
         return self._gb
 
@@ -122,7 +122,7 @@ class QuotientRing:
         one = (0,) * (self.nvars + 1)
         witness = {(0, one): field.one, **lift(-g, 1)}
         vecs = [lift(j, 0) for j in self.j_gens] + [witness]
-        basis = gb.buchberger(
+        basis, _ = gb.buchberger(
             vecs, (0,), field, self.poly_ring.degree_cap, allow_inhomogeneous=True
         )
         return any(len(v) == 1 and next(iter(v))[1] == one for v in basis)

@@ -210,11 +210,15 @@ def test_suite_isolates_corrupted_fixture(tmp_path):
 
 
 def test_suite_exits_2_on_a_malformed_job_like_compute(tmp_path):
-    path = write_job(tmp_path, {"vars": [], "tasks": []}, "malformed.json")
-    assert run_cli("compute", path).returncode == 2
-    result = run_cli("suite", str(tmp_path))
-    assert result.returncode == 2, result.stderr
-    assert json.loads(result.stdout)["fixtures"][0]["status"] == "input-error"
+    # A job that never runs, and one whose task kind is unknown.
+    jobs = {"input-error": {"vars": [], "tasks": []}}
+    jobs["task-error"] = {**BASIC_JOB, "tasks": [{"task": "nonsense"}]}
+    for status, job in jobs.items():
+        path = write_job(tmp_path, job, "malformed.json")
+        assert run_cli("compute", path).returncode == 2
+        result = run_cli("suite", str(tmp_path))
+        assert result.returncode == 2, result.stderr
+        assert json.loads(result.stdout)["fixtures"][0]["status"] == status
     # A resource-cap fixture beside it keeps exit 3.
     fixture = os.path.join(SUITE_DIR, "a11_oracle_trivial_extension.json")
     (tmp_path / "a11.json").write_text(open(fixture, encoding="utf-8").read())

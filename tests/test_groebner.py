@@ -18,7 +18,8 @@ F = PrimeField()
 
 def _ideal_gb(texts, R, inhomogeneous=False):
     vecs = [parse_poly(t, R).vec for t in texts]
-    return gb.buchberger(vecs, (0,), F, allow_inhomogeneous=inhomogeneous)
+    basis, _ = gb.buchberger(vecs, (0,), F, allow_inhomogeneous=inhomogeneous)
+    return basis
 
 
 def test_already_reduced_basis_unchanged():
@@ -42,7 +43,7 @@ def test_inhomogeneous_basis_contains_new_element():
 def test_single_generator_module():
     R = PolyRing(("x",), F)
     v = parse_poly("x", R).vec
-    basis = gb.buchberger([v], (0,), F)
+    basis, _ = gb.buchberger([v], (0,), F)
     assert basis == [v]
 
 
@@ -143,12 +144,12 @@ def test_a_term_too_large_for_its_fields_raises():
 def test_generator_at_the_exponent_bound():
     R = PolyRing(("x", "y"), F)
     gens = [parse_poly(t, R).vec for t in ("x^1000 - y^1000", "x*y")]
-    assert gb.buchberger(gens[:1], (0,), F) == gens[:1]
+    assert gb.buchberger(gens[:1], (0,), F)[0] == gens[:1]
     with pytest.raises(gb.DegreeCapExceeded):
         gb.buchberger(gens, (0,), F)
     # y * (x^1000 - y^1000) - x^999 * (x*y) = -y^1001, in degree 1001; the
     # pairs with y^1001 have degrees 1002 and 2001, so the cap must admit them.
-    basis = gb.buchberger(gens, (0,), F, degree_cap=2001)
+    basis, _ = gb.buchberger(gens, (0,), F, degree_cap=2001)
     assert [Polynomial(R, v) for v in basis] == [
         parse_poly(t, R) for t in ("y^1000*y", "x^1000 - y^1000", "x*y")
     ]
@@ -169,8 +170,8 @@ def test_a_negative_twist_reaches_the_cap():
     R = PolyRing(("x", "y", "z"), F)
     gens = [{(0, (4, 0, 0)): 1, (1, (0, 0, 2)): 1}, {(0, (0, 5, 0)): 1}]
     expected = [{(1, (0, 5, 2)): 1}, {(0, (0, 5, 0)): 1}, gens[0]]
-    assert gb.buchberger(gens, (-3, -1), F, degree_cap=6) == expected
-    assert gb.buchberger(gens, (0, 2), F, degree_cap=9) == expected
+    assert gb.buchberger(gens, (-3, -1), F, degree_cap=6)[0] == expected
+    assert gb.buchberger(gens, (0, 2), F, degree_cap=9)[0] == expected
     with pytest.raises(gb.DegreeCapExceeded):
         gb.buchberger(gens, (-3, -1), F, degree_cap=5)
 
@@ -221,6 +222,19 @@ def test_degree_cap_reports_diagnostic():
     ]
     with pytest.raises(gb.DegreeCapExceeded):
         gb.buchberger(vecs, (0,), F, degree_cap=5)
+
+
+def test_a_generator_in_the_span_forms_no_pair():
+    # x^2*z^20 + x*y*z^20 = z^20 * x^2 + z^20 * x*y enters at degree 22,
+    # after the pair of x^2 and x*y, reduces to zero and forms no pair, so
+    # no pair above the cap is processed.  Without x*y it leaves x*y*z^20,
+    # whose pair with x^2 has degree 23.
+    R = PolyRing(("x", "y", "z"), F101)
+    gens = [parse_poly(t, R).vec for t in ("x^2", "x*y", "x^2*z^20 + x*y*z^20")]
+    basis, kept = gb.buchberger(gens, (0,), F101, degree_cap=10)
+    assert basis == kept == gens[:2]
+    with pytest.raises(gb.DegreeCapExceeded):
+        gb.buchberger([gens[0], gens[2]], (0,), F101, degree_cap=10)
 
 
 def test_modulo_contains_a_unit_exactly_for_members():
@@ -294,7 +308,7 @@ def _submodules(draw, coeffs=st.integers(1, 100)):
 @given(_submodules())
 def test_buchberger_gives_a_reduced_basis_with_path_independent_remainders(case):
     rank, twists, gens, probe = case
-    basis = gb.buchberger(gens, twists, F101)
+    basis, _ = gb.buchberger(gens, twists, F101)
     # Each output vector's first key is its lead: its largest term, term
     # over position (the lower component wins ties).
     leads = [next(iter(g)) for g in basis]
@@ -431,7 +445,7 @@ def test_buchberger_matches_an_all_pairs_reference(field, coeffs, data):
     rank, twists, gens, probe = data.draw(_submodules(coeffs))
     gens.append(probe)
     split = data.draw(st.sampled_from([None, 1])) if rank == 2 else None
-    basis = gb.buchberger(gens, twists, field, split=split)
+    basis, _ = gb.buchberger(gens, twists, field, split=split)
     expected = _reference_buchberger(gens, twists, field, split)
     assert [list(g.items()) for g in basis] == [list(g.items()) for g in expected]
     order = functools.cmp_to_key(_term_cmp(split))
@@ -447,9 +461,12 @@ def test_extending_a_basis_equals_building_it_at_once(case, data):
     vecs = gens + [probe]
     cut = data.draw(st.integers(0, len(vecs)))
     old, new = vecs[:cut], vecs[cut:]
-    extended = gb.buchberger(new, twists, F101, known=gb.buchberger(old, twists, F101))
-    at_once = gb.buchberger(old + new, twists, F101)
+    extended, _ = gb.buchberger(new, twists, F101, known=gb.buchberger(old, twists, F101)[0])
+    at_once, kept = gb.buchberger(old + new, twists, F101)
     assert [list(g.items()) for g in extended] == [list(g.items()) for g in at_once]
+    # The kept generators span the same module.
+    again, _ = gb.buchberger(kept, twists, F101)
+    assert [list(g.items()) for g in again] == [list(g.items()) for g in at_once]
 
 
 def test_syzygies_of_the_pfaffians_reduce_a_pinned_number_of_s_vectors(monkeypatch):
@@ -477,5 +494,7 @@ def test_syzygies_of_the_pfaffians_reduce_a_pinned_number_of_s_vectors(monkeypat
     monkeypatch.setattr(gb, "interreduce", counting_interreduce)
     syz = gb.syzygies(pfaffians, (0,), R)
     assert len(syz) == 12
-    # With the product criterion alone: 25 S-vectors, 13 of them to zero.
-    assert counts == [(19, 7)]
+    # Counted with them, the five generators, each reduced once as it
+    # enters, none to zero; so 19 S-vectors, 7 of them to zero.  With the
+    # product criterion alone: 25 S-vectors, 13 of them to zero.
+    assert counts == [(24, 7)]

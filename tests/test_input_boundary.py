@@ -22,6 +22,7 @@ from dgkoszul.dgring import MAX_COMPLEX_RANK
 from dgkoszul.fields import FieldError
 from dgkoszul.jobs import MAX_DEGREE, MAX_ORACLE_BASIS, MAX_ORACLE_DEPTH, MAX_VARIABLES
 from dgkoszul.parse import MAX_EXPONENT, ParseError
+from dgkoszul.poly import MAX_PRODUCT_TERMS
 
 SUITE = Path(__file__).resolve().parent.parent / "suite"
 
@@ -129,6 +130,32 @@ def test_exponent_above_the_bound_is_rejected_at_once():
     with pytest.raises(ParseError):
         parse_poly("x^1000000000", R)
     assert time.monotonic() - start < 1.0
+
+
+def test_a_product_of_too_many_terms_is_refused_at_once():
+    # Multiplied out, the product of 30 six-term linear forms has
+    # C(35, 5) = 324,632 terms, and x^200 under a map sending x to a
+    # six-term form has C(205, 5), about 2.9 * 10^9.  The first is parsed
+    # from the ideal, the second substituted by the base-change check.
+    forms = "*".join(["(a+b+c+d+e+f)"] * 30)
+    base_change = {
+        "task": "check", "name": "base_change", "elements": ["x^200"],
+        "target": {"vars": list("abcdef"), "ideal": []}, "images": ["a+b+c+d+e+f"],
+    }
+    jobs = [
+        _job(vars=list("abcdef"), ideal=[forms], tasks=[{"task": "invariants"}]),
+        _job(vars=["x"], tasks=[base_change]),
+    ]
+    for job in jobs:
+        start = time.monotonic()
+        report = run_job(job)
+        assert time.monotonic() - start < 1.0
+        error = report.get("error") or report["results"][0]["error"]
+        assert error.endswith(f"term pairs exceeds {MAX_PRODUCT_TERMS}")
+        assert _report_exit(report) == EXIT_INPUT_ERROR
+    # A product within the bound is multiplied out.
+    R = PolyRing(tuple("abcdef"), PrimeField())
+    assert len(parse_poly("*".join(["(a+b+c+d+e+f)"] * 5), R).vec) == 252
 
 
 MALFORMED = {

@@ -221,7 +221,7 @@ def _rebuilt_min_gens(columns, F):
     kept = []
     for cand in candidates:
         spanning = kept + F.j_columns()
-        basis = gb.buchberger(spanning, F.twists, field) if spanning else []
+        basis = gb.buchberger(spanning, F.twists, field)[0] if spanning else []
         if basis and not gb.normal_form(cand, basis, field):
             continue
         kept.append(cand)
@@ -254,7 +254,7 @@ def _term_order_key(term):
 @pytest.mark.parametrize("twists", [(), (0,), (-2, 0, 3)], ids=["rank-0", "rank-1", "negative"])
 def test_a_free_modules_series_is_the_rings_series_twisted(variables, ideal, twists):
     Q = ring(*variables, ideal=ideal)
-    basis = gb.buchberger(FPModule(Q, twists).j_columns(), twists, Q.field)
+    basis, _ = gb.buchberger(FPModule(Q, twists).j_columns(), twists, Q.field)
     leads = [max(g, key=_term_order_key) for g in basis]
     expected = lead_module_series(leads, len(twists), twists, Q.poly_ring)
     assert FPModule(Q, twists).hilbert_series() == expected

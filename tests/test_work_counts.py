@@ -32,6 +32,7 @@ from dgkoszul import (
 )
 from dgkoszul import groebner as gb
 from dgkoszul.linalg import Echelon
+from dgkoszul.poly import vec_offset
 from dgkoszul.checks import CheckInputError, run_check
 from dgkoszul.jobs import RunConfig, run_job
 
@@ -202,6 +203,31 @@ def test_koszul_homology_on_other_elements_reads_the_differentials(monkeypatch, 
     calls = _count(monkeypatch, "_image_series", complexes.Complex)
     koszul(A, elements).homology_table()
     assert calls[0] > 0
+
+
+def test_min_gens_is_one_engine_call(monkeypatch):
+    # Columns of degrees 1 to 3 in S(0) + S(-1) over the twisted cubic's
+    # ring.  Modulo J, x*y and y^3 lie in (x, y), x*z e1 in (z e1), and
+    # z^2 = y*w in (y).
+    Q = ring("x", "y", "z", "w", ideal=TWISTED_CUBIC)
+    texts = [("x*y", 0), ("y^3", 0), ("x", 0), ("z", 1), ("y", 0), ("x*z", 1), ("z^2", 0)]
+    columns = [vec_offset(poly(t, Q).vec, i) for t, i in texts]
+    Q.groebner()
+    engine = _count(monkeypatch, "buchberger", gb)
+    reductions = _count(monkeypatch, "normal_forms", gb)
+    kept = modules.min_gens(columns, FPModule(Q, (0, 1)))
+    assert kept == [columns[4], columns[2], columns[3]]
+    assert (engine[0], reductions[0]) == (1, 0)
+
+
+def test_a_homology_modules_series_builds_no_second_basis(monkeypatch):
+    # H^{-1} of K(x, y, z, w) over the twisted cubic's ring is k(-2)^3,
+    # minimized with the Groebner basis of its relations.
+    Q = ring("x", "y", "z", "w", ideal=TWISTED_CUBIC)
+    H = koszul_complex(Q, [poly(v, Q) for v in ("x", "y", "z", "w")]).homology(-1)
+    calls = _count(monkeypatch, "buchberger", gb)
+    assert H.hilbert_series() == HilbertSeries({2: 3}, 0)
+    assert calls[0] == 0
 
 
 def test_a_refused_duality_input_builds_nothing(monkeypatch):
