@@ -61,7 +61,7 @@ for variables, ideal in [
     Q = quotient_ring_from_strings(variables, ideal, field)
     print(
         f"\nS/{tuple(ideal)}: dim = {Q.dim()}, "
-        f"Hilbert function = {Q.hilbert_series().coefficients(6, start=0)}"
+        f"Hilbert function = {Q.hilbert_series().coefficients(6)}"
     )
 
 # --- radical membership (nilpotency) without primary decomposition ---

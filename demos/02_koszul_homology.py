@@ -27,7 +27,7 @@ def show(title, K, depth=6):
     print(f"\n== {title}")
     print(f"   inf = {K.inf()}, sup = {K.sup()}, amp = {K.amp()}")
     for i, hs in sorted(K.homology_table().items()):
-        print(f"   H^{i}: Hilbert function {hs.coefficients(5, start=0)}")
+        print(f"   H^{i}: Hilbert function {hs.coefficients(5)}")
     oracle = truncation_oracle(K.underlying, depth)
     symbolic = homology_hilbert_functions(K.underlying, depth)
     print(f"   oracle agrees through degree {depth}:", oracle == symbolic)

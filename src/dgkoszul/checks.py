@@ -396,9 +396,7 @@ def check_euler_characteristic(A: DGRingRep, args, config) -> dict:
     for e in elems:
         rhs = rhs - rhs.shift(e.degree)
     exact = lhs == rhs
-    coeffs_equal = lhs.coefficients(depth_cap, start=0) == rhs.coefficients(
-        depth_cap, start=0
-    )
+    coeffs_equal = lhs.coefficients(depth_cap) == rhs.coefficients(depth_cap)
     return {
         "statement": statement,
         "verdict": "PASS" if (exact and coeffs_equal) else "FAIL",

@@ -12,21 +12,21 @@ by a _Packer sized for that call.  With n variables and fields w bits wide
 (2^w exceeds the largest monomial degree the call can reach), from the top
 bit down:
 
-    block bit              set for the components before `split`
-    upper component slot   C - comp for the components from `split` on
-    n weight fields        deg, e_1 + ... + e_(n-1), ..., e_1 (w bits each)
-    lower component slot   C - comp for the components before `split`
-    n exponent fields      e_n, ..., e_1 (w bits and a guard bit each)
+    block bit          set for the components before `split` (all by default)
+    n weight fields    deg, e_1 + ... + e_(n-1), ..., e_1 (w bits each)
+    component slot     C - comp
+    n exponent fields  e_n, ..., e_1 (w bits and a guard bit each)
 
 where C is the last component.  The weight fields compare
-lexicographically exactly as grevlex.  Below `split` (all components by
-default) the order is term over position: the monomial first, the lower
-component wins ties.  From `split` on (the tag block of syzygies) it is
-position over term, and every term below `split` is larger.  A monomial
-has no component bits and sits at the same bits in every layout, so
-multiplying a term by it is `+`, and the quotient of two terms of one
-component is `-`.  A lead l divides a term t of its own component exactly
-when (t - l) & mask == 0, mask being the guard and component bits.
+lexicographically exactly as grevlex.  The order is term over position:
+the monomial first, the lower component wins ties.  With `split` (the tag
+block of syzygies) it is an elimination order: every term of a component
+below `split` is larger than every term from `split` on, and within each
+block the order is term over position.  A monomial has no component bits
+and sits at the same bits in every layout, so multiplying a term by it is
+`+`, and the quotient of two terms of one component is `-`.  A lead l
+divides a term t of its own component exactly when (t - l) & mask == 0,
+mask being the guard and component bits.
 
 No field carries into the next, since every field holds at most the
 monomial degree.  normal_forms sizes its fields from its input terms: a
@@ -61,9 +61,9 @@ Degree cap.  buchberger processes no S-pair above its degree_cap, which
 every caller passes from its PolyRing: the cap belongs to the job's ring.
 
 Determinism: S-pairs are processed in (degree, index, index) order, the
-output basis is reduced, monic, inter-reduced and canonically sorted, so
-identical inputs give identical outputs.  Each output vector keeps its
-terms in descending order, so its first key is its leading term.
+output basis is reduced, monic, inter-reduced and sorted by descending
+lead, so identical inputs give identical outputs.  Each output vector
+keeps its terms in descending order, so its first key is its leading term.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class DegreeCapExceeded(RuntimeError):
 class _Packer:
     """Packs the terms of one engine call into ints (layout in the module
     docstring): nvars variables, components 0..ncomps-1, monomial degrees
-    up to maxdeg, and position over term from component split on."""
+    up to maxdeg, and the components before split in the upper block."""
 
     __slots__ = ("mask", "comp_mask", "_mults", "_limit", "_comp_bits", "_comp_of",
                  "_shifts", "_w", "_expo_mask", "_expo_bits", "_guards", "_units", "_bare",
@@ -110,29 +110,24 @@ class _Packer:
         slot = (ncomps - 1).bit_length()
         low = nvars * (w + 1)
         weights = low + slot
-        up = weights + nvars * w
-        block = up + slot
+        block = weights + nvars * w
         self._w = w
         ones = self._expo_mask = (1 << w) - 1
         self._shifts = range(0, low, w + 1)
         # x^e packs to sum(e_i * mults[i]): e_i in its exponent field and in
         # the weight fields from e_1 + ... + e_i up to deg.
         self._mults = [
-            (((1 << up) - (1 << (weights + i * w))) // ones) + (1 << s)
+            (((1 << block) - (1 << (weights + i * w))) // ones) + (1 << s)
             for i, s in enumerate(self._shifts)
         ]
-        # The deg field ends at bit up, so x^e fits exactly when it packs
-        # below 2^up.
-        self._limit = 1 << up
+        # The deg field ends at the block bit, so x^e fits exactly when it
+        # packs below it.
+        self._limit = 1 << block
         split = ncomps if split is None else split
         last = ncomps - 1
-        self._comp_bits = [
-            (1 << block) + ((last - c) << low) if c < split else (last - c) << up
-            for c in range(ncomps)
-        ]
+        self._comp_bits = [((c < split) << block) + ((last - c) << low) for c in range(ncomps)]
         self._comp_of = {bits: c for c, bits in enumerate(self._comp_bits)}
-        slots = (1 << slot) - 1
-        self.comp_mask = (slots << low) | (slots << up) | (1 << block)
+        self.comp_mask = (((1 << slot) - 1) << low) | (1 << block)
         units = self._units = ((1 << low) - 1) // ((1 << (w + 1)) - 1)
         self._guards = units << w
         self._expo_bits = units * ones
@@ -284,7 +279,8 @@ def buchberger(
     generating set modulo known.
 
     The order is term over position, except that the components from split
-    on, if given, come position over term below all the others.
+    on, if given, form a block below all the others: term over position
+    within it, and every one of its terms below every term outside it.
 
     Raises InhomogeneousError unless every generator is homogeneous with
     respect to the twists (or allow_inhomogeneous is set, as needed by the
@@ -425,7 +421,8 @@ def interreduce(basis: Sequence[dict], field, packer: _Packer) -> list[dict]:
         r = _reduce(dict(g), reducers, field, packer)
         same.append((vec_scale(r, field.inv(r[lead]), field), lead))
     reduced = [g for same in reducers.values() for g, _ in same]
-    reduced.sort(key=lambda g: sorted(g, reverse=True), reverse=True)
+    # The leads are distinct, and each output's first key is its lead.
+    reduced.sort(key=lambda g: next(iter(g)), reverse=True)
     return reduced
 
 
@@ -435,9 +432,11 @@ def syzygies(columns: Sequence[ModVec], twists: Sequence[int], ring: PolyRing) -
     """Generators of the syzygy module of the columns, which lie in the
     free module F with the given twists.
 
-    They are read off one Groebner basis of {(col_j, e_j)} in F + S^s with
-    F eliminated first: an element with no F-part is a syzygy.  Those come
-    in buchberger's output order, then the unit vector of each zero column.
+    They are read off one Groebner basis of {(col_j, e_j)} in F + S^s, in
+    the elimination order whose block bit puts every term of F above every
+    tag term e_j, term over position within each block: an element with no
+    F-part is a syzygy.  Those come in buchberger's output order, then the
+    unit vector of each zero column.
     """
     field = ring.field
     rank = len(twists)

@@ -73,11 +73,9 @@ class HilbertSeries:
                 total += c * math.comb(k + p - 1, p - 1)
         return total
 
-    def coefficients(self, upto: int, start: int | None = None) -> list[int]:
-        if start is None:
-            start = min(self.num) if self.num else 0
-            start = min(start, 0)
-        return [self.coefficient(d) for d in range(start, upto + 1)]
+    def coefficients(self, upto: int) -> list[int]:
+        """The Hilbert function in degrees 0..upto."""
+        return [self.coefficient(d) for d in range(upto + 1)]
 
     def shift(self, w: int) -> HilbertSeries:
         """Multiply by t^w (internal-degree twist)."""

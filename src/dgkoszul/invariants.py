@@ -236,7 +236,7 @@ def has_constant_amplitude(A: DGRingRep) -> bool:
     if A._constant_amplitude is None:
         lo = A.inf()
         A._constant_amplitude = lo == POS_INF or all(
-            A.h0.is_nilpotent(A.h0.nf(g)) for g in A.underlying.homology(lo).annihilator()
+            A.h0.is_nilpotent(g) for g in A.underlying.homology(lo).annihilator()
         )
     return A._constant_amplitude
 

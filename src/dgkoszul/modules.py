@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import groebner as gb
 from .hilbert import HilbertSeries, lead_module_series
-from .poly import ModVec, Polynomial, PolyRing, column_key, vec_combination, vec_degree, vec_offset
+from .poly import ModVec, Polynomial, PolyRing, vec_combination, vec_degree, vec_offset
 from .rings import QuotientRing
 
 
@@ -157,13 +157,10 @@ def modulo(
 
 def kernel(columns: Sequence[ModVec], target: FPModule) -> list[ModVec]:
     """Generators of the kernel of the map with the given columns into
-    target, as coefficient vectors over the source generators, with
-    duplicates dropped and in canonical order."""
-    ring = target.ring.poly_ring
-    gens = {}
-    for v in modulo(columns, target.relation_columns(), target.twists, ring):
-        gens.setdefault(column_key(v), v)
-    return [gens[key] for key in sorted(gens)]
+    target, as coefficient vectors over the source generators: modulo's
+    output as it comes.  A duplicate gives a relation with a unit entry,
+    which a minimized presentation cancels."""
+    return modulo(columns, target.relation_columns(), target.twists, target.ring.poly_ring)
 
 
 def subquotient(M: FPModule, gens: Sequence[ModVec], rels: Sequence[ModVec] = ()) -> FPModule:
@@ -250,19 +247,18 @@ def min_gens(columns: Sequence[ModVec], M: FPModule) -> list[ModVec]:
 
     Relations are only defined modulo J, so J times the basis always spans
     but is never kept.  A column is kept when it does not lie in the span
-    of J's multiples and the columns before it in (degree, column_key)
-    order: the greedy choice, which drops zero and duplicate columns and
-    realizes the Nakayama minimal count for graded modules.
+    of J's multiples, the columns of lower degree and the columns before it
+    of its own degree, in the order given: the greedy choice, which drops
+    zero and duplicate columns and realizes the Nakayama minimal count for
+    graded modules.
     """
     return _span(columns, M)[1]
 
 
 def _span(columns: Sequence[ModVec], M: FPModule) -> tuple[list[ModVec], list[ModVec]]:
-    """buchberger's (basis, kept) for the columns in (degree, column_key)
-    order over J's basis times M's generators: the reduced Groebner basis of
-    span(columns) + J * F, and min_gens."""
-    candidates = sorted(
-        (c for c in columns if c), key=lambda v: (vec_degree(v, M.twists), column_key(v))
-    )
+    """buchberger's (basis, kept) for the columns over J's basis times M's
+    generators: the reduced Groebner basis of span(columns) + J * F, and
+    min_gens.  buchberger admits the columns by degree, and within a degree
+    in the order given."""
     cap = M.ring.poly_ring.degree_cap
-    return gb.buchberger(candidates, M.twists, M.ring.field, cap, known=_j_basis(M))
+    return gb.buchberger(columns, M.twists, M.ring.field, cap, known=_j_basis(M))

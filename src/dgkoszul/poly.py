@@ -61,20 +61,6 @@ def grevlex_key(e: Expo):
 
 # ---------- module element helpers ----------
 
-def column_key(v: ModVec):
-    """Canonical sort key of a module element: per component, the
-    (monomial key, coefficient repr) of its terms in descending order.
-
-    Trailing empty components are left out; an empty component is the
-    smallest entry, so vectors of any one rank compare as if padded.
-    """
-    rank = 1 + max((comp for comp, _ in v), default=-1)
-    comps: list[list] = [[] for _ in range(rank)]
-    for (comp, e), c in v.items():
-        comps[comp].append((grevlex_key(e), repr(c)))
-    return tuple(tuple(sorted(terms, reverse=True)) for terms in comps)
-
-
 def vec_scale(a: ModVec, c, field) -> ModVec:
     """c * a, for a nonzero scalar c."""
     return {t: field.mul(c, v) for t, v in a.items()}
@@ -261,8 +247,11 @@ class Polynomial:
     # -- identity --
 
     def sort_key(self):
-        """A canonical sortable key (degree-major, deterministic)."""
-        return column_key(self.vec)
+        """A canonical sortable key (degree-major, deterministic): the
+        (monomial key, coefficient repr) of the terms in descending order,
+        so zero sorts first."""
+        terms = ((grevlex_key(e), repr(c)) for (_, e), c in self.vec.items())
+        return tuple(sorted(terms, reverse=True))
 
     def __eq__(self, other) -> bool:
         return (

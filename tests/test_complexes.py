@@ -51,8 +51,8 @@ def test_koszul_over_hypersurface():
     Q = ring("x", "y", ideal=["x*y"])
     K = _koszul(Q, ["x"])
     # H^0 = k[y]; H^-1 = (y) sitting in internal degrees >= 2
-    assert K.homology(0).hilbert_series().coefficients(4, start=0) == [1, 1, 1, 1, 1]
-    assert K.homology(-1).hilbert_series().coefficients(4, start=0) == [0, 0, 1, 1, 1]
+    assert K.homology(0).hilbert_series().coefficients(4) == [1, 1, 1, 1, 1]
+    assert K.homology(-1).hilbert_series().coefficients(4) == [0, 0, 1, 1, 1]
 
 
 def test_zero_differential_complex_is_its_terms():
@@ -236,7 +236,7 @@ def test_euler_characteristic_identity():
             d = poly(t, Q).homogeneous_degree()
             rhs = rhs - rhs.shift(d)
         assert lhs == rhs
-        assert lhs.coefficients(10, start=0) == rhs.coefficients(10, start=0)
+        assert lhs.coefficients(10) == rhs.coefficients(10)
 
 
 def test_euler_check_reads_the_homology_modules(monkeypatch):

@@ -3,6 +3,9 @@ linear-algebra counting, plus field-level cross-validation."""
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -208,3 +211,25 @@ def test_koszul_homology_on_a_basis_of_linear_forms_is_the_betti_table(case):
     Q, forms = case
     table = koszul(dg_from_ring(Q), forms).homology_table()
     assert table == koszul_complex(Q, forms).homology_table()
+
+
+def _rational_normal_curve(d, field):
+    """The rational normal curve of degree d: the 2x2 minors of the 2 x d
+    Hankel matrix on x0, ..., xd."""
+    names = [f"x{i}" for i in range(d + 1)]
+    minors = [f"x{i}*x{j + 1} - x{j}*x{i + 1}" for i, j in combinations(range(d), 2)]
+    return quotient_ring_from_strings(names, minors, field)
+
+
+@pytest.mark.parametrize(
+    "field, d",
+    [(F, d) for d in range(3, 7)] + [(RationalField(), d) for d in range(3, 6)],
+    ids=[f"F_32003-{d}" for d in range(3, 7)] + [f"Q-{d}" for d in range(3, 6)],
+)
+def test_the_rational_normal_curves_betti_table_is_eagon_northcott(field, d):
+    # The Eagon-Northcott complex resolves the maximal minors of a generic
+    # 2 x d matrix, and the Hankel matrix is generic enough: beta_i =
+    # i * C(d, i + 1) in degree i + 1 for 1 <= i <= d - 1.
+    Q = _rational_normal_curve(d, field)
+    expected = {0: {0: 1}, **{i: {i + 1: i * comb(d, i + 1)} for i in range(1, d)}}
+    assert betti_table(free_resolution(FPModule(Q, (0,)))) == expected

@@ -45,8 +45,8 @@ def test_koszul_over_hypersurface_tables():
     K = koszul(A, ["x"])
     K.validate()
     t = K.homology_table()
-    assert t[0].coefficients(3, start=0) == [1, 1, 1, 1]
-    assert t[-1].coefficients(3, start=0) == [0, 0, 1, 1]
+    assert t[0].coefficients(3) == [1, 1, 1, 1]
+    assert t[-1].coefficients(3) == [0, 0, 1, 1]
 
 
 def test_empty_element_list_returns_self():

@@ -17,7 +17,7 @@ def _S(nvars):
 def test_free_rank_one_over_two_variables():
     hs = monomial_quotient_series([], _S(2))
     assert hs.reduced() == ({0: 1}, 2)
-    assert hs.coefficients(4, start=0) == [1, 2, 3, 4, 5]
+    assert hs.coefficients(4) == [1, 2, 3, 4, 5]
 
 
 def test_hypersurface_series():
@@ -80,7 +80,7 @@ def test_pole_order_is_the_largest_independent_set(ideal):
 def test_series_arithmetic_and_twist():
     a = monomial_quotient_series([], _S(1))  # 1/(1-t)
     shifted = a.shift(2)
-    assert shifted.coefficients(4, start=0) == [0, 0, 1, 1, 1]
+    assert shifted.coefficients(4) == [0, 0, 1, 1, 1]
     diff = a - a.shift(1)
     assert diff.reduced() == ({0: 1}, 0)
 
@@ -102,4 +102,4 @@ def test_quotient_ring_dimensions():
 
 def test_quotient_ring_series():
     Q = ring("x", "y", ideal=["x*y"])
-    assert Q.hilbert_series().coefficients(4, start=0) == [1, 2, 2, 2, 2]
+    assert Q.hilbert_series().coefficients(4) == [1, 2, 2, 2, 2]

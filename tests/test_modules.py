@@ -12,7 +12,6 @@ from dgkoszul.hilbert import NEG_INF, lead_module_series
 from dgkoszul.modules import modulo
 from dgkoszul.poly import (
     Polynomial,
-    column_key,
     grevlex_key,
     vec_add_multiple,
     vec_combination,
@@ -36,7 +35,7 @@ def test_kernel_of_multiplication_on_hypersurface():
     Q = ring("x", "y", ideal=["x*y"])
     M = FPModule(Q, (0,))
     ker = _kernel_of_multiplication(M, poly("x", Q))
-    assert ker.hilbert_series().coefficients(5, start=0) == [0, 1, 1, 1, 1, 1]
+    assert ker.hilbert_series().coefficients(5) == [0, 1, 1, 1, 1, 1]
     assert ker.dim() == 1
 
 
@@ -111,6 +110,14 @@ def test_min_gens_drops_redundant_columns():
     cols = [_col(t, Q) for t in ("x", "y", "x + y", "x^2")]
     kept = min_gens(cols, F2)
     assert len(kept) == 2
+
+
+def test_min_gens_keeps_the_columns_of_one_degree_in_the_order_given():
+    # All three columns have degree 1; the greedy choice keeps the first
+    # two, which span, and drops x.
+    Q = ring("x", "y")
+    cols = [_col(t, Q) for t in ("x + y", "y", "x")]
+    assert min_gens(cols, FPModule(Q, (0,))) == cols[:2]
 
 
 Q101 = ring("x", "y", "z", ideal=["x*y - z^2"], field=PrimeField(101))
@@ -214,10 +221,8 @@ def _rebuilt_min_gens(columns, F):
     """min_gens with a full Buchberger over the kept columns and J's
     multiples of F's basis after every kept column."""
     field = F.ring.field
-    candidates = sorted(
-        (c for c in columns if c),
-        key=lambda v: (vec_degree(v, F.twists), column_key(v)),
-    )
+    # By degree, and within a degree in the order given.
+    candidates = sorted((c for c in columns if c), key=lambda v: vec_degree(v, F.twists))
     kept = []
     for cand in candidates:
         spanning = kept + F.j_columns()

@@ -208,7 +208,8 @@ def test_koszul_homology_on_other_elements_reads_the_differentials(monkeypatch, 
 def test_min_gens_is_one_engine_call(monkeypatch):
     # Columns of degrees 1 to 3 in S(0) + S(-1) over the twisted cubic's
     # ring.  Modulo J, x*y and y^3 lie in (x, y), x*z e1 in (z e1), and
-    # z^2 = y*w in (y).
+    # z^2 = y*w in (y).  The kept columns come by degree, and within a
+    # degree in the order given.
     Q = ring("x", "y", "z", "w", ideal=TWISTED_CUBIC)
     texts = [("x*y", 0), ("y^3", 0), ("x", 0), ("z", 1), ("y", 0), ("x*z", 1), ("z^2", 0)]
     columns = [vec_offset(poly(t, Q).vec, i) for t, i in texts]
@@ -216,8 +217,29 @@ def test_min_gens_is_one_engine_call(monkeypatch):
     engine = _count(monkeypatch, "buchberger", gb)
     reductions = _count(monkeypatch, "normal_forms", gb)
     kept = modules.min_gens(columns, FPModule(Q, (0, 1)))
-    assert kept == [columns[4], columns[2], columns[3]]
+    assert kept == [columns[2], columns[4], columns[3]]
     assert (engine[0], reductions[0]) == (1, 0)
+
+
+def test_the_resolution_of_a_rational_normal_curve_returns_few_syzygy_terms(monkeypatch):
+    # The rational normal sextic, the 2x2 minors of the 2 x 6 Hankel matrix:
+    # Betti 1, 15, 40, 45, 24, 5.  Counted: the vectors and terms that the
+    # resolution's syzygies calls return.  The tag block is term over
+    # position, and each stage's columns keep the engine's order.
+    names = [f"x{i}" for i in range(7)]
+    minors = [f"x{i}*x{j + 1} - x{j}*x{i + 1}" for i in range(6) for j in range(i + 1, 6)]
+    Q = ring(*names, ideal=minors)
+    returned = []
+    syzygies = gb.syzygies
+
+    def counted(*args):
+        returned.append(syzygies(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(gb, "syzygies", counted)
+    complexes.free_resolution(FPModule(Q, (0,)))
+    assert sum(map(len, returned)) <= 156
+    assert sum(len(v) for syz in returned for v in syz) <= 1104
 
 
 def test_a_homology_modules_series_builds_no_second_basis(monkeypatch):
