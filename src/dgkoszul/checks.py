@@ -70,7 +70,7 @@ def check_amp_koszul(A: DGRingRep, args, config) -> dict:
     dimq = K.h0.dim()
     lo = A.inf()
     formula = None
-    if dimq != NEG_INF and dim0 != NEG_INF and lo not in (NEG_INF,):
+    if dimq != NEG_INF and dim0 != NEG_INF:
         formula = n - dim0 + dimq - lo
     record = {
         "statement": statement,

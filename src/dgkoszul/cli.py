@@ -21,7 +21,7 @@ import time
 
 from .checks import CHECK_NAMES
 from .fields import FieldError
-from .jobs import JobError, RunConfig, canonical_json, run_job, run_suite
+from .jobs import JobError, RunConfig, canonical_json, read_job, run_job, run_suite
 from .poly import DEFAULT_DEGREE_CAP
 
 EXIT_OK = 0
@@ -48,8 +48,7 @@ def _non_negative_int(text: str) -> int:
 
 
 def _load_job(path: str, args) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        job = json.load(fh)
+    job = read_job(path)
     if not isinstance(job, dict):
         raise JobError("a job must be a JSON object")
     if args.field and "field" not in job:

@@ -121,11 +121,11 @@ def seq_depth(A: DGRingRep, ideal_gens):
 
 
 class RegularSequenceWitness:
-    def __init__(self, elements=None, certificates=None, exhausted: bool = False, tested: int = 0):
-        self.elements = [] if elements is None else elements
-        self.certificates = [] if certificates is None else certificates
-        self.exhausted = exhausted
-        self.tested = tested
+    def __init__(self):
+        self.elements = []
+        self.certificates = []
+        self.exhausted = False
+        self.tested = 0
 
     def __len__(self):
         return len(self.elements)

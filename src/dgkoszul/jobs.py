@@ -44,6 +44,11 @@ MAX_ORACLE_BASIS = 100_000
 # k[x,y]/(xy), a zero Koszul element of degree -10^7 cost 0.7 s, -10^8 7 s,
 # and -10^12 did not finish.
 MAX_DEGREE = 1000
+# build_dg recurses once per construction level, and a report echoes its
+# job, inside a suite's aggregate three levels deeper; json decodes and
+# encodes recursively too.  A job nested near the interpreter's recursion
+# limit leaves none of them room.
+MAX_NESTING = 100
 
 
 class JobError(ValueError):
@@ -111,9 +116,23 @@ def build_dg(spec: dict, ring: QuotientRing) -> DGRingRep:
     raise JobError(f"unknown dg construction {kind!r}")
 
 
+def _check_nesting(value) -> None:
+    """Raise JobError if lists and objects nest more than MAX_NESTING
+    levels deep in the JSON value (counted level by level, not by
+    recursion)."""
+    depth, level = 0, [value]
+    while level:
+        level = [c for c in level if isinstance(c, (dict, list))]
+        if level and depth == MAX_NESTING:
+            raise JobError(f"a job may nest lists and objects at most {MAX_NESTING} levels deep")
+        depth += 1
+        level = [v for c in level for v in (c.values() if isinstance(c, dict) else c)]
+
+
 def _job_context(job: dict, degree_cap: int):
     if not isinstance(job, dict):
         raise JobError("a job must be a JSON object")
+    _check_nesting(job)
     field = field_from_json(job.get("field"))
     variables = job.get("vars")
     if not (variables and _is_text_list(variables) and len(variables) <= MAX_VARIABLES):
@@ -325,6 +344,19 @@ def canonical_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def read_job(path: str):
+    """The JSON value in the file at path, nested at most MAX_NESTING
+    levels deep (JobError otherwise, also when it nests too deeply to
+    decode)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            job = json.load(fh)
+        except RecursionError:
+            raise JobError("the job nests too deeply to decode") from None
+    _check_nesting(job)
+    return job
+
+
 def run_suite(paths, config: RunConfig | None = None) -> dict:
     """Run every fixture job and aggregate expectation outcomes."""
     config = config or RunConfig()
@@ -337,9 +369,8 @@ def run_suite(paths, config: RunConfig | None = None) -> dict:
     for path in sorted(str(p) for p in paths):
         entry = {"fixture": path.split("/")[-1]}
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                job = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            job = read_job(path)
+        except (OSError, json.JSONDecodeError, JobError) as exc:
             entry["status"] = "unreadable"
             entry["error"] = str(exc)
             aggregate["missing"].append(entry)

@@ -16,7 +16,10 @@ annihilator of a module with two or more generators; a cyclic module Q/I
 is annihilated by I, read off its relations.  A free module's Hilbert
 series is HS(Q) twisted by each generator, with no Groebner basis of its
 own.  A subquotient (span(gens) + N)/N, such as a homology module, is
-presented by subquotient() as a minimized cokernel.
+presented by subquotient() as a minimal cokernel: buchberger keeps a
+minimal generating set of the gens modulo N's Groebner basis, and only
+those get relations, so none has a unit entry.  minimize() is the
+subquotient that the basis vectors span.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Sequence
 
 from . import groebner as gb
 from .hilbert import HilbertSeries, lead_module_series
-from .poly import ModVec, Polynomial, PolyRing, vec_combination, vec_degree, vec_offset
+from .poly import ModVec, Polynomial, PolyRing, vec_degree, vec_offset
 from .rings import QuotientRing
 
 
@@ -132,8 +135,9 @@ class FPModule:
     # -- minimization --
 
     def minimize(self) -> FPModule:
-        """Minimal cokernel presentation (no unit entries in the relations)."""
-        return _minimal_cokernel(self.ring, self.twists, self.relation_columns())
+        """Minimal cokernel presentation: the subquotient that the basis
+        vectors span, on a minimal subset of them."""
+        return subquotient(self, [self.basis_vector(i) for i in range(self.rank)])
 
     def __repr__(self):
         return f"FPModule(rank={self.rank}, rels={len(self.rels)})"
@@ -150,6 +154,8 @@ def modulo(
     dropped.
     """
     k = len(gens)
+    if not k:
+        return []
     syz = gb.syzygies(list(gens) + list(rels), twists, ring)
     projected = ({t: c for t, c in s.items() if t[0] < k} for s in syz)
     return [v for v in projected if v]
@@ -158,64 +164,35 @@ def modulo(
 def kernel(columns: Sequence[ModVec], target: FPModule) -> list[ModVec]:
     """Generators of the kernel of the map with the given columns into
     target, as coefficient vectors over the source generators: modulo's
-    output as it comes.  A duplicate gives a relation with a unit entry,
-    which a minimized presentation cancels."""
+    output as it comes, not minimized (subquotient keeps a minimal subset
+    of them)."""
     return modulo(columns, target.relation_columns(), target.twists, target.ring.poly_ring)
 
 
 def subquotient(M: FPModule, gens: Sequence[ModVec], rels: Sequence[ModVec] = ()) -> FPModule:
-    """The minimized cokernel form of (span(gens) + N)/N inside M's free
+    """The minimal cokernel form of (span(gens) + N)/N inside M's free
     module, with N spanned by M's relations, then rels, then J times M's
     generators.
 
-    The relations on the generators are modulo(gens, N).
+    One buchberger call over N's Groebner basis keeps a minimal generating
+    set of the gens modulo N (graded Nakayama, the greedy choice of
+    min_gens), so no relation on the kept generators has a unit entry: one
+    would make a kept generator redundant.  When they are M's basis
+    vectors, the result is M's free module modulo N's minimal relations;
+    otherwise its relations are the minimal generators of modulo(kept, N).
+    Either way the result keeps the Groebner basis of its relations.
     """
-    gens = [g for g in gens if g]
-    rel_cols = list(M.rels) + [v for v in rels if v] + M.j_columns()
-    if gens == [M.basis_vector(i) for i in range(M.rank)]:
-        return _minimal_cokernel(M.ring, M.twists, rel_cols)
-    cols = modulo(gens, rel_cols, M.twists, M.ring.poly_ring)
-    degs = [vec_degree(g, M.twists) for g in gens]
-    return _minimal_cokernel(M.ring, degs, cols)
-
-
-def _minimal_cokernel(ring: QuotientRing, degs: Sequence[int], cols: Sequence[ModVec]) -> FPModule:
-    """Minimal cokernel presentation of the cokernel of cols on generators
-    of the given degrees: unit entries are cancelled with their generator
-    and the rest thinned to a minimal set modulo J, which drops duplicates
-    too.  The result keeps the Groebner basis of its relations that the
-    thinning built."""
-    cols = list(cols)
-    degs = list(degs)
-    field = ring.field
-    zero_expo = (0,) * ring.nvars
-    changed = True
-    while changed:
-        changed = False
-        for ci, col in enumerate(cols):
-            pivot = _unit_row(col, zero_expo)
-            if pivot is None:
-                continue
-            lam_inv = field.inv(col[(pivot, zero_expo)])
-            for cj, other in enumerate(cols):
-                if cj == ci:
-                    continue
-                # other - (other's pivot entry / lam) * col
-                coords = {
-                    (1, e): field.neg(field.mul(c, lam_inv))
-                    for (row, e), c in other.items()
-                    if row == pivot
-                }
-                if coords:
-                    coords[(0, zero_expo)] = field.one
-                    cols[cj] = vec_combination([other, col], coords, field)
-            del cols[ci]
-            cols = [_drop_row(c, pivot) for c in cols]
-            del degs[pivot]
-            changed = True
-            break
-    basis, kept = _span(cols, FPModule(ring, degs))
-    result = FPModule(ring, degs, kept)
+    ring = M.ring
+    rels = [*M.rels, *rels]
+    basis, minimal = _span(rels, M)
+    kept = gb.buchberger(gens, M.twists, ring.field, ring.poly_ring.degree_cap, known=basis)[1]
+    if kept == [M.basis_vector(i) for i in range(M.rank)]:
+        result = FPModule(ring, M.twists, minimal)
+    else:
+        degs = [vec_degree(g, M.twists) for g in kept]
+        cols = modulo(kept, rels + M.j_columns(), M.twists, ring.poly_ring)
+        basis, minimal = _span(cols, FPModule(ring, degs))
+        result = FPModule(ring, degs, minimal)
     result._basis = basis
     return result
 
@@ -224,21 +201,6 @@ def _j_basis(M: FPModule) -> list[ModVec]:
     """J's reduced Groebner basis times each basis vector: a Groebner basis
     of J times M's free module."""
     return [vec_offset(g.vec, i) for g in M.ring.groebner() for i in range(M.rank)]
-
-
-def _unit_row(col: ModVec, zero_expo) -> int | None:
-    """The first row whose entry in col is a nonzero constant, or None."""
-    for row in sorted(comp for comp, e in col if e == zero_expo):
-        if sum(1 for comp, _ in col if comp == row) == 1:
-            return row
-    return None
-
-
-def _drop_row(col: ModVec, row: int) -> ModVec:
-    """col without component row; later components move up by one."""
-    return {
-        (comp - (comp > row), e): c for (comp, e), c in col.items() if comp != row
-    }
 
 
 def min_gens(columns: Sequence[ModVec], M: FPModule) -> list[ModVec]:

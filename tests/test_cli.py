@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from dgkoszul.jobs import MAX_NESTING
+
 SUITE_DIR = os.path.join(os.path.dirname(__file__), "..", "suite")
 
 
@@ -336,3 +338,46 @@ def test_a_job_that_never_runs_gives_one_input_error_line(tmp_path, dg, message,
     assert result.returncode == 2
     assert result.stderr.splitlines() == [f"input error: {message}"]
     assert json.loads(result.stdout)["status"] == "input-error"
+
+
+def _nested_job_text(levels):
+    """BASIC_JOB's text with no tasks, its dg a Koszul construction on no
+    elements nested the given number of levels deep (built as text, since
+    json's own encoder recurses)."""
+    dg = '{"kind": "ring"}'
+    for _ in range(levels):
+        dg = '{"kind": "koszul", "base": ' + dg + "}"
+    job = json.dumps(dict(BASIC_JOB, tasks=[], dg=None))
+    return job.replace('"dg": null', '"dg": ' + dg)
+
+
+NESTED = {
+    # The job, its dg and 99 Koszul levels: 101 levels of objects.
+    99: f"a job may nest lists and objects at most {MAX_NESTING} levels deep",
+    # Too deep for json to decode at all.
+    990: "the job nests too deeply to decode",
+}
+
+
+@pytest.mark.parametrize("levels", NESTED)
+@pytest.mark.parametrize("argv", [("compute",), ("check", "amp_koszul")])
+def test_a_job_nested_too_deeply_is_a_one_line_input_error(tmp_path, levels, argv):
+    path = tmp_path / "deep.json"
+    path.write_text(_nested_job_text(levels))
+    result = run_cli(*argv, str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"input error: {NESTED[levels]}"]
+
+
+def test_suite_lists_a_job_nested_too_deeply_as_unreadable(tmp_path):
+    for levels in NESTED:
+        (tmp_path / f"deep{levels}.json").write_text(_nested_job_text(levels))
+    write_job(tmp_path, dict(BASIC_JOB, tasks=[]), "good.json")
+    result = run_cli("suite", str(tmp_path))
+    assert result.returncode == 2, result.stderr
+    aggregate = json.loads(result.stdout)
+    assert [(e["fixture"], e["status"], e["error"]) for e in aggregate["missing"]] == [
+        (f"deep{levels}.json", "unreadable", message) for levels, message in NESTED.items()
+    ]
+    assert [e["status"] for e in aggregate["fixtures"]] == ["ok"]

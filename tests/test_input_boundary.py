@@ -20,7 +20,9 @@ from dgkoszul.checks import MAX_EULER_DEPTH
 from dgkoszul.cli import EXIT_INPUT_ERROR, _report_exit
 from dgkoszul.dgring import MAX_COMPLEX_RANK
 from dgkoszul.fields import FieldError
-from dgkoszul.jobs import MAX_DEGREE, MAX_ORACLE_BASIS, MAX_ORACLE_DEPTH, MAX_VARIABLES
+from dgkoszul.jobs import (
+    MAX_DEGREE, MAX_NESTING, MAX_ORACLE_BASIS, MAX_ORACLE_DEPTH, MAX_VARIABLES,
+)
 from dgkoszul.parse import MAX_EXPONENT, ParseError
 from dgkoszul.poly import MAX_PRODUCT_TERMS
 
@@ -312,6 +314,23 @@ def test_malformed_job_gives_an_error_status_not_an_exception(job):
         assert report["error"]
     else:
         assert all(r["status"] == "error" for r in report["results"])
+
+
+def _nested_koszul(levels):
+    dg = {"kind": "ring"}
+    for _ in range(levels):
+        dg = {"kind": "koszul", "base": dg}
+    return _job(dg=dg, tasks=[])
+
+
+def test_a_job_nested_too_deeply_is_an_input_error_before_any_work():
+    # The job and its dg are two levels; build_dg would recurse once per
+    # Koszul level, past the interpreter's limit at 3000.
+    message = f"a job may nest lists and objects at most {MAX_NESTING} levels deep"
+    for levels in (MAX_NESTING - 1, 3000):
+        report = run_job(_nested_koszul(levels))
+        assert (report["status"], report["error"]) == ("input-error", message)
+    assert run_job(_nested_koszul(MAX_NESTING - 2))["status"] == "ok"
 
 
 def test_an_inhomogeneous_module_relation_is_an_input_error():

@@ -155,7 +155,15 @@ def test_subquotient_matches_the_two_series_formula_and_membership_matches_the_c
     N = FPModule(Q101, TWISTS, rels)
     # HS((span(gens) + N)/N) = HS(F/N) - HS(F/(N + span(gens)))
     expected = N.hilbert_series() - FPModule(Q101, TWISTS, rels + gens).hilbert_series()
-    assert subquotient(F_RANK2, gens, rels).hilbert_series() == expected
+    result = subquotient(F_RANK2, gens, rels)
+    assert result.hilbert_series() == expected
+    # Only a minimal generating set of the gens modulo N gets relations, so
+    # no relation has a constant entry.  min_gens admits the columns by
+    # degree, the rels before the gens within a degree, so the gens it
+    # keeps are the greedy minimal set modulo N.
+    assert all(e != (0, 0, 0) for rel in result.rels for _, e in rel)
+    kept = min_gens(rels + gens, F_RANK2)
+    assert result.rank == sum(any(k is g for g in gens) for k in kept)
     cols = N.relation_columns()
     field = Q101.field
     constant = (0, 0, 0)

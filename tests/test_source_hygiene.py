@@ -149,6 +149,56 @@ def test_every_unexported_definition_has_a_caller():
     assert uncalled(sources, exported) == []
 
 
+def private_definitions(trees: dict) -> list:
+    """(module, node) for each function or class, at any depth, whose name
+    starts with `_` and is not a dunder."""
+    return [
+        (name, node)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Private functions and classes (see private_definitions) whose name
+    no module loads or reads as an attribute."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [
+        f"{name}.{node.name} (line {node.lineno})"
+        for name, node in private_definitions(trees)
+        if node.name not in used
+    ]
+
+
+def test_the_scan_sees_an_unreferenced_private_definition():
+    sources = {
+        "a": "def _used(): pass\ndef _alone(): pass\nclass _Orphan:\n"
+             "    def _method(self): pass\n    def __init__(self): pass\n",
+        "b": "from a import _used\n_used()\ndef f(x):\n    def _inner(): pass\n"
+             "    return x._method\n",
+    }
+    assert unreferenced_private(sources) == [
+        "a._alone (line 2)",
+        "a._Orphan (line 3)",
+        "b._inner (line 4)",
+    ]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private(sources) == []
+
+
 def global_state(source: str) -> list[str]:
     """`global` statements and functools caches (`lru_cache`, `cache`): state
     that outlives a job.  Per-job state lives on the job's rings."""

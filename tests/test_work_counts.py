@@ -242,6 +242,24 @@ def test_the_resolution_of_a_rational_normal_curve_returns_few_syzygy_terms(monk
     assert sum(len(v) for syz in returned for v in syz) <= 1104
 
 
+def test_a_subquotient_relates_only_its_minimal_generators(monkeypatch):
+    # x + y is redundant beside x and y, so only x and y reach modulo: the
+    # maximal ideal of k[x, y], with its one Koszul relation.
+    Q = ring("x", "y")
+    gens = [poly(t, Q).vec for t in ("x", "y", "x + y")]
+    sizes = []
+    modulo = modules.modulo
+
+    def counted(gens, *args):
+        sizes.append(len(gens))
+        return modulo(gens, *args)
+
+    monkeypatch.setattr(modules, "modulo", counted)
+    m = modules.subquotient(FPModule(Q, (0,)), gens)
+    assert sizes == [2]
+    assert (m.twists, len(m.rels)) == ((1, 1), 1)
+
+
 def test_a_homology_modules_series_builds_no_second_basis(monkeypatch):
     # H^{-1} of K(x, y, z, w) over the twisted cubic's ring is k(-2)^3,
     # minimized with the Groebner basis of its relations.
