@@ -232,7 +232,7 @@ def check_composition(A: DGRingRep, args, config) -> dict:
     t_iter = iterated.homology_table()
     iter_ok = t_flat == t_iter
     tensor_ok = None
-    if A.underlying.is_termwise_free():
+    if A.is_termwise_free():
         tensored = dg_tensor(koszul(A, first), koszul(A, second))
         tensor_ok = t_flat == tensored.homology_table()
     ok = iter_ok and tensor_ok in (True, None)

@@ -11,7 +11,8 @@ j of the source over the generators of the target.
 Sign conventions, pinned once:
   * the rank-1 Koszul differential sends the degree -1 basis vector for a
     to the element a, and the Koszul complex on several elements is the
-    tensor product of these;
+    tensor product of these (koszul_complex builds it from subsets, with
+    the same order and signs);
   * Tot(C (x) D) uses d = d_C (x) 1 + (-1)^p 1 (x) d_D on C^p (x) D^q; it
     lives in tensor_complexes, the one place that builds a tensor product;
   * the dual of a complex of frees uses (-1)^(i+1) on the transpose;
@@ -20,6 +21,7 @@ Sign conventions, pinned once:
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -267,15 +269,15 @@ def koszul_complex(
     elements: Sequence[Polynomial],
     degrees: Sequence[int] | None = None,
 ) -> Complex:
-    """The Koszul complex K(a_1) (x) (K(a_2) (x) ... (K(a_n) (x) Q)) on the
-    given homogeneous elements of Q, where K(a) is Q(-deg a) -> Q sending
-    its generator to a, and Q is the rank-1 free complex in degree 0.
+    """The Koszul complex K(a_1) (x) ... (x) K(a_n) on the given homogeneous
+    elements of Q, where K(a) is Q(-deg a) -> Q sending its generator to a.
 
-    Terms sit in degrees [-n, 0].  By the block order of tensor_complexes,
-    which puts the subsets that hold a_1 first, the term in degree -k has
-    one generator per k-subset of the elements, subsets in lexicographic
-    order, twisted by the sum of the element degrees, and d(e_T) = sum over
-    positions l of (-1)^(l-1) a_{t_l} e_{T minus t_l}.
+    It is built in one pass from subsets, in the order and with the signs
+    of the iterated tensor_complexes.  Terms sit in degrees [-n, 0]; the
+    term in degree -k has one generator e_T per k-subset T of the elements,
+    subsets in lexicographic order, twisted by the sum of the element
+    degrees, and d(e_T) = sum over positions l of (-1)^(l-1) a_{t_l}
+    e_{T minus t_l}.
 
     Zero elements need an explicit degree (default 1): the cone of the
     zero map still carries a twist.
@@ -288,12 +290,22 @@ def koszul_complex(
         if d is None:
             d = degrees[idx] if degrees is not None else 1
         degs.append(d)
-    unit = FPModule(ring, (0,))
-    K = Complex(ring, {0: unit}, {})
-    for a, d in reversed(list(zip(elements, degs))):
-        rank_one = Complex(ring, {-1: FPModule(ring, (d,)), 0: unit}, {-1: (a.vec,)})
-        K = tensor_complexes(rank_one, K)
-    return K
+    field = ring.field
+    signed = [(a.vec, {t: field.neg(c) for t, c in a.vec.items()}) for a in elements]
+    n = len(elements)
+    terms = {0: FPModule(ring, (0,))}
+    diffs = {}
+    faces = {(): 0}  # the (k-1)-subsets, each to its position
+    for k in range(1, n + 1):
+        subsets = list(itertools.combinations(range(n), k))
+        diffs[-k] = tuple(
+            {(faces[T[:l] + T[l + 1:]], e): c
+             for l, t in enumerate(T) for (_, e), c in signed[t][l % 2].items()}
+            for T in subsets
+        )
+        terms[-k] = FPModule(ring, tuple(sum(degs[t] for t in T) for T in subsets))
+        faces = {T: j for j, T in enumerate(subsets)}
+    return Complex(ring, terms, diffs)
 
 
 def euler_series(K: Complex) -> HilbertSeries:

@@ -8,18 +8,22 @@ its Koszul lifts: the representatives in Q of every Koszul element below
 it, outermost last, or None when a trivial extension lies underneath.
 The DG multiplication is never stored as tables: every invariant in scope
 (homology, depth, amplitude, dimension, duality data) factors through the
-underlying complex and the Q-action.  The Koszul DG-ring of a ring on a
-basis of S_1, the variables among them, takes its homology series from
-the ring's minimal resolution (its Betti table) rather than from its
-differentials.
+underlying complex and the Q-action.
+
+The underlying complex is built when its terms, differentials or homology
+modules are first read.  Homology series (the homology table, inf, sup and
+amplitude) come from the smallest model at hand: on a ring and a basis of
+S_1, F (x)_S k for the ring's minimal resolution F; on lifts c otherwise,
+K(Q/(c'); c'') for their longest Q-regular prefix c' (regular_prefix),
+since K(Q; c') resolves Q/(c'); else the underlying complex itself.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .complexes import Complex, betti_table, koszul_complex, ring_resolution, tensor_complexes
-from .hilbert import HilbertSeries, table_json
+from .complexes import Complex, koszul_complex, ring_resolution, tensor_complexes
+from .hilbert import table_json
 from .linalg import Echelon
 from .modules import FPModule
 from .parse import parse_poly
@@ -29,15 +33,13 @@ from .rings import QuotientRing, substitute
 # Bound on the total rank (the number of generators over all terms) of a
 # Koszul or tensor complex, checked before any of its terms is built: K(A;
 # a_1..a_n) has rank(A) * 2^n generators and L (x) R has rank(L) * rank(R).
-# Homology is read from Hilbert series: for a ring and a basis of S_1 from
-# the ring's minimal resolution, otherwise one Groebner basis per
-# differential.  Measured one process at a time on a 2-vCPU Xeon at rank
-# 512: a koszul task on all variables of k[x0..x8] and of
-# k[x0..x8]/(x0x1 - x2x3, x4x5 - x6x7) took 0.01 s (0.03-0.12 s through
-# the differentials), one on nine copies of x over k[x,y] 0.03 s, and an
-# invariants task (depth at the irrelevant ideal and a regular-sequence
-# witness, whose stages still read their differentials) 0.12 s on either
-# ring.  The suite and the benchmark build at most rank 64.
+# Measured one process at a time on a 2-vCPU Xeon at rank 512, oracle off:
+# a koszul task on all variables of k[x0..x8] or of k[x0..x8]/(x0x1 - x2x3,
+# x4x5 - x6x7) took 0.001 s and built no complex, one on nine copies of x
+# over k[x,y] 0.008 s, and an invariants task (depth at the irrelevant
+# ideal and a regular-sequence witness, whose stages build their complexes
+# for the bottom homology module) 0.04-0.06 s on either ring.
+# The suite and the benchmark build at most rank 64.
 MAX_COMPLEX_RANK = 512
 
 
@@ -50,10 +52,6 @@ def _check_rank(rank: int, what: str) -> None:
         raise ComplexSizeError(
             f"{what} would have {rank} generators, above the bound {MAX_COMPLEX_RANK}"
         )
-
-
-def _total_rank(C: Complex) -> int:
-    return sum(t.rank for t in C.terms.values())
 
 
 class ElementOfH0:
@@ -108,23 +106,44 @@ def _as_element(x, ring: QuotientRing) -> ElementOfH0:
 
 
 class DGRingRep:
-    """A commutative non-positive DG-ring in the representable class."""
+    """A commutative non-positive DG-ring in the representable class.
 
-    def __init__(
-        self,
-        base: QuotientRing,
-        underlying: Complex,
-        h0: QuotientRing,
-        kind: str,
-        lifts: tuple | None,
-    ):
+    `build` makes the underlying complex, of total rank `rank`, when it is
+    first read.  It then takes its homology series from `model`, if given,
+    so that the truncation oracle checks the model against its differentials.
+    """
+
+    def __init__(self, base: QuotientRing, build, rank: int, h0: QuotientRing, kind: str,
+                 lifts: tuple | None, model: Complex | None = None):
         self.base = base
-        self.underlying = underlying
+        self.rank = rank
         self.h0 = h0
         self.kind = kind
         self.lifts = lifts
+        self._build = build
+        self._underlying: Complex | None = None
+        self._model = model
+        self._prefix: tuple | None = None
         self._koszul: dict = {}
         self._constant_amplitude: bool | None = None
+
+    @property
+    def underlying(self) -> Complex:
+        if self._underlying is None:
+            C = self._build()
+            if self._model is not None:
+                C._series.update((i, self._model.homology_series(i)) for i in C.support)
+            self._underlying = C
+        return self._underlying
+
+    @property
+    def model(self) -> Complex:
+        """The complex whose homology series are this DG-ring's."""
+        return self.underlying if self._model is None else self._model
+
+    def is_termwise_free(self) -> bool:
+        """Lifts make it a Koszul complex over Q, free in every term."""
+        return self.lifts is not None or self.underlying.is_termwise_free()
 
     # -- cohomology --
 
@@ -132,16 +151,16 @@ class DGRingRep:
         return self.underlying.homology(i)
 
     def homology_table(self):
-        return self.underlying.homology_table()
+        return self.model.homology_table()
 
     def inf(self):
-        return self.underlying.inf()
+        return self.model.inf()
 
     def sup(self):
-        return self.underlying.sup()
+        return self.model.sup()
 
     def amp(self):
-        return self.underlying.amp()
+        return self.model.amp()
 
     def irrelevant_ideal(self) -> list[ElementOfH0]:
         """The variable classes generating the irrelevant maximal ideal."""
@@ -171,8 +190,7 @@ class DGRingRep:
 # ---------- constructors ----------
 
 def dg_from_ring(Q: QuotientRing) -> DGRingRep:
-    underlying = Complex(Q, {0: FPModule(Q, (0,))}, {})
-    return DGRingRep(Q, underlying, Q, "ring", ())
+    return DGRingRep(Q, lambda: Complex(Q, {0: FPModule(Q, (0,))}, {}), 1, Q, "ring", ())
 
 
 def trivial_extension(Q: QuotientRing, M: FPModule, n: int) -> DGRingRep:
@@ -183,11 +201,46 @@ def trivial_extension(Q: QuotientRing, M: FPModule, n: int) -> DGRingRep:
     if M.ring != Q:
         raise ValueError("module must live over the base ring")
     pres = M.minimize()
-    terms = {0: FPModule(Q, (0,))}
-    if pres.rank > 0:
-        terms[-n] = pres
-    underlying = Complex(Q, terms, {})
-    return DGRingRep(Q, underlying, Q, "trivial-extension", None)
+    terms = {0: FPModule(Q, (0,)), -n: pres}
+    return DGRingRep(Q, lambda: Complex(Q, terms, {}), 1 + pres.rank, Q, "trivial-extension", None)
+
+
+def regular_prefix(ring: QuotientRing, elems: Sequence[ElementOfH0]) -> tuple[QuotientRing, int]:
+    """(ring/(e_1..e_k), k) for the longest prefix e_1..e_k of elems that is
+    a regular sequence on the ring, so that K(ring; elems) is
+    quasi-isomorphic to K(ring/(e_1..e_k); e_k+1..).  Each element is
+    tested on the quotient by the ones before it: e of degree d is regular
+    on R iff HS(R/(e)) = (1 - t^d) HS(R), as 0 -> (0 :_R e)(-d) -> R(-d) ->
+    R -> R/(e) -> 0 is exact."""
+    for k, e in enumerate(elems):
+        hs = ring.hilbert_series()
+        quotient = QuotientRing(ring.poly_ring, ring.j_gens + (e.rep,))
+        if quotient.hilbert_series() != hs - hs.shift(e.degree):
+            return ring, k
+        ring = quotient
+    return ring, len(elems)
+
+
+def _with_model(A: DGRingRep, more, build, rank: int, kind: str, h0_gens: tuple) -> DGRingRep:
+    """The DG-ring that `build` makes, on lifts c = A.lifts + more (None if
+    either is None), with the model K(Q/(c'); c''), c' resuming A's regular
+    prefix.  When c'' is empty, Q/(c) is H^0, the only homology."""
+    Q = A.base
+    if A.lifts is None or more is None:
+        return DGRingRep(Q, build, rank, QuotientRing(Q.poly_ring, h0_gens), kind, None)
+    if A._prefix is None:
+        A._prefix = regular_prefix(Q, A.lifts)
+    ring, k = A._prefix
+    if k == len(A.lifts):
+        ring, extra = regular_prefix(ring, more)
+        k += extra
+    lifts = A.lifts + more
+    rest = lifts[k:]
+    model = koszul_complex(ring, [e.rep for e in rest], [e.degree for e in rest]) if k else None
+    h0 = QuotientRing(Q.poly_ring, h0_gens) if rest else ring
+    B = DGRingRep(Q, build, rank, h0, kind, lifts, model)
+    B._prefix = ring, k
+    return B
 
 
 def _is_basis_of_linear_forms(Q: QuotientRing, elems: tuple) -> bool:
@@ -204,41 +257,47 @@ def _is_basis_of_linear_forms(Q: QuotientRing, elems: tuple) -> bool:
 def koszul(A: DGRingRep, elems: Sequence) -> DGRingRep:
     """The Koszul DG-ring K(A; elems) on classes of H^0(A).
 
-    Realized as Tot(underlying(A) (x) K(Q; lifts)); the Koszul factor is
-    termwise free over Q, so no further resolution is needed.  An empty
-    element list returns A itself.  The result is memoized on A, keyed by
-    the representatives and degrees, so every reader of K(A; elems) shares
-    one complex and its homology.
+    Realized as Tot(underlying(A) (x) K(Q; lifts)), built when first read;
+    the Koszul factor is termwise free over Q, so no further resolution is
+    needed.  An empty element list returns A itself.  The result is
+    memoized on A, keyed by the representatives and degrees, so every
+    reader of K(A; elems) shares one complex and its homology.
 
+    Its homology series come from the smallest model (module docstring).
     On a nonzero ring Q = S/J and a basis l of S_1, K(S; l) resolves k, so
     H^{-i}(K(Q; l)) = Tor_i^S(Q, k), whose Hilbert series is the Betti row
-    sum_j beta_ij t^j of Q's minimal resolution (balancing of Tor).  The
-    homology series are then read from ring_resolution, with no Groebner
-    basis of a Koszul differential; the complex is still built, for the
-    homology modules and the truncation oracle.
+    sum_j beta_ij t^j of Q's minimal resolution (balancing of Tor), with no
+    Groebner basis of a Koszul differential.
     """
     elems = tuple(_as_element(e, A.base) for e in elems)
     if not elems:
         return A
     if elems not in A._koszul:
-        _check_rank(_total_rank(A.underlying) * 2 ** len(elems), "the Koszul complex")
-        K = koszul_complex(
-            A.base, [e.rep for e in elems], degrees=[e.degree for e in elems]
-        )
-        underlying = tensor_complexes(A.underlying, K)
+        rank = A.rank * 2 ** len(elems)
+        _check_rank(rank, "the Koszul complex")
         Q = A.base
+
+        def build():
+            K = koszul_complex(Q, [e.rep for e in elems], degrees=[e.degree for e in elems])
+            return tensor_complexes(A.underlying, K)
+
+        h0_gens = A.h0.j_gens + tuple(e.rep for e in elems)
         if A.kind == "ring" and _is_basis_of_linear_forms(Q, elems) and not Q.is_trivial():
-            betti = betti_table(ring_resolution(Q))
-            for i in underlying.support:
-                underlying._series[i] = HilbertSeries(betti.get(-i, {}), 0)
-        h0 = QuotientRing(A.base.poly_ring, A.h0.j_gens + tuple(e.rep for e in elems))
-        lifts = None if A.lifts is None else A.lifts + elems
-        A._koszul[elems] = DGRingRep(A.base, underlying, h0, "koszul", lifts)
+            # F (x)_S k for Q's minimal resolution F, whose differential is zero.
+            k = QuotientRing(Q.poly_ring, [e.rep for e in elems])
+            terms = ring_resolution(Q).terms.items()
+            model = Complex(k, {i: FPModule(k, t.twists) for i, t in terms}, {})
+            h0 = QuotientRing(Q.poly_ring, h0_gens)
+            K = DGRingRep(Q, build, rank, h0, "koszul", elems, model)
+        else:
+            K = _with_model(A, elems, build, rank, "koszul", h0_gens)
+        A._koszul[elems] = K
     return A._koszul[elems]
 
 
 def dg_tensor(L: DGRingRep, R: DGRingRep) -> DGRingRep:
-    """Derived tensor product over the common ring base.
+    """Derived tensor product over the common ring base, built when first
+    read.
 
     Only supported when both factors live over the same base ring, where
     the Koszul factors are termwise free and the plain tensor computes the
@@ -246,15 +305,12 @@ def dg_tensor(L: DGRingRep, R: DGRingRep) -> DGRingRep:
     """
     if L.base != R.base:
         raise ValueError("tensor factors must share the base ring")
-    if not (L.underlying.is_termwise_free() or R.underlying.is_termwise_free()):
+    rank = L.rank * R.rank
+    _check_rank(rank, "the tensor product")
+    if not (L.is_termwise_free() or R.is_termwise_free()):
         raise ValueError("one tensor factor must be termwise free")
-    _check_rank(
-        _total_rank(L.underlying) * _total_rank(R.underlying), "the tensor product"
-    )
-    underlying = tensor_complexes(L.underlying, R.underlying)
-    h0 = QuotientRing(L.base.poly_ring, L.h0.j_gens + R.h0.j_gens)
-    lifts = None if L.lifts is None or R.lifts is None else L.lifts + R.lifts
-    return DGRingRep(L.base, underlying, h0, "tensor", lifts)
+    return _with_model(L, R.lifts, lambda: tensor_complexes(L.underlying, R.underlying),
+                       rank, "tensor", L.h0.j_gens + R.h0.j_gens)
 
 
 class RingMap:

@@ -4,11 +4,12 @@ ambient polynomial ring that complexes.py computes.
 
 "Dualizing" is by construction (the shifted Hom of a minimal free
 resolution over S); the self-Hom axioms are classical facts about that
-model and are not re-verified mechanically.  Isomorphism testing between a
-dual and a Koszul complex is done at declared comparison levels: Hilbert
-series per degree (up to one uniform twist), annihilator equality for
-cyclic top homology, and explicit chain isomorphisms where the statement
-provides one.
+model and are not re-verified mechanically.  The dualizing DG-module of a
+Koszul DG-ring is built over S/(a'), a' the S-regular prefix of its lifts.
+Isomorphism testing between a dual and a Koszul complex is done at
+declared comparison levels: Hilbert series per degree (up to one uniform
+twist), annihilator equality for cyclic top homology, and explicit chain
+isomorphisms where the statement provides one.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .complexes import (
     ring_resolution,
     tensor_complexes,
 )
-from .dgring import DGRingRep
+from .dgring import DGRingRep, regular_prefix
 from .hilbert import table_json
+from .modules import FPModule
 from .rings import QuotientRing
 
 
@@ -55,14 +57,19 @@ def dualizing_complex(Q: QuotientRing) -> Complex:
 
 
 def dualizing_of_koszul(K: DGRingRep) -> Complex:
-    """The dualizing DG-module of a Koszul DG-ring over a ring base,
-    computed over S as Tot(K_S(lifts) (x) R)[-n] with R the normalized
-    dualizing complex of the base ring."""
+    """The dualizing DG-module Tot(K_S(a) (x) R)[-n] of a Koszul DG-ring
+    over a ring base, on its lifts a, with R the normalized dualizing
+    complex of the base ring.  K_S(a') resolves S' = S/(a') for the longest
+    S-regular prefix a' of a, so it is built over S' as the quasi-isomorphic
+    Tot(K_S'(a'') (x) R')[-n], where R' has R's twists and differentials
+    over S'.  Its homology modules are S'-modules."""
     if K.lifts is None or K.kind != "koszul":
         raise ValueError("expected a Koszul DG-ring over a ring")
-    S = QuotientRing(K.base.poly_ring, ())
-    KS = koszul_complex(S, [e.rep for e in K.lifts], degrees=[e.degree for e in K.lifts])
+    S, k = regular_prefix(QuotientRing(K.base.poly_ring, ()), K.lifts)
+    rest = K.lifts[k:]
+    KS = koszul_complex(S, [e.rep for e in rest], degrees=[e.degree for e in rest])
     R = dualizing_complex(K.base)
+    R = Complex(S, {i: FPModule(S, t.twists) for i, t in R.terms.items()}, R.diffs)
     return tensor_complexes(KS, R).shift(-len(K.lifts))
 
 
@@ -207,7 +214,7 @@ def gorenstein_dg_check(K: DGRingRep) -> dict:
             closure_k = QuotientRing(
                 S_poly, tuple(hk.annihilator()) + K.base.j_gens
             )
-            closure_d = QuotientRing(S_poly, tuple(hd.annihilator()))
+            closure_d = QuotientRing(S_poly, tuple(hd.annihilator()) + hd.ring.j_gens)
             ann_equal = closure_k == closure_d
             level = "hilbert-series+annihilator"
     if goren_ring and match is not None and ann_equal in (True, None):

@@ -37,8 +37,7 @@ def sentinel_json(x):
 
 def amp_profile(A: DGRingRep):
     """(inf, sup, amp) of the cohomology, with sentinels for acyclic input."""
-    u = A.underlying
-    return u.inf(), u.sup(), u.amp()
+    return A.inf(), A.sup(), A.amp()
 
 
 def lcdim(A: DGRingRep):

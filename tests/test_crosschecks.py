@@ -9,7 +9,18 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgkoszul import FPModule, PrimeField, RationalField, koszul, dg_from_ring, subquotient
+from dgkoszul import (
+    ElementOfH0,
+    FPModule,
+    PrimeField,
+    RationalField,
+    dg_from_ring,
+    dualizing_complex,
+    dualizing_of_koszul,
+    koszul,
+    subquotient,
+    tensor_complexes,
+)
 from dgkoszul import groebner as gb
 from dgkoszul.complexes import (
     _monomials_of_degree,
@@ -233,3 +244,60 @@ def test_the_rational_normal_curves_betti_table_is_eagon_northcott(field, d):
     Q = _rational_normal_curve(d, field)
     expected = {0: {0: 1}, **{i: {i + 1: i * comb(d, i + 1)} for i in range(1, d)}}
     assert betti_table(free_resolution(FPModule(Q, (0,)))) == expected
+
+
+SMALL_RINGS = {
+    "twisted-cubic": (("x", "y", "z", "w"), ["x*z - y^2", "y*w - z^2", "x*w - y*z"]),
+    "quadric": (("x", "y", "z", "w"), ["x*y - z*w"]),
+    "plane": (("x", "y", "z"), []),
+}
+
+
+@st.composite
+def _koszul_elements(draw):
+    """A ring of SMALL_RINGS over F_101 and 1-4 Koszul elements: forms of
+    degree 1 or 2, zeros with a declared degree, repeats of an earlier
+    element, and elements of J."""
+    names, ideal = SMALL_RINGS[draw(st.sampled_from(sorted(SMALL_RINGS)))]
+    Q = quotient_ring_from_strings(names, ideal, PrimeField(101))
+    R = Q.poly_ring
+
+    def form(degree):
+        monos = st.sampled_from(_monomials_of_degree(R.nvars, degree))
+        return R.poly(draw(st.dictionaries(monos, st.integers(1, 100), min_size=1, max_size=3)))
+
+    elems = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("form", "zero", "repeat", "ideal")))
+        if kind == "zero":
+            elems.append(ElementOfH0(R.zero, degree=draw(st.integers(-1, 3))))
+        elif kind == "repeat" and elems:
+            elems.append(draw(st.sampled_from(elems)))
+        elif kind == "ideal" and Q.j_gens:
+            g = draw(st.sampled_from(Q.j_gens))
+            elems.append(ElementOfH0(g * form(1) if draw(st.booleans()) else g))
+        else:
+            elems.append(ElementOfH0(form(draw(st.integers(1, 2)))))
+    return Q, elems
+
+
+@settings(max_examples=30, deadline=None)
+@given(_koszul_elements(), st.integers(0, 4))
+def test_koszul_homology_and_its_dual_from_the_model_match_the_full_complexes(case, split):
+    # dgring.koszul reads the homology of K(Q; a) from K(Q/(a'); a'') for
+    # the Q-regular prefix a' of a, and the dual is built over S/(a') for
+    # the S-regular prefix.  The references are the whole complexes over
+    # Q and over S, read through their differentials.  The iterated
+    # K(K(Q; a_1..a_s); a_s+1..) resumes the regular prefix of the first.
+    Q, elems = case
+    reps, degrees = [e.rep for e in elems], [e.degree for e in elems]
+    table = koszul_complex(Q, reps, degrees).homology_table()
+    A = dg_from_ring(Q)
+    K = koszul(A, elems)
+    assert K.homology_table() == table
+    split = min(split, len(elems))
+    assert koszul(koszul(A, elems[:split]), elems[split:]).homology_table() == table
+    S = QuotientRing(Q.poly_ring, ())
+    KS = koszul_complex(S, reps, degrees)
+    dual = tensor_complexes(KS, dualizing_complex(Q)).shift(-len(elems))
+    assert dualizing_of_koszul(K).homology_table() == dual.homology_table()

@@ -223,6 +223,17 @@ def test_a_dg_ring_records_its_kind_and_its_koszul_lifts():
     assert [e.rep for e in K.lifts] == [poly("x", Q), poly("y", Q), poly("z", Q)]
 
 
+def test_an_iterated_koszul_ring_resumes_the_regular_prefix_only_where_it_did_not_stop():
+    # On k[x, y, z] the regular prefix of x, x stops at the second x, and
+    # so must the prefix of every ring above it: the homology is that of
+    # K(Q/(x); x, y^2), with H^-1 = k[z](-1) and not k[z](-2).
+    Q = ring("x", "y", "z")
+    A = dg_from_ring(Q)
+    flat = koszul_complex(Q, [poly(t, Q) for t in ("x", "x", "y^2")]).homology_table()
+    assert koszul(koszul(A, ["x", "x"]), ["y^2"]).homology_table() == flat
+    assert dg_tensor(koszul(A, ["x", "x"]), koszul(A, ["y^2"])).homology_table() == flat
+
+
 def test_a_koszul_ring_over_a_trivial_extension_has_no_lifts():
     B = ring("x", "y", ideal=["x*y"])
     ext = trivial_extension(B, FPModule(B, (0,)), 1)

@@ -282,7 +282,9 @@ def test_invariant_report_shape():
     assert rep["witness"]["elements"]
 
 
-def test_invariants_build_the_koszul_complex_at_the_irrelevant_ideal_once(monkeypatch):
+def test_invariants_build_no_koszul_complex_at_the_irrelevant_ideal(monkeypatch):
+    # The depth at the irrelevant ideal reads K(A; variables) from the
+    # ring's Betti table, and nothing reads its terms or differentials.
     import dgkoszul.dgring
 
     built = []
@@ -295,7 +297,7 @@ def test_invariants_build_the_koszul_complex_at_the_irrelevant_ideal_once(monkey
     monkeypatch.setattr(dgkoszul.dgring, "koszul_complex", counting)
     cubic = dg_from_ring(ring("a", "b", "c", "d", ideal=["a*c - b^2", "b*d - c^2", "a*d - b*c"]))
     rep = compute_invariants(cubic, with_witness=False)
-    assert len(built) == 1
+    assert len(built) == 0
     assert rep["depth_at_irrelevant"] == 2 and rep["local_cm"] is True
 
 

@@ -34,6 +34,7 @@ from dgkoszul import groebner as gb
 from dgkoszul.linalg import Echelon
 from dgkoszul.poly import vec_offset
 from dgkoszul.checks import CheckInputError, run_check
+from dgkoszul import jobs
 from dgkoszul.jobs import RunConfig, run_job
 
 
@@ -195,6 +196,30 @@ def test_koszul_homology_on_a_basis_of_linear_forms_builds_no_differential_basis
     assert calls[0] == 0
 
 
+def test_a_koszul_task_on_a_basis_of_linear_forms_builds_no_koszul_complex(monkeypatch):
+    # With the oracle off nothing reads the complex's terms or differentials.
+    job = {
+        "vars": ["x", "y", "z", "w"],
+        "ideal": TWISTED_CUBIC,
+        "tasks": [{"task": "koszul", "elements": ["x", "y", "z", "w"], "oracle_depth": 0}],
+    }
+    calls = _count(monkeypatch, "koszul_complex", complexes, dgring, duality)
+    report = run_job(job)
+    assert report["results"][0]["result"]["amp"] == 2
+    assert calls[0] == 0
+
+
+def test_a_regular_sequence_reads_its_homology_from_h0(monkeypatch):
+    # x, w is a regular sequence on the twisted cubic's ring: H^0 = Q/(x, w)
+    # is the only homology, and the regular-prefix test already computed
+    # its Groebner basis.
+    K = koszul(dg_from_ring(ring("x", "y", "z", "w", ideal=TWISTED_CUBIC)), ["x", "w"])
+    table = K.homology_table()
+    calls = _count(monkeypatch, "buchberger", gb)
+    assert list(table) == [0] and K.h0.hilbert_series() == table[0]
+    assert calls[0] == 0
+
+
 @pytest.mark.parametrize(
     "elements", [["x", "y", "z"], ["x", "x", "y", "z"]], ids=["too-few", "dependent"]
 )
@@ -286,3 +311,60 @@ def test_a_refused_duality_input_builds_nothing(monkeypatch):
     with pytest.raises(ValueError, match="^expected a Koszul DG-ring over a ring$"):
         gorenstein_dg_check(dg_from_ring(B))
     assert (tensors[0], resolutions[0]) == (0, 0)
+
+
+def _pfaffians():
+    """The five 4x4 Pfaffians of a generic 5x5 skew matrix: Gorenstein of
+    codimension 3, Betti 1, 5, 5, 1."""
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    names = [f"a{i}{j}" for i, j in pairs]
+    ideal = []
+    for skip in range(5):
+        i, j, k, l = (r for r in range(5) if r != skip)
+        ideal.append(f"a{i}{j}*a{k}{l} - a{i}{k}*a{j}{l} + a{i}{l}*a{j}{k}")
+    return names, ideal
+
+
+def test_the_pfaffian_gorenstein_transfer_builds_nothing_over_s_above_the_rank_of_r(monkeypatch):
+    # a01, a02 are S-regular, so the dual of K(Q; a01, a02) is R (x) S/(a01,
+    # a02), of the rank of R, where Tot(K_S(a01, a02) (x) R) has 4 times it.
+    names, ideal = _pfaffians()
+    job = {
+        "vars": names,
+        "ideal": ideal,
+        "tasks": [{"task": "check", "name": "gorenstein_transfer", "elements": ["a01", "a02"]}],
+    }
+    over_s = []
+    init = Complex.__init__
+
+    def recording(self, ring, terms, diffs):
+        init(self, ring, terms, diffs)
+        if not ring.j_gens:
+            over_s.append(sum(t.rank for t in self.terms.values()))
+
+    monkeypatch.setattr(Complex, "__init__", recording)
+    report = run_job(job)
+    assert report["results"][0]["result"]["verdict"] == "PASS"
+    assert max(over_s) == 1 + 5 + 5 + 1
+
+
+def test_an_all_variable_duality_task_dualizes_over_a_ring_where_every_variable_is_zero(
+    monkeypatch,
+):
+    # The variables of the rational normal quintic's ambient ring are
+    # S-regular, so its dual is built over S/(x0..x5) = k.
+    names = [f"x{i}" for i in range(6)]
+    minors = [f"x{i}*x{j + 1} - x{j}*x{i + 1}" for i in range(5) for j in range(i + 1, 5)]
+    job = {"vars": names, "ideal": minors, "tasks": [{"task": "duality", "elements": names}]}
+    duals = []
+    dual = jobs.dualizing_of_koszul
+
+    def recording(K):
+        duals.append(dual(K))
+        return duals[-1]
+
+    monkeypatch.setattr(jobs, "dualizing_of_koszul", recording)
+    report = run_job(job)
+    assert report["results"][0]["result"]["amp_equal"] is True
+    (D,) = duals
+    assert all(D.ring.is_zero(D.ring.poly_ring.var(i)) for i in range(len(names)))
