@@ -283,11 +283,11 @@ def koszul(A: DGRingRep, elems: Sequence) -> DGRingRep:
 
         h0_gens = A.h0.j_gens + tuple(e.rep for e in elems)
         if A.kind == "ring" and _is_basis_of_linear_forms(Q, elems) and not Q.is_trivial():
-            # F (x)_S k for Q's minimal resolution F, whose differential is zero.
-            k = QuotientRing(Q.poly_ring, [e.rep for e in elems])
-            terms = ring_resolution(Q).terms.items()
-            model = Complex(k, {i: FPModule(k, t.twists) for i, t in terms}, {})
+            # F (x)_S k for Q's minimal resolution F, whose differential is
+            # zero; k = S/(l) is H^0 = Q/(l).
             h0 = QuotientRing(Q.poly_ring, h0_gens)
+            terms = ring_resolution(Q).terms.items()
+            model = Complex(h0, {i: FPModule(h0, t.twists) for i, t in terms}, {})
             K = DGRingRep(Q, build, rank, h0, "koszul", elems, model)
         else:
             K = _with_model(A, elems, build, rank, "koszul", h0_gens)
