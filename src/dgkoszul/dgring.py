@@ -11,11 +11,13 @@ The DG multiplication is never stored as tables: every invariant in scope
 underlying complex and the Q-action.
 
 The underlying complex is built when its terms, differentials or homology
-modules are first read.  Homology series (the homology table, inf, sup and
-amplitude) come from the smallest model at hand: on a ring and a basis of
-S_1, F (x)_S k for the ring's minimal resolution F; on lifts c otherwise,
-K(Q/(c'); c'') for their longest Q-regular prefix c' (regular_prefix),
-since K(Q; c') resolves Q/(c'); else the underlying complex itself.
+modules are first read.  A Koszul DG-ring's homology series (the homology
+table, inf, sup and amplitude) come from the smallest model at hand: on a
+ring and a basis of S_1, F (x)_S k for the ring's minimal resolution F; on
+lifts c otherwise, K(Q/(c'); c'') for their longest Q-regular prefix c'
+(regular_prefix), since K(Q; c') resolves Q/(c').  Every other DG-ring,
+and the underlying complex itself, reads them through its differentials,
+so a check can set the model against the built complex.
 """
 
 from __future__ import annotations
@@ -109,8 +111,9 @@ class DGRingRep:
     """A commutative non-positive DG-ring in the representable class.
 
     `build` makes the underlying complex, of total rank `rank`, when it is
-    first read.  It then takes its homology series from `model`, if given,
-    so that the truncation oracle checks the model against its differentials.
+    first read.  The homology series come from `model`, if given, a
+    complex quasi-isomorphic to the underlying one; the underlying complex
+    keeps its own, read through its differentials.
     """
 
     def __init__(self, base: QuotientRing, build, rank: int, h0: QuotientRing, kind: str,
@@ -130,10 +133,7 @@ class DGRingRep:
     @property
     def underlying(self) -> Complex:
         if self._underlying is None:
-            C = self._build()
-            if self._model is not None:
-                C._series.update((i, self._model.homology_series(i)) for i in C.support)
-            self._underlying = C
+            self._underlying = self._build()
         return self._underlying
 
     @property
@@ -221,26 +221,26 @@ def regular_prefix(ring: QuotientRing, elems: Sequence[ElementOfH0]) -> tuple[Qu
     return ring, len(elems)
 
 
-def _with_model(A: DGRingRep, more, build, rank: int, kind: str, h0_gens: tuple) -> DGRingRep:
-    """The DG-ring that `build` makes, on lifts c = A.lifts + more (None if
-    either is None), with the model K(Q/(c'); c''), c' resuming A's regular
-    prefix.  When c'' is empty, Q/(c) is H^0, the only homology."""
+def _with_model(A: DGRingRep, elems: tuple, build, rank: int, h0_gens: tuple) -> DGRingRep:
+    """K(A; elems), which `build` makes, on lifts c = A.lifts + elems (None
+    under a trivial extension), with the model K(Q/(c'); c''), c' resuming
+    A's regular prefix.  When c'' is empty, Q/(c) is H^0, the only homology."""
     Q = A.base
-    if A.lifts is None or more is None:
-        return DGRingRep(Q, build, rank, QuotientRing(Q.poly_ring, h0_gens), kind, None)
+    if A.lifts is None:
+        return DGRingRep(Q, build, rank, QuotientRing(Q.poly_ring, h0_gens), "koszul", None)
     if A._prefix is None:
         A._prefix = regular_prefix(Q, A.lifts)
     ring, k = A._prefix
     if k == len(A.lifts):
-        ring, extra = regular_prefix(ring, more)
+        ring, extra = regular_prefix(ring, elems)
         k += extra
-    lifts = A.lifts + more
+    lifts = A.lifts + elems
     rest = lifts[k:]
     model = koszul_complex(ring, [e.rep for e in rest], [e.degree for e in rest]) if k else None
     h0 = QuotientRing(Q.poly_ring, h0_gens) if rest else ring
-    B = DGRingRep(Q, build, rank, h0, kind, lifts, model)
-    B._prefix = ring, k
-    return B
+    K = DGRingRep(Q, build, rank, h0, "koszul", lifts, model)
+    K._prefix = ring, k
+    return K
 
 
 def _is_basis_of_linear_forms(Q: QuotientRing, elems: tuple) -> bool:
@@ -290,7 +290,7 @@ def koszul(A: DGRingRep, elems: Sequence) -> DGRingRep:
             model = Complex(h0, {i: FPModule(h0, t.twists) for i, t in terms}, {})
             K = DGRingRep(Q, build, rank, h0, "koszul", elems, model)
         else:
-            K = _with_model(A, elems, build, rank, "koszul", h0_gens)
+            K = _with_model(A, elems, build, rank, h0_gens)
         A._koszul[elems] = K
     return A._koszul[elems]
 
@@ -309,8 +309,10 @@ def dg_tensor(L: DGRingRep, R: DGRingRep) -> DGRingRep:
     _check_rank(rank, "the tensor product")
     if not (L.is_termwise_free() or R.is_termwise_free()):
         raise ValueError("one tensor factor must be termwise free")
-    return _with_model(L, R.lifts, lambda: tensor_complexes(L.underlying, R.underlying),
-                       rank, "tensor", L.h0.j_gens + R.h0.j_gens)
+    h0 = QuotientRing(L.base.poly_ring, L.h0.j_gens + R.h0.j_gens)
+    lifts = None if L.lifts is None or R.lifts is None else L.lifts + R.lifts
+    return DGRingRep(L.base, lambda: tensor_complexes(L.underlying, R.underlying),
+                     rank, h0, "tensor", lifts)
 
 
 class RingMap:

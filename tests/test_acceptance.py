@@ -92,7 +92,11 @@ def test_criterion_03_composition_and_lift_independence():
             iterated = koszul(koszul(A, first), second)
             tensored = dg_tensor(koszul(A, first), koszul(A, second))
             t = flat.homology_table()
-            for other in (iterated.homology_table(), tensored.homology_table()):
+            for other in (
+                iterated.homology_table(),
+                tensored.homology_table(),
+                iterated.underlying.homology_table(),
+            ):
                 assert set(t) == set(other)
                 for i in t:
                     assert t[i] == other[i]

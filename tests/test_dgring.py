@@ -16,8 +16,11 @@ from dgkoszul import (
 )
 from dgkoszul.complexes import Complex, koszul_complex, tensor_complexes
 from dgkoszul import dgring
+from dgkoszul.checks import run_check
 from dgkoszul.dgring import MAX_COMPLEX_RANK, ComplexSizeError
+from dgkoszul.jobs import RunConfig, run_job
 from dgkoszul.poly import RingMismatchError
+from dgkoszul.rings import QuotientRing
 
 
 def _tables_equal(a, b):
@@ -89,6 +92,7 @@ def test_composition_homology_agrees():
     iterated = koszul(koszul(A, ["x"]), ["y"])
     flat = koszul(A, ["x", "y"])
     assert _tables_equal(iterated.homology_table(), flat.homology_table())
+    assert _tables_equal(iterated.underlying.homology_table(), flat.homology_table())
 
 
 def test_tensor_route_agrees():
@@ -96,6 +100,34 @@ def test_tensor_route_agrees():
     T = dg_tensor(koszul(A, ["x"]), koszul(A, ["y", "z"]))
     flat = koszul(A, ["x", "y", "z"])
     assert _tables_equal(T.homology_table(), flat.homology_table())
+    # A tensor product has no model: its table is its complex's.
+    assert T.model is T.underlying
+
+
+def _every_element_regular(ring, elems):
+    return QuotientRing(ring.poly_ring, ring.j_gens + tuple(e.rep for e in elems)), len(elems)
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["model", "wrong-model"])
+def test_the_composition_check_and_the_oracle_catch_a_wrong_model(monkeypatch, broken):
+    # x is a zero divisor on k[x,y,z]/(xy), so K(Q; x, y) has H^-1 != 0.  A
+    # regular-prefix test that calls every element regular models it by
+    # Q/(x, y) alone.  The composition check reads the iterated and
+    # tensored complexes, and a koszul task's oracle the built complex,
+    # through their differentials, so both fail on the wrong model.
+    if broken:
+        monkeypatch.setattr(dgring, "regular_prefix", _every_element_regular)
+    A = dg_from_ring(ring("x", "y", "z", ideal=["x*y"]))
+    rep = run_check("composition", A, {"first": ["x"], "second": ["y"]}, RunConfig())
+    assert (rep["verdict"], rep["iterated_equal"], rep["tensor_equal"]) == (
+        ("FAIL", False, False) if broken else ("PASS", True, True)
+    )
+    job = {
+        "vars": ["x", "y", "z"],
+        "ideal": ["x*y"],
+        "tasks": [{"task": "koszul", "elements": ["x", "y"], "oracle_depth": 4}],
+    }
+    assert run_job(job)["results"][0]["result"]["oracle"]["agrees"] is not broken
 
 
 def test_koszul_bounds_and_h0():
