@@ -7,17 +7,23 @@ ring, its kind ("ring", "koszul", "trivial-extension" or "tensor") and
 its Koszul lifts: the representatives in Q of every Koszul element below
 it, outermost last, or None when a trivial extension lies underneath.
 The DG multiplication is never stored as tables: every invariant in scope
-(homology, depth, amplitude, dimension, duality data) factors through the
-underlying complex and the Q-action.
+(homology, depth, amplitude, dimension, duality data) factors through a
+complex of Q-modules and the Q-action.
 
-The underlying complex is built when its terms, differentials or homology
-modules are first read.  A Koszul DG-ring's homology series (the homology
-table, inf, sup and amplitude) come from the smallest model at hand: on a
-ring and a basis of S_1, F (x)_S k for the ring's minimal resolution F; on
-lifts c otherwise, K(Q/(c'); c'') for their longest Q-regular prefix c'
-(regular_prefix), since K(Q; c') resolves Q/(c').  Every other DG-ring,
-and the underlying complex itself, reads them through its differentials,
-so a check can set the model against the built complex.
+The underlying complex is built when it is first read.  All homology of
+a DG-ring, series and modules (homology, homology_table, inf, sup, amp),
+is read from its model, the smallest quasi-isomorphic complex at hand:
+on a ring and a basis of S_1, F (x)_S k for the ring's minimal
+resolution F; on lifts c otherwise, K(Q/(c'); c'') for their longest
+Q-regular prefix c' (regular_prefix), as K(Q; c') resolves Q/(c'); else
+the underlying complex.  A model's H^i is H^i(underlying) as a Q-module
+up to isomorphism, but may live over Q/(c') or k: a reader that closes
+its annihilator in S adds the J of the module's own ring.  The built
+complex is read only by the truncation oracle and oracle_basis_size,
+self_duality_check and validate, the builds of further Koszul and tensor
+complexes, is_termwise_free above a trivial extension, and four
+cross-checks: composition, base change, Euler characteristic and the
+trivial-extension discrepancy.
 """
 
 from __future__ import annotations
@@ -39,8 +45,8 @@ from .rings import QuotientRing, substitute
 # a koszul task on all variables of k[x0..x8] or of k[x0..x8]/(x0x1 - x2x3,
 # x4x5 - x6x7) took 0.001 s and built no complex, one on nine copies of x
 # over k[x,y] 0.008 s, and an invariants task (depth at the irrelevant
-# ideal and a regular-sequence witness, whose stages build their complexes
-# for the bottom homology module) 0.04-0.06 s on either ring.
+# ideal and a regular-sequence witness, whose stages read their bottom
+# homology modules from their models) 0.04-0.05 s on either ring.
 # The suite and the benchmark build at most rank 64.
 MAX_COMPLEX_RANK = 512
 
@@ -111,9 +117,9 @@ class DGRingRep:
     """A commutative non-positive DG-ring in the representable class.
 
     `build` makes the underlying complex, of total rank `rank`, when it is
-    first read.  The homology series come from `model`, if given, a
-    complex quasi-isomorphic to the underlying one; the underlying complex
-    keeps its own, read through its differentials.
+    first read.  All homology comes from `model`, if given, a complex
+    quasi-isomorphic to the underlying one, and from the underlying
+    complex otherwise.
     """
 
     def __init__(self, base: QuotientRing, build, rank: int, h0: QuotientRing, kind: str,
@@ -138,7 +144,7 @@ class DGRingRep:
 
     @property
     def model(self) -> Complex:
-        """The complex whose homology series are this DG-ring's."""
+        """The complex whose homology is this DG-ring's."""
         return self.underlying if self._model is None else self._model
 
     def is_termwise_free(self) -> bool:
@@ -148,7 +154,7 @@ class DGRingRep:
     # -- cohomology --
 
     def homology(self, i: int) -> FPModule:
-        return self.underlying.homology(i)
+        return self.model.homology(i)
 
     def homology_table(self):
         return self.model.homology_table()
@@ -176,10 +182,7 @@ class DGRingRep:
         h = self.underlying.homology(0)
         if h.hilbert_series() != self.h0.hilbert_series():
             raise AssertionError("H^0 Hilbert series disagrees with h0")
-        closure = QuotientRing(
-            self.base.poly_ring,
-            tuple(h.annihilator()) + self.base.j_gens,
-        )
+        closure = QuotientRing(h.ring.poly_ring, tuple(h.annihilator()) + h.ring.j_gens)
         if closure != self.h0:
             raise AssertionError("H^0 annihilator disagrees with h0")
 
@@ -261,9 +264,8 @@ def koszul(A: DGRingRep, elems: Sequence) -> DGRingRep:
     the Koszul factor is termwise free over Q, so no further resolution is
     needed.  An empty element list returns A itself.  The result is
     memoized on A, keyed by the representatives and degrees, so every
-    reader of K(A; elems) shares one complex and its homology.
-
-    Its homology series come from the smallest model (module docstring).
+    reader of K(A; elems) shares one complex and its homology, which
+    comes from the smallest model (module docstring).
     On a nonzero ring Q = S/J and a basis l of S_1, K(S; l) resolves k, so
     H^{-i}(K(Q; l)) = Tor_i^S(Q, k), whose Hilbert series is the Betti row
     sum_j beta_ij t^j of Q's minimal resolution (balancing of Tor), with no

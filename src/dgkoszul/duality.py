@@ -211,9 +211,7 @@ def gorenstein_dg_check(K: DGRingRep) -> dict:
         hk = K.homology(top_k)
         if hd.rank == 1 and hk.rank == 1:
             S_poly = K.base.poly_ring
-            closure_k = QuotientRing(
-                S_poly, tuple(hk.annihilator()) + K.base.j_gens
-            )
+            closure_k = QuotientRing(S_poly, tuple(hk.annihilator()) + hk.ring.j_gens)
             closure_d = QuotientRing(S_poly, tuple(hd.annihilator()) + hd.ring.j_gens)
             ann_equal = closure_k == closure_d
             level = "hilbert-series+annihilator"

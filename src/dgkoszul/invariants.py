@@ -50,7 +50,7 @@ def _bottom_homology(A: DGRingRep):
     lo = A.inf()
     if lo == POS_INF:
         raise AcyclicModuleError("regularity is undefined for acyclic modules")
-    return lo, A.underlying.homology(lo)
+    return lo, A.homology(lo)
 
 
 def _times(x: ElementOfH0, h: FPModule) -> list:
@@ -235,7 +235,7 @@ def has_constant_amplitude(A: DGRingRep) -> bool:
     if A._constant_amplitude is None:
         lo = A.inf()
         A._constant_amplitude = lo == POS_INF or all(
-            A.h0.is_nilpotent(g) for g in A.underlying.homology(lo).annihilator()
+            A.h0.is_nilpotent(g) for g in A.homology(lo).annihilator()
         )
     return A._constant_amplitude
 

@@ -14,10 +14,13 @@ from dgkoszul import (
     FPModule,
     PrimeField,
     RationalField,
+    depth,
     dg_from_ring,
     dualizing_complex,
     dualizing_of_koszul,
+    is_local_cm,
     koszul,
+    seq_depth,
     subquotient,
     tensor_complexes,
 )
@@ -214,14 +217,31 @@ def _ring_and_basis(draw):
     return QuotientRing(R, quadrics), forms
 
 
+def _assert_same_modules(K, complex_, degrees):
+    """K's homology modules, read from its model, are those of the built
+    complex: the same Hilbert series, minimal generator count and
+    annihilator ideal in S (closed under the J of each module's own ring)."""
+    S = K.base.poly_ring
+    for i in degrees:
+        h, ref = K.homology(i), complex_.homology(i)
+        assert h.hilbert_series() == ref.hilbert_series()
+        assert h.rank == ref.rank
+        closure = QuotientRing(S, tuple(h.annihilator()) + h.ring.j_gens)
+        assert closure == QuotientRing(S, tuple(ref.annihilator()) + ref.ring.j_gens)
+
+
 @settings(max_examples=25, deadline=None)
 @given(_ring_and_basis())
 def test_koszul_homology_on_a_basis_of_linear_forms_is_the_betti_table(case):
-    # dgring.koszul reads these tables from Q's minimal resolution; the bare
-    # Koszul complex computes them from its differentials.
+    # dgring.koszul reads these tables and modules from Q's minimal
+    # resolution; the bare Koszul complex computes them from its
+    # differentials.
     Q, forms = case
-    table = koszul(dg_from_ring(Q), forms).homology_table()
-    assert table == koszul_complex(Q, forms).homology_table()
+    K = koszul(dg_from_ring(Q), forms)
+    built = koszul_complex(Q, forms)
+    table = K.homology_table()
+    assert table == built.homology_table()
+    _assert_same_modules(K, built, table)
 
 
 def _rational_normal_curve(d, field):
@@ -253,13 +273,14 @@ SMALL_RINGS = {
 }
 
 
-@st.composite
-def _koszul_elements(draw):
-    """A ring of SMALL_RINGS over F_101 and 1-4 Koszul elements: forms of
-    degree 1 or 2, zeros with a declared degree, repeats of an earlier
-    element, and elements of J."""
-    names, ideal = SMALL_RINGS[draw(st.sampled_from(sorted(SMALL_RINGS)))]
-    Q = quotient_ring_from_strings(names, ideal, PrimeField(101))
+def _draw_ring(draw, rings):
+    names, ideal = rings[draw(st.sampled_from(sorted(rings)))]
+    return quotient_ring_from_strings(names, ideal, PrimeField(101))
+
+
+def _draw_elements(draw, Q, count):
+    """count Koszul elements on Q: forms of degree 1 or 2, zeros with a
+    declared degree, repeats of an earlier element, and elements of J."""
     R = Q.poly_ring
 
     def form(degree):
@@ -267,7 +288,7 @@ def _koszul_elements(draw):
         return R.poly(draw(st.dictionaries(monos, st.integers(1, 100), min_size=1, max_size=3)))
 
     elems = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(count):
         kind = draw(st.sampled_from(("form", "zero", "repeat", "ideal")))
         if kind == "zero":
             elems.append(ElementOfH0(R.zero, degree=draw(st.integers(-1, 3))))
@@ -278,7 +299,14 @@ def _koszul_elements(draw):
             elems.append(ElementOfH0(g * form(1) if draw(st.booleans()) else g))
         else:
             elems.append(ElementOfH0(form(draw(st.integers(1, 2)))))
-    return Q, elems
+    return elems
+
+
+@st.composite
+def _koszul_elements(draw):
+    """A ring of SMALL_RINGS over F_101 and 1-4 Koszul elements."""
+    Q = _draw_ring(draw, SMALL_RINGS)
+    return Q, _draw_elements(draw, Q, draw(st.integers(1, 4)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -291,13 +319,56 @@ def test_koszul_homology_and_its_dual_from_the_model_match_the_full_complexes(ca
     # K(K(Q; a_1..a_s); a_s+1..) resumes the regular prefix of the first.
     Q, elems = case
     reps, degrees = [e.rep for e in elems], [e.degree for e in elems]
-    table = koszul_complex(Q, reps, degrees).homology_table()
+    built = koszul_complex(Q, reps, degrees)
+    table = built.homology_table()
     A = dg_from_ring(Q)
     K = koszul(A, elems)
     assert K.homology_table() == table
+    _assert_same_modules(K, built, table)
     split = min(split, len(elems))
     assert koszul(koszul(A, elems[:split]), elems[split:]).homology_table() == table
     S = QuotientRing(Q.poly_ring, ())
     KS = koszul_complex(S, reps, degrees)
     dual = tensor_complexes(KS, dualizing_complex(Q)).shift(-len(elems))
     assert dualizing_of_koszul(K).homology_table() == dual.homology_table()
+
+
+# Cohen-Macaulay rings: those of SMALL_RINGS and a complete intersection.
+CM_RINGS = {**SMALL_RINGS, "complete-intersection": (("x", "y", "z"), ["x^2", "y^2"])}
+
+
+@st.composite
+def _two_sequences_on_a_cm_ring(draw):
+    """A ring of CM_RINGS over F_101, 1-3 Koszul elements a and 0-2 more b."""
+    Q = _draw_ring(draw, CM_RINGS)
+    a = _draw_elements(draw, Q, draw(st.integers(1, 3)))
+    return Q, a, _draw_elements(draw, Q, draw(st.integers(0, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_sequences_on_a_cm_ring())
+def test_a_koszul_dg_ring_over_a_cohen_macaulay_ring_is_cohen_macaulay(case):
+    # The main theorem: K(Q; a) over a CM ring Q is local-CM whenever its
+    # H^0 = Q/(a) is nonzero, and so is K(K(Q; a); b).  On a CM ring the
+    # grade of (a) is its height dim Q - dim Q/(a), and depth Q = dim Q, so
+    # with r = |a|: amp = r - grade, depth at the irrelevant ideal is
+    # dim Q - r, and the sequential depth is dim H^0.  The dualizing
+    # DG-module of K has K's amplitude.
+    Q, a, b = case
+    A = dg_from_ring(Q)
+    K = koszul(A, a)
+    if K.h0.is_trivial():
+        return
+    r, irrelevant = len(a), A.irrelevant_ideal()
+    assert is_local_cm(K)
+    assert depth(K, irrelevant) == Q.dim() - r
+    assert seq_depth(K, irrelevant) == K.h0.dim()
+    assert K.amp() == r - (Q.dim() - K.h0.dim())
+    assert dualizing_of_koszul(K).amp() == K.amp()
+    assert is_local_cm(koszul(K, b))
+
+
+def test_a_ring_that_is_not_cohen_macaulay_is_not_local_cm():
+    # k[x,y]/(x^2, xy) has dimension 1 and depth 0: x is killed by (x, y).
+    Q = quotient_ring_from_strings(("x", "y"), ["x^2", "x*y"], PrimeField(101))
+    assert not is_local_cm(dg_from_ring(Q))

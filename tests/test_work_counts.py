@@ -368,3 +368,26 @@ def test_an_all_variable_duality_task_dualizes_over_a_ring_where_every_variable_
     assert report["results"][0]["result"]["amp_equal"] is True
     (D,) = duals
     assert all(D.ring.is_zero(D.ring.poly_ring.var(i)) for i in range(len(names)))
+
+
+def test_an_invariants_task_on_a_koszul_dg_ring_builds_no_complex(monkeypatch):
+    # DG 4: K(Q; x0, x1, x0 + x1) over the rational normal quartic Q.  Every
+    # homology module (the greedy stages' bottom homology and the bottom
+    # homology's annihilator) is read from a model.  (x0, x1) has height and
+    # grade 1 in the Cohen-Macaulay Q of depth 2, so inf = -(3 - 1),
+    # depth = 2 - 3 and seq_depth = dim H^0 = 1; H^{-2} = Ext^1_Q(Q/(x0, x1),
+    # Q) is supported on all of Spec H^0, as (x0, x1) has one minimal prime.
+    names = [f"x{i}" for i in range(5)]
+    minors = [f"x{i}*x{j + 1} - x{j}*x{i + 1}" for i in range(4) for j in range(i + 1, 4)]
+    job = {
+        "vars": names,
+        "ideal": minors,
+        "dg": {"kind": "koszul", "elements": ["x0", "x1", "x0 + x1"]},
+        "tasks": [{"task": "invariants"}],
+    }
+    calls = _count(monkeypatch, "tensor_complexes", complexes, dgring, duality)
+    result = run_job(job)["results"][0]["result"]
+    assert result["inf"] == -2
+    assert (result["depth_at_irrelevant"], result["seq_depth_at_irrelevant"]) == (-1, 1)
+    assert (result["local_cm"], result["cm_certified"]) == (True, "true")
+    assert calls[0] == 0
