@@ -15,15 +15,15 @@ a DG-ring, series and modules (homology, homology_table, inf, sup, amp),
 is read from its model, the smallest quasi-isomorphic complex at hand:
 on a ring and a basis of S_1, F (x)_S k for the ring's minimal
 resolution F; on lifts c otherwise, K(Q/(c'); c'') for their longest
-Q-regular prefix c' (regular_prefix), as K(Q; c') resolves Q/(c'); else
-the underlying complex.  A model's H^i is H^i(underlying) as a Q-module
-up to isomorphism, but may live over Q/(c') or k: a reader that closes
-its annihilator in S adds the J of the module's own ring.  The built
-complex is read only by the truncation oracle and oracle_basis_size,
-self_duality_check and validate, the builds of further Koszul and tensor
-complexes, is_termwise_free above a trivial extension, and four
-cross-checks: composition, base change, Euler characteristic and the
-trivial-extension discrepancy.
+Q-regular prefix c' (regular_prefix, through modules.regular_quotient), as
+K(Q; c') resolves Q/(c'); else the underlying complex.  A model's H^i is
+H^i(underlying) as a Q-module up to isomorphism, but may live over Q/(c')
+or k: a reader that closes its annihilator in S adds the J of the module's
+own ring.  The built complex is read only by the truncation oracle and
+oracle_basis_size, self_duality_check and validate, the builds of further
+Koszul and tensor complexes, is_termwise_free above a trivial extension,
+and four cross-checks: composition, base change, Euler characteristic and
+the trivial-extension discrepancy.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Sequence
 from .complexes import Complex, koszul_complex, ring_resolution, tensor_complexes
 from .hilbert import table_json
 from .linalg import Echelon
-from .modules import FPModule
+from .modules import FPModule, regular_quotient
 from .parse import parse_poly
 from .poly import Polynomial, RingMismatchError
 from .rings import QuotientRing, substitute
@@ -211,17 +211,20 @@ def trivial_extension(Q: QuotientRing, M: FPModule, n: int) -> DGRingRep:
 def regular_prefix(ring: QuotientRing, elems: Sequence[ElementOfH0]) -> tuple[QuotientRing, int]:
     """(ring/(e_1..e_k), k) for the longest prefix e_1..e_k of elems that is
     a regular sequence on the ring, so that K(ring; elems) is
-    quasi-isomorphic to K(ring/(e_1..e_k); e_k+1..).  Each element is
-    tested on the quotient by the ones before it: e of degree d is regular
-    on R iff HS(R/(e)) = (1 - t^d) HS(R), as 0 -> (0 :_R e)(-d) -> R(-d) ->
-    R -> R/(e) -> 0 is exact."""
-    for k, e in enumerate(elems):
-        hs = ring.hilbert_series()
-        quotient = QuotientRing(ring.poly_ring, ring.j_gens + (e.rep,))
-        if quotient.hilbert_series() != hs - hs.shift(e.degree):
-            return ring, k
-        ring = quotient
-    return ring, len(elems)
+    quasi-isomorphic to K(ring/(e_1..e_k); e_k+1..).  The cyclic module
+    ring/(e_1..e_i) passes to regular_quotient until an element fails, and
+    the ring is built once, from the last module's Groebner basis."""
+    M, k = FPModule(ring, (0,)), 0
+    for e in elems:
+        quotient = regular_quotient(M, e.rep, e.degree)
+        if quotient is None:
+            break
+        M, k = quotient, k + 1
+    if not k:
+        return ring, 0
+    result = QuotientRing(ring.poly_ring, ring.j_gens + tuple(e.rep for e in elems[:k]))
+    result._gb = tuple(Polynomial(ring.poly_ring, v) for v in M._reduced_basis())
+    return result, k
 
 
 def _with_model(A: DGRingRep, elems: tuple, build, rank: int, h0_gens: tuple) -> DGRingRep:

@@ -15,7 +15,7 @@ import itertools
 from .complexes import _monomials_of_degree
 from .dgring import DGRingRep, ElementOfH0, _as_element, koszul
 from .hilbert import NEG_INF, POS_INF, table_json
-from .modules import FPModule, kernel
+from .modules import kernel, regular_quotient
 from .poly import Polynomial, vec_offset, vec_to_column
 
 
@@ -53,37 +53,21 @@ def _bottom_homology(A: DGRingRep):
     return lo, A.homology(lo)
 
 
-def _times(x: ElementOfH0, h: FPModule) -> list:
-    """The columns of multiplication by x on the generators of h."""
-    return [vec_offset(x.rep.vec, j) for j in range(h.rank)]
-
-
-def _regular_on(h: FPModule, x: ElementOfH0) -> bool:
-    """Whether multiplication by x is injective on the graded module h.
-
-    With d = deg x, 0 -> (0 :_h x)(-d) -> h(-d) -> h -> h/xh -> 0 is exact,
-    so HS(h/xh) = (1 - t^d) HS(h) exactly when 0 :_h x = 0.  That takes one
-    Groebner basis of h's relations and x times its generators, and no
-    syzygies."""
-    quotient = FPModule(h.ring, h.twists, h.rels + tuple(_times(x, h)))
-    hs = h.hilbert_series()
-    return quotient.hilbert_series() == hs - hs.shift(x.degree)
-
-
 def _certificate(x: ElementOfH0, lo, regular: bool) -> dict:
     return {"element": str(x.rep), "bottom_degree": int(lo), "kernel_is_zero": regular}
 
 
 def is_regular(A: DGRingRep, x) -> tuple[bool, dict]:
     """x is A-regular iff multiplication by x on H^{inf(A)}(A) is injective,
-    decided by Hilbert series.  The kernel of a non-regular x is built only
+    decided by regular_quotient.  The kernel of a non-regular x is built only
     to report an element of it outside the relations (kernel_witness)."""
     x = _as_element(x, A.base)
     lo, h = _bottom_homology(A)
-    ok = _regular_on(h, x)
+    ok = regular_quotient(h, x.rep, x.degree) is not None
     cert = _certificate(x, lo, ok)
     if not ok:
-        witness = next(v for v in kernel(_times(x, h), h) if not h.element_is_zero(v))
+        times_x = [vec_offset(x.rep.vec, j) for j in range(h.rank)]
+        witness = next(v for v in kernel(times_x, h) if not h.element_is_zero(v))
         column = vec_to_column(witness, h.ring.poly_ring, h.rank)
         cert["kernel_witness"] = [str(p) for p in column]
     return ok, cert
@@ -186,7 +170,7 @@ def _candidate_pool(B: DGRingRep, gens: list[ElementOfH0]):
 def greedy_regular_sequence(A: DGRingRep, ideal_gens, budget: int = 400) -> RegularSequenceWitness:
     """Greedy search for a maximal regular sequence inside the ideal.
 
-    Each candidate is tested by Hilbert series (_regular_on).  Each found
+    Each candidate is tested on H^{inf} by regular_quotient.  Each found
     element passes to the Koszul DG-ring and the search recurses on the
     ideal's image.  The witness records per-step certificates and whether
     the budget ran out before the candidate pool was fully examined.
@@ -209,7 +193,7 @@ def greedy_regular_sequence(A: DGRingRep, ideal_gens, budget: int = 400) -> Regu
             witness.tested += 1
             lo, h = _bottom_homology(stage)  # memoized on the stage
             el = ElementOfH0(cand)
-            if _regular_on(h, el):
+            if regular_quotient(h, el.rep, el.degree) is not None:
                 witness.elements.append(el)
                 witness.certificates.append(_certificate(el, lo, True))
                 stage = koszul(stage, [el])

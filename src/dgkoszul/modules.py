@@ -13,12 +13,14 @@ j over the target generators.
 Kernels and subquotient presentations are one syzygy step, modulo(): the
 syzygies of [gens | rels] projected to the gens coordinates.  So is the
 annihilator of a module with two or more generators; a cyclic module Q/I
-is annihilated by I, read off its relations.  A free module's Hilbert
-series is HS(Q) twisted by each generator, with no Groebner basis of its
-own.  A subquotient (span(gens) + N)/N, such as a homology module, is
-presented by subquotient() as a minimal cokernel: buchberger keeps a
-minimal generating set of the gens modulo N's Groebner basis, and only
-those get relations, so none has a unit entry.  minimize() is the
+is annihilated by I, read off its relations.  A free module's basis is
+J's basis times each generator, with no Groebner basis of its own.  The
+one test of whether x, of degree d, is M-regular is regular_quotient: it
+compares HS(M/xM) with (1 - t^d) HS(M), and M/xM keeps the basis that
+extends M's.  A subquotient (span(gens) + N)/N, such as a homology
+module, is presented by subquotient() as a minimal cokernel: buchberger
+keeps a minimal generating set of the gens modulo N's Groebner basis, and
+only those get relations, so none has a unit entry.  minimize() is the
 subquotient that the basis vectors span.
 """
 
@@ -74,7 +76,7 @@ class FPModule:
         """The reduced Groebner basis of N, built once and shared by
         membership tests and the Hilbert series."""
         if self._basis is None:
-            self._basis = _span(self.rels, self)[0]
+            self._basis = _span(self.rels, self)[0] if self.rels else _j_basis(self)
         return self._basis
 
     def element_is_zero(self, v: ModVec) -> bool:
@@ -85,16 +87,10 @@ class FPModule:
 
     def hilbert_series(self) -> HilbertSeries:
         """HS(F/N), read from the leads of N's basis (each basis vector's
-        first key); with no relations, N = J * F and the series is HS(Q)
-        twisted by each generator."""
+        first key)."""
         if self._hilbert is None:
-            ring, twists = self.ring.poly_ring, self.twists
-            if self.rels:
-                leads = [next(iter(g)) for g in self._reduced_basis()]
-                self._hilbert = lead_module_series(leads, self.rank, twists, ring)
-            else:
-                q = self.ring.hilbert_series()
-                self._hilbert = sum((q.shift(w) for w in twists), HilbertSeries({}, ring.nvars))
+            leads = [next(iter(g)) for g in self._reduced_basis()]
+            self._hilbert = lead_module_series(leads, self.rank, self.twists, self.ring.poly_ring)
         return self._hilbert
 
     def dim(self):
@@ -195,6 +191,23 @@ def subquotient(M: FPModule, gens: Sequence[ModVec], rels: Sequence[ModVec] = ()
         result = FPModule(ring, degs, minimal)
     result._basis = basis
     return result
+
+
+def regular_quotient(M: FPModule, x: Polynomial, d: int) -> FPModule | None:
+    """M/xM, with its Groebner basis, when x, of degree d, is M-regular, else None.
+
+    As 0 -> (0 :_M x)(-d) -> M(-d) -> M -> M/xM -> 0 is exact, x is
+    M-regular iff HS(M/xM) = (1 - t^d) HS(M).  One buchberger call extends
+    N's basis by x times each generator.
+    """
+    ring = M.ring
+    times = [vec_offset(x.vec, j) for j in range(M.rank)]
+    quotient = FPModule(ring, M.twists, M.rels + tuple(times))
+    quotient._basis = gb.buchberger(
+        times, M.twists, ring.field, ring.poly_ring.degree_cap, known=M._reduced_basis()
+    )[0]
+    hs = M.hilbert_series()
+    return quotient if quotient.hilbert_series() == hs - hs.shift(d) else None
 
 
 def _j_basis(M: FPModule) -> list[ModVec]:

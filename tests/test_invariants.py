@@ -29,7 +29,8 @@ from dgkoszul import (
 )
 from dgkoszul.complexes import _monomials_of_degree
 from dgkoszul.dgring import ElementOfH0
-from dgkoszul.invariants import ImproperIdealError, NonLocalMapError, _regular_on
+from dgkoszul.invariants import ImproperIdealError, NonLocalMapError
+from dgkoszul.modules import regular_quotient
 
 S101 = ring("x", "y", "z", field=PrimeField(101))
 Q101 = ring("x", "y", "z", ideal=["x*y - z^2"], field=PrimeField(101))
@@ -101,11 +102,18 @@ def _cokernels_and_elements(draw):
 @given(_cokernels_and_elements())
 def test_the_series_verdict_on_regularity_is_the_kernel_verdict(case):
     # x is H-regular iff HS(H/xH) = (1 - t^deg x) HS(H), iff no element of
-    # ker(x : F -> F/N) lies outside N.
+    # ker(x : F -> F/N) lies outside N.  H/xH, extended from H's basis, has
+    # the basis that its relations give from scratch.
     H, x = case
     times_x = [{(j, e): c for (_, e), c in x.rep.vec.items()} for j in range(H.rank)]
     injective = all(H.element_is_zero(v) for v in kernel(times_x, H))
-    assert _regular_on(H, x) == injective
+    quotient = regular_quotient(H, x.rep, x.degree)
+    assert (quotient is not None) == injective
+    if quotient is not None:
+        fresh = FPModule(H.ring, H.twists, quotient.rels)
+        assert quotient._reduced_basis() == fresh._reduced_basis()
+        hs = H.hilbert_series()
+        assert quotient.hilbert_series() == hs - hs.shift(x.degree)
 
 
 def test_depth_examples():

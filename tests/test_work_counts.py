@@ -13,9 +13,11 @@ import pytest
 from conftest import poly, ring
 from dgkoszul import (
     Complex,
+    ElementOfH0,
     FPModule,
     HilbertSeries,
     PrimeField,
+    QuotientRing,
     RationalField,
     complexes,
     dg_from_ring,
@@ -60,7 +62,9 @@ def test_a_free_modules_series_builds_no_basis_beyond_the_rings(monkeypatch, twi
     ring("x", "y", "z", "w", ideal=ideal).hilbert_series()
     for_the_ring = calls[0]
     calls[0] = 0
-    FPModule(ring("x", "y", "z", "w", ideal=ideal), twists).hilbert_series()
+    M = FPModule(ring("x", "y", "z", "w", ideal=ideal), twists)
+    M.hilbert_series()
+    assert not M.element_is_zero(M.basis_vector(0))
     assert calls[0] <= for_the_ring
 
 
@@ -218,6 +222,27 @@ def test_a_regular_sequence_reads_its_homology_from_h0(monkeypatch):
     calls = _count(monkeypatch, "buchberger", gb)
     assert list(table) == [0] and K.h0.hilbert_series() == table[0]
     assert calls[0] == 0
+
+
+def test_a_regular_prefix_extends_one_basis_and_builds_one_ring(monkeypatch):
+    # x is regular on the twisted cubic's ring Q, and y is a zero divisor on
+    # Q/(x) = k[y, z, w]/(y^2, yz, yw - z^2).  Each test extends the basis
+    # before it, and only Q/(x) becomes a ring.
+    Q = ring("x", "y", "z", "w", ideal=TWISTED_CUBIC)
+    Q.hilbert_series()
+    knowns = []
+    buchberger = gb.buchberger
+
+    def recording(*args, known=(), **kwargs):
+        knowns.append(len(known))
+        return buchberger(*args, known=known, **kwargs)
+
+    monkeypatch.setattr(gb, "buchberger", recording)
+    rings = _count(monkeypatch, "__init__", QuotientRing)
+    prefix, k = dgring.regular_prefix(Q, [ElementOfH0(poly(v, Q)) for v in ("x", "y", "w")])
+    assert (k, rings[0]) == (1, 1)
+    assert knowns and 0 not in knowns
+    assert prefix == ring("x", "y", "z", "w", ideal=[*TWISTED_CUBIC, "x"])
 
 
 @pytest.mark.parametrize(
