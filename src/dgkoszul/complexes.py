@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 from typing import Sequence
 
 from . import groebner as gb
@@ -449,6 +450,15 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
     ((k, 1),).  So where J's echelon has unit pivots, every normal form and
     row over Q is ints, and no Fraction is built.
 
+    Only a row's lead decides the rank, so every row enters its echelon by
+    its lead (Echelon.add_deferred) and is built only when an elimination
+    reads it.  A multiple g*m of J's generator g leads at g's largest
+    monomial times m; a relation or differential row leads at the first
+    column of its first nonzero component, which for a one-term component
+    is the first position of that term's normal form.  So a row is built
+    only where its lead is taken, or where it is a pivot row that a
+    normal form or such a row reduces by.
+
     Returns {i: {t: dim}} over the complex's support.
     """
     ring = C.ring
@@ -465,14 +475,21 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
         return sum(x << s for x, s in zip(e, shifts))
 
     def pack_column(col):
-        """(component, monomial, coeff) triples, or None for a column of
-        degree above d_max, which meets no basis monomial."""
+        """The nonzero components in ascending order, as (component,
+        [(monomial, coeff), ...]) pairs, or None for a column of degree
+        above d_max, which meets no basis monomial."""
         if any(sum(e) > top for _, e in col):
             return None
-        col = field.primitive(col)
-        return [(comp, pack(e), c) for (comp, e), c in col.items()]
+        parts = {}
+        for (comp, e), c in field.primitive(col).items():
+            parts.setdefault(comp, []).append((pack(e), c))
+        return sorted(parts.items())
 
-    j_gens = [(g.homogeneous_degree(), pack_column(g.vec)) for g in ring.j_gens]
+    j_gens = [  # (degree, (monomial, coeff) terms) of J's generators
+        (g.homogeneous_degree(), pack_column(g.vec)[0][1])
+        for g in ring.j_gens
+        if g.homogeneous_degree() <= top
+    ]
     relations = {
         i: [(vec_degree(col, t.twists), pack_column(col)) for col in t.rels]
         for i, t in C.terms.items()
@@ -484,8 +501,9 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
     pending = {}  # pivot monomial -> (J's echelon in its degree, its column)
 
     class NormalForms(dict):
-        """monomial -> its normal form, (position in degree, coeff) pairs,
-        computed for a pivot monomial when it is first read."""
+        """monomial -> its normal form, (position in degree, coeff) pairs
+        in ascending position, computed for a pivot monomial when it is
+        first read."""
 
         def __missing__(self, m):
             j_rows, k = pending.pop(m)
@@ -511,8 +529,9 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
             j_rows = Echelon(field)
             for g_deg, g in j_gens:
                 if g_deg <= d:
+                    high = max(g)[0]  # g's largest monomial, the lead of g*m
                     for m in monomials(d - g_deg):
-                        j_rows.add({index[m + e]: c for _, e, c in g})
+                        j_rows.add_deferred(index[m + high], partial(multiple, g, m, index))
             for k, m in enumerate(monos):
                 if k in j_rows.rows:
                     pending[m] = (j_rows, k)
@@ -521,21 +540,43 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
             standard_lists[d] = [k for k in range(len(monos)) if k not in j_rows.rows]
         return standard_lists[d]
 
+    def multiple(g, m, index):
+        """The row of J's generator g times the monomial m, in the columns
+        of index."""
+        return {index[m + e]: c for e, c in g}
+
     def place(col, offsets):
         """The column with each component replaced by its offset in a term
         whose basis in this degree is built."""
-        return [(offsets[comp], e, c) for comp, e, c in col]
+        return [(offsets[comp], terms) for comp, terms in col]
 
     def row(col, m):
         """The normal form of the placed column times the monomial m (so
         standard() has registered the monomials it reads)."""
         out = {}
         get = out.get
-        for off, e, c in col:
-            for k, v in normal[m + e]:
-                k += off
-                out[k] = get(k, 0) + c * v
+        for off, terms in col:
+            for e, c in terms:
+                for k, v in normal[m + e]:
+                    k += off
+                    out[k] = get(k, 0) + c * v
         return out
+
+    def enter(echelon, col, m):
+        """Enter row(col, m) into the echelon at its least column, unbuilt;
+        a zero row is not entered.  The components occupy ascending column
+        ranges, so that column lies in the first nonzero component; for a
+        one-term component it is the first position of the term's normal
+        form."""
+        for off, terms in col:
+            if len(terms) == 1:
+                nf = normal[m + terms[0][0]]
+                first = nf[0][0] if nf else None
+            else:
+                first = min(field.primitive(row([(0, terms)], m)), default=None)
+            if first is not None:
+                echelon.add_deferred(off + first, partial(row, col, m))
+                return
 
     for t_deg in range(floor, d_max + 1):
         offsets = {}
@@ -554,7 +595,7 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
                 if col_deg <= t_deg:
                     col = place(col, offs)
                     for m in monomials(t_deg - col_deg):
-                        rels.add(row(col, m))
+                        enter(rels, col, m)
             dims[i] = size - rels.rank
         ranks = {}
         for i in support:
@@ -569,7 +610,7 @@ def truncation_oracle(C: Complex, d_max: int) -> dict:
                     monos = monomials(t_deg - w)
                     for k in standard(t_deg - w):
                         if off + k not in pivots:
-                            image.add(row(col, monos[k]))
+                            enter(image, col, monos[k])
             ranks[i] = image.rank - before
         for i in support:
             result[i][t_deg] = dims[i] - ranks.get(i, 0) - ranks.get(i - 1, 0)

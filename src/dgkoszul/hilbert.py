@@ -235,15 +235,16 @@ def lead_module_series(
 ) -> HilbertSeries:
     """Hilbert series of F/L for a monomial submodule L of the free module F.
 
-    lead_terms: (component, exponent) pairs generating L.
+    lead_terms: (component, exponent) pairs generating L.  F/L is the sum
+    of the twisted S/L_j, so the component numerators, shifted by their
+    twists, are summed into one series.
     """
     per_comp: list[list[Expo]] = [[] for _ in range(rank)]
     for comp, e in lead_terms:
         per_comp[comp].append(e)
-    total = HilbertSeries({}, ring.nvars)
-    for comp in range(rank):
-        total = total + monomial_quotient_series(per_comp[comp], ring).shift(
-            twists[comp]
-        )
-    return total
+    num = {}
+    for gens, w in zip(per_comp, twists):
+        for k, v in _ideal_numerator(frozenset(gens), ring):
+            num[k + w] = num.get(k + w, 0) + v
+    return HilbertSeries(num, ring.nvars)
 

@@ -19,6 +19,12 @@ Bareiss's integer-preserving elimination (Math. Comp. 22, 1968), with
 stored rows made primitive in place of his division by the previous pivot.
 The remainder by J's echelon is the oracle's normal form.  F_p and Q share
 this one engine, and no fixed-width integer can overflow.
+
+A Macaulay matrix's rank is decided by its rows' leads, since a row whose
+lead is no pivot adds one to the rank as it is (F4's observation, Faugere
+and Lachartre, PASCO 2010).  So a row may enter by its lead alone, with a
+function that builds it: at a free lead the function is stored unbuilt,
+and the row is built only when an elimination reads it as a pivot row.
 """
 
 from __future__ import annotations
@@ -34,7 +40,10 @@ class Echelon:
     over F_p its entries lie in (0, p).  A row enters in that form, so one
     whose lead is no pivot is stored as it entered.  `add` reduces any
     other row only until its lead is no pivot, which is all the rank and
-    the pivots need; `remainder` reduces it fully.
+    the pivots need; `remainder` reduces it fully.  `add_deferred` enters
+    a row by its lead and a function that builds it: at a free lead
+    `rows` holds that function until an elimination reads the pivot row,
+    which is then built, normalized and checked against its lead.
     """
 
     __slots__ = ("field", "rows")
@@ -46,6 +55,15 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def _build(self, lead, build) -> dict:
+        """The deferred row at the pivot lead, built and normalized; raises
+        if its least column is not the lead it entered at."""
+        row = self.field.primitive(build())
+        if not row or min(row) != lead:
+            least = min(row, default=None)
+            raise ValueError(f"a row entered at lead {lead} has least column {least}")
+        return row
 
     def _lead(self, row: dict):
         """Eliminate pivots from the int row (consumed) in ascending order
@@ -64,6 +82,8 @@ class Echelon:
             pivot_row = rows.get(lead)
             if pivot_row is None:
                 return lead, factor, scale
+            if type(pivot_row) is not dict:  # a deferred row, first read
+                pivot_row = rows[lead] = self._build(lead, pivot_row)
             lc = pivot_row[lead]
             if lc != 1:
                 for c, v in row.items():
@@ -76,11 +96,11 @@ class Echelon:
 
     def remainder(self, row: dict) -> dict:
         """The row ({column: coeff}) fully reduced by the stored rows: it
-        has no pivot column, its entries are nonzero and reduced, and it
-        differs from the row by an element of the span.  It reduces the
-        primitive multiple u*row (u read off one entry), and divides a lead
-        popped at the scale s, u times the multipliers applied so far, by s
-        where s is not 1."""
+        has no pivot column, its entries are nonzero, reduced and in
+        ascending column order, and it differs from the row by an element
+        of the span.  It reduces the primitive multiple u*row (u read off
+        one entry), and divides a lead popped at the scale s, u times the
+        multipliers applied so far, by s where s is not 1."""
         field = self.field
         work = field.primitive(row)
         if not work:
@@ -111,3 +131,12 @@ class Echelon:
         if lead is not None:
             row[lead] = factor
             self.rows[lead] = primitive(row)
+
+    def add_deferred(self, lead, build) -> None:
+        """Add the row that build() returns, whose least nonzero column is
+        lead: at a free lead the rank rises by one and build is stored
+        unbuilt, at a taken lead the row is built and added."""
+        if lead in self.rows:
+            self.add(build())
+        else:
+            self.rows[lead] = build

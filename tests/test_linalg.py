@@ -4,8 +4,10 @@ as the reference, over F_101, F_(2^31 - 1) and Q."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgkoszul import PrimeField, RationalField
@@ -172,3 +174,43 @@ def test_unreduced_entries_over_a_prime_field_change_nothing(case, data):
     entries = data.draw(st.lists(COEFFS, min_size=ncols, max_size=ncols))
     probe = {c: field.div(field.from_int(num), field.from_int(den)) for c, (num, den) in enumerate(entries)}
     assert reduced.remainder(unreduced(probe)) == reduced.remainder(probe)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows(), st.data())
+def test_a_row_entered_by_its_lead_is_built_only_when_read(case, data):
+    # The same rows go to an eager echelon and, each by add or by its lead
+    # with a build that returns it, to a deferred one.
+    field, ncols, rows = case
+    eager, deferred = Echelon(field), Echelon(field)
+    builds = []
+    for row in filter(None, rows):
+        eager.add(row)
+        lead = min(field.primitive(row), default=None)
+        if lead is not None and data.draw(st.booleans()):
+            build = partial(dict, row)
+            builds.append(build)
+            deferred.add_deferred(lead, build)
+        else:
+            deferred.add(row)
+        assert deferred.rank == eager.rank
+        assert deferred.rows.keys() == eager.rows.keys()
+    entries = data.draw(st.lists(COEFFS, min_size=ncols, max_size=ncols))
+    probe = {c: field.div(field.from_int(num), field.from_int(den)) for c, (num, den) in enumerate(entries)}
+    assert deferred.remainder(probe) == eager.remainder(probe)
+    for pivot, row in deferred.rows.items():
+        if type(row) is dict:  # built when read, or added eagerly
+            assert row == eager.rows[pivot]
+        else:
+            assert row in builds
+
+
+def test_a_deferred_row_whose_least_column_is_not_its_lead_raises():
+    echelon = Echelon(PrimeField(101))
+    echelon.add_deferred(1, lambda: {0: 1, 1: 1})
+    echelon.add_deferred(2, lambda: {2: 3})
+    assert echelon.rank == 2
+    echelon.add({2: 1})  # reads the row at 2, which is sound
+    assert echelon.rank == 2 and echelon.rows[2] == {2: 3}
+    with pytest.raises(ValueError, match="lead 1"):
+        echelon.add({1: 1, 2: 1})

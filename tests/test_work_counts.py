@@ -107,8 +107,8 @@ def test_the_oracle_reduces_no_boundary_to_zero(monkeypatch):
 @pytest.mark.parametrize("field", [PrimeField(101), RationalField()], ids=["F_101", "Q"])
 def test_a_row_with_a_free_lead_is_stored_without_elimination(monkeypatch, field):
     # A row enters Echelon normalized, so one whose lead is no pivot is
-    # stored as it entered.  Of the oracle's 1,390 adds here, only the few
-    # rows that meet a pivot take an elimination step.
+    # stored as it entered.  Of the oracle's 1,390 rows here, only the few
+    # that meet a pivot are added, and each takes an elimination step.
     Q = ring("x", "y", "z", "w", ideal=["x*y - z*w"], field=field)
     K = koszul_complex(Q, [poly(v, Q) for v in ("x", "y", "z", "w")])
     leads = _count(monkeypatch, "_lead", Echelon)
@@ -123,6 +123,17 @@ def test_a_row_with_a_free_lead_is_stored_without_elimination(monkeypatch, field
     monkeypatch.setattr(Echelon, "add", counted)
     truncation_oracle(K, 8)
     assert eliminating[0] <= 10
+
+
+@pytest.mark.parametrize("field", [PrimeField(101), RationalField()], ids=["F_101", "Q"])
+def test_the_oracle_adds_only_the_rows_whose_lead_is_taken(monkeypatch, field):
+    # Every row enters by its lead; one at a free lead raises the rank
+    # unbuilt, so only the 7 of 1,390 rows that meet a pivot are added.
+    Q = ring("x", "y", "z", "w", ideal=["x*y - z*w"], field=field)
+    K = koszul_complex(Q, [poly(v, Q) for v in ("x", "y", "z", "w")])
+    calls = _count(monkeypatch, "add", Echelon)
+    truncation_oracle(K, 8)
+    assert calls[0] <= 10
 
 
 def test_the_oracle_reduces_only_the_normal_forms_its_rows_read(monkeypatch):
