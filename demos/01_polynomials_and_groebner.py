@@ -42,7 +42,7 @@ for v in basis:
     print("  ", Polynomial(R, v))
 # y^2 - x*z = x*(x*y - z) - y*(x^2 - y) lies in the ideal:
 claimed = parse_poly("y^2 - x*z", R)
-rem = gb.normal_form(claimed.vec, basis, field)
+rem = gb.normal_forms([claimed.vec], basis, field)[0]
 print("y^2 - x*z reduces to zero:", not rem)
 
 # --- syzygies ---

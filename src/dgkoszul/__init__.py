@@ -36,7 +36,6 @@ from .dgring import (
 )
 from .invariants import (
     RegularSequenceWitness,
-    amp_profile,
     cm_certify,
     compute_invariants,
     depth,

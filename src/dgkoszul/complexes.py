@@ -35,20 +35,18 @@ from .rings import QuotientRing
 
 
 def _compose(outer, inner, field):
-    """The columns of outer∘inner, or None (zero) if either map is missing."""
-    if outer is None or inner is None:
-        return None
+    """The columns of outer∘inner."""
     return tuple(vec_combination(outer, col, field) for col in inner)
 
 
 def _agree(a, b, target: FPModule, n: int) -> bool:
-    """Whether two maps on n source generators (column tuples, None for
-    zero) agree modulo the relations of target."""
+    """Whether two maps on n source generators (column tuples; b may be
+    None, for zero) agree modulo the relations of target."""
     field = target.ring.field
     zero_expo = (0,) * target.ring.nvars
     minus_one = field.neg(field.one)
     for j in range(n):
-        v = dict(a[j]) if a is not None else {}
+        v = dict(a[j])
         if b is not None:
             vec_add_multiple(v, b[j], zero_expo, minus_one, field)
         if not target.element_is_zero(v):

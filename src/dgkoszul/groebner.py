@@ -246,11 +246,6 @@ def normal_forms(vecs: Sequence[ModVec], basis: Sequence[ModVec], field) -> list
     return [packer.unpack(_reduce(packer.pack(f), reducers, field, packer)) for f in vecs]
 
 
-def normal_form(f: ModVec, basis: Sequence[ModVec], field) -> ModVec:
-    """The remainder of one vector: normal_forms([f], basis, field)[0]."""
-    return normal_forms([f], basis, field)[0]
-
-
 # ---------- Buchberger ----------
 
 def buchberger(

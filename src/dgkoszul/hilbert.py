@@ -144,9 +144,7 @@ def table_json(table: dict) -> dict:
 
 
 def _divide_by_one_minus_t(num: dict) -> dict:
-    """Divide a Laurent polynomial (summing to 0 at t=1) by (1-t)."""
-    if not num:
-        return {}
+    """Divide a nonzero Laurent polynomial (summing to 0 at t=1) by (1-t)."""
     lo, hi = min(num), max(num)
     out = {}
     acc = 0
@@ -183,8 +181,11 @@ def _ideal_numerator(gens: frozenset, ring: PolyRing) -> tuple:
     """Numerator of HS(S/I) over (1-t)^nvars for the monomial ideal I of
     S = ring, memoized in ring.numerators by I's minimal generators.
 
-    Bayer-Stillman style splitting: N(I + (g)) = N(I) - t^deg(g) N(I : g).
-    Returned as a sorted tuple of (degree, coeff) pairs.
+    Bayer-Stillman splitting on the last generator g, with I the rest:
+    N(I + (g)) = N(I) - t^deg(g) N(I : g).  A g that shares no variable
+    with I has I : g = I, which the memo already holds, so monomials of
+    disjoint supports need no rule of their own.  Returned as a sorted
+    tuple of (degree, coeff) pairs.
     """
     memo = ring.numerators
     if gens in memo:  # a reduced basis's leads are already minimal
@@ -196,38 +197,16 @@ def _ideal_numerator(gens: frozenset, ring: PolyRing) -> tuple:
         return ()
     if gens in memo:
         return memo[gens]
-    # Disjoint supports: product of (1 - t^deg).
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
-    if all(
-        supports[i].isdisjoint(supports[j])
-        for i in range(len(supports))
-        for j in range(i)
-    ):
-        num = {0: 1}
-        for g in gens:
-            d = mono_deg(g)
-            new = {}
-            for k, v in num.items():
-                new[k] = new.get(k, 0) + v
-                new[k + d] = new.get(k + d, 0) - v
-            num = {k: v for k, v in new.items() if v != 0}
-    else:
-        ordered = sorted(gens)
-        rest = frozenset(ordered[:-1])
-        g = ordered[-1]
-        num = dict(_ideal_numerator(rest, ring))
-        colon = frozenset(tuple(max(a - b, 0) for a, b in zip(h, g)) for h in rest)
-        d = mono_deg(g)
-        for k, v in _ideal_numerator(colon, ring):
-            num[k + d] = num.get(k + d, 0) - v
+    ordered = sorted(gens)
+    rest = frozenset(ordered[:-1])
+    g = ordered[-1]
+    num = dict(_ideal_numerator(rest, ring))
+    colon = frozenset(tuple(max(a - b, 0) for a, b in zip(h, g)) for h in rest)
+    d = mono_deg(g)
+    for k, v in _ideal_numerator(colon, ring):
+        num[k + d] = num.get(k + d, 0) - v
     memo[gens] = out = tuple(sorted((k, v) for k, v in num.items() if v != 0))
     return out
-
-
-def monomial_quotient_series(gens: Sequence[Expo], ring: PolyRing) -> HilbertSeries:
-    """Hilbert series of S/I for the monomial ideal I of S = ring."""
-    num = dict(_ideal_numerator(frozenset(gens), ring))
-    return HilbertSeries(num, ring.nvars)
 
 
 def lead_module_series(

@@ -35,11 +35,6 @@ def sentinel_json(x):
     return int(x)
 
 
-def amp_profile(A: DGRingRep):
-    """(inf, sup, amp) of the cohomology, with sentinels for acyclic input."""
-    return A.inf(), A.sup(), A.amp()
-
-
 def lcdim(A: DGRingRep):
     """sup over n of dim(H^n(A)) + n, read from the homology series."""
     return max((hs.pole_order + i for i, hs in A.homology_table().items()), default=NEG_INF)
@@ -247,8 +242,7 @@ def homotopy_fiber(source_vars, images, B: DGRingRep) -> DGRingRep:
     elems = [_as_element(e, B.base) for e in images]
     if len(elems) != len(source_vars):
         raise ValueError("one image per source variable required")
-    for e in elems:
-        red = B.h0.nf(e.rep)
+    for e, red in zip(elems, B.h0.normal_forms([e.rep for e in elems])):
         if not red.is_zero() and red.total_degree() == 0:
             raise NonLocalMapError(f"image {e.rep} is a unit in H^0")
     return koszul(B, elems)
@@ -294,12 +288,11 @@ def compute_invariants(
     budget: int = 400,
 ) -> dict:
     """The invariant report of A as a JSON-ready dict."""
-    lo, hi, a = amp_profile(A)
     irr = A.irrelevant_ideal()
     report = {
-        "inf": sentinel_json(lo),
-        "sup": sentinel_json(hi),
-        "amp": sentinel_json(a),
+        "inf": sentinel_json(A.inf()),
+        "sup": sentinel_json(A.sup()),
+        "amp": sentinel_json(A.amp()),
         "depth_at_irrelevant": sentinel_json(depth(A, irr)),
         "seq_depth_at_irrelevant": sentinel_json(seq_depth(A, irr)),
         "per_ideal": [],

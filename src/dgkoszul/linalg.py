@@ -123,10 +123,6 @@ class Echelon:
         row = primitive(row)
         if not row:
             return
-        first = min(row)
-        if first not in self.rows:  # a free lead: stored as the row entered
-            self.rows[first] = row
-            return
         lead, factor, _ = self._lead(row)
         if lead is not None:
             row[lead] = factor

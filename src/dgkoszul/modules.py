@@ -53,7 +53,6 @@ class FPModule:
                 raise gb.InhomogeneousError("inhomogeneous column")
         self._basis = None
         self._hilbert = None
-        self._annihilator = None
 
     @classmethod
     def quotient_by_ideal(cls, ring: QuotientRing, ideal: Sequence[Polynomial]) -> FPModule:
@@ -81,7 +80,7 @@ class FPModule:
 
     def element_is_zero(self, v: ModVec) -> bool:
         """True if the vector v of F lies in N."""
-        return not gb.normal_form(v, self._reduced_basis(), self.ring.field)
+        return not gb.normal_forms([v], self._reduced_basis(), self.ring.field)[0]
 
     # -- invariants --
 
@@ -105,15 +104,14 @@ class FPModule:
         and I is its annihilator.  With k >= 2 generators, the annihilator
         is the syzygy coefficient on the stacked column (e_1, ..., e_k) of
         the basis vectors inside the direct sum of k twisted copies of F,
-        against all relations in each copy.
+        against all relations in each copy.  It is not kept: each reader
+        reads it once per module, and the constant-amplitude verdict that
+        reads it is kept on the DG-ring.
         """
-        if self._annihilator is not None:
-            return self._annihilator
         ring = self.ring.poly_ring
         k = self.rank
         if k == 0:
-            self._annihilator = [ring.one]
-            return self._annihilator
+            return [ring.one]
         if k == 1:
             entries = self.rels
         else:
@@ -125,8 +123,7 @@ class FPModule:
             entries = modulo([stacked], rels, big_twists, ring)
         polys = [Polynomial(ring, v) for v in entries]
         anns = {p for p in self.ring.normal_forms(polys) if not p.is_zero()}
-        self._annihilator = sorted(anns, key=lambda p: p.sort_key())
-        return self._annihilator
+        return sorted(anns, key=lambda p: p.sort_key())
 
     # -- minimization --
 

@@ -6,9 +6,13 @@ Grammar (integer literals only; fractions are not accepted):
     term   := factor ('*' factor)*
     factor := INT | VAR ('^' INT)? | '(' expr ')'
 
-Exponents above MAX_EXPONENT are rejected.  Errors carry the character
-position that triggered them.  A variable name must be one VAR token
-(is_name), so that every printed polynomial parses back.
+Exponents above MAX_EXPONENT are rejected, and so is a '(' that nests
+more than MAX_PARENTHESES levels deep: each level costs three frames of
+the recursion, so a deeper one would run out of interpreter stack.  A
+product above poly.MAX_PRODUCT_DEGREE is refused by the product itself.
+Errors carry the character position that triggered them.  A variable
+name must be one VAR token (is_name), so that every printed polynomial
+parses back.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ class ParseError(ValueError):
 _OPS = set("+-*^()")
 
 MAX_EXPONENT = 1000
+MAX_PARENTHESES = 100  # the same depth as jobs.MAX_NESTING
 
 
 def _tokenize(text: str):
@@ -70,6 +75,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -134,8 +140,12 @@ class _Parser:
             expo[self.ring.variables.index(value)] = value3
             return self.ring.monomial(expo)
         if kind == "op" and value == "(":
+            self.depth += 1
+            if self.depth > MAX_PARENTHESES:
+                raise ParseError(f"parentheses nest more than {MAX_PARENTHESES} levels", pos)
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError("expected integer, variable or '('", pos)
 

@@ -103,10 +103,13 @@ def vec_degree(a: ModVec, twists) -> int | None:
 
 DEFAULT_DEGREE_CAP = 40  # of a ring given no cap, and of the CLI
 
-# A bound on the term pairs len(a) * len(b) of one Polynomial product.  Only
-# job input is multiplied (the parser's '*', ring-map substitution), and a
-# short product of sums can have millions of terms.
+# Bounds on one Polynomial product: on its term pairs len(a) * len(b), and
+# on its degree.  Only job input is multiplied (the parser's '*', ring-map
+# substitution).  A short product of sums can have millions of terms, and a
+# short product of powers a degree whose Hilbert numerators cost work in
+# proportion to it.  A product of two powers at parse.MAX_EXPONENT passes.
 MAX_PRODUCT_TERMS = 10_000
+MAX_PRODUCT_DEGREE = 10_000
 
 
 class PolyRing:
@@ -225,6 +228,9 @@ class Polynomial:
         pairs = len(self.vec) * len(other.vec)
         if pairs > MAX_PRODUCT_TERMS:
             raise ValueError(f"a product of {pairs} term pairs exceeds {MAX_PRODUCT_TERMS}")
+        degree = self.total_degree() + other.total_degree()
+        if degree > MAX_PRODUCT_DEGREE:
+            raise ValueError(f"a product of degree {degree} exceeds {MAX_PRODUCT_DEGREE}")
         return Polynomial(self.ring, vec_combination([other.vec], self.vec, self.ring.field))
 
     def __pow__(self, n: int) -> Polynomial:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import groebner as gb
-from .hilbert import HilbertSeries, monomial_quotient_series
+from .hilbert import HilbertSeries, lead_module_series
 from .parse import is_name, parse_poly
 from .poly import DEFAULT_DEGREE_CAP, ModVec, PolyRing, Polynomial, RingMismatchError
 
@@ -79,12 +79,8 @@ class QuotientRing:
             for r in gb.normal_forms([p.vec for p in polys], basis, self.field)
         ]
 
-    def nf(self, p: Polynomial) -> Polynomial:
-        """The normal form of one polynomial: normal_forms([p])[0]."""
-        return self.normal_forms([p])[0]
-
     def is_zero(self, p: Polynomial) -> bool:
-        return self.nf(p).is_zero()
+        return self.normal_forms([p])[0].is_zero()
 
     def is_trivial(self) -> bool:
         """True when J is the unit ideal (the ring is zero)."""
@@ -101,8 +97,8 @@ class QuotientRing:
     def hilbert_series(self) -> HilbertSeries:
         if self._hilbert is None:
             # Each basis vector's first key is its lead.
-            leads = [next(iter(g.vec))[1] for g in self.groebner()]
-            self._hilbert = monomial_quotient_series(leads, self.poly_ring)
+            leads = [next(iter(g.vec)) for g in self.groebner()]
+            self._hilbert = lead_module_series(leads, 1, (0,), self.poly_ring)
         return self._hilbert
 
     def is_nilpotent(self, g: Polynomial) -> bool:

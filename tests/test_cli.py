@@ -227,6 +227,19 @@ def test_suite_exits_2_on_a_malformed_job_like_compute(tmp_path):
     assert run_cli("suite", str(tmp_path), "--degree-cap", "0").returncode == 3
 
 
+def test_suite_reports_a_polynomial_nested_too_deeply_beside_a_good_fixture(tmp_path):
+    deep = "(" * 5000 + "x" + ")" * 5000
+    write_job(tmp_path, dict(BASIC_JOB, ideal=[deep]), "deep.json")
+    write_job(tmp_path, BASIC_JOB, "good.json")
+    result = run_cli("suite", str(tmp_path))
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    fixtures = json.loads(result.stdout)["fixtures"]
+    assert [(f["fixture"], f["status"]) for f in fixtures] == [
+        ("deep.json", "input-error"), ("good.json", "ok"),
+    ]
+
+
 def test_field_flag_applies_when_job_omits_field(tmp_path):
     job = {k: v for k, v in BASIC_JOB.items() if k != "field"}
     path = write_job(tmp_path, job)

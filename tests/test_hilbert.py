@@ -5,7 +5,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIELD, ring
-from dgkoszul.hilbert import NEG_INF, monomial_quotient_series
+from dgkoszul.hilbert import NEG_INF, lead_module_series
 from dgkoszul.poly import PolyRing
 
 
@@ -14,19 +14,25 @@ def _S(nvars):
     return PolyRing([f"x{i}" for i in range(nvars)], FIELD)
 
 
+def _quotient_series(gens, S):
+    """HS(S/I) for the monomial ideal I generated by gens: a module of
+    rank 1 whose leads all lie in component 0, untwisted."""
+    return lead_module_series([(0, e) for e in gens], 1, (0,), S)
+
+
 def test_free_rank_one_over_two_variables():
-    hs = monomial_quotient_series([], _S(2))
+    hs = _quotient_series([], _S(2))
     assert hs.reduced() == ({0: 1}, 2)
     assert hs.coefficients(4) == [1, 2, 3, 4, 5]
 
 
 def test_hypersurface_series():
-    hs = monomial_quotient_series([(1, 0)], _S(2))  # k[x,y]/(x)
+    hs = _quotient_series([(1, 0)], _S(2))  # k[x,y]/(x)
     assert hs.reduced() == ({0: 1}, 1)
 
 
 def test_finite_length_series():
-    hs = monomial_quotient_series([(2,)], _S(1))  # k[x]/(x^2)
+    hs = _quotient_series([(2,)], _S(1))  # k[x]/(x^2)
     num, pole = hs.reduced()
     assert pole == 0 and num == {0: 1, 1: 1}
 
@@ -47,20 +53,20 @@ def _independent_set_dim(gens, nvars):
 def test_monomial_dim_on_mixed_ideal():
     # (x*y, x*z) in k[x,y,z]: dimension 2
     gens = [(1, 1, 0), (1, 0, 1)]
-    assert monomial_quotient_series(gens, _S(3)).pole_order == 2
+    assert _quotient_series(gens, _S(3)).pole_order == 2
 
 
 def test_irrelevant_ideal_is_artinian():
     gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert monomial_quotient_series(gens, _S(3)).pole_order == 0
+    assert _quotient_series(gens, _S(3)).pole_order == 0
 
 
 def test_zero_ideal_full_dimension():
-    assert monomial_quotient_series([], _S(4)).pole_order == 4
+    assert _quotient_series([], _S(4)).pole_order == 4
 
 
 def test_unit_ideal_sentinel():
-    assert monomial_quotient_series([(0, 0)], _S(2)).pole_order == NEG_INF
+    assert _quotient_series([(0, 0)], _S(2)).pole_order == NEG_INF
 
 
 @st.composite
@@ -74,11 +80,11 @@ def _monomial_ideals(draw):
 @given(_monomial_ideals())
 def test_pole_order_is_the_largest_independent_set(ideal):
     gens, nvars = ideal
-    assert monomial_quotient_series(gens, _S(nvars)).pole_order == _independent_set_dim(gens, nvars)
+    assert _quotient_series(gens, _S(nvars)).pole_order == _independent_set_dim(gens, nvars)
 
 
 def test_series_arithmetic_and_twist():
-    a = monomial_quotient_series([], _S(1))  # 1/(1-t)
+    a = _quotient_series([], _S(1))  # 1/(1-t)
     shifted = a.shift(2)
     assert shifted.coefficients(4) == [0, 0, 1, 1, 1]
     diff = a - a.shift(1)
@@ -86,10 +92,10 @@ def test_series_arithmetic_and_twist():
 
 
 def test_equal_up_to_twist():
-    a = monomial_quotient_series([], _S(2))
+    a = _quotient_series([], _S(2))
     assert a.shift(3).equal_up_to_twist(a) == 3
     assert a.equal_up_to_twist(a.shift(1)) == -1
-    b = monomial_quotient_series([(1, 0)], _S(2))
+    b = _quotient_series([(1, 0)], _S(2))
     assert a.equal_up_to_twist(b) is None
 
 

@@ -24,7 +24,7 @@ from dgkoszul.jobs import (
     MAX_DEGREE, MAX_NESTING, MAX_ORACLE_BASIS, MAX_ORACLE_DEPTH, MAX_VARIABLES,
 )
 from dgkoszul.parse import MAX_EXPONENT, ParseError
-from dgkoszul.poly import MAX_PRODUCT_TERMS
+from dgkoszul.poly import MAX_PRODUCT_DEGREE, MAX_PRODUCT_TERMS
 
 SUITE = Path(__file__).resolve().parent.parent / "suite"
 
@@ -160,7 +160,35 @@ def test_a_product_of_too_many_terms_is_refused_at_once():
     assert len(parse_poly("*".join(["(a+b+c+d+e+f)"] * 5), R).vec) == 252
 
 
+def test_a_product_of_too_high_a_degree_is_refused_at_once():
+    # A Hilbert numerator's division walks its whole degree span.  The
+    # ideal of 1,000 factors x^1000 is a 7 KB job of degree 10^6, and so
+    # is x^1000 under a base change sending x to a^1000.  The first is
+    # parsed from the ideal, the second substituted by the check.
+    bound = f"exceeds {MAX_PRODUCT_DEGREE}"
+    base_change = {
+        "task": "check", "name": "base_change", "elements": ["x^1000"],
+        "target": {"vars": ["a"], "ideal": []}, "images": ["a^1000"],
+    }
+    start = time.monotonic()
+    report = run_job(_job(vars=["x"], ideal=["*".join(["x^1000"] * 1000)],
+                          tasks=[{"task": "invariants"}]))
+    assert report["status"] == "input-error" and report["error"].endswith(bound)
+    report = run_job(_job(vars=["x"], tasks=[base_change]))
+    record = report["results"][0]
+    assert record["status"] == "error" and record["error"].endswith(bound)
+    assert time.monotonic() - start < 1.0
+    # A product at the bound is multiplied out.
+    R = PolyRing(("x",), PrimeField())
+    power = parse_poly("*".join(["x^1000"] * (MAX_PRODUCT_DEGREE // 1000)), R)
+    assert power.total_degree() == MAX_PRODUCT_DEGREE
+
+
+_TOO_DEEP = "(" * 5000 + "x" + ")" * 5000
+
 MALFORMED = {
+    "ideal nested too deeply": _job(ideal=[_TOO_DEEP]),
+    "task element nested too deeply": _job(tasks=[{"task": "koszul", "elements": [_TOO_DEEP]}]),
     "prime above 2^31": _job(field={"kind": "prime", "p": 4294967291}),
     "non-integer prime": _job(field={"kind": "prime", "p": "abc"}),
     "tensor without factors": _job(dg={"kind": "tensor"}),

@@ -9,7 +9,6 @@ from conftest import poly, ring
 from dgkoszul import (
     FPModule,
     PrimeField,
-    amp_profile,
     cm_certify,
     compute_invariants,
     depth,
@@ -43,17 +42,19 @@ def _example_extension(field_ring=None):
 
 
 def test_amp_profile_of_ring():
-    assert amp_profile(dg_from_ring(ring("x", "y"))) == (0, 0, 0)
+    A = dg_from_ring(ring("x", "y"))
+    assert (A.inf(), A.sup(), A.amp()) == (0, 0, 0)
 
 
 def test_amp_profile_of_extension():
-    assert amp_profile(_example_extension()) == (-2, 0, 2)
+    A = _example_extension()
+    assert (A.inf(), A.sup(), A.amp()) == (-2, 0, 2)
 
 
 def test_amp_profile_of_zero_cone():
     A = dg_from_ring(ring("x"))
     K = koszul(A, [A.base.poly_ring.zero])
-    assert amp_profile(K) == (-1, 0, 1)
+    assert (K.inf(), K.sup(), K.amp()) == (-1, 0, 1)
 
 
 def test_lcdim_values():

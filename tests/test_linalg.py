@@ -145,7 +145,7 @@ def test_remainder_has_no_pivot_and_differs_from_the_row_by_the_span(case, data)
     rest = echelon.remainder(probe)
     assert probe == before and echelon.rows == snapshot
     assert all(rest.values()) and not set(rest) & set(echelon.rows)
-    difference = {c: field.sub(probe[c], rest.get(c, field.zero)) for c in range(ncols)}
+    difference = {c: field.add(probe[c], field.neg(rest.get(c, field.zero))) for c in range(ncols)}
     p = _p(field)
     assert _dense_rank(rows[:split] + [difference], ncols, p) == echelon.rank
     assert _dense_rank(rows[:split] + [rest], ncols, p) == _dense_rank(rows[:split] + [probe], ncols, p)

@@ -235,7 +235,7 @@ def _rebuilt_min_gens(columns, F):
     for cand in candidates:
         spanning = kept + F.j_columns()
         basis = gb.buchberger(spanning, F.twists, field)[0] if spanning else []
-        if basis and not gb.normal_form(cand, basis, field):
+        if basis and not gb.normal_forms([cand], basis, field)[0]:
             continue
         kept.append(cand)
     return kept

@@ -174,7 +174,7 @@ def test_the_oracle_uses_no_groebner_basis(monkeypatch):
         raise AssertionError("the truncation oracle reached the Groebner path")
 
     monkeypatch.setattr(gb, "buchberger", refuse)
-    monkeypatch.setattr(gb, "normal_form", refuse)
+    monkeypatch.setattr(gb, "normal_forms", refuse)
     nonzero = {(0, 0), (-1, 2)}
     expected = {-i: {t: int((-i, t) in nonzero) for t in range(9)} for i in range(5)}
     assert truncation_oracle(K, 8) == expected

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgkoszul import PrimeField, PolyRing, parse_poly
-from dgkoszul.parse import ParseError
+from dgkoszul.parse import MAX_PARENTHESES, ParseError
 from dgkoszul.poly import poly_to_text
 
 F = PrimeField()
@@ -84,3 +84,12 @@ def test_round_trip_fixture_corpus(text):
 def test_round_trip_random(terms):
     p = R3.poly(dict(terms))
     assert parse_poly(poly_to_text(p), R3) == p
+
+
+def test_parentheses_nest_at_most_max_parentheses_levels():
+    # Each level costs three frames of the recursive descent.
+    deep = "(" * MAX_PARENTHESES + "x" + ")" * MAX_PARENTHESES
+    assert parse_poly(deep, R3) == parse_poly("x", R3)
+    with pytest.raises(ParseError, match=f"nest more than {MAX_PARENTHESES} levels") as info:
+        parse_poly("(" + deep + ")", R3)
+    assert info.value.pos == MAX_PARENTHESES

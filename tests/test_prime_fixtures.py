@@ -76,7 +76,7 @@ def _validate_curated(A, prime_gens):
     """The curated prime must contain the defining ideal of H^0's reduction."""
     P = _prime_ring(A, prime_gens)
     for g in A.base.j_gens:
-        assert P.is_zero(g) or P.is_nilpotent(P.nf(g)), (
+        assert P.is_zero(g) or P.is_nilpotent(P.normal_forms([g])[0]), (
             "curated prime does not contain the defining ideal"
         )
 
@@ -86,7 +86,7 @@ def _meets_bottom_support(A, prime_gens) -> bool:
     of every annihilator generator, up to radical)."""
     P = _prime_ring(A, prime_gens)
     bottom = A.homology(A.inf())
-    return all(P.is_nilpotent(P.nf(g)) for g in bottom.annihilator())
+    return all(P.is_nilpotent(P.normal_forms([g])[0]) for g in bottom.annihilator())
 
 
 @pytest.mark.parametrize("fx", FIXTURES, ids=lambda fx: fx["name"])
